@@ -197,19 +197,18 @@ def adversarial_search(
     grid: AdversaryGrid,
     strategy: OfferStrategy,
     spec: StorageSpec,
-    disc: DiscretizationConfig | None = None,
-    penalty: PenaltyParams | None = None,
     theoretical_bound: float | None = None,
 ) -> WorstCaseReport:
     """Measure the profit ratio on every instance of the grid.
 
     Returns the maximum ratio, the maximizing trace, and the per-bucket
     maxima keyed by the minimum storage level the strategy reached (grid
-    units, rounded).  Raises BudgetExceededError before enumerating a grid
-    larger than the configured budget.
+    units, rounded), with the oracle on the grid's storage quantization and
+    the default penalty.  Raises BudgetExceededError before enumerating a
+    grid larger than the configured budget.
     """
-    disc = disc or grid.disc
-    penalty = penalty or PenaltyParams()
+    disc = grid.disc
+    penalty = PenaltyParams()
     if grid.instance_count > grid.budget:
         raise BudgetExceededError(
             f"grid holds {grid.instance_count} instances, budget is {grid.budget}"

@@ -18,6 +18,7 @@ from pathlib import Path
 from .adversary import AdversaryGrid, WorstCaseReport, adversarial_search
 from .errors import BudgetExceededError, TraceParseError, ValidationError
 from .experiment import (
+    STRATEGIES,
     ExperimentConfig,
     emit_report,
     load_config_file,
@@ -25,9 +26,9 @@ from .experiment import (
     run_offer_sweep,
 )
 from .market import PenaltyParams, PriceBounds, StorageSpec, simulate_run
-from .oracle import DiscretizationConfig, UnboundedRatio, offline_opt_dp, profit_ratio
+from .oracle import DiscretizationConfig, offline_opt_dp, profit_ratio, ratio_json
 from .policy import ThresholdPolicy, cr_table
-from .strategies import (
+from .strategies import (  # the *_strategy factories stay for bench/tracer.py to replace by name
     Forecast,
     StrategyConfig,
     fixed_threshold_strategy,
@@ -43,23 +44,27 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_BUDGET = 3
 
+# the library's defaults, so that a flag left out means what it means there
+_DEFAULT = ExperimentConfig()
 DEFAULTS = {
-    "pmin": 10.0,
-    "pmax": 40.0,
-    "capacity": 20.0,
-    "charge_rate": 10.0,
-    "discharge_rate": 10.0,
-    "initial_level": None,
-    "alpha1": 1.2,
-    "alpha2": 0.0,
-    "runs": 100,
-    "horizon": 360,
-    "seed": 0,
-    "offers": 10,
-    "emax": 0.1,
-    "eta": None,  # None: capacity / 400
-    "wind_capacity": 10.0,
+    "pmin": _DEFAULT.bounds.p_min,
+    "pmax": _DEFAULT.bounds.p_max,
+    "capacity": _DEFAULT.spec.capacity,
+    "charge_rate": _DEFAULT.spec.charge_rate,
+    "discharge_rate": _DEFAULT.spec.discharge_rate,
+    "initial_level": None,  # None: full, whatever the capacity
+    "alpha1": _DEFAULT.penalty.alpha1,
+    "alpha2": _DEFAULT.penalty.alpha2,
+    "runs": _DEFAULT.runs,
+    "horizon": _DEFAULT.horizon,
+    "seed": _DEFAULT.seed,
+    "offers": _DEFAULT.offers,
+    "emax": _DEFAULT.e_max,
+    "eta": None,  # None: capacity / disc_levels
+    "wind_capacity": _DEFAULT.wind_capacity,
 }
+# mocsmb needs a forecast per slot, which an adversary instance does not have
+ADVERSARY_STRATEGIES = [name for name in STRATEGIES if name != "mocsmb"] + ["gmin", "const"]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -70,7 +75,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--discharge-rate", type=float, help="max discharge per slot in MWh")
     parser.add_argument("--pmin", type=float, help="minimum clearing price")
     parser.add_argument("--pmax", type=float, help="maximum clearing price")
-    parser.add_argument("--eta", type=float, help="storage quantum in MWh (default C/400)")
+    parser.add_argument(
+        "--eta", type=float, help=f"storage quantum in MWh (default C/{_DEFAULT.disc_levels})"
+    )
     parser.add_argument("--out", help="output path (JSON report)")
 
 
@@ -83,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one strategy over one trace")
     _add_common(sim)
-    sim.add_argument("--strategy", default="socs", choices=["socs", "ocsmb", "mocsmb", "fonline"])
+    sim.add_argument("--strategy", default="socs", choices=list(STRATEGIES))
     sim.add_argument("--price-csv", help="price CSV (with --wind-csv); otherwise synthetic")
     sim.add_argument("--wind-csv", help="wind CSV")
     sim.add_argument("--horizon", type=int, help="synthetic horizon when no CSVs given")
@@ -110,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument(
         "--strategy",
         default="socs",
-        choices=["socs", "ocsmb", "fonline", "gmin", "const"],
+        choices=ADVERSARY_STRATEGIES,
         help="gmin: always-sell floor policy; const: fixed threshold above pmin",
     )
     adv.add_argument("--horizon", type=int, default=3, help="grid horizon (<= 6)")
@@ -160,7 +167,7 @@ def _market(values: dict) -> tuple[PriceBounds, StorageSpec, PenaltyParams, Disc
     )
     penalty = PenaltyParams(values["alpha1"], values["alpha2"])
     if values["eta"] is None:
-        disc = DiscretizationConfig.for_capacity(spec.capacity, 400)
+        disc = DiscretizationConfig.for_capacity(spec.capacity, _DEFAULT.disc_levels)
     else:
         levels = round(spec.capacity / values["eta"])
         disc = DiscretizationConfig(values["eta"], max(levels, 1))
@@ -168,15 +175,27 @@ def _market(values: dict) -> tuple[PriceBounds, StorageSpec, PenaltyParams, Disc
     return bounds, spec, penalty, disc
 
 
-def _parse_counts(text: str) -> list[int]:
-    if "-" in text and "," not in text:
-        lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_list(flag: str, text: str, cast: type = float) -> list:
+    """A comma-separated list, or for integers also an inclusive 'lo-hi'
+    range; raises ValidationError when it is malformed or empty."""
+    try:
+        if cast is int and "-" in text and "," not in text:
+            lo, hi = text.split("-", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [cast(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError(f"{flag}: cannot parse {text!r}") from None
+    if not values:
+        raise ValidationError(f"{flag}: {text!r} is an empty list")
+    return values
 
 
-def _ratio_text(value) -> str:
-    return "unbounded" if isinstance(value, UnboundedRatio) else f"{value:.6f}"
+def _emit(text: str, out: str | None) -> None:
+    """Print a report, and write it to `out` as well when that is given."""
+    if out:
+        Path(out).write_text(text + "\n")
+    print(text)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -199,15 +218,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     policy = ThresholdPolicy.build(bounds, spec.capacity)
     cfg = StrategyConfig(policy, spec, offers=values["offers"], e_max=values["emax"])
-    if args.strategy == "socs":
-        strategy = socs_strategy(cfg)
-    elif args.strategy == "ocsmb":
-        strategy = ocsmb_strategy(cfg)
-    elif args.strategy == "mocsmb":
-        forecasts = [Forecast(u, values["emax"]) for u in trace.outputs()]
-        strategy = mocsmb_strategy(cfg, forecasts)
-    else:
-        strategy = fonline_strategy(bounds, spec)
+    forecasts = [Forecast(u, values["emax"]) for u in trace.outputs()]
+    strategy = STRATEGIES[args.strategy](cfg, forecasts)
 
     result = simulate_run(trace, spec, penalty, strategy)
     opt = offline_opt_dp(trace, spec, disc).total_profit
@@ -217,7 +229,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "horizon": trace.horizon,
         "profit": result.total_profit,
         "offline_profit": opt,
-        "empirical_cr": "unbounded" if isinstance(ratio, UnboundedRatio) else ratio,
+        "empirical_cr": ratio_json(ratio),
     }
     if args.slots:
         out["slots"] = [
@@ -231,10 +243,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             }
             for o in result.outcomes
         ]
-    text = json.dumps(out, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _emit(json.dumps(out, indent=2), args.out)
     return EXIT_OK
 
 
@@ -254,16 +263,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         wind_capacity=values["wind_capacity"],
     )
     if args.sweep_offers:
-        rows = run_offer_sweep(cfg, _parse_counts(args.sweep_offers))
-        text = json.dumps(rows, indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
+        rows = run_offer_sweep(cfg, _parse_list("--sweep-offers", args.sweep_offers, int))
         if args.csv:
             with Path(args.csv).open("w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
                 writer.writeheader()
                 writer.writerows(rows)
-        print(text)
+        _emit(json.dumps(rows, indent=2), args.out)
         return EXIT_OK
 
     report = run_experiment(cfg, parallel=args.parallel)
@@ -273,14 +279,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _adversary_strategy(args, values, bounds, spec):
-    policy = ThresholdPolicy.build(bounds, spec.capacity)
-    cfg = StrategyConfig(policy, spec, offers=values["offers"])
-    if args.strategy == "socs":
-        return socs_strategy(cfg), policy.cr_value
-    if args.strategy == "ocsmb":
-        return ocsmb_strategy(cfg), None
-    if args.strategy == "fonline":
-        return fonline_strategy(bounds, spec), None
+    if args.strategy in STRATEGIES:
+        policy = ThresholdPolicy.build(bounds, spec.capacity)
+        cfg = StrategyConfig(policy, spec, offers=values["offers"])
+        bound = policy.cr_value if args.strategy == "socs" else None
+        return STRATEGIES[args.strategy](cfg, ()), bound
     if args.strategy == "gmin":
         return fixed_threshold_strategy(bounds.p_min, spec), bounds.theta
     threshold = args.threshold
@@ -315,24 +318,17 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     )
     strategy, bound = _adversary_strategy(args, values, bounds, spec)
     report = adversarial_search(grid, strategy, spec, theoretical_bound=bound)
-    out = _worst_case_json(report)
-    text = json.dumps(out, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _emit(json.dumps(_worst_case_json(report), indent=2), args.out)
     return EXIT_OK
 
 
 def _worst_case_json(report: WorstCaseReport) -> dict:
     out = {
         "instances": report.instances,
-        "max_ratio": "unbounded"
-        if isinstance(report.max_ratio, UnboundedRatio)
-        else report.max_ratio,
+        "max_ratio": ratio_json(report.max_ratio),
         "theoretical_bound": report.theoretical_bound,
         "bucket_ratios": {
-            f"{level:g}": ("unbounded" if isinstance(r, UnboundedRatio) else r)
-            for level, r in sorted(report.bucket_ratios.items())
+            f"{level:g}": ratio_json(r) for level, r in sorted(report.bucket_ratios.items())
         },
     }
     if report.argmax_instance is not None:
@@ -344,14 +340,10 @@ def _worst_case_json(report: WorstCaseReport) -> dict:
 
 
 def _cmd_cr_table(args: argparse.Namespace) -> int:
-    thetas = [float(x) for x in args.theta.split(",") if x.strip()]
     lines = ["theta,cr"]
-    for row in cr_table(thetas):
+    for row in cr_table(_parse_list("--theta", args.theta)):
         lines.append(f"{row.theta:g},{row.theoretical_cr:.2f}")
-    text = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _emit("\n".join(lines), args.out)
     return EXIT_OK
 
 

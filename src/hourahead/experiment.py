@@ -13,18 +13,20 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .errors import ValidationError
-from .market import PenaltyParams, PriceBounds, StorageSpec, Trace, simulate_run
+from .market import OfferStrategy, PenaltyParams, PriceBounds, StorageSpec, Trace, simulate_run
 from .oracle import (
     DiscretizationConfig,
+    UNBOUNDED,
     UnboundedRatio,
     offline_opt_dp,
     profit_ratio,
+    ratio_json,
 )
 from .policy import ThresholdPolicy
 from .strategies import (
@@ -36,9 +38,17 @@ from .strategies import (
     ocsmb_strategy,
     socs_strategy,
 )
-from .traces import SyntheticParams, realize_outputs, synthesize
+from .traces import realize_outputs, synthesize
 
-STRATEGY_NAMES = ("socs", "ocsmb", "mocsmb", "fonline")
+#: The one registry of online strategies: name -> builder taking the
+#: strategy config and the per-slot output forecasts.  Each builder looks its
+#: factory up in this module when it runs, so a replaced attribute is used.
+STRATEGIES: dict[str, Callable[[StrategyConfig, Sequence[Forecast]], OfferStrategy]] = {
+    "socs": lambda cfg, forecasts: socs_strategy(cfg),
+    "ocsmb": lambda cfg, forecasts: ocsmb_strategy(cfg),
+    "mocsmb": lambda cfg, forecasts: mocsmb_strategy(cfg, forecasts),
+    "fonline": lambda cfg, forecasts: fonline_strategy(cfg.policy.bounds, cfg.spec),
+}
 BENCHMARK_NAMES = ("offline", "nostorage")
 
 
@@ -54,13 +64,12 @@ class ExperimentConfig:
     e_max: float = 0.1
     disc_levels: int = 400
     wind_capacity: float = 10.0
-    synth: SyntheticParams = field(default_factory=SyntheticParams)
-    strategies: tuple[str, ...] = STRATEGY_NAMES
+    strategies: tuple[str, ...] = tuple(STRATEGIES)
 
     def __post_init__(self):
         if self.runs < 1 or self.horizon < 1:
             raise ValidationError("runs and horizon must be >= 1")
-        unknown = set(self.strategies) - set(STRATEGY_NAMES)
+        unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValidationError(f"unknown strategies: {sorted(unknown)}")
 
@@ -99,54 +108,41 @@ class Report:
     config: dict[str, Any]
     strategies: dict[str, dict[str, Any]]
     records: list[RunRecord]
-    slots: list[dict[str, Any]] | None = None
 
     def to_json_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "meta": self.meta,
-            "config": self.config,
-            "strategies": self.strategies,
-        }
-        if self.slots is not None:
-            out["slots"] = self.slots
-        return out
+        return {"meta": self.meta, "config": self.config, "strategies": self.strategies}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def _ratio_json(value: float | UnboundedRatio) -> float | str:
-    return "unbounded" if isinstance(value, UnboundedRatio) else value
+def draw_instance(cfg: ExperimentConfig, run: int) -> tuple[Trace, list[Forecast]]:
+    """The realized trace of one run and the output forecasts it was drawn
+    around, from a generator seeded with seed XOR run."""
+    rng = np.random.default_rng(cfg.seed ^ run)
+    forecast_trace = synthesize(rng, cfg.horizon, cfg.bounds, cfg.wind_capacity)
+    realized = realize_outputs(rng, forecast_trace.outputs(), cfg.e_max)
+    trace = Trace.from_series(forecast_trace.prices(), realized)
+    return trace, [Forecast(u, cfg.e_max) for u in forecast_trace.outputs()]
 
 
-def _run_seed(seed: int, run: int) -> int:
-    return seed ^ run
+def _strategy_config(cfg: ExperimentConfig) -> StrategyConfig:
+    policy = ThresholdPolicy.build(cfg.bounds, cfg.spec.capacity)
+    return StrategyConfig(policy, cfg.spec, offers=cfg.offers, e_max=cfg.e_max)
 
 
 def _single_run(cfg: ExperimentConfig, run: int) -> list[RunRecord]:
-    rng = np.random.default_rng(_run_seed(cfg.seed, run))
-    forecast_trace = synthesize(rng, cfg.horizon, cfg.bounds, cfg.wind_capacity, cfg.synth)
-    realized = realize_outputs(rng, forecast_trace.outputs(), cfg.e_max)
-    trace = Trace.from_series(forecast_trace.prices(), realized)
-
+    trace, forecasts = draw_instance(cfg, run)
     disc = DiscretizationConfig.for_capacity(cfg.spec.capacity, cfg.disc_levels)
     opt_profit = offline_opt_dp(trace, cfg.spec, disc).total_profit
-
-    policy = ThresholdPolicy.build(cfg.bounds, cfg.spec.capacity)
-    strat_cfg = StrategyConfig(policy, cfg.spec, offers=cfg.offers, e_max=cfg.e_max)
-    forecasts = [Forecast(u, cfg.e_max) for u in forecast_trace.outputs()]
-    callbacks = {
-        "socs": socs_strategy(strat_cfg),
-        "ocsmb": ocsmb_strategy(strat_cfg),
-        "mocsmb": mocsmb_strategy(strat_cfg, forecasts),
-        "fonline": fonline_strategy(cfg.bounds, cfg.spec),
-    }
+    strat_cfg = _strategy_config(cfg)
 
     records = [RunRecord(run, "offline", opt_profit, 1.0)]
     ns_profit = nostorage_profit(trace)
     records.append(RunRecord(run, "nostorage", ns_profit, profit_ratio(opt_profit, ns_profit)))
     for name in cfg.strategies:
-        result = simulate_run(trace, cfg.spec, cfg.penalty, callbacks[name])
+        strategy = STRATEGIES[name](strat_cfg, forecasts)
+        result = simulate_run(trace, cfg.spec, cfg.penalty, strategy)
         records.append(
             RunRecord(run, name, result.total_profit, profit_ratio(opt_profit, result.total_profit))
         )
@@ -159,21 +155,26 @@ def _aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> Report:
         rows = [r for r in records if r.strategy == name]
         profits = [r.profit for r in rows]
         ratios = [r.empirical_cr for r in rows]
-        unbounded = any(isinstance(r, UnboundedRatio) for r in ratios)
-        finite = [r for r in ratios if not isinstance(r, UnboundedRatio)]
+        if any(isinstance(r, UnboundedRatio) for r in ratios):
+            cr_max = cr_mean = UNBOUNDED
+        else:
+            cr_max, cr_mean = max(ratios), sum(ratios) / len(ratios)
         strategies[name] = {
             "total_profit": sum(profits),
             "mean_profit": sum(profits) / len(profits),
-            "empirical_cr_max": "unbounded" if unbounded else max(finite),
-            "empirical_cr_mean": "unbounded" if unbounded else sum(finite) / len(finite),
+            "empirical_cr_max": ratio_json(cr_max),
+            "empirical_cr_mean": ratio_json(cr_mean),
         }
     meta = {"tool": "hourahead", "version": __version__, "seed": cfg.seed}
     return Report(meta=meta, config=cfg.to_dict(), strategies=strategies, records=records)
 
 
-def run_experiment(cfg: ExperimentConfig, parallel: bool = False, workers: int = 4) -> Report:
+def run_experiment(
+    cfg: ExperimentConfig, parallel: bool = False, workers: int | None = None
+) -> Report:
     """Execute all runs and aggregate.  Deterministic for a given config and
-    seed, whether executed serially or with a process pool."""
+    seed, whether executed serially or with a process pool (by default one
+    worker per core)."""
     if parallel and cfg.runs > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_single_run, [cfg] * cfg.runs, range(cfg.runs)))
@@ -189,18 +190,14 @@ def run_offer_sweep(cfg: ExperimentConfig, offer_counts: Sequence[int]) -> list[
     The traces, the clairvoyant optimum, and the known-price reference are
     computed once per run and reused across the sweep.
     """
-    policy = ThresholdPolicy.build(cfg.bounds, cfg.spec.capacity)
     disc = DiscretizationConfig.for_capacity(cfg.spec.capacity, cfg.disc_levels)
+    base_cfg = _strategy_config(cfg)
     opt_tot = 0.0
     socs_tot = 0.0
     ladder_tot = {m: 0.0 for m in offer_counts}
     for run in range(cfg.runs):
-        rng = np.random.default_rng(_run_seed(cfg.seed, run))
-        forecast_trace = synthesize(rng, cfg.horizon, cfg.bounds, cfg.wind_capacity, cfg.synth)
-        realized = realize_outputs(rng, forecast_trace.outputs(), cfg.e_max)
-        trace = Trace.from_series(forecast_trace.prices(), realized)
+        trace, _forecasts = draw_instance(cfg, run)
         opt_tot += offline_opt_dp(trace, cfg.spec, disc).total_profit
-        base_cfg = StrategyConfig(policy, cfg.spec, offers=cfg.offers, e_max=cfg.e_max)
         socs_tot += simulate_run(trace, cfg.spec, cfg.penalty, socs_strategy(base_cfg)).total_profit
         for m in offer_counts:
             m_cfg = replace(base_cfg, offers=m)
@@ -234,7 +231,7 @@ def emit_report(
             writer.writerow(["run", "strategy", "profit", "empirical_cr"])
             for rec in report.records:
                 writer.writerow(
-                    [rec.run, rec.strategy, repr(rec.profit), _ratio_json(rec.empirical_cr)]
+                    [rec.run, rec.strategy, repr(rec.profit), ratio_json(rec.empirical_cr)]
                 )
 
 

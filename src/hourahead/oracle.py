@@ -35,6 +35,11 @@ class UnboundedRatio:
 UNBOUNDED = UnboundedRatio()
 
 
+def ratio_json(value: float | UnboundedRatio) -> float | str:
+    """A profit ratio as a JSON or CSV value: the number, or "unbounded"."""
+    return "unbounded" if isinstance(value, UnboundedRatio) else value
+
+
 @dataclass(frozen=True)
 class DiscretizationConfig:
     """Energy quantum eta and the number of storage levels above zero."""

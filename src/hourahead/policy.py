@@ -14,9 +14,6 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .market import PriceBounds
 
-#: Relative tolerance for the closed-form identities (exact up to rounding).
-IDENTITY_RTOL = 1e-9
-
 
 def theoretical_cr(theta: float) -> float:
     """Optimal worst-case profit ratio achievable for fluctuation ratio theta.

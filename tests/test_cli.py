@@ -1,6 +1,9 @@
 import json
 
-from hourahead.cli import main
+import pytest
+
+from hourahead.cli import ADVERSARY_STRATEGIES, main
+from hourahead.experiment import STRATEGIES, ExperimentConfig, run_experiment
 
 
 class TestCrTable:
@@ -47,6 +50,14 @@ class TestGenTraceAndSimulate:
         assert main(["simulate", "--horizon", "6", "--seed", "2", "--slots", "--eta", "0.5"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data["slots"]) == 6
+
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_synthetic_simulate_every_strategy(self, strategy, capsys):
+        argv = ["simulate", "--horizon", "6", "--eta", "0.5", "--strategy", strategy]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["strategy"] == strategy
+        assert data["horizon"] == 6
 
     def test_missing_csv_is_io_error(self, tmp_path, capsys):
         code = main(
@@ -116,6 +127,11 @@ class TestCompare:
         rows = json.loads(capsys.readouterr().out)
         assert [r["offers"] for r in rows] == [1, 2, 3]
 
+    def test_defaults_match_the_library(self, capsys):
+        assert main(["compare", "--runs", "2", "--horizon", "12", "--seed", "3"]) == 0
+        expected = run_experiment(ExperimentConfig(runs=2, horizon=12, seed=3)).to_json()
+        assert capsys.readouterr().out == expected
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         cfg.write_text("[experiment]\nruns = 1\nhorizon = 6\nseed = 9\neta = 0.5\n")
@@ -145,6 +161,13 @@ class TestAdversary:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["max_ratio"] <= data["theoretical_bound"] * 1.05
+        assert data["instances"] == 144
+
+    @pytest.mark.parametrize("strategy", ADVERSARY_STRATEGIES)
+    def test_every_strategy(self, strategy, capsys):
+        argv = ["adversary", "--strategy", strategy, "--horizon", "2", "--capacity", "4"]
+        assert main(argv + ["--levels", "4"]) == 0
+        data = json.loads(capsys.readouterr().out)
         assert data["instances"] == 144
 
     def test_budget_exceeded(self, capsys):
@@ -181,3 +204,19 @@ class TestValidationExits:
 
     def test_missing_config_file(self, capsys):
         assert main(["compare", "--config", "/nonexistent/exp.ini"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cr-table", "--theta", "abc"],
+            ["compare", "--runs", "1", "--horizon", "4", "--sweep-offers", "a-b"],
+            ["compare", "--runs", "1", "--horizon", "4", "--sweep-offers", "3-1", "--csv", "CSV"],
+        ],
+    )
+    def test_malformed_list(self, argv, tmp_path, capsys):
+        argv = [str(tmp_path / "sweep.csv") if a == "CSV" else a for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
