@@ -10,7 +10,7 @@ class TraceParseError(ValueError):
 
 
 class InstanceTooLargeError(ValidationError):
-    """The instance exceeds the guards of the exhaustive oracle."""
+    """The instance exceeds a work guard of the grid DP or exhaustive oracle."""
 
 
 class BudgetExceededError(RuntimeError):

@@ -309,6 +309,7 @@ def test_criterion_9_reproducibility(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes() == third.read_bytes()
     elapsed = time.time() - start
+    assert elapsed < 60.0
     with capsys.disabled():
         report(9, "100x360 comparison is byte-identical across reruns and "
                   "across serial/parallel execution", elapsed)

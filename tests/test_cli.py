@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -132,6 +133,13 @@ class TestCompare:
         expected = run_experiment(ExperimentConfig(runs=2, horizon=12, seed=3)).to_json()
         assert capsys.readouterr().out == expected
 
+    def test_tiny_capacity_finishes(self, capsys):
+        # rates of 1e13 quanta: the oracle's window stays within the grid
+        start = time.perf_counter()
+        assert main(["compare", "--runs", "1", "--horizon", "24", "--capacity", "1e-9"]) == 0
+        assert time.perf_counter() - start < 10.0
+        assert json.loads(capsys.readouterr().out)["config"]["capacity"] == 1e-9
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         cfg.write_text("[experiment]\nruns = 1\nhorizon = 6\nseed = 9\neta = 0.5\n")
@@ -216,6 +224,14 @@ class TestValidationExits:
     def test_malformed_list(self, argv, tmp_path, capsys):
         argv = [str(tmp_path / "sweep.csv") if a == "CSV" else a for a in argv]
         assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_oracle_work_guard(self, capsys):
+        # 2e10 storage levels: refused before any array is allocated
+        assert main(["compare", "--runs", "1", "--horizon", "24", "--eta", "1e-9"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hourahead import (
     UNBOUNDED,
@@ -72,6 +73,14 @@ class TestOfflineOptimum:
         assert result.total_profit == 20.0
         assert result.commitment_path == (0.0, 1.0)
         assert result.level_path == (0.0, 1.0, 0.0)
+
+    def test_ties_defer_the_sale(self):
+        # selling now or next slot earns the same: the smaller commitment wins
+        trace = Trace.from_series([10.0, 10.0], [0.0, 0.0])
+        spec = StorageSpec(2.0, 2.0, 2.0, 2.0)
+        result = offline_opt_dp(trace, spec, DiscretizationConfig(0.5, 4))
+        assert result.total_profit == 20.0
+        assert result.commitment_path == (0.0, 2.0)
 
     def test_single_slot_closed_form(self):
         trace = Trace.from_series([25.0], [3.0])
@@ -153,6 +162,66 @@ class TestOfflineOptimum:
                 trace, spec, penalty, socs_strategy(StrategyConfig(pol, spec))
             ).total_profit
             assert opt + bounds.p_max * disc.eta * trace.horizon >= strat
+
+
+def per_action_dp(prices, outputs, rc, rd, k0, eta, n):
+    """Reference grid DP with one vector update per commitment: the direct
+    form of the window identity, O(T * n * (rc + rd))."""
+    v = np.zeros(n + 1)
+    karr = np.arange(n + 1)
+    for p, uq in zip(reversed(prices), reversed(outputs)):
+        best = np.full(n + 1, -np.inf)
+        # commit j <= uq: the remainder charges up to rc and spills beyond n
+        for j in range(max(0, uq - rc), uq + 1):
+            best = np.maximum(best, p * (j * eta) + v[np.minimum(karr + (uq - j), n)])
+        # commit uq + d: discharge d units, which needs level >= d
+        for d in range(1, min(rd, n) + 1):
+            best[d:] = np.maximum(best[d:], p * ((uq + d) * eta) + v[: n + 1 - d])
+        v = best
+    return float(v[k0])
+
+
+@st.composite
+def grid_instances(draw):
+    """Grid-aligned instances, with rates and outputs from 0 to beyond n units."""
+    n = draw(st.integers(1, 30))
+    horizon = draw(st.integers(1, 8))
+    units = st.integers(0, 2 * n + 2)
+    return (
+        n,
+        draw(st.sampled_from([0.25, 0.5, 1.0])),
+        draw(units),
+        draw(units),
+        draw(st.integers(0, n)),
+        draw(st.lists(st.floats(1.0, 50.0), min_size=horizon, max_size=horizon)),
+        draw(st.lists(units, min_size=horizon, max_size=horizon)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=grid_instances())
+@example(instance=(4, 0.5, 0, 0, 0, [10.0, 20.0], [0, 0]))
+@example(instance=(3, 1.0, 9, 9, 3, [5.0, 30.0, 12.0], [7, 0, 9]))
+@example(instance=(5, 0.25, 11, 0, 5, [40.0, 10.0], [12, 0]))
+def test_window_dp_matches_per_action_dp(instance):
+    n, eta, rc, rd, k0, prices, outputs = instance
+    trace = Trace.from_series(prices, [u * eta for u in outputs])
+    spec = StorageSpec(n * eta, rc * eta, rd * eta, k0 * eta)
+    result = offline_opt_dp(trace, spec, DiscretizationConfig(eta, n))
+    expected = per_action_dp(prices, outputs, rc, rd, k0, eta, n)
+    assert result.total_profit == pytest.approx(expected, rel=1e-12)
+
+    # replay the plan on the grid: no over-commitment, and it earns the total
+    k, earned = k0, 0.0
+    assert result.level_path[0] == k0 * eta
+    for t, (p, uq, x) in enumerate(zip(prices, outputs, result.commitment_path)):
+        j = round(x / eta)
+        assert x == j * eta
+        assert 0 <= j <= uq + min(k, rd)
+        k = min(k + min(rc, uq - j), n) if j <= uq else k - (j - uq)
+        assert result.level_path[t + 1] == k * eta
+        earned += p * x
+    assert earned == pytest.approx(result.total_profit, rel=1e-12)
 
 
 class TestExhaustiveGuards:
