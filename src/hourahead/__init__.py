@@ -22,15 +22,12 @@ from .errors import (
 )
 from .market import (
     EMPTY_BOOK,
-    Offer,
     OfferBook,
     PenaltyParams,
     PriceBounds,
     RunResult,
-    SlotOutcome,
     StorageSpec,
     Trace,
-    TraceSlot,
     evolve_storage,
     over_commitment,
     settle_offer,
@@ -48,7 +45,6 @@ from .oracle import (
 )
 from .policy import CrReport, ThresholdPolicy, c_threshold, cr_table, theoretical_cr
 from .strategies import (
-    Forecast,
     StrategyConfig,
     fonline_offer,
     mocsmb_offers,
@@ -62,20 +58,16 @@ __all__ = [
     "CrReport",
     "DiscretizationConfig",
     "EMPTY_BOOK",
-    "Forecast",
     "InstanceTooLargeError",
-    "Offer",
     "OfferBook",
     "OptResult",
     "PenaltyParams",
     "PriceBounds",
     "RunResult",
-    "SlotOutcome",
     "StorageSpec",
     "StrategyConfig",
     "Trace",
     "TraceParseError",
-    "TraceSlot",
     "ThresholdPolicy",
     "UNBOUNDED",
     "UnboundedRatio",

@@ -220,7 +220,7 @@ def adversarial_search(
     buckets: dict[float, float | UnboundedRatio] = {}
     count = 0
     for combo in itertools.product(slot_choices, repeat=grid.horizon):
-        trace = Trace.from_series([c[0] for c in combo], [c[1] for c in combo])
+        trace = Trace(*zip(*combo))
         opt = offline_opt_dp(trace, spec, disc).total_profit
         run = simulate_run(trace, spec, penalty, strategy)
         ratio = profit_ratio(opt, run.total_profit)

@@ -29,7 +29,6 @@ from .market import PenaltyParams, PriceBounds, StorageSpec, simulate_run
 from .oracle import DiscretizationConfig, offline_opt_dp, profit_ratio, ratio_json
 from .policy import ThresholdPolicy, cr_table
 from .strategies import (  # the *_strategy factories stay for bench/tracer.py to replace by name
-    Forecast,
     StrategyConfig,
     fixed_threshold_strategy,
     fonline_strategy,
@@ -63,22 +62,27 @@ DEFAULTS = {
     "eta": None,  # None: capacity / disc_levels
     "wind_capacity": _DEFAULT.wind_capacity,
 }
-# mocsmb needs a forecast per slot, which an adversary instance does not have
+# mocsmb needs a predicted output per slot, which an adversary instance does not have
 ADVERSARY_STRATEGIES = [name for name in STRATEGIES if name != "mocsmb"] + ["gmin", "const"]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="INI config file; flags override its values")
-    parser.add_argument("--seed", type=int, help="base RNG seed")
-    parser.add_argument("--capacity", type=float, help="storage capacity in MWh")
-    parser.add_argument("--charge-rate", type=float, help="max charge per slot in MWh")
-    parser.add_argument("--discharge-rate", type=float, help="max discharge per slot in MWh")
-    parser.add_argument("--pmin", type=float, help="minimum clearing price")
-    parser.add_argument("--pmax", type=float, help="maximum clearing price")
-    parser.add_argument(
-        "--eta", type=float, help=f"storage quantum in MWh (default C/{_DEFAULT.disc_levels})"
-    )
-    parser.add_argument("--out", help="output path (JSON report)")
+# flags that several subcommands share; each subcommand takes only those it reads
+COMMON_FLAGS = {
+    "config": {"help": "INI config file; flags override its values"},
+    "seed": {"type": int, "help": "base RNG seed"},
+    "capacity": {"type": float, "help": "storage capacity in MWh"},
+    "charge-rate": {"type": float, "help": "max charge per slot in MWh"},
+    "discharge-rate": {"type": float, "help": "max discharge per slot in MWh"},
+    "pmin": {"type": float, "help": "minimum clearing price"},
+    "pmax": {"type": float, "help": "maximum clearing price"},
+    "eta": {"type": float, "help": f"storage quantum in MWh (default C/{_DEFAULT.disc_levels})"},
+    "out": {"help": "output path (JSON report)"},
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **COMMON_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one strategy over one trace")
-    _add_common(sim)
+    _add_common(sim, *COMMON_FLAGS)
     sim.add_argument("--strategy", default="socs", choices=list(STRATEGIES))
     sim.add_argument("--price-csv", help="price CSV (with --wind-csv); otherwise synthetic")
     sim.add_argument("--wind-csv", help="wind CSV")
@@ -100,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--slots", action="store_true", help="include per-slot outcomes in output")
 
     cmp_ = sub.add_parser("compare", help="multi-run strategy comparison")
-    _add_common(cmp_)
+    _add_common(cmp_, *COMMON_FLAGS)
     cmp_.add_argument("--runs", type=int, help="number of seeded runs")
     cmp_.add_argument("--horizon", type=int, help="slots per run")
     cmp_.add_argument("--offers", type=int)
@@ -113,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     adv = sub.add_parser("adversary", help="exhaustive worst-case grid search")
-    _add_common(adv)
+    _add_common(adv, "config", "capacity", "charge-rate", "discharge-rate", "pmin", "pmax", "out")
     adv.add_argument(
         "--strategy",
         default="socs",
@@ -137,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     crt.add_argument("--out", help="write the table to a CSV file as well")
 
     gen = sub.add_parser("gen-trace", help="write a synthetic trace as CSV files")
-    _add_common(gen)
+    _add_common(gen, "config", "seed", "pmin", "pmax")
     gen.add_argument("--horizon", type=int)
     gen.add_argument("--wind-capacity", type=float)
     gen.add_argument("--out-prefix", default="trace", help="writes <prefix>-price.csv/-wind.csv")
@@ -218,8 +222,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     policy = ThresholdPolicy.build(bounds, spec.capacity)
     cfg = StrategyConfig(policy, spec, offers=values["offers"], e_max=values["emax"])
-    forecasts = [Forecast(u, values["emax"]) for u in trace.outputs()]
-    strategy = STRATEGIES[args.strategy](cfg, forecasts)
+    strategy = STRATEGIES[args.strategy](cfg, trace.outputs)
 
     result = simulate_run(trace, spec, penalty, strategy)
     opt = offline_opt_dp(trace, spec, disc).total_profit
@@ -232,17 +235,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "empirical_cr": ratio_json(ratio),
     }
     if args.slots:
-        out["slots"] = [
-            {
-                "commitment": o.commitment,
-                "over_commitment": o.over_commitment,
-                "charge": o.charge,
-                "discharge": o.discharge,
-                "net_profit": o.net_profit,
-                "storage_after": o.storage_after,
-            }
-            for o in result.outcomes
-        ]
+        columns = {
+            "commitment": result.commitments,
+            "over_commitment": result.over_commitments,
+            "charge": result.charges,
+            "discharge": result.discharges,
+            "net_profit": result.profits,
+            "storage_after": result.levels,
+        }
+        out["slots"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
     _emit(json.dumps(out, indent=2), args.out)
     return EXIT_OK
 
@@ -333,8 +334,8 @@ def _worst_case_json(report: WorstCaseReport) -> dict:
     }
     if report.argmax_instance is not None:
         out["argmax_instance"] = {
-            "prices": list(report.argmax_instance.prices()),
-            "outputs": list(report.argmax_instance.outputs()),
+            "prices": list(report.argmax_instance.prices),
+            "outputs": list(report.argmax_instance.outputs),
         }
     return out
 

@@ -30,7 +30,6 @@ from .oracle import (
 )
 from .policy import ThresholdPolicy
 from .strategies import (
-    Forecast,
     StrategyConfig,
     fonline_strategy,
     mocsmb_strategy,
@@ -41,13 +40,13 @@ from .strategies import (
 from .traces import realize_outputs, synthesize
 
 #: The one registry of online strategies: name -> builder taking the
-#: strategy config and the per-slot output forecasts.  Each builder looks its
+#: strategy config and the predicted output per slot.  Each builder looks its
 #: factory up in this module when it runs, so a replaced attribute is used.
-STRATEGIES: dict[str, Callable[[StrategyConfig, Sequence[Forecast]], OfferStrategy]] = {
-    "socs": lambda cfg, forecasts: socs_strategy(cfg),
-    "ocsmb": lambda cfg, forecasts: ocsmb_strategy(cfg),
-    "mocsmb": lambda cfg, forecasts: mocsmb_strategy(cfg, forecasts),
-    "fonline": lambda cfg, forecasts: fonline_strategy(cfg.policy.bounds, cfg.spec),
+STRATEGIES: dict[str, Callable[[StrategyConfig, Sequence[float]], OfferStrategy]] = {
+    "socs": lambda cfg, predicted: socs_strategy(cfg),
+    "ocsmb": lambda cfg, predicted: ocsmb_strategy(cfg),
+    "mocsmb": lambda cfg, predicted: mocsmb_strategy(cfg, predicted),
+    "fonline": lambda cfg, predicted: fonline_strategy(cfg.policy.bounds, cfg.spec),
 }
 BENCHMARK_NAMES = ("offline", "nostorage")
 
@@ -69,6 +68,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1 or self.horizon < 1:
             raise ValidationError("runs and horizon must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValidationError(f"unknown strategies: {sorted(unknown)}")
@@ -116,14 +117,13 @@ class Report:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def draw_instance(cfg: ExperimentConfig, run: int) -> tuple[Trace, list[Forecast]]:
-    """The realized trace of one run and the output forecasts it was drawn
+def draw_instance(cfg: ExperimentConfig, run: int) -> tuple[Trace, tuple[float, ...]]:
+    """The realized trace of one run and the predicted outputs it was drawn
     around, from a generator seeded with seed XOR run."""
     rng = np.random.default_rng(cfg.seed ^ run)
-    forecast_trace = synthesize(rng, cfg.horizon, cfg.bounds, cfg.wind_capacity)
-    realized = realize_outputs(rng, forecast_trace.outputs(), cfg.e_max)
-    trace = Trace.from_series(forecast_trace.prices(), realized)
-    return trace, [Forecast(u, cfg.e_max) for u in forecast_trace.outputs()]
+    forecast = synthesize(rng, cfg.horizon, cfg.bounds, cfg.wind_capacity)
+    realized = realize_outputs(rng, forecast.outputs, cfg.e_max)
+    return Trace(forecast.prices, realized), forecast.outputs
 
 
 def _strategy_config(cfg: ExperimentConfig) -> StrategyConfig:
@@ -132,7 +132,7 @@ def _strategy_config(cfg: ExperimentConfig) -> StrategyConfig:
 
 
 def _single_run(cfg: ExperimentConfig, run: int) -> list[RunRecord]:
-    trace, forecasts = draw_instance(cfg, run)
+    trace, predicted = draw_instance(cfg, run)
     disc = DiscretizationConfig.for_capacity(cfg.spec.capacity, cfg.disc_levels)
     opt_profit = offline_opt_dp(trace, cfg.spec, disc).total_profit
     strat_cfg = _strategy_config(cfg)
@@ -141,7 +141,7 @@ def _single_run(cfg: ExperimentConfig, run: int) -> list[RunRecord]:
     ns_profit = nostorage_profit(trace)
     records.append(RunRecord(run, "nostorage", ns_profit, profit_ratio(opt_profit, ns_profit)))
     for name in cfg.strategies:
-        strategy = STRATEGIES[name](strat_cfg, forecasts)
+        strategy = STRATEGIES[name](strat_cfg, predicted)
         result = simulate_run(trace, cfg.spec, cfg.penalty, strategy)
         records.append(
             RunRecord(run, name, result.total_profit, profit_ratio(opt_profit, result.total_profit))
@@ -196,7 +196,7 @@ def run_offer_sweep(cfg: ExperimentConfig, offer_counts: Sequence[int]) -> list[
     socs_tot = 0.0
     ladder_tot = {m: 0.0 for m in offer_counts}
     for run in range(cfg.runs):
-        trace, _forecasts = draw_instance(cfg, run)
+        trace, _predicted = draw_instance(cfg, run)
         opt_tot += offline_opt_dp(trace, cfg.spec, disc).total_profit
         socs_tot += simulate_run(trace, cfg.spec, cfg.penalty, socs_strategy(base_cfg)).total_profit
         for m in offer_counts:

@@ -7,8 +7,9 @@ can discharge) is the over-commitment and is penalized per MWh.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 from .errors import ValidationError
 
@@ -21,10 +22,14 @@ class PriceBounds:
     p_max: float
 
     def __post_init__(self):
-        if not 0.0 < self.p_min <= self.p_max:
+        if not 0.0 < self.p_min <= self.p_max < math.inf:
             raise ValidationError(
-                f"price bounds must satisfy 0 < p_min <= p_max, got "
+                f"price bounds must satisfy 0 < p_min <= p_max < inf, got "
                 f"[{self.p_min}, {self.p_max}]"
+            )
+        if not math.isfinite(self.theta):
+            raise ValidationError(
+                f"price ratio p_max / p_min = {self.p_max} / {self.p_min} is not finite"
             )
 
     @property
@@ -34,66 +39,33 @@ class PriceBounds:
 
 
 @dataclass(frozen=True)
-class TraceSlot:
-    """One hour of exogenous input: clearing price and renewable output."""
-
-    price: float
-    renewable_output: float
-
-    def __post_init__(self):
-        if self.price <= 0.0:
-            raise ValidationError(f"price must be positive, got {self.price}")
-        if self.renewable_output < 0.0:
-            raise ValidationError(
-                f"renewable output must be non-negative, got {self.renewable_output}"
-            )
-
-
-@dataclass(frozen=True)
 class Trace:
-    """An input instance: the per-slot price and renewable-output series."""
+    """An input instance: the clearing price and renewable output per slot,
+    as two equal-length tuples of floats."""
 
-    slots: tuple[TraceSlot, ...]
+    prices: tuple[float, ...]
+    outputs: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.slots) < 1:
-            raise ValidationError("a trace needs at least one slot")
-
-    @classmethod
-    def from_series(cls, prices: Sequence[float], outputs: Sequence[float]) -> "Trace":
+        prices = tuple(map(float, self.prices))
+        outputs = tuple(map(float, self.outputs))
         if len(prices) != len(outputs):
             raise ValidationError(
                 f"price series has {len(prices)} entries but output series has "
                 f"{len(outputs)}"
             )
-        return cls(tuple(TraceSlot(float(p), float(u)) for p, u in zip(prices, outputs)))
+        if not prices:
+            raise ValidationError("a trace needs at least one slot")
+        if min(prices) <= 0.0:
+            raise ValidationError(f"price must be positive, got {min(prices)}")
+        if min(outputs) < 0.0:
+            raise ValidationError(f"renewable output must be non-negative, got {min(outputs)}")
+        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "outputs", outputs)
 
     @property
     def horizon(self) -> int:
-        return len(self.slots)
-
-    def prices(self) -> tuple[float, ...]:
-        return tuple(s.price for s in self.slots)
-
-    def outputs(self) -> tuple[float, ...]:
-        return tuple(s.renewable_output for s in self.slots)
-
-    def check_bounds(self, bounds: PriceBounds, clip: bool = False) -> "Trace":
-        """Validate prices against `bounds`; with clip=True return a clipped copy."""
-        if clip:
-            return Trace(
-                tuple(
-                    TraceSlot(min(max(s.price, bounds.p_min), bounds.p_max), s.renewable_output)
-                    for s in self.slots
-                )
-            )
-        for i, s in enumerate(self.slots):
-            if not bounds.p_min <= s.price <= bounds.p_max:
-                raise ValidationError(
-                    f"slot {i + 1}: price {s.price} outside bounds "
-                    f"[{bounds.p_min}, {bounds.p_max}]"
-                )
-        return self
+        return len(self.prices)
 
 
 @dataclass(frozen=True)
@@ -106,10 +78,13 @@ class StorageSpec:
     initial_level: float | None = None  # None means full
 
     def __post_init__(self):
-        if self.capacity <= 0.0:
-            raise ValidationError(f"capacity must be positive, got {self.capacity}")
-        if self.charge_rate < 0.0 or self.discharge_rate < 0.0:
-            raise ValidationError("charge/discharge rates must be non-negative")
+        if not 0.0 < self.capacity < math.inf:
+            raise ValidationError(f"capacity must be positive and finite, got {self.capacity}")
+        if not (0.0 <= self.charge_rate < math.inf and 0.0 <= self.discharge_rate < math.inf):
+            raise ValidationError(
+                f"charge/discharge rates must be non-negative and finite, got "
+                f"{self.charge_rate}/{self.discharge_rate}"
+            )
         if self.initial_level is None:
             object.__setattr__(self, "initial_level", self.capacity)
         if not 0.0 <= self.initial_level <= self.capacity:
@@ -134,75 +109,64 @@ class PenaltyParams:
 
 
 @dataclass(frozen=True)
-class Offer:
-    """A (price, volume) pair; commits iff the clearing price reaches `price`."""
-
-    price: float
-    volume: float
-
-    def __post_init__(self):
-        if self.price <= 0.0:
-            raise ValidationError(f"offer price must be positive, got {self.price}")
-        if self.volume < 0.0:
-            raise ValidationError(f"offer volume must be non-negative, got {self.volume}")
-
-
-@dataclass(frozen=True)
 class OfferBook:
-    """Offers for one slot, sorted by non-decreasing price."""
+    """Offers for one slot as two equal-length tuples: positive prices in
+    non-decreasing order and non-negative volumes.  An offer commits iff the
+    clearing price reaches its price."""
 
-    offers: tuple[Offer, ...] = ()
+    prices: tuple[float, ...]
+    volumes: tuple[float, ...]
 
     def __post_init__(self):
-        for a, b in zip(self.offers, self.offers[1:]):
-            if b.price < a.price:
-                raise ValidationError("offer book prices must be non-decreasing")
-
-    def __iter__(self) -> Iterator[Offer]:
-        return iter(self.offers)
+        prices, volumes = self.prices, self.volumes
+        if len(prices) != len(volumes):
+            raise ValidationError(
+                f"offer book has {len(prices)} prices but {len(volumes)} volumes"
+            )
+        if not prices:
+            return
+        if any(b < a for a, b in zip(prices, prices[1:])):
+            raise ValidationError("offer book prices must be non-decreasing")
+        if prices[0] <= 0.0:
+            raise ValidationError(f"offer price must be positive, got {prices[0]}")
+        if min(volumes) < 0.0:
+            raise ValidationError(f"offer volume must be non-negative, got {min(volumes)}")
 
     def __len__(self) -> int:
-        return len(self.offers)
+        return len(self.prices)
 
     @property
     def total_volume(self) -> float:
-        return sum(o.volume for o in self.offers)
+        return sum(self.volumes)
 
 
-EMPTY_BOOK = OfferBook()
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    """Settlement result of one slot."""
-
-    commitment: float
-    over_commitment: float
-    charge: float
-    discharge: float
-    net_profit: float
-    storage_after: float
+EMPTY_BOOK = OfferBook((), ())
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Per-slot outcomes of a full simulation plus the accumulated profit."""
+    """Per-slot columns of a full simulation plus the accumulated profit.
 
-    outcomes: tuple[SlotOutcome, ...]
+    Slot t committed ``commitments[t]``, of which ``over_commitments[t]``
+    could not be delivered, charged ``charges[t]``, discharged
+    ``discharges[t]``, earned ``profits[t]`` and left the storage at
+    ``levels[t]``.
+    """
+
+    commitments: tuple[float, ...]
+    over_commitments: tuple[float, ...]
+    charges: tuple[float, ...]
+    discharges: tuple[float, ...]
+    profits: tuple[float, ...]
+    levels: tuple[float, ...]
     total_profit: float
 
     @property
     def horizon(self) -> int:
-        return len(self.outcomes)
-
-    def commitments(self) -> tuple[float, ...]:
-        return tuple(o.commitment for o in self.outcomes)
-
-    def levels(self) -> tuple[float, ...]:
-        return tuple(o.storage_after for o in self.outcomes)
+        return len(self.profits)
 
     def min_level(self, initial_level: float) -> float:
-        return min((initial_level,) + self.levels())
+        return min((initial_level,) + self.levels)
 
 
 # A strategy maps (slot index, clearing price, renewable output, storage level)
@@ -213,7 +177,7 @@ OfferStrategy = Callable[[int, float, float, float], OfferBook]
 
 def settle_offer(book: OfferBook, clearing_price: float) -> float:
     """Commitment volume: total volume of offers priced at or below clearing."""
-    return sum(o.volume for o in book if o.price <= clearing_price)
+    return sum(v for p, v in zip(book.prices, book.volumes) if p <= clearing_price)
 
 
 def over_commitment(x: float, u: float, z: float, discharge_rate: float) -> float:
@@ -256,24 +220,15 @@ def simulate_run(
     results.
     """
     level = spec.initial_level
-    outcomes = []
+    rows = []
     total = 0.0
-    for t, slot in enumerate(trace.slots):
-        book = strategy(t, slot.price, slot.renewable_output, level)
-        x = settle_offer(book, slot.price)
-        y = over_commitment(x, slot.renewable_output, level, spec.discharge_rate)
-        delivered = min(x, slot.renewable_output + min(level, spec.discharge_rate))
-        level, charge, discharge = evolve_storage(level, spec, slot.renewable_output, delivered)
-        r = slot_profit(slot.price, x, y, penalty)
+    for t, (price, u) in enumerate(zip(trace.prices, trace.outputs)):
+        book = strategy(t, price, u, level)
+        x = settle_offer(book, price)
+        y = over_commitment(x, u, level, spec.discharge_rate)
+        delivered = min(x, u + min(level, spec.discharge_rate))
+        level, charge, discharge = evolve_storage(level, spec, u, delivered)
+        r = slot_profit(price, x, y, penalty)
         total += r
-        outcomes.append(
-            SlotOutcome(
-                commitment=x,
-                over_commitment=y,
-                charge=charge,
-                discharge=discharge,
-                net_profit=r,
-                storage_after=level,
-            )
-        )
-    return RunResult(tuple(outcomes), total)
+        rows.append((x, y, charge, discharge, r, level))
+    return RunResult(*zip(*rows), total)

@@ -94,7 +94,7 @@ def _units(value: float, eta: float) -> int:
 def _quantize(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig):
     disc.check_capacity(spec.capacity)
     eta = disc.eta
-    u_units = [_units(u, eta) for u in trace.outputs()]
+    u_units = [_units(u, eta) for u in trace.outputs]
     # a rate beyond the grid moves no further than the grid: clipping keeps
     # the oracle's window, and its work, O(levels) whatever rate / eta is
     rc = min(_units(spec.charge_rate, eta), disc.levels)
@@ -160,7 +160,7 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
         )
     u_units, rc, rd, k0 = _quantize(trace, spec, disc)
     eta, n = disc.eta, disc.levels
-    prices = trace.prices()
+    prices = trace.prices
     horizon = trace.horizon
 
     v = np.zeros(n + 1)
@@ -202,7 +202,7 @@ def offline_opt_exhaustive(
     """
     u_units, rc, rd, k0 = _quantize(trace, spec, disc)
     eta, n = disc.eta, disc.levels
-    prices = trace.prices()
+    prices = trace.prices
     horizon = trace.horizon
 
     if horizon > MAX_EXHAUSTIVE_HORIZON:

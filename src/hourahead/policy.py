@@ -21,8 +21,8 @@ def theoretical_cr(theta: float) -> float:
     Equals (2 + ln(theta) + sqrt(ln(theta)^2 + 4 ln(theta))) / 2.  Natural
     logarithm; strictly increasing in theta; equals 1 at theta == 1.
     """
-    if theta < 1.0:
-        raise ValidationError(f"theta must be >= 1, got {theta}")
+    if not 1.0 <= theta < math.inf:
+        raise ValidationError(f"theta must be finite and >= 1, got {theta}")
     log_t = math.log(theta)
     return (2.0 + log_t + math.sqrt(log_t * log_t + 4.0 * log_t)) / 2.0
 

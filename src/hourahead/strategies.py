@@ -20,15 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .market import (
-    EMPTY_BOOK,
-    Offer,
-    OfferBook,
-    OfferStrategy,
-    PriceBounds,
-    StorageSpec,
-    Trace,
-)
+from .market import EMPTY_BOOK, OfferBook, OfferStrategy, PriceBounds, StorageSpec, Trace
 from .policy import ThresholdPolicy
 
 
@@ -46,20 +38,6 @@ class StrategyConfig:
             raise ValidationError(f"offer count must be >= 1, got {self.offers}")
         if not 0.0 <= self.e_max < 0.5:
             raise ValidationError(f"e_max must be in [0, 0.5), got {self.e_max}")
-
-
-@dataclass(frozen=True)
-class Forecast:
-    """Predicted output and the relative error bound it is trusted to."""
-
-    predicted: float
-    error_bound: float
-
-    def __post_init__(self):
-        if self.predicted < 0.0:
-            raise ValidationError(f"predicted output must be >= 0, got {self.predicted}")
-        if not 0.0 <= self.error_bound < 0.5:
-            raise ValidationError(f"error bound must be in [0, 0.5), got {self.error_bound}")
 
 
 def socs_offer(cfg: StrategyConfig, price: float, output: float, level: float) -> OfferBook:
@@ -86,7 +64,7 @@ def socs_offer(cfg: StrategyConfig, price: float, output: float, level: float) -
     volume = max(volume, 0.0)
     if volume == 0.0:
         return EMPTY_BOOK
-    return OfferBook((Offer(price, volume),))
+    return OfferBook((price,), (volume,))
 
 
 def ocsmb_offers(cfg: StrategyConfig, output: float, level: float) -> OfferBook:
@@ -115,9 +93,10 @@ def ocsmb_offers(cfg: StrategyConfig, output: float, level: float) -> OfferBook:
         span = deliverable - floor_volume
         top = level + output - floor_volume
 
-    offers = []
+    prices, volumes = [], []
     if floor_volume > 0.0:
-        offers.append(Offer(p_min, floor_volume))
+        prices.append(p_min)
+        volumes.append(floor_volume)
     rungs = cfg.offers - 1
     if rungs > 0 and span > 0.0:
         # cumulative slicing keeps the rung volumes summing to span exactly
@@ -125,20 +104,16 @@ def ocsmb_offers(cfg: StrategyConfig, output: float, level: float) -> OfferBook:
         for i in range(1, rungs + 1):
             cum = span * (i / rungs)
             rung_level = max(top - cum, 0.0)
-            offers.append(Offer(pol.eval_g(rung_level), cum - sold))
+            prices.append(pol.eval_g(rung_level))
+            volumes.append(cum - sold)
             sold = cum
-    return OfferBook(tuple(offers))
+    return OfferBook(tuple(prices), tuple(volumes))
 
 
-def mocsmb_offers(cfg: StrategyConfig, forecast: Forecast, level: float) -> OfferBook:
-    """Offer ladder fed with the low end of the output forecast band."""
-    if forecast.error_bound > cfg.e_max:
-        raise ValidationError(
-            f"forecast error bound {forecast.error_bound} exceeds configured "
-            f"e_max {cfg.e_max}"
-        )
-    conservative = (1.0 - forecast.error_bound) * forecast.predicted
-    return ocsmb_offers(cfg, conservative, level)
+def mocsmb_offers(cfg: StrategyConfig, predicted: float, level: float) -> OfferBook:
+    """Offer ladder fed with the low end (1 - e_max) * predicted of the
+    output forecast band."""
+    return ocsmb_offers(cfg, (1.0 - cfg.e_max) * predicted, level)
 
 
 def fonline_offer(
@@ -155,12 +130,12 @@ def fixed_threshold_offer(
     available = output + min(level, spec.discharge_rate)
     if available <= 0.0:
         return EMPTY_BOOK
-    return OfferBook((Offer(threshold, available),))
+    return OfferBook((threshold,), (available,))
 
 
 def nostorage_profit(trace: Trace) -> float:
     """Clairvoyant optimum without storage: sell the full output every slot."""
-    return sum(s.price * s.renewable_output for s in trace.slots)
+    return sum(p * u for p, u in zip(trace.prices, trace.outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +151,9 @@ def ocsmb_strategy(cfg: StrategyConfig) -> OfferStrategy:
     return lambda t, price, output, level: ocsmb_offers(cfg, output, level)
 
 
-def mocsmb_strategy(cfg: StrategyConfig, forecasts: Sequence[Forecast]) -> OfferStrategy:
-    # sees only the forecast series, never the realized output
-    return lambda t, price, output, level: mocsmb_offers(cfg, forecasts[t], level)
+def mocsmb_strategy(cfg: StrategyConfig, predicted: Sequence[float]) -> OfferStrategy:
+    # sees only the predicted output series, never the realized output
+    return lambda t, price, output, level: mocsmb_offers(cfg, predicted[t], level)
 
 
 def fonline_strategy(bounds: PriceBounds, spec: StorageSpec) -> OfferStrategy:

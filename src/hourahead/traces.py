@@ -92,11 +92,8 @@ def load_trace(
 
     if bounds is None:
         bounds = PriceBounds(min(prices), max(prices))
-        trace = Trace.from_series(prices, winds)
     elif clip:
-        trace = Trace.from_series(
-            [min(max(p, bounds.p_min), bounds.p_max) for p in prices], winds
-        )
+        prices = [min(max(p, bounds.p_min), bounds.p_max) for p in prices]
     else:
         for i, p in enumerate(prices):
             if not bounds.p_min <= p <= bounds.p_max:
@@ -104,8 +101,7 @@ def load_trace(
                     f"row {i + 2}: price {p} outside bounds "
                     f"[{bounds.p_min}, {bounds.p_max}] and clipping is off"
                 )
-        trace = Trace.from_series(prices, winds)
-    return trace, bounds
+    return Trace(prices, winds), bounds
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ def synthesize(
     for step in wind_steps:
         w = min(max(mean + params.wind_phi * (w - mean) + sigma * float(step), 0.0), wind_capacity)
         winds.append(w)
-    return Trace.from_series(prices, winds)
+    return Trace(prices, winds)
 
 
 def gen_synthetic(
@@ -161,6 +157,8 @@ def gen_synthetic(
     """Seeded, reproducible synthetic trace: same seed, same trace."""
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     return synthesize(np.random.default_rng(seed), horizon, bounds, wind_capacity, params)
 
 
@@ -193,10 +191,10 @@ def write_trace_csv(
     with Path(price_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "price"])
-        for stamp, slot in zip(stamps, trace.slots):
-            writer.writerow([stamp, repr(slot.price)])
+        for stamp, price in zip(stamps, trace.prices):
+            writer.writerow([stamp, repr(price)])
     with Path(wind_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "wind_mw"])
-        for stamp, slot in zip(stamps, trace.slots):
-            writer.writerow([stamp, repr(slot.renewable_output)])
+        for stamp, output in zip(stamps, trace.outputs):
+            writer.writerow([stamp, repr(output)])

@@ -42,5 +42,5 @@ def forecast_and_realized(
     """A forecast trace plus the realized trace within the error band."""
     rng = np.random.default_rng(seed)
     forecast = synthesize(rng, horizon, bounds, 10.0)
-    realized = realize_outputs(rng, forecast.outputs(), e_max)
-    return forecast, Trace.from_series(forecast.prices(), realized)
+    realized = realize_outputs(rng, forecast.outputs, e_max)
+    return forecast, Trace(forecast.prices, realized)

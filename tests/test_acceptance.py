@@ -5,13 +5,13 @@ throughout is the default parameterization: 20 MWh storage at 10 MWh/h,
 prices in [10, 40], 10 MW wind.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hourahead import (
     DiscretizationConfig,
-    Forecast,
     PenaltyParams,
     PriceBounds,
     StorageSpec,
@@ -45,8 +45,8 @@ def suite_instance(seed, horizon=48, e_max=0.0):
     """Forecast and realized trace of the default synthetic suite."""
     rng = np.random.default_rng(seed)
     forecast = synthesize(rng, horizon, SUITE_BOUNDS, 10.0)
-    realized = realize_outputs(rng, forecast.outputs(), e_max)
-    return forecast, Trace.from_series(forecast.prices(), realized)
+    realized = realize_outputs(rng, forecast.outputs, e_max)
+    return forecast, Trace(forecast.prices, realized)
 
 
 def report(criterion, detail, elapsed):
@@ -103,18 +103,17 @@ def test_criterion_3_no_over_commitment(capsys):
         _, trace = suite_instance(run, horizon)
         cfg = StrategyConfig(SUITE_POLICY, SUITE_SPEC)
         result = simulate_run(trace, SUITE_SPEC, SUITE_PENALTY, socs_strategy(cfg))
-        assert all(o.over_commitment == 0.0 for o in result.outcomes)
+        assert all(y == 0.0 for y in result.over_commitments)
         checked += result.horizon
 
     for e_max in (0.1, 0.3, 0.49):
         for run in range(runs):
             forecast, trace = suite_instance(run + 1000, horizon, e_max)
             cfg = StrategyConfig(SUITE_POLICY, SUITE_SPEC, offers=10, e_max=e_max)
-            forecasts = [Forecast(u, e_max) for u in forecast.outputs()]
             result = simulate_run(
-                trace, SUITE_SPEC, SUITE_PENALTY, mocsmb_strategy(cfg, forecasts)
+                trace, SUITE_SPEC, SUITE_PENALTY, mocsmb_strategy(cfg, forecast.outputs)
             )
-            assert all(o.over_commitment == 0.0 for o in result.outcomes)
+            assert all(y == 0.0 for y in result.over_commitments)
             checked += result.horizon
 
     elapsed = time.time() - start
@@ -137,7 +136,7 @@ def test_criterion_4_oracle_soundness(capsys):
             float(rng.uniform(0.0, levels * eta)),
         )
         u_cap = max((12 - 1 - levels) * eta, eta)
-        trace = Trace.from_series(
+        trace = Trace(
             rng.uniform(1.0, 50.0, horizon).tolist(),
             rng.uniform(0.0, u_cap, horizon).tolist(),
         )
@@ -156,11 +155,10 @@ def test_criterion_4_oracle_soundness(capsys):
     for run in range(200):
         forecast, trace = suite_instance(run, horizon, e_max=0.1)
         opt = offline_opt_dp(trace, SUITE_SPEC, disc).total_profit
-        forecasts = [Forecast(u, 0.1) for u in forecast.outputs()]
         strategies = (
             socs_strategy(cfg),
             ocsmb_strategy(cfg),
-            mocsmb_strategy(cfg, forecasts),
+            mocsmb_strategy(cfg, forecast.outputs),
         )
         for strategy in strategies:
             profit = simulate_run(trace, SUITE_SPEC, SUITE_PENALTY, strategy).total_profit
@@ -196,7 +194,7 @@ def test_criterion_5_worst_case_certification(capsys):
 
     # stubborn fixed threshold above p_min: earns nothing on an all-low trace
     spec = StorageSpec(capacity, capacity, capacity)
-    low_trace = Trace.from_series([10.0] * 4, [1.0] * 4)
+    low_trace = Trace([10.0] * 4, [1.0] * 4)
     disc = DiscretizationConfig.for_capacity(capacity, 4)
     ratio = empirical_cr(
         low_trace, spec, SUITE_PENALTY, fixed_threshold_strategy(20.0, spec), disc
@@ -257,9 +255,8 @@ def test_criterion_7_forecast_error_bound(capsys):
         for run in range(500):
             forecast, trace = suite_instance(run, horizon, e_max)
             exact = simulate_run(trace, SUITE_SPEC, SUITE_PENALTY, ocsmb_strategy(cfg))
-            forecasts = [Forecast(u, e_max) for u in forecast.outputs()]
             hedged = simulate_run(
-                trace, SUITE_SPEC, SUITE_PENALTY, mocsmb_strategy(cfg, forecasts)
+                trace, SUITE_SPEC, SUITE_PENALTY, mocsmb_strategy(cfg, forecast.outputs)
             )
             assert hedged.total_profit >= (1.0 - 2.0 * e_max) * exact.total_profit - 1e-9
 
@@ -271,7 +268,7 @@ def test_criterion_7_forecast_error_bound(capsys):
     for _ in range(200):
         u = float(rng.uniform(0.0, 10.0))
         z = float(rng.uniform(0.0, 20.0))
-        assert mocsmb_offers(cfg, Forecast(u, 0.0), z) == ocsmb_offers(cfg, u, z)
+        assert mocsmb_offers(replace(cfg, e_max=0.0), u, z) == ocsmb_offers(cfg, u, z)
     elapsed = time.time() - start
     with capsys.disabled():
         report(7, "hedged ladder beats the (1 - 2 e_max) floor on every instance; "

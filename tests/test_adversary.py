@@ -178,7 +178,7 @@ class TestAdversarialSearch:
     def test_stubborn_threshold_unbounded_on_low_prices(self, penalty):
         # a threshold strictly above p_min never sells on an all-low trace
         spec = full_storage_spec(4.0)
-        trace = Trace.from_series([10.0] * 3, [1.0] * 3)
+        trace = Trace([10.0] * 3, [1.0] * 3)
         disc = DiscretizationConfig.for_capacity(4.0, 4)
         ratio = empirical_cr(
             trace, spec, penalty, fixed_threshold_strategy(20.0, spec), disc

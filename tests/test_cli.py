@@ -229,6 +229,45 @@ class TestValidationExits:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--runs", "1", "--horizon", "4", "--charge-rate", "nan"],
+            ["compare", "--runs", "1", "--horizon", "4", "--discharge-rate", "inf"],
+            ["compare", "--runs", "1", "--horizon", "4", "--capacity", "inf"],
+            ["simulate", "--horizon", "4", "--pmax", "inf"],
+            ["compare", "--runs", "1", "--horizon", "4", "--pmin", "1e-320"],
+            ["cr-table", "--theta", "nan"],
+            ["compare", "--runs", "1", "--horizon", "4", "--seed", "-1"],
+            ["simulate", "--horizon", "4", "--seed", "-1"],
+            ["gen-trace", "--horizon", "4", "--seed", "-1", "--out-prefix", "PREFIX"],
+        ],
+    )
+    def test_bad_number(self, argv, tmp_path, capsys):
+        argv = [str(tmp_path / "trace") if a == "PREFIX" else a for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-trace", "--capacity", "5"],
+            ["gen-trace", "--charge-rate", "5"],
+            ["gen-trace", "--discharge-rate", "5"],
+            ["gen-trace", "--eta", "0.1"],
+            ["adversary", "--horizon", "1", "--capacity", "4", "--eta", "0.1"],
+            ["adversary", "--horizon", "1", "--capacity", "4", "--seed", "3"],
+        ],
+    )
+    def test_ignored_flag_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_oracle_work_guard(self, capsys):
         # 2e10 storage levels: refused before any array is allocated
         assert main(["compare", "--runs", "1", "--horizon", "24", "--eta", "1e-9"]) == 1

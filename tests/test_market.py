@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from hourahead import (
     EMPTY_BOOK,
-    Offer,
     OfferBook,
     PenaltyParams,
     PriceBounds,
@@ -18,13 +17,11 @@ from hourahead import (
     simulate_run,
     slot_profit,
 )
-from hourahead.market import TraceSlot
-
 from conftest import synthetic_trace
 
 
 def book(*pairs):
-    return OfferBook(tuple(Offer(p, v) for p, v in pairs))
+    return OfferBook(tuple(p for p, v in pairs), tuple(v for p, v in pairs))
 
 
 class TestSettleOffer:
@@ -105,7 +102,7 @@ class TestSlotProfit:
 
 def sell_all(t, price, output, level):
     available = output + level
-    return OfferBook((Offer(price, available),)) if available > 0 else EMPTY_BOOK
+    return OfferBook((price,), (available,)) if available > 0 else EMPTY_BOOK
 
 
 def offer_nothing(t, price, output, level):
@@ -114,7 +111,7 @@ def offer_nothing(t, price, output, level):
 
 class TestSimulateRun:
     def test_single_slot_sell_all(self, penalty):
-        trace = Trace.from_series([10.0], [2.0])
+        trace = Trace([10.0], [2.0])
         spec = StorageSpec(20.0, 10.0, 10.0, 0.0)
         result = simulate_run(trace, spec, penalty, sell_all)
         assert result.total_profit == 20.0
@@ -123,12 +120,12 @@ class TestSimulateRun:
         trace = synthetic_trace(3, 50, bounds)
         result = simulate_run(trace, spec, penalty, offer_nothing)
         assert result.total_profit == 0.0
-        assert all(o.commitment == 0.0 for o in result.outcomes)
+        assert all(x == 0.0 for x in result.commitments)
 
     def test_two_slot_optimum_by_enumeration(self, penalty):
         # C=1, unit rates, z1=0: charging the first MWh and selling it at 20
         # beats every other quantized plan
-        trace = Trace.from_series([10.0, 20.0], [1.0, 0.0])
+        trace = Trace([10.0, 20.0], [1.0, 0.0])
         spec = StorageSpec(1.0, 1.0, 1.0, 0.0)
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
         best = 0.0
@@ -136,19 +133,19 @@ class TestSimulateRun:
             level = spec.initial_level
             profit = 0.0
             feasible = True
-            for x, slot in zip((x1, x2), trace.slots):
-                if x > slot.renewable_output + min(level, spec.discharge_rate):
+            for x, price, u in zip((x1, x2), trace.prices, trace.outputs):
+                if x > u + min(level, spec.discharge_rate):
                     feasible = False
                     break
-                profit += slot.price * x
-                level, _, _ = evolve_storage(level, spec, slot.renewable_output, x)
+                profit += price * x
+                level, _, _ = evolve_storage(level, spec, u, x)
             if feasible:
                 best = max(best, profit)
         assert best == 20.0
 
         def plan(t, price, output, level):
             x = (0.0, 1.0)[t]
-            return OfferBook((Offer(price, x),)) if x > 0 else EMPTY_BOOK
+            return OfferBook((price,), (x,)) if x > 0 else EMPTY_BOOK
 
         assert simulate_run(trace, spec, penalty, plan).total_profit == 20.0
 
@@ -161,32 +158,90 @@ class TestSimulateRun:
     def test_profit_is_sum_of_slots(self, bounds, spec, penalty):
         trace = synthetic_trace(5, 60, bounds)
         result = simulate_run(trace, spec, penalty, sell_all)
-        assert result.total_profit == sum(o.net_profit for o in result.outcomes)
+        assert result.total_profit == sum(result.profits)
 
     def test_level_and_rate_invariants(self, bounds, penalty):
         spec = StorageSpec(20.0, 4.0, 3.0, 12.0)
         trace = synthetic_trace(9, 120, bounds)
         result = simulate_run(trace, spec, penalty, sell_all)
-        for o in result.outcomes:
-            assert 0.0 <= o.storage_after <= spec.capacity
-            assert o.charge <= spec.charge_rate
-            assert o.discharge <= spec.discharge_rate
-            assert o.charge == 0.0 or o.discharge == 0.0
+        for level, charge, discharge in zip(result.levels, result.charges, result.discharges):
+            assert 0.0 <= level <= spec.capacity
+            assert charge <= spec.charge_rate
+            assert discharge <= spec.discharge_rate
+            assert charge == 0.0 or discharge == 0.0
 
     def test_overcommitting_strategy_is_penalized(self, penalty):
-        trace = Trace.from_series([10.0], [1.0])
+        trace = Trace([10.0], [1.0])
         spec = StorageSpec(20.0, 10.0, 10.0, 0.0)
 
         def greedy(t, price, output, level):
-            return OfferBook((Offer(price, 5.0),))
+            return OfferBook((price,), (5.0,))
 
         result = simulate_run(trace, spec, penalty, greedy)
-        out = result.outcomes[0]
-        assert out.commitment == 5.0
-        assert out.over_commitment == 4.0
+        assert result.commitments == (5.0,)
+        assert result.over_commitments == (4.0,)
         # delivered energy, not the commitment, drives the storage
-        assert out.storage_after == 0.0
+        assert result.levels == (0.0,)
         assert result.total_profit == 10.0 * 5.0 - penalty.rate(10.0) * 4.0
+
+
+@st.composite
+def threshold_runs(draw):
+    """A random trace and storage, and per-slot volumes offered at one fixed
+    threshold price (volumes may exceed what the producer can deliver)."""
+    horizon = draw(st.integers(1, 12))
+    slot = st.tuples(st.floats(1.0, 50.0), st.floats(0.0, 15.0), st.floats(0.0, 30.0))
+    slots = draw(st.lists(slot, min_size=horizon, max_size=horizon))
+    capacity = draw(st.floats(0.5, 30.0))
+    spec = StorageSpec(
+        capacity,
+        draw(st.floats(0.0, 12.0)),
+        draw(st.floats(0.0, 12.0)),
+        draw(st.floats(0.0, capacity)),
+    )
+    prices, outputs, volumes = zip(*slots)
+    return Trace(prices, outputs), spec, draw(st.floats(1.0, 50.0)), volumes
+
+
+class TestRunColumns:
+    @given(threshold_runs())
+    def test_physical_invariants(self, case):
+        trace, spec, threshold, volumes = case
+        penalty = PenaltyParams()
+
+        def fixed_book(t, price, output, level):
+            return OfferBook((threshold,), (volumes[t],))
+
+        result = simulate_run(trace, spec, penalty, fixed_book)
+        assert result.horizon == trace.horizon
+        z = spec.initial_level
+        for t, u in enumerate(trace.outputs):
+            x, charge, discharge = result.commitments[t], result.charges[t], result.discharges[t]
+            level = result.levels[t]
+            assert 0.0 <= level <= spec.capacity
+            assert 0.0 <= charge <= spec.charge_rate
+            assert 0.0 <= discharge <= min(spec.discharge_rate, z)
+            assert charge == 0.0 or discharge == 0.0
+            assert result.over_commitments[t] == max(x - (u + min(z, spec.discharge_rate)), 0.0)
+            assert level <= z + charge - discharge
+            z = level
+        assert sum(result.profits) == result.total_profit
+
+    def test_min_level(self, penalty):
+        # sell 4 MWh, then 2 MWh from storage, then charge 5 MWh
+        trace = Trace([10.0, 10.0, 10.0], [0.0, 0.0, 5.0])
+        spec = StorageSpec(10.0, 10.0, 10.0, 6.0)
+        plan = (4.0, 2.0, 0.0)
+        result = simulate_run(
+            trace, spec, penalty, lambda t, price, output, level: book((price, plan[t]))
+        )
+        assert result.levels == (2.0, 0.0, 5.0)
+        assert result.min_level(spec.initial_level) == 0.0
+        # the starting level counts when the run never goes below it
+        charging = simulate_run(trace, spec, penalty, offer_nothing)
+        assert charging.levels == (6.0, 6.0, 10.0)
+        assert charging.min_level(spec.initial_level) == 6.0
+        assert charging.min_level(1.0) == 1.0
 
 
 class TestValidation:
@@ -199,9 +254,9 @@ class TestValidation:
 
     def test_trace_slot(self):
         with pytest.raises(ValidationError):
-            TraceSlot(-1.0, 0.0)
+            Trace([-1.0], [0.0])
         with pytest.raises(ValidationError):
-            TraceSlot(10.0, -0.1)
+            Trace([10.0], [-0.1])
 
     def test_storage_spec(self):
         with pytest.raises(ValidationError):
@@ -214,11 +269,4 @@ class TestValidation:
         with pytest.raises(ValidationError):
             book((20.0, 1.0), (10.0, 1.0))
         with pytest.raises(ValidationError):
-            Offer(10.0, -1.0)
-
-    def test_trace_bounds_check(self, bounds):
-        trace = Trace.from_series([5.0, 15.0], [1.0, 1.0])
-        with pytest.raises(ValidationError, match="slot 1"):
-            trace.check_bounds(bounds)
-        clipped = trace.check_bounds(bounds, clip=True)
-        assert clipped.prices() == (10.0, 15.0)
+            book((10.0, -1.0))

@@ -15,7 +15,7 @@ from hourahead import (
     offline_opt_exhaustive,
     simulate_run,
 )
-from hourahead.market import EMPTY_BOOK, Offer, OfferBook
+from hourahead.market import EMPTY_BOOK, OfferBook
 from hourahead.oracle import profit_ratio
 from hourahead.policy import ThresholdPolicy
 from hourahead.strategies import StrategyConfig, socs_strategy
@@ -36,7 +36,7 @@ def random_tiny_instance(rng):
     )
     # keep the per-slot action count within the exhaustive guard
     u_cap = max((12 - 1 - levels) * eta, eta)
-    trace = Trace.from_series(
+    trace = Trace(
         rng.uniform(1.0, 50.0, horizon).tolist(),
         rng.uniform(0.0, u_cap, horizon).tolist(),
     )
@@ -66,7 +66,7 @@ class TestDiscretization:
 
 class TestOfflineOptimum:
     def test_charge_then_sell(self):
-        trace = Trace.from_series([10.0, 20.0], [1.0, 0.0])
+        trace = Trace([10.0, 20.0], [1.0, 0.0])
         spec = StorageSpec(1.0, 1.0, 1.0, 0.0)
         disc = DiscretizationConfig(0.25, 4)
         result = offline_opt_dp(trace, spec, disc)
@@ -76,14 +76,14 @@ class TestOfflineOptimum:
 
     def test_ties_defer_the_sale(self):
         # selling now or next slot earns the same: the smaller commitment wins
-        trace = Trace.from_series([10.0, 10.0], [0.0, 0.0])
+        trace = Trace([10.0, 10.0], [0.0, 0.0])
         spec = StorageSpec(2.0, 2.0, 2.0, 2.0)
         result = offline_opt_dp(trace, spec, DiscretizationConfig(0.5, 4))
         assert result.total_profit == 20.0
         assert result.commitment_path == (0.0, 2.0)
 
     def test_single_slot_closed_form(self):
-        trace = Trace.from_series([25.0], [3.0])
+        trace = Trace([25.0], [3.0])
         spec = StorageSpec(20.0, 10.0, 4.0, 10.0)
         disc = DiscretizationConfig.for_capacity(20.0, 80)
         result = offline_opt_dp(trace, spec, disc)
@@ -91,7 +91,7 @@ class TestOfflineOptimum:
 
     def test_constant_price_sells_everything(self):
         # grid-aligned inputs, generous rates: profit is price times all energy
-        trace = Trace.from_series([15.0] * 4, [2.0, 1.0, 0.0, 3.0])
+        trace = Trace([15.0] * 4, [2.0, 1.0, 0.0, 3.0])
         spec = StorageSpec(8.0, 8.0, 8.0, 4.0)
         disc = DiscretizationConfig(0.5, 16)
         result = offline_opt_dp(trace, spec, disc)
@@ -113,14 +113,14 @@ class TestOfflineOptimum:
 
             def replay(t, price, output, level):
                 x = result.commitment_path[t]
-                return OfferBook((Offer(price, x),)) if x > 0 else EMPTY_BOOK
+                return OfferBook((price,), (x,)) if x > 0 else EMPTY_BOOK
 
             run = simulate_run(trace, spec, penalty, replay)
-            assert all(o.over_commitment == 0.0 for o in run.outcomes)
+            assert all(y == 0.0 for y in run.over_commitments)
             assert run.total_profit == pytest.approx(result.total_profit, rel=1e-9, abs=1e-9)
 
     def test_monotone_in_resources(self):
-        trace = Trace.from_series([10.0, 30.0, 20.0], [1.0, 0.5, 2.0])
+        trace = Trace([10.0, 30.0, 20.0], [1.0, 0.5, 2.0])
         base = offline_opt_dp(
             trace, StorageSpec(4.0, 1.0, 1.0, 2.0), DiscretizationConfig(0.25, 16)
         ).total_profit
@@ -136,10 +136,10 @@ class TestOfflineOptimum:
     def test_monotone_in_inputs(self):
         spec = StorageSpec(4.0, 1.0, 1.0, 2.0)
         disc = DiscretizationConfig(0.25, 16)
-        trace = Trace.from_series([10.0, 30.0, 20.0], [1.0, 0.5, 2.0])
+        trace = Trace([10.0, 30.0, 20.0], [1.0, 0.5, 2.0])
         base = offline_opt_dp(trace, spec, disc).total_profit
-        higher_p = Trace.from_series([12.0, 31.0, 20.0], [1.0, 0.5, 2.0])
-        higher_u = Trace.from_series([10.0, 30.0, 20.0], [1.5, 0.5, 2.5])
+        higher_p = Trace([12.0, 31.0, 20.0], [1.0, 0.5, 2.0])
+        higher_u = Trace([10.0, 30.0, 20.0], [1.5, 0.5, 2.5])
         assert offline_opt_dp(higher_p, spec, disc).total_profit >= base
         assert offline_opt_dp(higher_u, spec, disc).total_profit >= base
 
@@ -205,7 +205,7 @@ def grid_instances(draw):
 @example(instance=(5, 0.25, 11, 0, 5, [40.0, 10.0], [12, 0]))
 def test_window_dp_matches_per_action_dp(instance):
     n, eta, rc, rd, k0, prices, outputs = instance
-    trace = Trace.from_series(prices, [u * eta for u in outputs])
+    trace = Trace(prices, [u * eta for u in outputs])
     spec = StorageSpec(n * eta, rc * eta, rd * eta, k0 * eta)
     result = offline_opt_dp(trace, spec, DiscretizationConfig(eta, n))
     expected = per_action_dp(prices, outputs, rc, rd, k0, eta, n)
@@ -226,26 +226,26 @@ def test_window_dp_matches_per_action_dp(instance):
 
 class TestExhaustiveGuards:
     def test_horizon_guard(self):
-        trace = Trace.from_series([10.0] * 7, [0.0] * 7)
+        trace = Trace([10.0] * 7, [0.0] * 7)
         with pytest.raises(InstanceTooLargeError):
             offline_opt_exhaustive(trace, StorageSpec(2.0, 1.0, 1.0), DiscretizationConfig(1.0, 2))
 
     def test_level_guard(self):
-        trace = Trace.from_series([10.0], [0.0])
+        trace = Trace([10.0], [0.0])
         with pytest.raises(InstanceTooLargeError):
             offline_opt_exhaustive(
                 trace, StorageSpec(9.0, 1.0, 1.0), DiscretizationConfig(1.0, 9)
             )
 
     def test_action_guard(self):
-        trace = Trace.from_series([10.0], [20.0])
+        trace = Trace([10.0], [20.0])
         with pytest.raises(InstanceTooLargeError):
             offline_opt_exhaustive(
                 trace, StorageSpec(4.0, 1.0, 1.0), DiscretizationConfig(1.0, 4)
             )
 
     def test_empty_availability(self):
-        trace = Trace.from_series([10.0, 20.0], [0.0, 0.0])
+        trace = Trace([10.0, 20.0], [0.0, 0.0])
         spec = StorageSpec(4.0, 1.0, 1.0, 0.0)
         result = offline_opt_exhaustive(trace, spec, DiscretizationConfig(1.0, 4))
         assert result.total_profit == 0.0
@@ -259,7 +259,7 @@ class TestEmpiricalRatio:
 
         def replay(t, price, output, level):
             x = opt.commitment_path[t]
-            return OfferBook((Offer(price, x),)) if x > 0 else EMPTY_BOOK
+            return OfferBook((price,), (x,)) if x > 0 else EMPTY_BOOK
 
         ratio = empirical_cr(trace, spec, penalty, replay, disc)
         assert ratio == pytest.approx(1.0, abs=1e-9)
@@ -280,7 +280,7 @@ class TestEmpiricalRatio:
             assert ratio >= 1.0 - eps
 
     def test_unbounded_sentinel(self, penalty):
-        trace = Trace.from_series([10.0, 10.0], [1.0, 1.0])
+        trace = Trace([10.0, 10.0], [1.0, 1.0])
         spec = StorageSpec(4.0, 1.0, 1.0, 2.0)
         disc = DiscretizationConfig(0.5, 8)
 

@@ -1,10 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hourahead import (
-    Forecast,
     PriceBounds,
     StorageSpec,
     StrategyConfig,
@@ -55,16 +55,15 @@ class TestSocsOffer:
         # z=10, u=2, p=20: sell down to the level whose threshold equals 20
         book = socs_offer(cfg_e2, 20.0, 2.0, 10.0)
         assert len(book) == 1
-        offer = book.offers[0]
-        assert offer.price == 20.0
+        assert book.prices == (20.0,)
         expected = 12.0 - bisect_inverse(pol_e2, 20.0)
-        assert offer.volume == pytest.approx(expected, abs=1e-9)
-        assert offer.volume == pytest.approx(2.433, abs=5e-4)
+        assert book.volumes[0] == pytest.approx(expected, abs=1e-9)
+        assert book.volumes[0] == pytest.approx(2.433, abs=5e-4)
 
     def test_floor_price_drains_to_threshold(self, cfg_e2):
         # z=15, u=1, p=p_min: sell 16 - min(c_th, 25)
         book = socs_offer(cfg_e2, 10.0, 1.0, 15.0)
-        assert book.offers[0].volume == pytest.approx(1.359, abs=5e-4)
+        assert book.volumes[0] == pytest.approx(1.359, abs=5e-4)
 
     def test_candidate_above_market_offers_surplus_only(self, cfg_e2):
         # u=3 fits within the charge rate: nothing to offer
@@ -72,12 +71,12 @@ class TestSocsOffer:
         # u beyond the charge rate must be sold even at a bad price
         big_u = StrategyConfig(cfg_e2.policy, StorageSpec(20.0, 2.0, 10.0))
         book = socs_offer(big_u, 10.0, 5.0, 0.0)
-        assert book.offers[0].volume == pytest.approx(3.0)
+        assert book.volumes[0] == pytest.approx(3.0)
 
     def test_volume_capped_at_deliverable(self, pol_e2):
         tight = StrategyConfig(pol_e2, StorageSpec(20.0, 10.0, 2.0))
         book = socs_offer(tight, pol_e2.bounds.p_max, 1.0, 18.0)
-        assert book.offers[0].volume <= 1.0 + 2.0
+        assert book.volumes[0] <= 1.0 + 2.0
 
     def test_never_overcommits(self, bounds, spec, penalty):
         pol = ThresholdPolicy.build(bounds, spec.capacity)
@@ -86,7 +85,7 @@ class TestSocsOffer:
             result = simulate_run(
                 trace, spec, penalty, socs_strategy(StrategyConfig(pol, spec))
             )
-            assert all(o.over_commitment == 0.0 for o in result.outcomes)
+            assert all(y == 0.0 for y in result.over_commitments)
 
     def test_never_overcommits_tight_rates(self, bounds, penalty):
         tight = StorageSpec(20.0, 3.0, 2.0, 20.0)
@@ -96,7 +95,7 @@ class TestSocsOffer:
             result = simulate_run(
                 trace, tight, penalty, socs_strategy(StrategyConfig(pol, tight))
             )
-            assert all(o.over_commitment == 0.0 for o in result.outcomes)
+            assert all(y == 0.0 for y in result.over_commitments)
 
     def test_never_sells_below_the_threshold_floor(self, bounds, spec, penalty):
         # a sale at price p never drains the level below the point where the
@@ -108,10 +107,10 @@ class TestSocsOffer:
             result = simulate_run(
                 trace, spec, penalty, socs_strategy(StrategyConfig(pol, spec))
             )
-            for slot, out in zip(trace.slots, result.outcomes):
-                floor = pol.c_th if slot.price <= bounds.p_min else pol.eval_g_inverse(slot.price)
-                assert out.storage_after >= min(floor, level) - 1e-9
-                level = out.storage_after
+            for price, level_after in zip(trace.prices, result.levels):
+                floor = pol.c_th if price <= bounds.p_min else pol.eval_g_inverse(price)
+                assert level_after >= min(floor, level) - 1e-9
+                level = level_after
 
 
 class TestOcsmbOffers:
@@ -119,8 +118,8 @@ class TestOcsmbOffers:
         # z=0, u=4, m=5: four unit rungs priced at g(3), g(2), g(1), g(0)
         book = ocsmb_offers(cfg_e2, 4.0, 0.0)
         assert len(book) == 4
-        volumes = [o.volume for o in book]
-        prices = [o.price for o in book]
+        volumes = list(book.volumes)
+        prices = list(book.prices)
         assert volumes == pytest.approx([1.0, 1.0, 1.0, 1.0])
         assert prices == pytest.approx([pol_e2.eval_g(z) for z in (3.0, 2.0, 1.0, 0.0)])
         assert all(b > a for a, b in zip(prices, prices[1:]))
@@ -132,13 +131,12 @@ class TestOcsmbOffers:
         cfg = StrategyConfig(pol_e2, StorageSpec(20.0, 10.0, 10.0), offers=3)
         book = ocsmb_offers(cfg, 2.0, 18.0)
         deliverable = 2.0 + 10.0
-        floor = book.offers[0]
-        assert floor.price == pol_e2.bounds.p_min
-        assert floor.volume == pytest.approx(20.0 - pol_e2.c_th, rel=1e-12)
-        span = deliverable - floor.volume
-        assert [o.volume for o in book.offers[1:]] == pytest.approx([span / 2, span / 2])
+        assert book.prices[0] == pol_e2.bounds.p_min
+        assert book.volumes[0] == pytest.approx(20.0 - pol_e2.c_th, rel=1e-12)
+        span = deliverable - book.volumes[0]
+        assert list(book.volumes[1:]) == pytest.approx([span / 2, span / 2])
         expected_prices = [pol_e2.eval_g(pol_e2.c_th - span / 2), pol_e2.eval_g(pol_e2.c_th - span)]
-        assert [o.price for o in book.offers[1:]] == pytest.approx(expected_prices)
+        assert list(book.prices[1:]) == pytest.approx(expected_prices)
         assert book.total_volume == pytest.approx(deliverable, abs=1e-12)
 
     def test_nothing_to_offer(self, cfg_e2):
@@ -148,7 +146,7 @@ class TestOcsmbOffers:
         cfg = StrategyConfig(pol_e2, StorageSpec(20.0, 10.0, 10.0), offers=1)
         book = ocsmb_offers(cfg, 2.0, 18.0)
         assert len(book) == 1
-        assert book.offers[0].price == pol_e2.bounds.p_min
+        assert book.prices[0] == pol_e2.bounds.p_min
 
     def test_book_never_exceeds_deliverable(self, pol_e2):
         rng = np.random.default_rng(4)
@@ -170,7 +168,7 @@ class TestOcsmbOffers:
             result = simulate_run(
                 trace, spec, penalty, ocsmb_strategy(StrategyConfig(pol, spec))
             )
-            assert all(o.over_commitment <= 1e-12 for o in result.outcomes)
+            assert all(y <= 1e-12 for y in result.over_commitments)
 
     def test_converges_to_known_price_strategy(self, bounds, spec, penalty):
         pol = ThresholdPolicy.build(bounds, spec.capacity)
@@ -194,16 +192,11 @@ class TestMocsmbOffers:
     def test_zero_error_is_identical(self, pol_e2):
         cfg = StrategyConfig(pol_e2, StorageSpec(20.0, 10.0, 10.0), offers=5, e_max=0.2)
         for u, z in ((4.0, 0.0), (2.0, 18.0), (7.5, 11.0)):
-            assert mocsmb_offers(cfg, Forecast(u, 0.0), z) == ocsmb_offers(cfg, u, z)
+            assert mocsmb_offers(replace(cfg, e_max=0.0), u, z) == ocsmb_offers(cfg, u, z)
 
     def test_scales_prediction_down(self, pol_e2):
         cfg = StrategyConfig(pol_e2, StorageSpec(20.0, 10.0, 10.0), offers=5, e_max=0.1)
-        assert mocsmb_offers(cfg, Forecast(10.0, 0.1), 5.0) == ocsmb_offers(cfg, 9.0, 5.0)
-
-    def test_error_bound_above_config_rejected(self, pol_e2):
-        cfg = StrategyConfig(pol_e2, StorageSpec(20.0, 10.0, 10.0), e_max=0.1)
-        with pytest.raises(ValidationError):
-            mocsmb_offers(cfg, Forecast(10.0, 0.3), 5.0)
+        assert mocsmb_offers(cfg, 10.0, 5.0) == ocsmb_offers(cfg, 9.0, 5.0)
 
     def test_never_overcommits_within_band(self, bounds, spec, penalty):
         pol = ThresholdPolicy.build(bounds, spec.capacity)
@@ -211,11 +204,10 @@ class TestMocsmbOffers:
             cfg = StrategyConfig(pol, spec, offers=10, e_max=e_max)
             for seed in range(4):
                 forecast, realized = forecast_and_realized(seed, 80, bounds, e_max)
-                forecasts = [Forecast(u, e_max) for u in forecast.outputs()]
                 result = simulate_run(
-                    realized, spec, penalty, mocsmb_strategy(cfg, forecasts)
+                    realized, spec, penalty, mocsmb_strategy(cfg, forecast.outputs)
                 )
-                assert all(o.over_commitment == 0.0 for o in result.outcomes)
+                assert all(y == 0.0 for y in result.over_commitments)
 
     def test_commitment_floor_vs_exact_output(self, bounds, spec, penalty):
         # the conservative ladder commits at least (1 - 2 e_max) of what the
@@ -225,36 +217,37 @@ class TestMocsmbOffers:
             cfg = StrategyConfig(pol, spec, offers=10, e_max=e_max)
             for seed in range(6):
                 forecast, realized = forecast_and_realized(seed, 80, bounds, e_max)
-                forecasts = [Forecast(u, e_max) for u in forecast.outputs()]
                 exact = simulate_run(realized, spec, penalty, ocsmb_strategy(cfg))
-                hedged = simulate_run(realized, spec, penalty, mocsmb_strategy(cfg, forecasts))
-                assert sum(hedged.commitments()) >= (1 - 2 * e_max) * sum(
-                    exact.commitments()
+                hedged = simulate_run(
+                    realized, spec, penalty, mocsmb_strategy(cfg, forecast.outputs)
+                )
+                assert sum(hedged.commitments) >= (1 - 2 * e_max) * sum(
+                    exact.commitments
                 ) - 1e-9
 
 
 class TestBaselines:
     def test_fonline_threshold(self, spec):
         book = fonline_offer(PriceBounds(10.0, 40.0), spec, 1.0, 5.0)
-        assert book.offers[0].price == 20.0
+        assert book.prices == (20.0,)
 
     def test_fonline_volume(self):
         spec = StorageSpec(20.0, 10.0, 2.0, 8.0)
         book = fonline_offer(PriceBounds(10.0, 40.0), spec, 3.0, 8.0)
-        assert book.offers[0].volume == 5.0
+        assert book.volumes == (5.0,)
 
     def test_fonline_empty(self, spec):
         assert len(fonline_offer(PriceBounds(10.0, 40.0), spec, 0.0, 0.0)) == 0
 
     def test_fixed_threshold_offer(self, spec):
         book = fixed_threshold_offer(25.0, spec, 2.0, 4.0)
-        assert book.offers[0].price == 25.0
-        assert book.offers[0].volume == 6.0
+        assert book.prices == (25.0,)
+        assert book.volumes == (6.0,)
 
     def test_nostorage_profit(self):
-        assert nostorage_profit(Trace.from_series([10.0, 20.0], [1.0, 2.0])) == 50.0
-        assert nostorage_profit(Trace.from_series([15.0, 25.0], [0.0, 0.0])) == 0.0
-        assert nostorage_profit(Trace.from_series([30.0], [4.0])) == 120.0
+        assert nostorage_profit(Trace([10.0, 20.0], [1.0, 2.0])) == 50.0
+        assert nostorage_profit(Trace([15.0, 25.0], [0.0, 0.0])) == 0.0
+        assert nostorage_profit(Trace([30.0], [4.0])) == 120.0
 
 
 class TestConfigValidation:
@@ -265,7 +258,3 @@ class TestConfigValidation:
     def test_error_bound(self, pol_e2, spec):
         with pytest.raises(ValidationError):
             StrategyConfig(pol_e2, spec, e_max=0.5)
-        with pytest.raises(ValidationError):
-            Forecast(1.0, 0.6)
-        with pytest.raises(ValidationError):
-            Forecast(-1.0, 0.1)

@@ -26,8 +26,8 @@ class TestLoadTrace:
         w = write(tmp_path / "w.csv", WIND_3)
         trace, bounds = load_trace(p, w)
         assert trace.horizon == 3
-        assert trace.prices() == (10.5, 22.0, 41.3)
-        assert trace.outputs() == (1.5, 0.0, 9.9)
+        assert trace.prices == (10.5, 22.0, 41.3)
+        assert trace.outputs == (1.5, 0.0, 9.9)
         assert bounds.p_min == 10.5 and bounds.p_max == 41.3
 
     def test_derived_theta(self, tmp_path):
@@ -53,7 +53,7 @@ class TestLoadTrace:
         p = write(tmp_path / "p.csv", PRICE_3.replace("41.3", "200.0"))
         w = write(tmp_path / "w.csv", WIND_3)
         trace, _ = load_trace(p, w, bounds=PriceBounds(10.0, 100.0), clip=True)
-        assert trace.prices()[2] == 100.0
+        assert trace.prices[2] == 100.0
 
     def test_bad_header(self, tmp_path):
         p = write(tmp_path / "p.csv", "time,price\n2015-01-01T00:00,10\n")
@@ -95,8 +95,8 @@ class TestLoadTrace:
         trace = gen_synthetic(5, 24, bounds)
         write_trace_csv(trace, tmp_path / "p.csv", tmp_path / "w.csv")
         back, _ = load_trace(tmp_path / "p.csv", tmp_path / "w.csv")
-        assert back.prices() == trace.prices()
-        assert back.outputs() == trace.outputs()
+        assert back.prices == trace.prices
+        assert back.outputs == trace.outputs
 
 
 class TestSynthetic:
@@ -111,17 +111,17 @@ class TestSynthetic:
     def test_prices_within_bounds(self, bounds):
         for seed in range(5):
             trace = gen_synthetic(seed, 200, bounds)
-            assert all(bounds.p_min <= p <= bounds.p_max for p in trace.prices())
+            assert all(bounds.p_min <= p <= bounds.p_max for p in trace.prices)
 
     def test_wind_within_capacity(self, bounds):
         for seed in range(5):
             trace = gen_synthetic(seed, 200, bounds, wind_capacity=10.0)
-            assert all(0.0 <= u <= 10.0 for u in trace.outputs())
+            assert all(0.0 <= u <= 10.0 for u in trace.outputs)
 
     def test_params_change_shape(self, bounds):
         calm = gen_synthetic(3, 100, bounds, params=SyntheticParams(price_sigma=0.01))
         wild = gen_synthetic(3, 100, bounds, params=SyntheticParams(price_sigma=0.5))
-        assert np.std(calm.prices()) < np.std(wild.prices())
+        assert np.std(calm.prices) < np.std(wild.prices)
 
     def test_bad_horizon(self, bounds):
         with pytest.raises(ValidationError):
