@@ -37,7 +37,7 @@ from .strategies import (
     ocsmb_strategy,
     socs_strategy,
 )
-from .traces import realize_outputs, synthesize
+from .traces import check_wind_capacity, realize_outputs, synthesize
 
 #: The one registry of online strategies: name -> builder taking the
 #: strategy config and the predicted output per slot.  Each builder looks its
@@ -70,6 +70,7 @@ class ExperimentConfig:
             raise ValidationError("runs and horizon must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_wind_capacity(self.wind_capacity)
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValidationError(f"unknown strategies: {sorted(unknown)}")

@@ -56,6 +56,8 @@ class Trace:
             )
         if not prices:
             raise ValidationError("a trace needs at least one slot")
+        if not all(map(math.isfinite, prices + outputs)):
+            raise ValidationError("prices and renewable outputs must be finite")
         if min(prices) <= 0.0:
             raise ValidationError(f"price must be positive, got {min(prices)}")
         if min(outputs) < 0.0:
@@ -101,8 +103,8 @@ class PenaltyParams:
     alpha2: float = 0.0
 
     def __post_init__(self):
-        if self.alpha1 < 0.0 or self.alpha2 < 0.0:
-            raise ValidationError("penalty coefficients must be non-negative")
+        if not (0.0 <= self.alpha1 < math.inf and 0.0 <= self.alpha2 < math.inf):
+            raise ValidationError("penalty coefficients must be non-negative and finite")
 
     def rate(self, price: float) -> float:
         return self.alpha1 * price + self.alpha2

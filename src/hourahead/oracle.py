@@ -13,10 +13,12 @@ level m from level k commits j = u + k - m units, so
     v_t(k) = p*eta*(u + k) + max over m in [k - r_d, k + min(r_c, u)] ∩ [0, n]
              of (v_{t+1}(m) - p*eta*m).
 
-A doubling (sparse-table) max finds the argmax m for every k at once, ties
-going to the larger m (the smaller commitment), and the kept value is
-recomputed as p * (j * eta) + v_{t+1}(m).  A horizon of T slots over n
-levels costs O(T * n * log n), whatever the rates are relative to eta.
+The key v_{t+1}(m) - p*eta*m is concave in m, by induction from v_T = 0: a
+window max of a concave sequence is concave in k, and so is that plus the
+linear p*eta*(u + k).  So each window's max is the key's rightmost global
+argmax m* clipped into the window, m = min(max(k - r_d, m*), k + min(r_c, u)),
+with ties going to the larger m (the smaller commitment); the kept value is
+recomputed as p * (j * eta) + v_{t+1}(m).  T slots over n levels cost O(T * n).
 """
 from __future__ import annotations
 
@@ -110,28 +112,6 @@ def _step(k: int, j: int, uq: int, rc: int, n: int) -> int:
     return k - (j - uq)
 
 
-def _window_argmax(w: np.ndarray, left: int, right: int) -> np.ndarray:
-    """For each k, the index m in [k - left, k + right] ∩ [0, len(w)) of the
-    largest w[m]; ties go to the larger m.
-
-    Doubling (sparse-table) max over w padded with -inf on both sides, so
-    every window has the same length: O(len(w) * log(window)).
-    """
-    size = left + right + 1
-    best = np.full(len(w) + size - 1, -np.inf)
-    best[left : left + len(w)] = w
-    arg = np.arange(-left, len(best) - left)
-    # after the pass with span h, best[s] is the max over [s, s + 2h)
-    h = 1
-    while 2 * h <= size:
-        arg = np.where(best[h:] >= best[:-h], arg[h:], arg[:-h])
-        best = np.maximum(best[:-h], best[h:])
-        h *= 2
-    # two overlapping spans of length h cover each window of length size
-    lo, hi = slice(0, len(w)), slice(size - h, size - h + len(w))
-    return np.where(best[hi] >= best[lo], arg[hi], arg[lo])
-
-
 # work guards: slots x (levels + 1) for the grid DP, sizes for the
 # brute-force enumerator
 MAX_DP_CELLS = 10**7
@@ -144,13 +124,12 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
     """Maximum clairvoyant sale revenue over the quantized storage grid.
 
     Commitments are grid multiples within [0, min(level, discharge) + output]
-    so the plan never over-commits.  One window max per slot (see the
-    module docstring): v_t(k) = p*eta*(u + k) + max over next levels m in
-    [k - r_d, k + min(r_c, u)] ∩ [0, n] of (v_{t+1}(m) - p*eta*m), with
-    commitment j = u + k - m.  Ties break toward the larger m, i.e. the
-    smaller commitment.  Costs O(T * n * log n) for T slots and n levels,
-    whatever the rates are relative to eta; raises InstanceTooLargeError
-    beyond MAX_DP_CELLS slots x (levels + 1).
+    so the plan never over-commits.  One argmax and one clip per slot (see the
+    module docstring): the next level from k is the rightmost argmax m* of the
+    concave key clipped into [k - r_d, k + min(r_c, u)], committing u + k - m
+    units, so ties go to the smaller commitment.  Costs O(T * n) for T slots
+    and n levels, whatever the rates are relative to eta; raises
+    InstanceTooLargeError beyond MAX_DP_CELLS slots x (levels + 1).
     """
     cells = trace.horizon * (disc.levels + 1)
     if cells > MAX_DP_CELLS:
@@ -166,6 +145,7 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
     v = np.zeros(n + 1)
     karr = np.arange(n + 1)
     below_top = n - karr
+    lowest = karr - rd
     nexts: list[np.ndarray] = []
     for t in reversed(range(horizon)):
         p = prices[t]
@@ -176,7 +156,9 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
         # often than the plain difference: over 300 synthetic 360 x 400 runs
         # no total, against 2, came out one ulp off the per-action DP
         key = p * ((uq + below_top) * eta) + v
-        m = _window_argmax(key, rd, min(rc, u_units[t]))
+        # rightmost argmax of the concave key, clipped into each window
+        best = n - int(np.argmax(key[::-1]))
+        m = np.minimum(np.maximum(lowest, best), karr + min(rc, u_units[t]))
         v = p * ((uq + (karr - m)) * eta) + v[m]
         nexts.append(m)
     nexts.reverse()

@@ -24,6 +24,10 @@ from .market import EMPTY_BOOK, OfferBook, OfferStrategy, PriceBounds, StorageSp
 from .policy import ThresholdPolicy
 
 
+# work guard: offers per slot, each a rung the laddered strategies build
+MAX_OFFERS = 10_000
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     """Threshold curve, storage, and the knobs of the laddered strategies."""
@@ -34,8 +38,8 @@ class StrategyConfig:
     e_max: float = 0.0  # output forecast error bound, < 0.5
 
     def __post_init__(self):
-        if self.offers < 1:
-            raise ValidationError(f"offer count must be >= 1, got {self.offers}")
+        if not 1 <= self.offers <= MAX_OFFERS:
+            raise ValidationError(f"offer count must be in [1, {MAX_OFFERS}], got {self.offers}")
         if not 0.0 <= self.e_max < 0.5:
             raise ValidationError(f"e_max must be in [0, 0.5), got {self.e_max}")
 

@@ -114,6 +114,11 @@ class SyntheticParams:
     wind_sigma_frac: float = 0.12  # innovation scale as a fraction of capacity
 
 
+def check_wind_capacity(wind_capacity: float) -> None:
+    if not 0.0 <= wind_capacity < math.inf:
+        raise ValidationError(f"wind capacity must be non-negative and finite, got {wind_capacity}")
+
+
 def synthesize(
     rng: np.random.Generator,
     horizon: int,
@@ -127,6 +132,7 @@ def synthesize(
     mean-reverting first-order autoregressive process clipped to
     [0, wind_capacity].
     """
+    check_wind_capacity(wind_capacity)
     params = params or SyntheticParams()
     lo, hi = math.log(bounds.p_min), math.log(bounds.p_max)
     x = rng.uniform(lo, hi)

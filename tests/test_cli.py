@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -133,6 +134,26 @@ class TestCompare:
         expected = run_experiment(ExperimentConfig(runs=2, horizon=12, seed=3)).to_json()
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ([], "069b7abe7fb5a568400444e0044f24bbe7a8fe2c1171e54d9f9038018a430672"),
+            (
+                ["--sweep-offers", "1-15"],
+                "ac9f8f0599f276abda581ec15f5e2558e941cb31162f04db2ef0d4233ef38e71",
+            ),
+        ],
+    )
+    def test_reference_digests(self, extra, digest, capsys):
+        # the seed-7 `compare` and `sweep` batch reports of bench/README.md
+        argv = [
+            "compare", "--runs", "1", "--horizon", "360", "--seed", "7",
+            "--pmin", "10.0", "--pmax", "40.0", "--capacity", "20.0",
+            "--charge-rate", "10.0", "--discharge-rate", "10.0",
+        ]  # fmt: skip
+        assert main(argv + extra) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_tiny_capacity_finishes(self, capsys):
         # rates of 1e13 quanta: the oracle's window stays within the grid
         start = time.perf_counter()
@@ -241,11 +262,29 @@ class TestValidationExits:
             ["compare", "--runs", "1", "--horizon", "4", "--seed", "-1"],
             ["simulate", "--horizon", "4", "--seed", "-1"],
             ["gen-trace", "--horizon", "4", "--seed", "-1", "--out-prefix", "PREFIX"],
+            ["gen-trace", "--horizon", "3", "--wind-capacity", "inf", "--out-prefix", "PREFIX"],
+            # one past the offer-count guard: still quick to run without it
+            ["compare", "--runs", "1", "--horizon", "4", "--offers", "10001"],
+            ["compare", "--runs", "1", "--horizon", "4", "--sweep-offers", "1,10001"],
         ],
     )
     def test_bad_number(self, argv, tmp_path, capsys):
         argv = [str(tmp_path / "trace") if a == "PREFIX" else a for a in argv]
         assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[experiment]\nwind_capacity = inf\n", "[penalty]\nalpha1 = nan\n"],
+        ids=["wind_capacity", "alpha1"],
+    )
+    def test_bad_config_value(self, text, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        assert main(["compare", "--runs", "1", "--horizon", "4", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1

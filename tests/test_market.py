@@ -258,6 +258,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Trace([10.0], [-0.1])
 
+    @pytest.mark.parametrize(
+        "prices, outputs",
+        [
+            ([float("nan")], [0.0]),
+            ([float("inf")], [0.0]),
+            ([10.0], [float("nan")]),
+            ([10.0, 20.0], [1.0, float("inf")]),
+        ],
+    )
+    def test_trace_rejects_non_finite(self, prices, outputs):
+        with pytest.raises(ValidationError):
+            Trace(prices, outputs)
+
     def test_storage_spec(self):
         with pytest.raises(ValidationError):
             StorageSpec(0.0, 1.0, 1.0)

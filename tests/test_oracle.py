@@ -224,6 +224,22 @@ def test_window_dp_matches_per_action_dp(instance):
     assert earned == pytest.approx(result.total_profit, rel=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(instance=grid_instances())
+def test_value_is_concave_in_initial_level(instance):
+    # the window-max step rests on v_0 being discretely concave in k0
+    n, eta, rc, rd, _k0, prices, outputs = instance
+    trace = Trace(prices, [u * eta for u in outputs])
+    disc = DiscretizationConfig(eta, n)
+    values = [
+        offline_opt_dp(trace, StorageSpec(n * eta, rc * eta, rd * eta, k * eta), disc).total_profit
+        for k in range(n + 1)
+    ]
+    scale = max(prices) * eta * (n + sum(outputs))
+    for a, b, c in zip(values, values[1:], values[2:]):
+        assert a - 2.0 * b + c <= 1e-9 * scale
+
+
 class TestExhaustiveGuards:
     def test_horizon_guard(self):
         trace = Trace([10.0] * 7, [0.0] * 7)
