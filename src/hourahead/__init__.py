@@ -5,7 +5,7 @@ Library layout:
 * ``market``     - data model, settlement, storage dynamics, simulation loop
 * ``policy``     - adaptive price threshold over the storage level
 * ``strategies`` - the online strategies and the fixed-threshold baselines
-* ``oracle``     - clairvoyant optimum (quantized DP + exhaustive check)
+* ``oracle``     - clairvoyant optimum over a quantized storage grid
 * ``adversary``  - worst-case search and step-function ratio numerics
 * ``traces``     - CSV ingestion and seeded synthetic generation
 * ``experiment`` - multi-run orchestration and report emission
@@ -39,12 +39,11 @@ from .oracle import (
     DiscretizationConfig,
     OptResult,
     UnboundedRatio,
-    empirical_cr,
     offline_opt_dp,
-    offline_opt_exhaustive,
 )
-from .policy import CrReport, ThresholdPolicy, c_threshold, cr_table, theoretical_cr
+from .policy import ThresholdPolicy, c_threshold, theoretical_cr
 from .strategies import (
+    Ladder,
     StrategyConfig,
     fonline_offer,
     mocsmb_offers,
@@ -55,10 +54,10 @@ from .strategies import (
 
 __all__ = [
     "BudgetExceededError",
-    "CrReport",
     "DiscretizationConfig",
     "EMPTY_BOOK",
     "InstanceTooLargeError",
+    "Ladder",
     "OfferBook",
     "OptResult",
     "PenaltyParams",
@@ -73,15 +72,12 @@ __all__ = [
     "UnboundedRatio",
     "ValidationError",
     "c_threshold",
-    "cr_table",
-    "empirical_cr",
     "evolve_storage",
     "fonline_offer",
     "mocsmb_offers",
     "nostorage_profit",
     "ocsmb_offers",
     "offline_opt_dp",
-    "offline_opt_exhaustive",
     "over_commitment",
     "settle_offer",
     "simulate_run",

@@ -27,7 +27,7 @@ from .experiment import (
 )
 from .market import PenaltyParams, PriceBounds, StorageSpec, simulate_run
 from .oracle import DiscretizationConfig, offline_opt_dp, profit_ratio, ratio_json
-from .policy import ThresholdPolicy, cr_table
+from .policy import ThresholdPolicy, theoretical_cr
 from .strategies import (  # the *_strategy factories stay for bench/tracer.py to replace by name
     StrategyConfig,
     fixed_threshold_strategy,
@@ -342,8 +342,8 @@ def _worst_case_json(report: WorstCaseReport) -> dict:
 
 def _cmd_cr_table(args: argparse.Namespace) -> int:
     lines = ["theta,cr"]
-    for row in cr_table(_parse_list("--theta", args.theta)):
-        lines.append(f"{row.theta:g},{row.theoretical_cr:.2f}")
+    for theta in _parse_list("--theta", args.theta):
+        lines.append(f"{theta:g},{theoretical_cr(theta):.2f}")
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 

@@ -139,7 +139,11 @@ class OfferBook:
 
     @property
     def total_volume(self) -> float:
-        return sum(self.volumes)
+        return sum(self.volumes, 0.0)
+
+    def settle(self, price: float) -> float:
+        """Commitment volume: total volume of offers priced at or below `price`."""
+        return sum((v for p, v in zip(self.prices, self.volumes) if p <= price), 0.0)
 
 
 EMPTY_BOOK = OfferBook((), ())
@@ -172,14 +176,14 @@ class RunResult:
 
 
 # A strategy maps (slot index, clearing price, renewable output, storage level)
-# to an offer book.  Strategies that must act before the price is revealed
-# simply ignore the price argument.
+# to an offer book (an ``OfferBook`` or a ``strategies.Ladder``).  Strategies
+# that must act before the price is revealed simply ignore the price argument.
 OfferStrategy = Callable[[int, float, float, float], OfferBook]
 
 
 def settle_offer(book: OfferBook, clearing_price: float) -> float:
-    """Commitment volume: total volume of offers priced at or below clearing."""
-    return sum(v for p, v in zip(book.prices, book.volumes) if p <= clearing_price)
+    """Commitment volume of `book` at `clearing_price`."""
+    return book.settle(clearing_price)
 
 
 def over_commitment(x: float, u: float, z: float, discharge_rate: float) -> float:
@@ -226,7 +230,7 @@ def simulate_run(
     total = 0.0
     for t, (price, u) in enumerate(zip(trace.prices, trace.outputs)):
         book = strategy(t, price, u, level)
-        x = settle_offer(book, price)
+        x = book.settle(price)
         y = over_commitment(x, u, level, spec.discharge_rate)
         delivered = min(x, u + min(level, spec.discharge_rate))
         level, charge, discharge = evolve_storage(level, spec, u, delivered)

@@ -4,8 +4,8 @@ The optimum with full knowledge of prices and outputs is computed by
 backward value iteration over storage levels {0, eta, ..., C}.  Inputs
 (output series, rates, initial level) are floored onto the grid, so the
 result is a lower bound on the continuous optimum; the gap shrinks
-linearly in eta.  A brute-force enumerator over the same quantized world
-serves as an independent check on tiny instances.
+linearly in eta.  The test suite checks it against a brute-force
+enumerator over the same quantized world on tiny instances.
 
 Each slot of the value iteration is one sliding-window max.  Landing on
 level m from level k commits j = u + k - m units, so
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, ValidationError
-from .market import OfferStrategy, PenaltyParams, StorageSpec, Trace, simulate_run
+from .market import StorageSpec, Trace
 
 
 class UnboundedRatio:
@@ -112,12 +112,8 @@ def _step(k: int, j: int, uq: int, rc: int, n: int) -> int:
     return k - (j - uq)
 
 
-# work guards: slots x (levels + 1) for the grid DP, sizes for the
-# brute-force enumerator
+# work guard of the grid DP: slots x (levels + 1)
 MAX_DP_CELLS = 10**7
-MAX_EXHAUSTIVE_HORIZON = 6
-MAX_EXHAUSTIVE_LEVELS = 8
-MAX_EXHAUSTIVE_ACTIONS = 12
 
 
 def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) -> OptResult:
@@ -173,75 +169,6 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
         k = _step(k, j, u_units[t], rc, n)
         levels.append(k * eta)
     return OptResult(total, tuple(commitments), tuple(levels))
-
-
-def offline_opt_exhaustive(
-    trace: Trace, spec: StorageSpec, disc: DiscretizationConfig
-) -> OptResult:
-    """Brute-force enumeration of every quantized commitment sequence.
-
-    Only for tiny instances; raises InstanceTooLargeError beyond the guards.
-    """
-    u_units, rc, rd, k0 = _quantize(trace, spec, disc)
-    eta, n = disc.eta, disc.levels
-    prices = trace.prices
-    horizon = trace.horizon
-
-    if horizon > MAX_EXHAUSTIVE_HORIZON:
-        raise InstanceTooLargeError(
-            f"horizon {horizon} exceeds exhaustive guard {MAX_EXHAUSTIVE_HORIZON}"
-        )
-    if n > MAX_EXHAUSTIVE_LEVELS:
-        raise InstanceTooLargeError(
-            f"{n} levels exceed exhaustive guard {MAX_EXHAUSTIVE_LEVELS}"
-        )
-    for t, uq in enumerate(u_units):
-        count = min(n, rd) + uq + 1
-        if count > MAX_EXHAUSTIVE_ACTIONS:
-            raise InstanceTooLargeError(
-                f"slot {t + 1} admits {count} actions, guard is {MAX_EXHAUSTIVE_ACTIONS}"
-            )
-
-    def recurse(t: int, k: int) -> tuple[float, tuple[int, ...]]:
-        if t == horizon:
-            return 0.0, ()
-        p = prices[t]
-        uq = u_units[t]
-        best_val = -math.inf
-        best_seq: tuple[int, ...] = ()
-        for j in range(min(k, rd) + uq + 1):
-            k2 = _step(k, j, uq, rc, n)
-            sub, seq = recurse(t + 1, k2)
-            val = p * (j * eta) + sub
-            if val > best_val:
-                best_val = val
-                best_seq = (j,) + seq
-        return best_val, best_seq
-
-    total, seq = recurse(0, k0)
-    k = k0
-    levels = [k0 * eta]
-    for t, j in enumerate(seq):
-        k = _step(k, j, u_units[t], rc, n)
-        levels.append(k * eta)
-    return OptResult(total, tuple(j * eta for j in seq), tuple(levels))
-
-
-def empirical_cr(
-    trace: Trace,
-    spec: StorageSpec,
-    penalty: PenaltyParams,
-    strategy: OfferStrategy,
-    disc: DiscretizationConfig,
-) -> float | UnboundedRatio:
-    """Clairvoyant-optimum profit divided by the strategy's profit.
-
-    Returns the UNBOUNDED sentinel when the strategy earns nothing on an
-    instance with positive optimum, and 1.0 when both earn nothing.
-    """
-    opt = offline_opt_dp(trace, spec, disc).total_profit
-    run = simulate_run(trace, spec, penalty, strategy)
-    return profit_ratio(opt, run.total_profit)
 
 
 def profit_ratio(opt_profit: float, strategy_profit: float) -> float | UnboundedRatio:

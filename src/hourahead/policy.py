@@ -38,19 +38,6 @@ def c_threshold(capacity: float, theta: float) -> float:
 
 
 @dataclass(frozen=True)
-class CrReport:
-    """One row of the guarantee table: fluctuation ratio and its bound."""
-
-    theta: float
-    theoretical_cr: float
-
-
-def cr_table(thetas: list[float]) -> list[CrReport]:
-    """Guarantee bound for each fluctuation ratio, table form."""
-    return [CrReport(theta, theoretical_cr(theta)) for theta in thetas]
-
-
-@dataclass(frozen=True)
 class ThresholdPolicy:
     """Frozen threshold curve for one (price bounds, capacity) pair.
 

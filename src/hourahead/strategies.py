@@ -71,7 +71,77 @@ def socs_offer(cfg: StrategyConfig, price: float, output: float, level: float) -
     return OfferBook((price,), (volume,))
 
 
-def ocsmb_offers(cfg: StrategyConfig, output: float, level: float) -> OfferBook:
+@dataclass(frozen=True, slots=True)
+class Ladder:
+    """The ocsmb offer book in closed form: a floor offer of ``floor_volume``
+    at p_min (when positive), then ``rungs`` slices cum_i - cum_{i-1} of
+    ``span``, where cum_i = span * (i / rungs) and rung i is priced at
+    g(max(top - cum_i, 0)).  Rung prices never fall as i grows, so a
+    clearing price commits a prefix of the book: ``settle`` guesses its
+    length from one ``eval_g_inverse``, corrects it at the edge with
+    ``eval_g`` and sums the prefix in book order, bit for bit what settling
+    the materialized book (``prices``, ``volumes``) gives."""
+
+    policy: ThresholdPolicy
+    floor_volume: float
+    span: float
+    top: float
+    rungs: int
+
+    def __post_init__(self):
+        if not (self.floor_volume >= 0.0 and self.span >= 0.0 and 0 <= self.rungs <= MAX_OFFERS
+                and (self.span > 0.0 or not self.rungs)):  # fmt: skip
+            raise ValidationError(
+                f"ladder needs floor volume and span >= 0 and 0 to {MAX_OFFERS} rungs over a "
+                f"positive span, got {self.floor_volume}, {self.span}, {self.rungs}"
+            )
+
+    def _rung_price(self, i: int) -> float:
+        return self.policy.eval_g(max(self.top - self.span * (i / self.rungs), 0.0))
+
+    def _volumes(self, rungs: int):
+        if self.floor_volume > 0.0:
+            yield self.floor_volume
+        sold = 0.0
+        for i in range(1, rungs + 1):
+            cum = self.span * (i / self.rungs)
+            yield cum - sold
+            sold = cum
+
+    @property
+    def prices(self) -> tuple[float, ...]:
+        floor = (self.policy.bounds.p_min,) if self.floor_volume > 0.0 else ()
+        return floor + tuple(map(self._rung_price, range(1, self.rungs + 1)))
+
+    @property
+    def volumes(self) -> tuple[float, ...]:
+        return tuple(self._volumes(self.rungs))
+
+    def __len__(self) -> int:
+        return (self.floor_volume > 0.0) + self.rungs
+
+    @property
+    def total_volume(self) -> float:
+        return sum(self._volumes(self.rungs), 0.0)
+
+    def settle(self, price: float) -> float:
+        """Commitment volume: the floor and the rungs priced at or below `price`."""
+        pol, rungs = self.policy, self.rungs
+        if price < pol.bounds.p_min:
+            return 0.0
+        k = rungs
+        if rungs and price <= pol.bounds.p_max:  # rung i commits iff top - cum_i >= g^-1(price)
+            level = pol.c_th if price == pol.bounds.p_min else pol.eval_g_inverse(price)
+            guess = (self.top - level) / self.span * rungs
+            k = rungs if guess >= rungs else int(guess) if guess > 0.0 else 0
+        while k < rungs and self._rung_price(k + 1) <= price:
+            k += 1
+        while k and self._rung_price(k) > price:
+            k -= 1
+        return sum(self._volumes(k), 0.0)
+
+
+def ocsmb_offers(cfg: StrategyConfig, output: float, level: float) -> Ladder:
     """Offer ladder for the unknown-price setting.
 
     Energy that should be sold at any price goes into one offer at p_min:
@@ -83,11 +153,7 @@ def ocsmb_offers(cfg: StrategyConfig, output: float, level: float) -> OfferBook:
     over-commits.
     """
     pol, spec = cfg.policy, cfg.spec
-    p_min = pol.bounds.p_min
     deliverable = output + min(level, spec.discharge_rate)
-    if deliverable <= 0.0:
-        return EMPTY_BOOK
-
     if min(output, spec.charge_rate) + level > pol.c_th:
         floor_volume = min(output + level - pol.c_th, deliverable)
         span = min(pol.c_th, output + spec.discharge_rate, deliverable - floor_volume)
@@ -96,25 +162,10 @@ def ocsmb_offers(cfg: StrategyConfig, output: float, level: float) -> OfferBook:
         floor_volume = max(output - spec.charge_rate, 0.0)
         span = deliverable - floor_volume
         top = level + output - floor_volume
-
-    prices, volumes = [], []
-    if floor_volume > 0.0:
-        prices.append(p_min)
-        volumes.append(floor_volume)
-    rungs = cfg.offers - 1
-    if rungs > 0 and span > 0.0:
-        # cumulative slicing keeps the rung volumes summing to span exactly
-        sold = 0.0
-        for i in range(1, rungs + 1):
-            cum = span * (i / rungs)
-            rung_level = max(top - cum, 0.0)
-            prices.append(pol.eval_g(rung_level))
-            volumes.append(cum - sold)
-            sold = cum
-    return OfferBook(tuple(prices), tuple(volumes))
+    return Ladder(pol, floor_volume, span, top, cfg.offers - 1 if span > 0.0 else 0)
 
 
-def mocsmb_offers(cfg: StrategyConfig, predicted: float, level: float) -> OfferBook:
+def mocsmb_offers(cfg: StrategyConfig, predicted: float, level: float) -> Ladder:
     """Offer ladder fed with the low end (1 - e_max) * predicted of the
     output forecast band."""
     return ocsmb_offers(cfg, (1.0 - cfg.e_max) * predicted, level)

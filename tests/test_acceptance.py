@@ -19,9 +19,7 @@ from hourahead import (
     ThresholdPolicy,
     Trace,
     UNBOUNDED,
-    empirical_cr,
     offline_opt_dp,
-    offline_opt_exhaustive,
     simulate_run,
     theoretical_cr,
 )
@@ -34,6 +32,8 @@ from hourahead.strategies import (
     socs_strategy,
 )
 from hourahead.traces import realize_outputs, synthesize
+
+from oracle_reference import empirical_cr, offline_opt_exhaustive
 
 SUITE_BOUNDS = PriceBounds(10.0, 40.0)
 SUITE_SPEC = StorageSpec(20.0, 10.0, 10.0)

@@ -13,7 +13,6 @@ from hourahead import (
     Trace,
     UNBOUNDED,
     ValidationError,
-    empirical_cr,
     theoretical_cr,
 )
 from hourahead.adversary import (
@@ -24,6 +23,8 @@ from hourahead.adversary import (
     step_lengths_from_equalization,
 )
 from hourahead.strategies import fixed_threshold_strategy, socs_strategy
+
+from oracle_reference import empirical_cr
 
 
 class TestStepFunction:

@@ -54,6 +54,15 @@ class TestGenTraceAndSimulate:
         assert len(data["slots"]) == 6
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_slot_commitments_are_floats(self, strategy, capsys):
+        # an empty fill is 0.0, not the integer 0
+        argv = ["simulate", "--strategy", strategy, "--horizon", "40", "--seed", "3", "--slots"]
+        assert main(argv) == 0
+        slots = json.loads(capsys.readouterr().out)["slots"]
+        values = [slot[key] for slot in slots for key in ("commitment", "over_commitment")]
+        assert [v for v in values if type(v) is not float] == []
+
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_synthetic_simulate_every_strategy(self, strategy, capsys):
         argv = ["simulate", "--horizon", "6", "--eta", "0.5", "--strategy", strategy]
         assert main(argv) == 0

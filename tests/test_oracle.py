@@ -10,9 +10,7 @@ from hourahead import (
     StorageSpec,
     Trace,
     ValidationError,
-    empirical_cr,
     offline_opt_dp,
-    offline_opt_exhaustive,
     simulate_run,
 )
 from hourahead.market import EMPTY_BOOK, OfferBook
@@ -21,6 +19,7 @@ from hourahead.policy import ThresholdPolicy
 from hourahead.strategies import StrategyConfig, socs_strategy
 
 from conftest import synthetic_trace
+from oracle_reference import empirical_cr, offline_opt_exhaustive
 
 
 def random_tiny_instance(rng):

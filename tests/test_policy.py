@@ -8,9 +8,9 @@ from hourahead import (
     ThresholdPolicy,
     ValidationError,
     c_threshold,
-    cr_table,
     theoretical_cr,
 )
+from hourahead.cli import main
 
 
 class TestTheoreticalRatio:
@@ -33,10 +33,13 @@ class TestTheoreticalRatio:
         values = [theoretical_cr(t) for t in thetas]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_table_rows(self):
-        rows = cr_table([1.0, 13.44])
-        assert rows[0].theta == 1.0 and rows[0].theoretical_cr == 1.0
-        assert rows[1].theoretical_cr >= 1.0
+    def test_table_rows(self, capsys):
+        assert main(["cr-table", "--theta", "1,13.44"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header == "theta,cr"
+        rows = [tuple(map(float, line.split(","))) for line in lines]
+        assert rows[0] == (1.0, 1.0)
+        assert rows[1][1] >= 1.0
 
 
 class TestThresholdLevel:

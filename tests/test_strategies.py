@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hourahead import (
+    Ladder,
+    OfferBook,
     PriceBounds,
     StorageSpec,
     StrategyConfig,
@@ -15,6 +18,7 @@ from hourahead import (
     mocsmb_offers,
     nostorage_profit,
     ocsmb_offers,
+    settle_offer,
     simulate_run,
     socs_offer,
 )
@@ -186,6 +190,58 @@ class TestOcsmbOffers:
                 gap += abs(known - laddered)
             gaps.append(gap / 12)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+def _bits(x):
+    return type(x), x.hex()
+
+
+class TestLadderClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        theta=st.one_of(st.just(1.0), st.floats(1.0, 200.0)),
+        offers=st.integers(1, 64),
+        u=st.floats(0.0, 30.0),
+        z_frac=st.floats(0.0, 1.0),
+        charge=st.floats(0.0, 15.0),
+        discharge=st.floats(0.0, 15.0),
+        capacity=st.floats(0.1, 50.0),
+        draws=st.lists(st.floats(0.0, 1.0), max_size=4),
+    )
+    def test_settles_like_the_materialized_book(
+        self, theta, offers, u, z_frac, charge, discharge, capacity, draws
+    ):
+        bounds = PriceBounds(10.0, 10.0 * theta)
+        spec = StorageSpec(capacity, charge, discharge)
+        cfg = StrategyConfig(ThresholdPolicy.build(bounds, capacity), spec, offers=offers)
+        ladder = ocsmb_offers(cfg, u, z_frac * capacity)
+        book = OfferBook(ladder.prices, ladder.volumes)  # checks the price order
+        assert len(ladder) == len(book)
+        assert _bits(ladder.total_volume) == _bits(book.total_volume)
+        prices = {bounds.p_min, bounds.p_max, *book.prices}
+        prices |= {math.nextafter(p, d) for p in prices for d in (0.0, math.inf)}
+        prices |= {bounds.p_min + d * (bounds.p_max - bounds.p_min) for d in draws}
+        for p in sorted(prices):
+            assert _bits(ladder.settle(p)) == _bits(settle_offer(book, p)), p
+
+    def test_run_matches_materialized_books(self, bounds, spec, penalty):
+        cfg = StrategyConfig(ThresholdPolicy.build(bounds, spec.capacity), spec)
+        strategy = ocsmb_strategy(cfg)
+        assert isinstance(strategy(0, 20.0, 5.0, 10.0), Ladder)
+
+        def materialized(t, price, output, level):
+            ladder = strategy(t, price, output, level)
+            return OfferBook(ladder.prices, ladder.volumes)
+
+        trace = synthetic_trace(7, 360, bounds)
+        assert simulate_run(trace, spec, penalty, strategy) == simulate_run(
+            trace, spec, penalty, materialized
+        )
+
+    def test_checks(self, pol_e2):
+        for floor, span, rungs in ((-1.0, 1.0, 2), (1.0, -1.0, 0), (1.0, 0.0, 2), (0.0, 1.0, -1)):
+            with pytest.raises(ValidationError):
+                Ladder(pol_e2, floor, span, 5.0, rungs)
 
 
 class TestMocsmbOffers:
