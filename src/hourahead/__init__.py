@@ -34,13 +34,7 @@ from .market import (
     simulate_run,
     slot_profit,
 )
-from .oracle import (
-    UNBOUNDED,
-    DiscretizationConfig,
-    OptResult,
-    UnboundedRatio,
-    offline_opt_dp,
-)
+from .oracle import DiscretizationConfig, OptResult, offline_opt_dp
 from .policy import ThresholdPolicy, c_threshold, theoretical_cr
 from .strategies import (
     Ladder,
@@ -68,8 +62,6 @@ __all__ = [
     "Trace",
     "TraceParseError",
     "ThresholdPolicy",
-    "UNBOUNDED",
-    "UnboundedRatio",
     "ValidationError",
     "c_threshold",
     "evolve_storage",

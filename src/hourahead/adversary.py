@@ -10,11 +10,12 @@ step lengths that equalize it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, ValidationError
 from .market import OfferStrategy, PenaltyParams, PriceBounds, StorageSpec, Trace, simulate_run
-from .oracle import DiscretizationConfig, UnboundedRatio, offline_opt_dp, profit_ratio
+from .oracle import DiscretizationConfig, offline_opt_dp, profit_ratio
 from .policy import ThresholdPolicy
 
 
@@ -169,28 +170,16 @@ class AdversaryGrid:
 class WorstCaseReport:
     """Outcome of an exhaustive search over a grid."""
 
-    max_ratio: float | UnboundedRatio
+    max_ratio: float
     argmax_instance: Trace | None
     theoretical_bound: float | None
-    bucket_ratios: dict[float, float | UnboundedRatio] = field(default_factory=dict)
+    bucket_ratios: dict[float, float] = field(default_factory=dict)
     instances: int = 0
 
     def exceeds_bound(self, slack: float = 0.05) -> bool:
         if self.theoretical_bound is None:
             return False
-        if isinstance(self.max_ratio, UnboundedRatio):
-            return True
         return self.max_ratio > self.theoretical_bound * (1.0 + slack)
-
-
-def _ratio_gt(a: float | UnboundedRatio, b: float | UnboundedRatio | None) -> bool:
-    if b is None:
-        return True
-    if isinstance(a, UnboundedRatio):
-        return not isinstance(b, UnboundedRatio)
-    if isinstance(b, UnboundedRatio):
-        return False
-    return a > b
 
 
 def adversarial_search(
@@ -215,9 +204,9 @@ def adversarial_search(
         )
 
     slot_choices = list(itertools.product(grid.price_levels, grid.supply_levels))
-    best: float | UnboundedRatio | None = None
+    best = -math.inf
     argmax: Trace | None = None
-    buckets: dict[float, float | UnboundedRatio] = {}
+    buckets: dict[float, float] = {}
     count = 0
     for combo in itertools.product(slot_choices, repeat=grid.horizon):
         trace = Trace(*zip(*combo))
@@ -226,12 +215,12 @@ def adversarial_search(
         ratio = profit_ratio(opt, run.total_profit)
         count += 1
         bucket = round(run.min_level(spec.initial_level) / disc.eta) * disc.eta
-        if _ratio_gt(ratio, buckets.get(bucket)):
+        # strict: the first instance in enumeration order keeps a tie
+        if ratio > buckets.get(bucket, -math.inf):
             buckets[bucket] = ratio
-        if _ratio_gt(ratio, best):
+        if ratio > best:
             best = ratio
             argmax = trace
-    assert best is not None
     return WorstCaseReport(
         max_ratio=best,
         argmax_instance=argmax,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -149,9 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags"""
-    values = dict(DEFAULTS)
+def _resolve(args: argparse.Namespace, **defaults) -> dict:
+    """defaults (DEFAULTS, then `defaults`) < config file < explicit flags"""
+    values = {**DEFAULTS, **defaults}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
     for key in values:
@@ -173,8 +174,12 @@ def _market(values: dict) -> tuple[PriceBounds, StorageSpec, PenaltyParams, Disc
     if values["eta"] is None:
         disc = DiscretizationConfig.for_capacity(spec.capacity, _DEFAULT.disc_levels)
     else:
-        levels = round(spec.capacity / values["eta"])
-        disc = DiscretizationConfig(values["eta"], max(levels, 1))
+        eta = values["eta"]
+        # checked before rounding: a zero, nan or tiny eta gives no finite level count
+        levels = spec.capacity / eta if eta > 0.0 else math.inf
+        if not levels < math.inf:
+            raise ValidationError(f"eta must be a positive quantum of the capacity, got {eta}")
+        disc = DiscretizationConfig(eta, max(round(levels), 1))
         disc.check_capacity(spec.capacity)
     return bounds, spec, penalty, disc
 
@@ -298,14 +303,16 @@ def _adversary_strategy(args, values, bounds, spec):
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
-    values = _resolve(args)
+    # rate limits off unless a flag or the config file sets them: the
+    # worst-case guarantees are stated for rate-unconstrained storage, so
+    # the grid certifies that regime by default
+    values = _resolve(args, charge_rate=None, discharge_rate=None)
     bounds = PriceBounds(values["pmin"], values["pmax"])
-    # rate limits off by default: the worst-case guarantees are stated for
-    # rate-unconstrained storage, so the grid certifies that regime
+    capacity = values["capacity"]
     spec = StorageSpec(
-        values["capacity"],
-        values["capacity"] if args.charge_rate is None else values["charge_rate"],
-        values["capacity"] if args.discharge_rate is None else values["discharge_rate"],
+        capacity,
+        capacity if values["charge_rate"] is None else values["charge_rate"],
+        capacity if values["discharge_rate"] is None else values["discharge_rate"],
         values["initial_level"],
     )
     grid = AdversaryGrid.geometric(

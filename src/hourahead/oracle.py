@@ -31,26 +31,9 @@ from .errors import InstanceTooLargeError, ValidationError
 from .market import StorageSpec, Trace
 
 
-class UnboundedRatio:
-    """Sentinel for a profit ratio with a zero denominator but positive optimum."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "unbounded"
-
-
-UNBOUNDED = UnboundedRatio()
-
-
-def ratio_json(value: float | UnboundedRatio) -> float | str:
-    """A profit ratio as a JSON or CSV value: the number, or "unbounded"."""
-    return "unbounded" if isinstance(value, UnboundedRatio) else value
+def ratio_json(value: float) -> float | str:
+    """A profit ratio as a JSON or CSV value: the number, or "unbounded" for inf."""
+    return "unbounded" if value == math.inf else value
 
 
 @dataclass(frozen=True)
@@ -61,13 +44,15 @@ class DiscretizationConfig:
     levels: int
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValidationError(f"eta must be positive, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValidationError(f"eta must be positive and finite, got {self.eta}")
         if self.levels < 1:
             raise ValidationError(f"level count must be >= 1, got {self.levels}")
 
     @classmethod
     def for_capacity(cls, capacity: float, levels: int = 400) -> "DiscretizationConfig":
+        if levels < 1:  # before dividing by it
+            raise ValidationError(f"level count must be >= 1, got {levels}")
         return cls(eta=capacity / levels, levels=levels)
 
     def check_capacity(self, capacity: float) -> None:
@@ -105,13 +90,6 @@ def _quantize(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig):
     return u_units, rc, rd, k0
 
 
-def _step(k: int, j: int, uq: int, rc: int, n: int) -> int:
-    """Next level index after committing j units with uq units of output."""
-    if j <= uq:
-        return min(k + min(rc, uq - j), n)
-    return k - (j - uq)
-
-
 # work guard of the grid DP: slots x (levels + 1)
 MAX_DP_CELLS = 10**7
 
@@ -142,7 +120,7 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
     karr = np.arange(n + 1)
     below_top = n - karr
     lowest = karr - rd
-    nexts: list[np.ndarray] = []
+    bests: list[int] = []
     for t in reversed(range(horizon)):
         p = prices[t]
         uq = float(u_units[t])  # exact below 2**53 units; no int64 overflow above
@@ -156,24 +134,27 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
         best = n - int(np.argmax(key[::-1]))
         m = np.minimum(np.maximum(lowest, best), karr + min(rc, u_units[t]))
         v = p * ((uq + (karr - m)) * eta) + v[m]
-        nexts.append(m)
-    nexts.reverse()
+        bests.append(best)
+    bests.reverse()
 
     total = float(v[k0])
     k = k0
     commitments = []
     levels = [k0 * eta]
-    for t in range(horizon):
-        j = u_units[t] + k - int(nexts[t][k])
-        commitments.append(j * eta)
-        k = _step(k, j, u_units[t], rc, n)
+    for t, best in enumerate(bests):
+        # the same clip as m[k] in the backward pass, for this slot's k only
+        m = min(max(k - rd, best), k + min(rc, u_units[t]))
+        commitments.append((u_units[t] + k - m) * eta)
+        k = m
         levels.append(k * eta)
     return OptResult(total, tuple(commitments), tuple(levels))
 
 
-def profit_ratio(opt_profit: float, strategy_profit: float) -> float | UnboundedRatio:
+def profit_ratio(opt_profit: float, strategy_profit: float) -> float:
+    """Optimum over strategy profit: 1.0 when both earn nothing, and
+    math.inf when only the strategy does."""
     if strategy_profit > 1e-12:
         return opt_profit / strategy_profit
     if opt_profit <= 1e-12:
         return 1.0
-    return UNBOUNDED
+    return math.inf

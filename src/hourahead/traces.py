@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Sequence
@@ -104,14 +103,13 @@ def load_trace(
     return Trace(prices, winds), bounds
 
 
-@dataclass(frozen=True)
-class SyntheticParams:
-    """Shape parameters of the synthetic price walk and wind process."""
-
-    price_sigma: float = 0.15  # log-price random-walk step
-    wind_mean_frac: float = 0.4  # long-run wind mean as a fraction of capacity
-    wind_phi: float = 0.85  # mean-reversion coefficient
-    wind_sigma_frac: float = 0.12  # innovation scale as a fraction of capacity
+# shape of the synthetic price walk and wind process
+PRICE_SIGMA = 0.15  # log-price random-walk step
+WIND_MEAN_FRAC = 0.4  # long-run wind mean as a fraction of capacity
+WIND_PHI = 0.85  # mean-reversion coefficient
+WIND_SIGMA_FRAC = 0.12  # innovation scale as a fraction of capacity
+# longest synthetic trace; checked before anything is drawn
+MAX_HORIZON = 10**6
 
 
 def check_wind_capacity(wind_capacity: float) -> None:
@@ -124,31 +122,32 @@ def synthesize(
     horizon: int,
     bounds: PriceBounds,
     wind_capacity: float = 10.0,
-    params: SyntheticParams | None = None,
 ) -> Trace:
     """Draw one synthetic trace from an already-seeded generator.
 
     Prices follow a log random walk reflected into [p_min, p_max]; wind is a
     mean-reverting first-order autoregressive process clipped to
-    [0, wind_capacity].
+    [0, wind_capacity].  Raises ValidationError for a horizon outside
+    [1, MAX_HORIZON].
     """
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValidationError(f"horizon must be in [1, {MAX_HORIZON}], got {horizon}")
     check_wind_capacity(wind_capacity)
-    params = params or SyntheticParams()
     lo, hi = math.log(bounds.p_min), math.log(bounds.p_max)
     x = rng.uniform(lo, hi)
     price_steps = rng.standard_normal(horizon)
     prices = []
     for step in price_steps:
-        x = min(max(x + params.price_sigma * float(step), lo), hi)
+        x = min(max(x + PRICE_SIGMA * float(step), lo), hi)
         prices.append(min(max(math.exp(x), bounds.p_min), bounds.p_max))
 
-    mean = params.wind_mean_frac * wind_capacity
-    sigma = params.wind_sigma_frac * wind_capacity
+    mean = WIND_MEAN_FRAC * wind_capacity
+    sigma = WIND_SIGMA_FRAC * wind_capacity
     wind_steps = rng.standard_normal(horizon)
     w = mean
     winds = []
     for step in wind_steps:
-        w = min(max(mean + params.wind_phi * (w - mean) + sigma * float(step), 0.0), wind_capacity)
+        w = min(max(mean + WIND_PHI * (w - mean) + sigma * float(step), 0.0), wind_capacity)
         winds.append(w)
     return Trace(prices, winds)
 
@@ -158,14 +157,11 @@ def gen_synthetic(
     horizon: int,
     bounds: PriceBounds,
     wind_capacity: float = 10.0,
-    params: SyntheticParams | None = None,
 ) -> Trace:
     """Seeded, reproducible synthetic trace: same seed, same trace."""
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    return synthesize(np.random.default_rng(seed), horizon, bounds, wind_capacity, params)
+    return synthesize(np.random.default_rng(seed), horizon, bounds, wind_capacity)
 
 
 def realize_outputs(

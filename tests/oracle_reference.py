@@ -15,7 +15,14 @@ from hourahead import (
     simulate_run,
 )
 from hourahead.market import OfferStrategy
-from hourahead.oracle import OptResult, UnboundedRatio, _quantize, _step, profit_ratio
+from hourahead.oracle import OptResult, _quantize, profit_ratio
+
+def _step(k: int, j: int, uq: int, rc: int, n: int) -> int:
+    """Next level index after committing j units with uq units of output."""
+    if j <= uq:
+        return min(k + min(rc, uq - j), n)
+    return k - (j - uq)
+
 
 # size guards of the brute-force enumerator
 MAX_EXHAUSTIVE_HORIZON = 6
@@ -81,11 +88,11 @@ def empirical_cr(
     penalty: PenaltyParams,
     strategy: OfferStrategy,
     disc: DiscretizationConfig,
-) -> float | UnboundedRatio:
+) -> float:
     """Clairvoyant-optimum profit divided by the strategy's profit.
 
-    Returns the UNBOUNDED sentinel when the strategy earns nothing on an
-    instance with positive optimum, and 1.0 when both earn nothing.
+    Returns math.inf when the strategy earns nothing on an instance with
+    positive optimum, and 1.0 when both earn nothing.
     """
     opt = offline_opt_dp(trace, spec, disc).total_profit
     run = simulate_run(trace, spec, penalty, strategy)

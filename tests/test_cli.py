@@ -163,6 +163,20 @@ class TestCompare:
         assert main(argv + extra) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_unbounded_ratio_reported(self, tmp_path, capsys):
+        # fonline earns nothing on some 2-slot runs with a positive optimum
+        csv_path = tmp_path / "runs.csv"
+        argv = ["compare", "--runs", "4", "--horizon", "2", "--seed", "1"]
+        assert main(argv + ["--csv", str(csv_path)]) == 0
+        out = capsys.readouterr().out
+        fonline = json.loads(out)["strategies"]["fonline"]
+        assert fonline["empirical_cr_max"] == "unbounded"
+        assert fonline["empirical_cr_mean"] == "unbounded"
+        table = csv_path.read_text()
+        rows = [line.split(",") for line in table.splitlines()[1:]]
+        assert any(r[1] == "fonline" and r[3] == "unbounded" for r in rows)
+        assert "Infinity" not in out and "inf" not in table.lower()
+
     def test_tiny_capacity_finishes(self, capsys):
         # rates of 1e13 quanta: the oracle's window stays within the grid
         start = time.perf_counter()
@@ -232,6 +246,18 @@ class TestAdversary:
         data = json.loads(capsys.readouterr().out)
         assert data["max_ratio"] == "unbounded"
 
+    def test_config_file_rates_match_flags(self, tmp_path, capsys):
+        argv = ["adversary", "--capacity", "4", "--horizon", "2", "--levels", "4"]
+        cfg = tmp_path / "rates.ini"
+        cfg.write_text("[storage]\ncharge_rate = 1\ndischarge_rate = 1\n")
+        assert main(argv + ["--config", str(cfg)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(argv + ["--charge-rate", "1", "--discharge-rate", "1"]) == 0
+        from_flags = capsys.readouterr().out
+        assert main(argv) == 0
+        unconstrained = capsys.readouterr().out
+        assert from_file == from_flags != unconstrained
+
 
 class TestValidationExits:
     def test_bad_bounds(self, capsys):
@@ -275,6 +301,13 @@ class TestValidationExits:
             # one past the offer-count guard: still quick to run without it
             ["compare", "--runs", "1", "--horizon", "4", "--offers", "10001"],
             ["compare", "--runs", "1", "--horizon", "4", "--sweep-offers", "1,10001"],
+            ["compare", "--runs", "1", "--horizon", "4", "--eta", "0"],
+            ["compare", "--runs", "1", "--horizon", "4", "--eta", "nan"],
+            ["compare", "--runs", "1", "--horizon", "4", "--eta", "1e-320"],
+            ["simulate", "--horizon", "4", "--eta", "nan"],
+            ["adversary", "--horizon", "1", "--capacity", "4", "--levels", "0"],
+            # refused before numpy is asked for the arrays
+            ["gen-trace", "--horizon", "100000000000", "--out-prefix", "PREFIX"],
         ],
     )
     def test_bad_number(self, argv, tmp_path, capsys):

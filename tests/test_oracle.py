@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hourahead import (
-    UNBOUNDED,
     DiscretizationConfig,
     InstanceTooLargeError,
     PenaltyParams,
@@ -14,7 +15,7 @@ from hourahead import (
     simulate_run,
 )
 from hourahead.market import EMPTY_BOOK, OfferBook
-from hourahead.oracle import profit_ratio
+from hourahead.oracle import profit_ratio, ratio_json
 from hourahead.policy import ThresholdPolicy
 from hourahead.strategies import StrategyConfig, socs_strategy
 
@@ -61,6 +62,15 @@ class TestDiscretization:
             DiscretizationConfig(0.0, 4)
         with pytest.raises(ValidationError):
             DiscretizationConfig(1.0, 0)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_rejects_non_finite_eta(self, eta):
+        with pytest.raises(ValidationError):
+            DiscretizationConfig(eta, 1)
+
+    def test_zero_levels_rejected_before_dividing(self):
+        with pytest.raises(ValidationError):
+            DiscretizationConfig.for_capacity(20.0, 0)
 
 
 class TestOfflineOptimum:
@@ -302,7 +312,12 @@ class TestEmpiricalRatio:
         def silent(t, price, output, level):
             return EMPTY_BOOK
 
-        assert empirical_cr(trace, spec, penalty, silent, disc) is UNBOUNDED
+        assert empirical_cr(trace, spec, penalty, silent, disc) == math.inf
 
     def test_both_zero_is_one(self):
         assert profit_ratio(0.0, 0.0) == 1.0
+
+    def test_unbounded_is_inf_and_prints_as_unbounded(self):
+        assert profit_ratio(1.0, 0.0) == math.inf
+        assert ratio_json(math.inf) == "unbounded"
+        assert ratio_json(2.5) == 2.5

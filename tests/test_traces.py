@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from hourahead import PriceBounds, TraceParseError, ValidationError
+from hourahead import traces
 from hourahead.traces import (
-    SyntheticParams,
+    MAX_HORIZON,
     gen_synthetic,
     load_trace,
     realize_outputs,
+    synthesize,
     write_trace_csv,
 )
 
@@ -118,14 +120,23 @@ class TestSynthetic:
             trace = gen_synthetic(seed, 200, bounds, wind_capacity=10.0)
             assert all(0.0 <= u <= 10.0 for u in trace.outputs)
 
-    def test_params_change_shape(self, bounds):
-        calm = gen_synthetic(3, 100, bounds, params=SyntheticParams(price_sigma=0.01))
-        wild = gen_synthetic(3, 100, bounds, params=SyntheticParams(price_sigma=0.5))
+    def test_params_change_shape(self, bounds, monkeypatch):
+        monkeypatch.setattr(traces, "PRICE_SIGMA", 0.01)
+        calm = gen_synthetic(3, 100, bounds)
+        monkeypatch.setattr(traces, "PRICE_SIGMA", 0.5)
+        wild = gen_synthetic(3, 100, bounds)
         assert np.std(calm.prices) < np.std(wild.prices)
 
     def test_bad_horizon(self, bounds):
         with pytest.raises(ValidationError):
             gen_synthetic(1, 0, bounds)
+
+    def test_horizon_guard(self, bounds):
+        # refused before a single draw: the generator's stream is untouched
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError):
+            synthesize(rng, MAX_HORIZON + 1, bounds)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestRealizeOutputs:
