@@ -6,16 +6,46 @@ reports the maximum together with the ratio bucketed by the minimum
 storage level the strategy reached.  The step-function helpers evaluate
 the closed-form local ratio of a discretized threshold curve and the
 step lengths that equalize it.
+
+The grid is evaluated with array operations, bit for bit as one
+``simulate_run`` and one ``offline_opt_dp`` per instance would (numpy's
+float64 + - * / round as Python's floats do):
+
+* The strategy walks the tree of slot-choice prefixes in
+  ``itertools.product`` order.  A prefix's state is its storage level, its
+  running profit and its running minimum level, and the storage level takes
+  few distinct values per slot, so the strategy and ``market.play_slot`` run
+  once per (distinct level, slot choice) and numpy gathers the children.
+* The oracle is ``oracle.grid_dp`` on chunks of at most CHUNK_CELLS
+  (instance, level) cells, and the ratios, min-level buckets and the first
+  argmax are reduced per chunk, so no array spans the whole grid times the
+  storage levels.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BudgetExceededError, ValidationError
-from .market import OfferStrategy, PenaltyParams, PriceBounds, StorageSpec, Trace, simulate_run
-from .oracle import DiscretizationConfig, offline_opt_dp, profit_ratio
+from .market import (  # simulate_run stays for bench/tracer.py to replace by name
+    OfferStrategy,
+    PenaltyParams,
+    PriceBounds,
+    StorageSpec,
+    Trace,
+    play_slot,
+    simulate_run,
+)
+from .oracle import (  # offline_opt_dp stays for bench/tracer.py to replace by name
+    DiscretizationConfig,
+    _quantize,
+    check_dp_cells,
+    grid_dp,
+    offline_opt_dp,
+    profit_ratios,
+)
 from .policy import ThresholdPolicy
 
 
@@ -134,6 +164,8 @@ class AdversaryGrid:
             raise ValidationError("price levels must be positive")
         if any(u < 0.0 for u in self.supply_levels):
             raise ValidationError("supply levels must be non-negative")
+        if not all(map(math.isfinite, (*self.price_levels, *self.supply_levels))):
+            raise ValidationError("price and supply levels must be finite")
 
     @property
     def instance_count(self) -> int:
@@ -182,6 +214,46 @@ class WorstCaseReport:
         return self.max_ratio > self.theoretical_bound * (1.0 + slack)
 
 
+# cells (instances x storage levels) of one chunk of the grid DP
+CHUNK_CELLS = 2**12
+
+
+def _slot_table(strategy, spec, penalty, choices, t: int, level: np.ndarray):
+    """One ``play_slot`` per (distinct level, slot choice) of slot t.
+
+    Levels are grouped by their exact bits, so -0.0 and 0.0 stay apart.
+    Returns each level's group index and the net profit and next level per
+    (group, slot choice).
+    """
+    _bits, first, group = np.unique(level.view(np.int64), return_index=True, return_inverse=True)
+    step = np.array(
+        [
+            [play_slot(strategy, spec, penalty, t, p, u, z)[4:] for p, u in choices]
+            for z in level[first].tolist()
+        ],
+        dtype=float,
+    )
+    return group, step[..., 0], step[..., 1]
+
+
+def _prefix_states(strategy: OfferStrategy, spec: StorageSpec, choices: list, horizon: int):
+    """The strategy over every prefix of slot choices, in product order.
+
+    Returns the running profit and running minimum level of each of the
+    S**(T-1) prefixes of T-1 slots, and the last slot's ``_slot_table``.
+    """
+    penalty = PenaltyParams()
+    level = np.array([spec.initial_level], dtype=float)
+    total = np.zeros(1)
+    low = level
+    for t in range(horizon - 1):
+        group, profit, after = _slot_table(strategy, spec, penalty, choices, t, level)
+        total = np.repeat(total, len(choices)) + profit[group].ravel()
+        level = after[group].ravel()
+        low = np.minimum(np.repeat(low, len(choices)), level)
+    return (total, low, *_slot_table(strategy, spec, penalty, choices, horizon - 1, level))
+
+
 def adversarial_search(
     grid: AdversaryGrid,
     strategy: OfferStrategy,
@@ -190,40 +262,75 @@ def adversarial_search(
 ) -> WorstCaseReport:
     """Measure the profit ratio on every instance of the grid.
 
-    Returns the maximum ratio, the maximizing trace, and the per-bucket
-    maxima keyed by the minimum storage level the strategy reached (grid
-    units, rounded), with the oracle on the grid's storage quantization and
-    the default penalty.  Raises BudgetExceededError before enumerating a
-    grid larger than the configured budget.
+    Returns the maximum ratio, the first maximizing trace in
+    ``itertools.product`` order, and the per-bucket maxima keyed by the
+    minimum storage level the strategy reached (grid units, rounded), with
+    the oracle on the grid's storage quantization and the default penalty.
+    Raises BudgetExceededError before enumerating a grid larger than the
+    configured budget.  `strategy` must be a pure function of its arguments
+    (see ``market.OfferStrategy``): it is called once per distinct state.
     """
     disc = grid.disc
-    penalty = PenaltyParams()
     if grid.instance_count > grid.budget:
         raise BudgetExceededError(
             f"grid holds {grid.instance_count} instances, budget is {grid.budget}"
         )
+    check_dp_cells(grid.horizon, disc)
+    u_units, rc, rd, k0 = _quantize(grid.supply_levels, spec, disc)
+    eta, n, horizon = disc.eta, disc.levels, grid.horizon
 
-    slot_choices = list(itertools.product(grid.price_levels, grid.supply_levels))
+    # slot choices in itertools.product order of (price, supply)
+    choices = [(float(p), float(u)) for p in grid.price_levels for u in grid.supply_levels]
+    width = len(choices)
+    total, low, group, last_profit, last_level = _prefix_states(strategy, spec, choices, horizon)
+    # the oracle's columns per slot choice
+    choice_units = u_units * len(grid.price_levels)
+    price_col = np.array([p for p, _u in choices])
+    unit_col = np.array(choice_units, dtype=float)
+    cap_col = np.minimum(np.array(choice_units), rc)
+    strides = [width ** (horizon - 1 - t) for t in range(horizon)]
+
     best = -math.inf
-    argmax: Trace | None = None
+    argmax = 0
     buckets: dict[float, float] = {}
-    count = 0
-    for combo in itertools.product(slot_choices, repeat=grid.horizon):
-        trace = Trace(*zip(*combo))
-        opt = offline_opt_dp(trace, spec, disc).total_profit
-        run = simulate_run(trace, spec, penalty, strategy)
-        ratio = profit_ratio(opt, run.total_profit)
-        count += 1
-        bucket = round(run.min_level(spec.initial_level) / disc.eta) * disc.eta
+    rows = max(CHUNK_CELLS // (n + 1), 1)
+    count = grid.instance_count
+    for start in range(0, count, rows):
+        idx = np.arange(start, min(start + rows, count))
+        slots = [(idx // stride % width)[:, None] for stride in strides]
+        v, _bests = grid_dp(
+            [price_col[c] for c in slots],
+            [unit_col[c] for c in slots],
+            [cap_col[c] for c in slots],
+            rd,
+            n,
+            eta,
+        )
+        parent, last = np.divmod(idx, width)
+        g = group[parent]
+        lowest = np.minimum(low[parent], last_level[g, last])
+        ratio = profit_ratios(v[:, k0], total[parent] + last_profit[g, last])
+
+        # round(x) * eta as Python takes it: half to even, and never -0.0
+        # (so the sign of a zero minimum level does not matter)
+        keys = np.rint(lowest / eta) * eta + 0.0
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        peaks = np.full(len(uniq), -math.inf)
+        np.maximum.at(peaks, inverse, ratio)
         # strict: the first instance in enumeration order keeps a tie
-        if ratio > buckets.get(bucket, -math.inf):
-            buckets[bucket] = ratio
-        if ratio > best:
-            best = ratio
-            argmax = trace
+        for j in np.argsort(first).tolist():
+            key, peak = uniq[j].item(), peaks[j].item()
+            if peak > buckets.get(key, -math.inf):
+                buckets[key] = peak
+        top = int(ratio.argmax())
+        if ratio[top] > best:
+            best = ratio[top].item()
+            argmax = start + top
+
+    combo = [choices[argmax // stride % width] for stride in strides]
     return WorstCaseReport(
         max_ratio=best,
-        argmax_instance=argmax,
+        argmax_instance=Trace(*zip(*combo)),
         theoretical_bound=theoretical_bound,
         bucket_ratios=buckets,
         instances=count,

@@ -208,12 +208,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    values = _resolve(args)
+    # bounds count as explicit only when a flag or the config file sets
+    # them; otherwise a CSV trace's observed range sets them
+    values = _resolve(args, pmin=None, pmax=None)
+    explicit = values["pmin"] is not None or values["pmax"] is not None
+    for key in ("pmin", "pmax"):
+        if values[key] is None:
+            values[key] = DEFAULTS[key]
     bounds, spec, penalty, disc = _market(values)
     if args.price_csv or args.wind_csv:
         if not (args.price_csv and args.wind_csv):
             raise ValidationError("--price-csv and --wind-csv must be given together")
-        explicit = args.pmin is not None or args.pmax is not None or args.config
         trace, bounds = load_trace(
             args.price_csv,
             args.wind_csv,

@@ -178,6 +178,9 @@ class RunResult:
 # A strategy maps (slot index, clearing price, renewable output, storage level)
 # to an offer book (an ``OfferBook`` or a ``strategies.Ladder``).  Strategies
 # that must act before the price is revealed simply ignore the price argument.
+# A callback must be a pure function of those four arguments: the adversary
+# calls it once per distinct (slot, price, output, level) and reuses the book
+# for every instance that reaches that state.
 OfferStrategy = Callable[[int, float, float, float], OfferBook]
 
 
@@ -211,30 +214,47 @@ def evolve_storage(
     return next_level, charge, discharge
 
 
+def play_slot(
+    strategy: OfferStrategy,
+    spec: StorageSpec,
+    penalty: PenaltyParams,
+    t: int,
+    price: float,
+    u: float,
+    level: float,
+) -> tuple[float, float, float, float, float, float]:
+    """Play slot t from storage level `level`: obtain the offer book, settle
+    it against the clearing price, compute the over-commitment, cap
+    physically delivered energy at output plus dischargeable storage, and
+    evolve the storage on the delivered energy.
+
+    Returns (commitment, over-commitment, charge, discharge, net profit,
+    next level), one row of ``RunResult``'s columns.
+    """
+    book = strategy(t, price, u, level)
+    x = book.settle(price)
+    y = over_commitment(x, u, level, spec.discharge_rate)
+    delivered = min(x, u + min(level, spec.discharge_rate))
+    next_level, charge, discharge = evolve_storage(level, spec, u, delivered)
+    return x, y, charge, discharge, slot_profit(price, x, y, penalty), next_level
+
+
 def simulate_run(
     trace: Trace,
     spec: StorageSpec,
     penalty: PenaltyParams,
     strategy: OfferStrategy,
 ) -> RunResult:
-    """Drive a strategy over a trace and settle every slot.
-
-    Each slot: obtain the offer book, settle it against the clearing price,
-    compute the over-commitment, cap physically delivered energy at output
-    plus dischargeable storage, evolve the storage on the delivered energy,
-    and accumulate the net profit.  Pure: identical inputs give identical
+    """Drive a strategy over a trace, playing every slot with ``play_slot``
+    and accumulating the net profit.  Pure: identical inputs give identical
     results.
     """
     level = spec.initial_level
     rows = []
     total = 0.0
     for t, (price, u) in enumerate(zip(trace.prices, trace.outputs)):
-        book = strategy(t, price, u, level)
-        x = book.settle(price)
-        y = over_commitment(x, u, level, spec.discharge_rate)
-        delivered = min(x, u + min(level, spec.discharge_rate))
-        level, charge, discharge = evolve_storage(level, spec, u, delivered)
-        r = slot_profit(price, x, y, penalty)
-        total += r
-        rows.append((x, y, charge, discharge, r, level))
+        row = play_slot(strategy, spec, penalty, t, price, u, level)
+        total += row[4]
+        level = row[5]
+        rows.append(row)
     return RunResult(*zip(*rows), total)

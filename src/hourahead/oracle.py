@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -78,10 +79,10 @@ def _units(value: float, eta: float) -> int:
     return max(int(math.floor(value / eta + 1e-9)), 0)
 
 
-def _quantize(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig):
+def _quantize(outputs: Sequence[float], spec: StorageSpec, disc: DiscretizationConfig):
     disc.check_capacity(spec.capacity)
     eta = disc.eta
-    u_units = [_units(u, eta) for u in trace.outputs]
+    u_units = [_units(u, eta) for u in outputs]
     # a rate beyond the grid moves no further than the grid: clipping keeps
     # the oracle's window, and its work, O(levels) whatever rate / eta is
     rc = min(_units(spec.charge_rate, eta), disc.levels)
@@ -92,6 +93,56 @@ def _quantize(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig):
 
 # work guard of the grid DP: slots x (levels + 1)
 MAX_DP_CELLS = 10**7
+
+
+def check_dp_cells(horizon: int, disc: DiscretizationConfig) -> None:
+    """Raise InstanceTooLargeError beyond MAX_DP_CELLS slots x (levels + 1)."""
+    cells = horizon * (disc.levels + 1)
+    if cells > MAX_DP_CELLS:
+        raise InstanceTooLargeError(
+            f"{horizon} slots x {disc.levels + 1} storage levels = {cells} cells "
+            f"exceed the oracle guard {MAX_DP_CELLS}; use a larger eta"
+        )
+
+
+def grid_dp(prices, units, caps, rd: int, n: int, eta: float):
+    """Backward pass of the grid DP, for one instance or a batch.
+
+    Slot t's columns are the price ``prices[t]``, the output in grid units
+    as a float ``units[t]`` (exact below 2**53 units; no int64 overflow
+    above) and ``caps[t] = min(r_c, output units)``: Python scalars for one
+    instance, (N, 1) arrays for a batch of N.  Returns v_0 over the levels
+    0 ... n, shaped (n+1,) or (N, n+1), and the rightmost argmax m* of each
+    slot's window key, shaped (T,) or (N, T).
+
+    The arrays run over j = n - k, the levels counted from the top, so a
+    first argmax is the rightmost one in k.  Row i of a batch holds flat
+    indices i*(n+1) + j, so each clip and gather is one op over the batch.
+    """
+    width = n + 1
+    shape = np.shape(units[0])[:1] + (width,)
+    j = np.arange(math.prod(shape)).reshape(shape)  # flat index of level n - j
+    base = j[..., :1]
+    below_top = j - base  # n - k
+    highest = j + rd  # the lowest next level k - r_d
+    v = np.zeros(shape)
+    bests = []
+    for t in reversed(range(len(prices))):
+        p, uq = prices[t], units[t]
+        # window key: v_{t+1}(m) - p*eta*m plus the constant p*eta*(u + n),
+        # computed as the value of landing on m from the top level k = n.
+        # Rounded like the values below, it ranks near-ties as they do more
+        # often than the plain difference: over 300 synthetic 360 x 400 runs
+        # no total, against 2, came out one ulp off the per-action DP
+        key = p * ((uq + below_top) * eta) + v
+        # rightmost argmax of the concave key, clipped into each window:
+        # min(max(k - r_d, m*), k + min(r_c, u)) counted from the top
+        best = base + key.argmax(axis=-1, keepdims=True)
+        m = np.maximum(np.minimum(highest, best), j - caps[t])
+        v = p * ((uq + (m - j)) * eta) + v.ravel()[m]  # commits u + k - m units
+        bests.append(best)
+    bests.reverse()
+    return v[..., ::-1], n - (np.concatenate(bests, axis=-1) - base)
 
 
 def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) -> OptResult:
@@ -105,45 +156,19 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
     and n levels, whatever the rates are relative to eta; raises
     InstanceTooLargeError beyond MAX_DP_CELLS slots x (levels + 1).
     """
-    cells = trace.horizon * (disc.levels + 1)
-    if cells > MAX_DP_CELLS:
-        raise InstanceTooLargeError(
-            f"{trace.horizon} slots x {disc.levels + 1} storage levels = {cells} cells "
-            f"exceed the oracle guard {MAX_DP_CELLS}; use a larger eta"
-        )
-    u_units, rc, rd, k0 = _quantize(trace, spec, disc)
+    check_dp_cells(trace.horizon, disc)
+    u_units, rc, rd, k0 = _quantize(trace.outputs, spec, disc)
     eta, n = disc.eta, disc.levels
-    prices = trace.prices
-    horizon = trace.horizon
-
-    v = np.zeros(n + 1)
-    karr = np.arange(n + 1)
-    below_top = n - karr
-    lowest = karr - rd
-    bests: list[int] = []
-    for t in reversed(range(horizon)):
-        p = prices[t]
-        uq = float(u_units[t])  # exact below 2**53 units; no int64 overflow above
-        # window key: v_{t+1}(m) - p*eta*m plus the constant p*eta*(u + n),
-        # computed as the value of landing on m from the top level k = n.
-        # Rounded like the values below, it ranks near-ties as they do more
-        # often than the plain difference: over 300 synthetic 360 x 400 runs
-        # no total, against 2, came out one ulp off the per-action DP
-        key = p * ((uq + below_top) * eta) + v
-        # rightmost argmax of the concave key, clipped into each window
-        best = n - int(np.argmax(key[::-1]))
-        m = np.minimum(np.maximum(lowest, best), karr + min(rc, u_units[t]))
-        v = p * ((uq + (karr - m)) * eta) + v[m]
-        bests.append(best)
-    bests.reverse()
+    caps = [min(rc, u) for u in u_units]
+    v, bests = grid_dp(trace.prices, [float(u) for u in u_units], caps, rd, n, eta)
 
     total = float(v[k0])
     k = k0
     commitments = []
     levels = [k0 * eta]
-    for t, best in enumerate(bests):
+    for t, best in enumerate(bests.tolist()):
         # the same clip as m[k] in the backward pass, for this slot's k only
-        m = min(max(k - rd, best), k + min(rc, u_units[t]))
+        m = min(max(k - rd, best), k + caps[t])
         commitments.append((u_units[t] + k - m) * eta)
         k = m
         levels.append(k * eta)
@@ -158,3 +183,10 @@ def profit_ratio(opt_profit: float, strategy_profit: float) -> float:
     if opt_profit <= 1e-12:
         return 1.0
     return math.inf
+
+
+def profit_ratios(opt_profit: np.ndarray, strategy_profit: np.ndarray) -> np.ndarray:
+    """``profit_ratio`` elementwise over arrays, with the same branches."""
+    earns = strategy_profit > 1e-12
+    ratio = opt_profit / np.where(earns, strategy_profit, 1.0)
+    return np.where(earns, ratio, np.where(opt_profit <= 1e-12, 1.0, math.inf))

@@ -1,11 +1,14 @@
-"""Test-only references for the clairvoyant oracle: a brute-force
-enumerator over the DP's quantized world, and the profit ratio of one
-strategy on one instance."""
+"""Test-only references: a brute-force enumerator over the oracle DP's
+quantized world, the profit ratio of one strategy on one instance, and the
+worst-case search as one ``offline_opt_dp`` and one ``simulate_run`` per
+instance."""
 from __future__ import annotations
 
+import itertools
 import math
 
 from hourahead import (
+    BudgetExceededError,
     DiscretizationConfig,
     InstanceTooLargeError,
     PenaltyParams,
@@ -14,6 +17,7 @@ from hourahead import (
     offline_opt_dp,
     simulate_run,
 )
+from hourahead.adversary import AdversaryGrid, WorstCaseReport
 from hourahead.market import OfferStrategy
 from hourahead.oracle import OptResult, _quantize, profit_ratio
 
@@ -37,7 +41,7 @@ def offline_opt_exhaustive(
 
     Only for tiny instances; raises InstanceTooLargeError beyond the guards.
     """
-    u_units, rc, rd, k0 = _quantize(trace, spec, disc)
+    u_units, rc, rd, k0 = _quantize(trace.outputs, spec, disc)
     eta, n = disc.eta, disc.levels
     prices = trace.prices
     horizon = trace.horizon
@@ -97,3 +101,45 @@ def empirical_cr(
     opt = offline_opt_dp(trace, spec, disc).total_profit
     run = simulate_run(trace, spec, penalty, strategy)
     return profit_ratio(opt, run.total_profit)
+
+
+def adversarial_search_reference(
+    grid: AdversaryGrid,
+    strategy: OfferStrategy,
+    spec: StorageSpec,
+    theoretical_bound: float | None = None,
+) -> WorstCaseReport:
+    """``adversary.adversarial_search`` instance by instance: one Trace, one
+    oracle DP and one simulation per grid instance, in product order."""
+    disc = grid.disc
+    penalty = PenaltyParams()
+    if grid.instance_count > grid.budget:
+        raise BudgetExceededError(
+            f"grid holds {grid.instance_count} instances, budget is {grid.budget}"
+        )
+
+    slot_choices = list(itertools.product(grid.price_levels, grid.supply_levels))
+    best = -math.inf
+    argmax: Trace | None = None
+    buckets: dict[float, float] = {}
+    count = 0
+    for combo in itertools.product(slot_choices, repeat=grid.horizon):
+        trace = Trace(*zip(*combo))
+        opt = offline_opt_dp(trace, spec, disc).total_profit
+        run = simulate_run(trace, spec, penalty, strategy)
+        ratio = profit_ratio(opt, run.total_profit)
+        count += 1
+        bucket = round(run.min_level(spec.initial_level) / disc.eta) * disc.eta
+        # strict: the first instance in enumeration order keeps a tie
+        if ratio > buckets.get(bucket, -math.inf):
+            buckets[bucket] = ratio
+        if ratio > best:
+            best = ratio
+            argmax = trace
+    return WorstCaseReport(
+        max_ratio=best,
+        argmax_instance=argmax,
+        theoretical_bound=theoretical_bound,
+        bucket_ratios=buckets,
+        instances=count,
+    )

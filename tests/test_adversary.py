@@ -1,6 +1,9 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hourahead import (
     BudgetExceededError,
@@ -15,15 +18,17 @@ from hourahead import (
     theoretical_cr,
 )
 from hourahead.adversary import (
+    CHUNK_CELLS,
     AdversaryGrid,
     StepFunction,
     adversarial_search,
     local_cr_closed_form,
     step_lengths_from_equalization,
 )
+from hourahead.experiment import STRATEGIES
 from hourahead.strategies import fixed_threshold_strategy, socs_strategy
 
-from oracle_reference import empirical_cr
+from oracle_reference import adversarial_search_reference, empirical_cr
 
 
 class TestStepFunction:
@@ -197,6 +202,15 @@ class TestAdversarialSearch:
 
 
 class TestGridValidation:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["price_levels", "supply_levels"])
+    def test_non_finite_levels_rejected(self, field, bad):
+        disc = DiscretizationConfig.for_capacity(4.0, 4)
+        levels = {"price_levels": (10.0, 40.0), "supply_levels": (0.0, 1.0)}
+        levels[field] = (*levels[field], bad)
+        with pytest.raises(ValidationError):
+            AdversaryGrid(2, levels["price_levels"], levels["supply_levels"], disc)
+
     def test_horizon_limits(self):
         disc = DiscretizationConfig.for_capacity(4.0, 4)
         with pytest.raises(ValidationError):
@@ -210,3 +224,101 @@ class TestGridValidation:
         assert grid.price_levels[-1] == pytest.approx(80.0)
         ratios = [b / a for a, b in zip(grid.price_levels, grid.price_levels[1:])]
         assert ratios == pytest.approx([2.0, 2.0, 2.0])
+
+
+def adversary_strategy(name, bounds, spec):
+    """The CLI's adversary strategies: the registry's socs, ocsmb and fonline,
+    the always-sell floor policy and a fixed threshold above p_min."""
+    if name in STRATEGIES:
+        cfg = StrategyConfig(ThresholdPolicy.build(bounds, spec.capacity), spec)
+        return STRATEGIES[name](cfg, ())
+    if name == "gmin":
+        return fixed_threshold_strategy(bounds.p_min, spec)
+    return fixed_threshold_strategy(math.sqrt(bounds.p_min * bounds.p_max), spec)
+
+
+ADVERSARY_NAMES = ("socs", "ocsmb", "fonline", "gmin", "const")
+
+
+def assert_same_report(new, ref):
+    # repr tells -0.0 from 0.0 and keeps the buckets' insertion order
+    assert new.max_ratio == ref.max_ratio
+    assert new.argmax_instance == ref.argmax_instance
+    assert repr(new.bucket_ratios) == repr(ref.bucket_ratios)
+    assert new.instances == ref.instances
+
+
+class TestBatchedSearchIsExact:
+    """The batched search reports exactly what one oracle DP and one
+    simulate_run per instance report."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(ADVERSARY_NAMES),
+        horizon=st.integers(1, 3),
+        price_count=st.integers(1, 4),
+        theta=st.sampled_from([1.0, 1.5, 4.0, 13.44]),
+        levels=st.integers(1, 6),
+        supplies=st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.7, 1.5, 4.0]), min_size=1, max_size=3),
+        rates=st.tuples(*[st.sampled_from([0.0, 0.3, 1.0, 2.5, 4.0, 9.0])] * 2),
+        initial=st.sampled_from([None, 0.0, -0.0, 1.3, 2.0]),
+    )
+    def test_matches_per_instance_search(
+        self, name, horizon, price_count, theta, levels, supplies, rates, initial
+    ):
+        bounds = PriceBounds(10.0, 10.0 * theta)
+        capacity = 4.0
+        spec = StorageSpec(capacity, *rates, initial)
+        grid = AdversaryGrid.geometric(
+            bounds, capacity, horizon=horizon, price_count=price_count, levels=levels
+        )
+        # supplies in units of the storage quantum, on and off the grid
+        grid = replace(grid, supply_levels=tuple(u * grid.disc.eta for u in supplies))
+        strategy = adversary_strategy(name, bounds, spec)
+        assert_same_report(
+            adversarial_search(grid, strategy, spec),
+            adversarial_search_reference(grid, strategy, spec),
+        )
+
+    def test_several_chunks_with_unbounded_bucket(self):
+        bounds = PriceBounds(10.0, 40.0)
+        spec = full_storage_spec(4.0)
+        grid = AdversaryGrid.geometric(
+            bounds, spec.capacity, horizon=3, price_count=6, supply_count=3, levels=6
+        )
+        assert grid.instance_count > 5 * (CHUNK_CELLS // (grid.disc.levels + 1))
+        strategy = adversary_strategy("const", bounds, spec)
+        report = adversarial_search(grid, strategy, spec)
+        assert_same_report(report, adversarial_search_reference(grid, strategy, spec))
+        assert math.inf in report.bucket_ratios.values()
+        assert any(r < math.inf for r in report.bucket_ratios.values())
+
+    def test_horizon_five_peaks_at_a_few_megabytes(self):
+        # chunked: no array spans the 248832 instances times the levels
+        bounds = PriceBounds(10.0, 40.0)
+        spec = full_storage_spec(4.0)
+        grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=5, levels=4)
+        strategy = adversary_strategy("socs", bounds, spec)
+        tracemalloc.start()
+        try:
+            report = adversarial_search(grid, strategy, spec)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.instances == 248832
+        assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("theta", [3.63, 5.32, 13.44, 50.0])
+def test_socs_certified_at_horizon_five(theta):
+    # the cr-table defaults on the 248832-instance geometric grid
+    bounds = PriceBounds(10.0, 10.0 * theta)
+    spec = full_storage_spec(4.0)
+    grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=5, levels=4)
+    report = adversarial_search(
+        grid, adversary_strategy("socs", bounds, spec), spec, theoretical_cr(theta)
+    )
+    assert report.instances == 248832
+    assert report.max_ratio <= theoretical_cr(theta) * 1.05
+    assert not report.exceeds_bound()
+    assert max(report.bucket_ratios.values()) == report.max_ratio

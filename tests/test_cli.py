@@ -70,6 +70,24 @@ class TestGenTraceAndSimulate:
         assert data["strategy"] == strategy
         assert data["horizon"] == 6
 
+    def test_config_without_bounds_keeps_derived_bounds(self, tmp_path, capsys):
+        # prices in [50, 90] lie outside the default [10, 40]: a config file
+        # that sets no price bound must not impose the default bounds
+        prefix = str(tmp_path / "t")
+        argv = ["gen-trace", "--horizon", "24", "--pmin", "50", "--pmax", "90"]
+        assert main(argv + ["--out-prefix", prefix]) == 0
+        cfg = tmp_path / "s.ini"
+        cfg.write_text("[storage]\ncapacity = 20\n")
+        capsys.readouterr()
+        argv = ["simulate", "--price-csv", f"{prefix}-price.csv", "--wind-csv", f"{prefix}-wind.csv"]
+        assert main(argv) == 0
+        derived = capsys.readouterr().out
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == derived
+        cfg.write_text("[market]\npmin = 10\npmax = 40\n")
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert "outside bounds" in capsys.readouterr().err
+
     def test_missing_csv_is_io_error(self, tmp_path, capsys):
         code = main(
             ["simulate", "--price-csv", str(tmp_path / "x.csv"), "--wind-csv", str(tmp_path / "y.csv")]
@@ -196,6 +214,25 @@ class TestCompare:
 
 
 class TestAdversary:
+    @pytest.mark.parametrize(
+        "strategy, digest",
+        [
+            ("socs", "12cc694ca18ee7a099a87d4ed8137c0e080a2d1599328b70bf92381d2bde1392"),
+            ("ocsmb", "7a0bb20df7ae927a16976ebd4dfea9674102a0f89ce51eb1955ab48a747f7428"),
+            ("fonline", "f59407afd4f8581beabf7af1e7eb2f03a178654948bd577c7b9a30a07eca0819"),
+            ("const", "f59407afd4f8581beabf7af1e7eb2f03a178654948bd577c7b9a30a07eca0819"),
+            ("gmin", "62be879dff8045cc1bd82bfaa88a482af197d04ea8a9b4c4f167e4b168f7cd3f"),
+        ],
+    )
+    def test_reference_digests(self, strategy, digest, capsys):
+        # the theta=4, horizon-4 grid of criterion 5 (socs: bench/README.md)
+        argv = [
+            "adversary", "--strategy", strategy, "--pmin", "10", "--pmax", "40",
+            "--capacity", "4", "--horizon", "4", "--levels", "4",
+        ]  # fmt: skip
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_small_grid(self, capsys):
         code = main(
             [

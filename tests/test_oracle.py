@@ -15,7 +15,7 @@ from hourahead import (
     simulate_run,
 )
 from hourahead.market import EMPTY_BOOK, OfferBook
-from hourahead.oracle import profit_ratio, ratio_json
+from hourahead.oracle import profit_ratio, profit_ratios, ratio_json
 from hourahead.policy import ThresholdPolicy
 from hourahead.strategies import StrategyConfig, socs_strategy
 
@@ -316,6 +316,12 @@ class TestEmpiricalRatio:
 
     def test_both_zero_is_one(self):
         assert profit_ratio(0.0, 0.0) == 1.0
+
+    def test_array_ratios_take_the_scalar_branches(self):
+        edges = [0.0, -0.0, 1e-13, 1e-12, math.nextafter(1e-12, 1.0), 0.5, 3.0]
+        pairs = [(o, s) for o in edges for s in edges]
+        opt, strat = (np.array(col) for col in zip(*pairs))
+        assert profit_ratios(opt, strat).tolist() == [profit_ratio(o, s) for o, s in pairs]
 
     def test_unbounded_is_inf_and_prints_as_unbounded(self):
         assert profit_ratio(1.0, 0.0) == math.inf
