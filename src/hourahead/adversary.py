@@ -287,7 +287,8 @@ def adversarial_search(
     choice_units = u_units * len(grid.price_levels)
     price_col = np.array([p for p, _u in choices])
     unit_col = np.array(choice_units, dtype=float)
-    cap_col = np.minimum(np.array(choice_units), rc)
+    # clipped as Python ints, so a huge supply cannot make the array uint64 or object
+    cap_col = np.array([min(rc, u) for u in choice_units])
     strides = [width ** (horizon - 1 - t) for t in range(horizon)]
 
     best = -math.inf

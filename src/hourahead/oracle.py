@@ -175,18 +175,15 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
     return OptResult(total, tuple(commitments), tuple(levels))
 
 
-def profit_ratio(opt_profit: float, strategy_profit: float) -> float:
-    """Optimum over strategy profit: 1.0 when both earn nothing, and
-    math.inf when only the strategy does."""
-    if strategy_profit > 1e-12:
-        return opt_profit / strategy_profit
-    if opt_profit <= 1e-12:
-        return 1.0
-    return math.inf
-
-
 def profit_ratios(opt_profit: np.ndarray, strategy_profit: np.ndarray) -> np.ndarray:
-    """``profit_ratio`` elementwise over arrays, with the same branches."""
+    """Optimum over strategy profit, elementwise: 1.0 where both earn
+    nothing, and math.inf where only the strategy does."""
     earns = strategy_profit > 1e-12
-    ratio = opt_profit / np.where(earns, strategy_profit, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # quiet, as Python floats are
+        ratio = opt_profit / np.where(earns, strategy_profit, 1.0)
     return np.where(earns, ratio, np.where(opt_profit <= 1e-12, 1.0, math.inf))
+
+
+def profit_ratio(opt_profit: float, strategy_profit: float) -> float:
+    """``profit_ratios`` for one run."""
+    return float(profit_ratios(np.float64(opt_profit), np.float64(strategy_profit)))

@@ -293,6 +293,19 @@ class TestBatchedSearchIsExact:
         assert math.inf in report.bucket_ratios.values()
         assert any(r < math.inf for r in report.bucket_ratios.values())
 
+    @pytest.mark.parametrize("name", ADVERSARY_NAMES)
+    def test_supply_beyond_int64_units(self, name):
+        # 1e30 grid units: the oracle's capacity column must stay int64
+        bounds = PriceBounds(10.0, 40.0)
+        spec = full_storage_spec(4.0)
+        grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=2, levels=4)
+        grid = replace(grid, supply_levels=tuple(u * grid.disc.eta for u in (0.0, 1.0, 1e30)))
+        strategy = adversary_strategy(name, bounds, spec)
+        assert_same_report(
+            adversarial_search(grid, strategy, spec),
+            adversarial_search_reference(grid, strategy, spec),
+        )
+
     def test_horizon_five_peaks_at_a_few_megabytes(self):
         # chunked: no array spans the 248832 instances times the levels
         bounds = PriceBounds(10.0, 40.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hourahead import (
     simulate_run,
 )
 from hourahead.market import EMPTY_BOOK, OfferBook
-from hourahead.oracle import profit_ratio, profit_ratios, ratio_json
+from hourahead.oracle import profit_ratio, ratio_json
 from hourahead.policy import ThresholdPolicy
 from hourahead.strategies import StrategyConfig, socs_strategy
 
@@ -317,11 +318,18 @@ class TestEmpiricalRatio:
     def test_both_zero_is_one(self):
         assert profit_ratio(0.0, 0.0) == 1.0
 
-    def test_array_ratios_take_the_scalar_branches(self):
-        edges = [0.0, -0.0, 1e-13, 1e-12, math.nextafter(1e-12, 1.0), 0.5, 3.0]
-        pairs = [(o, s) for o in edges for s in edges]
-        opt, strat = (np.array(col) for col in zip(*pairs))
-        assert profit_ratios(opt, strat).tolist() == [profit_ratio(o, s) for o, s in pairs]
+    def test_branches_at_the_earning_threshold(self):
+        earning = math.nextafter(1e-12, 1.0)
+        assert profit_ratio(3.0, earning) == 3.0 / earning
+        assert profit_ratio(3.0, 1e-12) == math.inf
+        assert profit_ratio(1e-12, -0.0) == 1.0
+        assert profit_ratio(earning, 0.0) == math.inf
+        assert type(profit_ratio(3.0, 2.0)) is float
+
+    def test_overflowing_ratio_is_a_quiet_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert profit_ratio(1e308, 1e-11) == math.inf
 
     def test_unbounded_is_inf_and_prints_as_unbounded(self):
         assert profit_ratio(1.0, 0.0) == math.inf
