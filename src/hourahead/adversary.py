@@ -145,6 +145,23 @@ def step_lengths_from_equalization(
     )
 
 
+# cells (instances x storage levels) of one chunk of the grid DP
+CHUNK_CELLS = 2**12
+# default budget of a grid: the most instances it may hold
+MAX_INSTANCES = 10**7
+
+
+def _check_size(horizon: int, price_count: int, supply_count: int, budget: int) -> None:
+    """Refuse a grid shape before it is built, the horizon first: it bounds the count's cost."""
+    if not 1 <= horizon <= 6:
+        raise ValidationError(f"grid horizon must be in [1, 6], got {horizon}")
+    if price_count < 1 or supply_count < 1:
+        raise ValidationError("grid needs at least one price and one supply level")
+    count = (price_count * supply_count) ** horizon
+    if count > budget:
+        raise BudgetExceededError(f"grid holds {count} instances, budget is {budget}")
+
+
 @dataclass(frozen=True)
 class AdversaryGrid:
     """Finite instance space: every combination of the per-slot levels."""
@@ -153,13 +170,10 @@ class AdversaryGrid:
     price_levels: tuple[float, ...]
     supply_levels: tuple[float, ...]
     disc: DiscretizationConfig
-    budget: int = 10_000_000
+    budget: int = MAX_INSTANCES
 
     def __post_init__(self):
-        if not 1 <= self.horizon <= 6:
-            raise ValidationError(f"grid horizon must be in [1, 6], got {self.horizon}")
-        if not self.price_levels or not self.supply_levels:
-            raise ValidationError("grid needs at least one price and one supply level")
+        _check_size(self.horizon, len(self.price_levels), len(self.supply_levels), self.budget)
         if any(p <= 0.0 for p in self.price_levels):
             raise ValidationError("price levels must be positive")
         if any(u < 0.0 for u in self.supply_levels):
@@ -180,20 +194,21 @@ class AdversaryGrid:
         price_count: int = 4,
         supply_count: int = 3,
         levels: int = 4,
-        budget: int = 10_000_000,
+        budget: int = MAX_INSTANCES,
     ) -> "AdversaryGrid":
         """Geometric price ladder p_min * theta^(k/(K-1)) and supply levels on
         the storage grid.  Worst cases concentrate at threshold crossings,
         which geometric spacing tracks.
         """
         theta = bounds.theta
+        disc = DiscretizationConfig.for_capacity(capacity, levels)
+        _check_size(horizon, 1 if theta == 1.0 else price_count, supply_count, budget)
         if price_count == 1 or theta == 1.0:
             prices = (bounds.p_min,)
         else:
             prices = tuple(
                 bounds.p_min * theta ** (k / (price_count - 1)) for k in range(price_count)
             )
-        disc = DiscretizationConfig.for_capacity(capacity, levels)
         supplies = tuple(i * disc.eta for i in range(supply_count))
         return cls(horizon, prices, supplies, disc, budget)
 
@@ -212,10 +227,6 @@ class WorstCaseReport:
         if self.theoretical_bound is None:
             return False
         return self.max_ratio > self.theoretical_bound * (1.0 + slack)
-
-
-# cells (instances x storage levels) of one chunk of the grid DP
-CHUNK_CELLS = 2**12
 
 
 def _slot_table(strategy, spec, penalty, choices, t: int, level: np.ndarray):
@@ -266,15 +277,10 @@ def adversarial_search(
     ``itertools.product`` order, and the per-bucket maxima keyed by the
     minimum storage level the strategy reached (grid units, rounded), with
     the oracle on the grid's storage quantization and the default penalty.
-    Raises BudgetExceededError before enumerating a grid larger than the
-    configured budget.  `strategy` must be a pure function of its arguments
-    (see ``market.OfferStrategy``): it is called once per distinct state.
+    `strategy` must be a pure function of its arguments (see
+    ``market.OfferStrategy``): it is called once per distinct state.
     """
     disc = grid.disc
-    if grid.instance_count > grid.budget:
-        raise BudgetExceededError(
-            f"grid holds {grid.instance_count} instances, budget is {grid.budget}"
-        )
     check_dp_cells(grid.horizon, disc)
     u_units, rc, rd, k0 = _quantize(grid.supply_levels, spec, disc)
     eta, n, horizon = disc.eta, disc.levels, grid.horizon

@@ -10,19 +10,20 @@ Exit codes: 0 success, 1 validation error, 2 I/O error, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import json
 import math
 import sys
+from collections import namedtuple
 from pathlib import Path
 
-from .adversary import AdversaryGrid, WorstCaseReport, adversarial_search
+from .adversary import MAX_INSTANCES, AdversaryGrid, WorstCaseReport, adversarial_search
 from .errors import BudgetExceededError, TraceParseError, ValidationError
 from .experiment import (
     STRATEGIES,
     ExperimentConfig,
     emit_report,
-    load_config_file,
     run_experiment,
     run_offer_sweep,
 )
@@ -44,46 +45,63 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_BUDGET = 3
 
-# the library's defaults, so that a flag left out means what it means there
-_DEFAULT = ExperimentConfig()
-DEFAULTS = {
-    "pmin": _DEFAULT.bounds.p_min,
-    "pmax": _DEFAULT.bounds.p_max,
-    "capacity": _DEFAULT.spec.capacity,
-    "charge_rate": _DEFAULT.spec.charge_rate,
-    "discharge_rate": _DEFAULT.spec.discharge_rate,
-    "initial_level": None,  # None: full, whatever the capacity
-    "alpha1": _DEFAULT.penalty.alpha1,
-    "alpha2": _DEFAULT.penalty.alpha2,
-    "runs": _DEFAULT.runs,
-    "horizon": _DEFAULT.horizon,
-    "seed": _DEFAULT.seed,
-    "offers": _DEFAULT.offers,
-    "emax": _DEFAULT.e_max,
-    "eta": None,  # None: capacity / disc_levels
-    "wind_capacity": _DEFAULT.wind_capacity,
-}
 # mocsmb needs a predicted output per slot, which an adversary instance does not have
 ADVERSARY_STRATEGIES = [name for name in STRATEGIES if name != "mocsmb"] + ["gmin", "const"]
 
 
-# flags that several subcommands share; each subcommand takes only those it reads
-COMMON_FLAGS = {
-    "config": {"help": "INI config file; flags override its values"},
-    "seed": {"type": int, "help": "base RNG seed"},
-    "capacity": {"type": float, "help": "storage capacity in MWh"},
-    "charge-rate": {"type": float, "help": "max charge per slot in MWh"},
-    "discharge-rate": {"type": float, "help": "max discharge per slot in MWh"},
-    "pmin": {"type": float, "help": "minimum clearing price"},
-    "pmax": {"type": float, "help": "maximum clearing price"},
-    "eta": {"type": float, "help": f"storage quantum in MWh (default C/{_DEFAULT.disc_levels})"},
-    "out": {"help": "output path (JSON report)"},
+# every setting of the config file and the flags: name -> (INI section, type,
+# default, help); the flag is --name with "-" for "_", and the default is the
+# library's, so that a setting left out means what it means there
+_DEFAULT = ExperimentConfig()
+Setting = namedtuple("Setting", "section type default help")
+SETTINGS = {
+    "pmin": Setting("market", float, _DEFAULT.bounds.p_min, "minimum clearing price"),
+    "pmax": Setting("market", float, _DEFAULT.bounds.p_max, "maximum clearing price"),
+    "capacity": Setting("storage", float, _DEFAULT.spec.capacity, "storage capacity in MWh"),
+    "charge_rate": Setting("storage", float, _DEFAULT.spec.charge_rate, "max MWh in/slot"),
+    "discharge_rate": Setting("storage", float, _DEFAULT.spec.discharge_rate, "max MWh out/slot"),
+    "initial_level": Setting("storage", float, None, "initial level in MWh (default full)"),
+    "alpha1": Setting("penalty", float, _DEFAULT.penalty.alpha1, "undelivered MWh penalty x price"),
+    "alpha2": Setting("penalty", float, _DEFAULT.penalty.alpha2, "undelivered MWh penalty, added"),
+    "runs": Setting("experiment", int, _DEFAULT.runs, "number of seeded runs"),
+    "horizon": Setting("experiment", int, _DEFAULT.horizon, "slots of a synthetic trace"),
+    "seed": Setting("experiment", int, _DEFAULT.seed, "base RNG seed"),
+    "offers": Setting("experiment", int, _DEFAULT.offers, "offers per slot of the ladders"),
+    "emax": Setting("experiment", float, _DEFAULT.e_max, "forecast error bound"),
+    "eta": Setting("experiment", float, None, f"MWh per level (default C/{_DEFAULT.disc_levels})"),
+    "wind_capacity": Setting("experiment", float, _DEFAULT.wind_capacity, "wind capacity in MW"),
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+def load_config_file(path: str | Path) -> dict:
+    """Read the INI config file into setting values; an unknown section or
+    key (so also [DEFAULT]) or a value of the wrong type is an error."""
+    parser = configparser.ConfigParser(default_section="")
+    if not parser.read(path):
+        raise OSError(f"config file not found: {path}")
+    values = {}
+    for section in parser.sections():
+        if section not in {setting.section for setting in SETTINGS.values()}:
+            raise ValidationError(f"config {path}: unknown section [{section}]")
+        for key, text in parser.items(section):
+            setting = SETTINGS.get(key)
+            if setting is None or setting.section != section:
+                raise ValidationError(f"config {path}: unknown key [{section}] {key}")
+            try:
+                values[key] = setting.type(text)
+            except ValueError:
+                raise ValidationError(
+                    f"config {path}: [{section}] {key} is not a valid {setting.type.__name__}"
+                ) from None
+    return values
+
+
+def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
+    """--config and the flags of the named settings, each None unless given"""
+    parser.add_argument("--config", help="INI config file; flags override its values")
     for name in names:
-        parser.add_argument(f"--{name}", **COMMON_FLAGS[name])
+        setting = SETTINGS[name]
+        parser.add_argument("--" + name.replace("_", "-"), type=setting.type, help=setting.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,23 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    shared = ("seed", "capacity", "charge_rate", "discharge_rate", "pmin", "pmax", "eta")
     sim = sub.add_parser("simulate", help="run one strategy over one trace")
-    _add_common(sim, *COMMON_FLAGS)
+    _add_settings(sim, *shared, "horizon", "offers", "emax")
+    sim.add_argument("--out", help="output path (JSON report)")
     sim.add_argument("--strategy", default="socs", choices=list(STRATEGIES))
     sim.add_argument("--price-csv", help="price CSV (with --wind-csv); otherwise synthetic")
     sim.add_argument("--wind-csv", help="wind CSV")
-    sim.add_argument("--horizon", type=int, help="synthetic horizon when no CSVs given")
-    sim.add_argument("--offers", type=int, help="offers per slot for the laddered strategies")
-    sim.add_argument("--emax", type=float, help="forecast error bound")
     sim.add_argument("--clip-prices", action="store_true", help="clip out-of-bounds prices")
     sim.add_argument("--slots", action="store_true", help="include per-slot outcomes in output")
 
     cmp_ = sub.add_parser("compare", help="multi-run strategy comparison")
-    _add_common(cmp_, *COMMON_FLAGS)
-    cmp_.add_argument("--runs", type=int, help="number of seeded runs")
-    cmp_.add_argument("--horizon", type=int, help="slots per run")
-    cmp_.add_argument("--offers", type=int)
-    cmp_.add_argument("--emax", type=float)
+    _add_settings(cmp_, *shared, "runs", "horizon", "offers", "emax")
+    cmp_.add_argument("--out", help="output path (JSON report)")
     cmp_.add_argument("--csv", help="per-run CSV table path")
     cmp_.add_argument("--parallel", action="store_true", help="run with a process pool")
     cmp_.add_argument(
@@ -118,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     adv = sub.add_parser("adversary", help="exhaustive worst-case grid search")
-    _add_common(adv, "config", "capacity", "charge-rate", "discharge-rate", "pmin", "pmax", "out")
+    _add_settings(adv, "capacity", "charge_rate", "discharge_rate", "pmin", "pmax", "offers")
+    adv.add_argument("--out", help="output path (JSON report)")
     adv.add_argument(
         "--strategy",
         default="socs",
@@ -129,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--price-count", type=int, default=4, help="geometric price levels")
     adv.add_argument("--supply-count", type=int, default=3, help="supply levels")
     adv.add_argument("--levels", type=int, default=4, help="storage levels (C_d)")
-    adv.add_argument("--budget", type=int, default=10_000_000, help="max instances")
-    adv.add_argument("--offers", type=int)
+    adv.add_argument("--budget", type=int, default=MAX_INSTANCES, help="max instances")
     adv.add_argument("--threshold", type=float, help="threshold for the const strategy")
 
     crt = sub.add_parser("cr-table", help="worst-case guarantee for a list of theta")
@@ -142,24 +156,17 @@ def build_parser() -> argparse.ArgumentParser:
     crt.add_argument("--out", help="write the table to a CSV file as well")
 
     gen = sub.add_parser("gen-trace", help="write a synthetic trace as CSV files")
-    _add_common(gen, "config", "seed", "pmin", "pmax")
-    gen.add_argument("--horizon", type=int)
-    gen.add_argument("--wind-capacity", type=float)
+    _add_settings(gen, "seed", "pmin", "pmax", "horizon", "wind_capacity")
     gen.add_argument("--out-prefix", default="trace", help="writes <prefix>-price.csv/-wind.csv")
 
     return parser
 
 
-def _resolve(args: argparse.Namespace, **defaults) -> dict:
-    """defaults (DEFAULTS, then `defaults`) < config file < explicit flags"""
-    values = {**DEFAULTS, **defaults}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-    for key in values:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return values
+def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
+    """Every setting's value (default < config file < flag) and those the file or a flag sets"""
+    given = load_config_file(args.config) if args.config else {}
+    given |= {key: flag for key, flag in vars(args).items() if key in SETTINGS and flag is not None}
+    return {name: setting.default for name, setting in SETTINGS.items()} | given, given
 
 
 def _market(values: dict) -> tuple[PriceBounds, StorageSpec, PenaltyParams, DiscretizationConfig]:
@@ -208,13 +215,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    # bounds count as explicit only when a flag or the config file sets
-    # them; otherwise a CSV trace's observed range sets them
-    values = _resolve(args, pmin=None, pmax=None)
-    explicit = values["pmin"] is not None or values["pmax"] is not None
-    for key in ("pmin", "pmax"):
-        if values[key] is None:
-            values[key] = DEFAULTS[key]
+    values, given = _resolve(args)
     bounds, spec, penalty, disc = _market(values)
     if args.price_csv or args.wind_csv:
         if not (args.price_csv and args.wind_csv):
@@ -222,7 +223,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trace, bounds = load_trace(
             args.price_csv,
             args.wind_csv,
-            bounds=bounds if explicit else None,
+            # bounds count only when a flag or the config file sets them;
+            # otherwise the trace's observed range sets them
+            bounds=bounds if {"pmin", "pmax"} & given.keys() else None,
             clip=args.clip_prices,
         )
     else:
@@ -259,7 +262,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    values = _resolve(args)
+    values, _given = _resolve(args)
     bounds, spec, penalty, disc = _market(values)
     cfg = ExperimentConfig(
         runs=values["runs"],
@@ -311,13 +314,13 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     # rate limits off unless a flag or the config file sets them: the
     # worst-case guarantees are stated for rate-unconstrained storage, so
     # the grid certifies that regime by default
-    values = _resolve(args, charge_rate=None, discharge_rate=None)
+    values, given = _resolve(args)
     bounds = PriceBounds(values["pmin"], values["pmax"])
     capacity = values["capacity"]
     spec = StorageSpec(
         capacity,
-        capacity if values["charge_rate"] is None else values["charge_rate"],
-        capacity if values["discharge_rate"] is None else values["discharge_rate"],
+        given.get("charge_rate", capacity),
+        given.get("discharge_rate", capacity),
         values["initial_level"],
     )
     grid = AdversaryGrid.geometric(
@@ -361,7 +364,7 @@ def _cmd_cr_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_trace(args: argparse.Namespace) -> int:
-    values = _resolve(args)
+    values, _given = _resolve(args)
     bounds = PriceBounds(values["pmin"], values["pmax"])
     trace = gen_synthetic(
         values["seed"], values["horizon"], bounds, values["wind_capacity"]

@@ -7,7 +7,6 @@ serial and parallel execution produce identical reports.
 """
 from __future__ import annotations
 
-import configparser
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -224,41 +223,3 @@ def emit_report(
                 writer.writerow(
                     [rec.run, rec.strategy, repr(rec.profit), ratio_json(rec.empirical_cr)]
                 )
-
-
-def load_config_file(path: str | Path) -> dict[str, Any]:
-    """Read the flat key-value experiment config (INI sections)."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise OSError(f"config file not found: {path}")
-    values: dict[str, Any] = {}
-    spec_keys = {
-        ("market", "pmin"): float,
-        ("market", "pmax"): float,
-        ("storage", "capacity"): float,
-        ("storage", "charge_rate"): float,
-        ("storage", "discharge_rate"): float,
-        ("storage", "initial_level"): float,
-        ("penalty", "alpha1"): float,
-        ("penalty", "alpha2"): float,
-        ("experiment", "runs"): int,
-        ("experiment", "horizon"): int,
-        ("experiment", "seed"): int,
-        ("experiment", "offers"): int,
-        ("experiment", "emax"): float,
-        ("experiment", "eta"): float,
-        ("experiment", "wind_capacity"): float,
-    }
-    for (section, key), cast in spec_keys.items():
-        if parser.has_option(section, key):
-            try:
-                values[key] = cast(parser.get(section, key))
-            except ValueError:
-                raise ValidationError(
-                    f"config {path}: [{section}] {key} is not a valid {cast.__name__}"
-                ) from None
-    for section in parser.sections():
-        if section not in {"market", "storage", "penalty", "experiment"}:
-            raise ValidationError(f"config {path}: unknown section [{section}]")
-    return values

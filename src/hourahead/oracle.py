@@ -51,7 +51,7 @@ class DiscretizationConfig:
             raise ValidationError(f"level count must be >= 1, got {self.levels}")
 
     @classmethod
-    def for_capacity(cls, capacity: float, levels: int = 400) -> "DiscretizationConfig":
+    def for_capacity(cls, capacity: float, levels: int) -> "DiscretizationConfig":
         if levels < 1:  # before dividing by it
             raise ValidationError(f"level count must be >= 1, got {levels}")
         return cls(eta=capacity / levels, levels=levels)

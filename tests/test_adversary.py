@@ -135,10 +135,11 @@ def full_storage_spec(capacity):
 
 class TestAdversarialSearch:
     def test_budget_guard(self):
-        grid = AdversaryGrid.geometric(
-            PriceBounds(10.0, 40.0), 4.0, horizon=4, budget=100
-        )
+        # the grid refuses its shape before the search could start
         with pytest.raises(BudgetExceededError):
+            grid = AdversaryGrid.geometric(
+                PriceBounds(10.0, 40.0), 4.0, horizon=4, budget=100
+            )
             adversarial_search(grid, lambda *a: None, full_storage_spec(4.0))
 
     def test_known_price_strategy_stays_under_bound(self):
@@ -224,6 +225,24 @@ class TestGridValidation:
         assert grid.price_levels[-1] == pytest.approx(80.0)
         ratios = [b / a for a, b in zip(grid.price_levels, grid.price_levels[1:])]
         assert ratios == pytest.approx([2.0, 2.0, 2.0])
+
+    def test_budget_checked_before_the_levels_are_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="budget is 10000000"):
+                AdversaryGrid.geometric(PriceBounds(10.0, 40.0), 4.0, price_count=10**6)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_budget_counts_distinct_levels(self):
+        # a flat price range has one price level, however many are asked for
+        grid = AdversaryGrid.geometric(PriceBounds(10.0, 10.0), 4.0, price_count=10**6)
+        assert grid.price_levels == (10.0,)
+        disc = DiscretizationConfig.for_capacity(4.0, 4)
+        with pytest.raises(BudgetExceededError, match="grid holds 144 instances"):
+            AdversaryGrid(2, (10.0, 20.0, 30.0, 40.0), (0.0, 1.0, 2.0), disc, budget=143)
 
 
 def adversary_strategy(name, bounds, spec):

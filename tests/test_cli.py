@@ -1,11 +1,44 @@
+import argparse
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from hourahead.cli import ADVERSARY_STRATEGIES, main
+from hourahead.cli import ADVERSARY_STRATEGIES, SETTINGS, build_parser, main
 from hourahead.experiment import STRATEGIES, ExperimentConfig, run_experiment
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def setting_flags(command: str) -> list[str]:
+    """The settings a subcommand takes as flags, in the order it adds them."""
+    return [a.dest for a in subcommands()[command]._actions if a.dest in SETTINGS]
+
+
+def test_flag_sets():
+    # the long options of each subcommand: none added or dropped by accident
+    expected = {
+        "simulate": "--capacity --charge-rate --clip-prices --config --discharge-rate --emax "
+        "--eta --horizon --offers --out --pmax --pmin --price-csv --seed --slots --strategy "
+        "--wind-csv",
+        "compare": "--capacity --charge-rate --config --csv --discharge-rate --emax --eta "
+        "--horizon --offers --out --parallel --pmax --pmin --runs --seed --sweep-offers",
+        "adversary": "--budget --capacity --charge-rate --config --discharge-rate --horizon "
+        "--levels --offers --out --pmax --pmin --price-count --strategy --supply-count "
+        "--threshold",
+        "cr-table": "--out --theta",
+        "gen-trace": "--config --horizon --out-prefix --pmax --pmin --seed --wind-capacity",
+    }
+    found = {
+        name: sorted(o for a in sub._actions for o in a.option_strings if o[:2] == "--")
+        for name, sub in subcommands().items()
+    }
+    assert found == {name: sorted(["--help", *flags.split()]) for name, flags in expected.items()}
 
 
 class TestCrTable:
@@ -213,6 +246,57 @@ class TestCompare:
         assert data["config"]["horizon"] == 6  # file value
 
 
+# a value other than the default for each setting that compare, simulate or
+# gen-trace takes as a flag; small enough runs, horizon and level count to be quick
+FLAG_VALUES = {
+    "pmin": "8", "pmax": "12", "capacity": "10", "charge_rate": "0.5", "discharge_rate": "1",
+    "runs": "2", "horizon": "24", "seed": "3", "offers": "2", "emax": "0.2", "eta": "0.5",
+    "wind_capacity": "8",
+}  # fmt: skip
+
+
+def flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+class TestConfigFileActsLikeFlags:
+    @pytest.mark.parametrize(
+        "command, name",
+        [(c, n) for c in ("compare", "simulate", "gen-trace") for n in setting_flags(c)],
+    )
+    def test_same_output(self, command, name, tmp_path, monkeypatch, capsys):
+        # every other setting by flag; `name` by the config file, by its flag, or left out
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--out-prefix", "t"] if command == "gen-trace" else [command]
+        if command == "simulate":
+            argv += ["--strategy", "mocsmb"]  # the one that reads both offers and emax
+        for other in setting_flags(command):
+            if other != name:
+                argv += [flag(other), FLAG_VALUES[other]]
+        Path("exp.ini").write_text(f"[{SETTINGS[name].section}]\n{name} = {FLAG_VALUES[name]}\n")
+
+        def output(extra: list[str]) -> tuple[str, list[str]]:
+            assert main(argv + extra) == 0
+            paths = [Path("t-price.csv"), Path("t-wind.csv")] if command == "gen-trace" else []
+            return capsys.readouterr().out, [path.read_text() for path in paths]
+
+        from_file = output(["--config", "exp.ini"])
+        assert from_file == output([flag(name), FLAG_VALUES[name]])
+        assert from_file != output([])  # read, not ignored both ways
+
+    def test_keys_without_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[storage]\ninitial_level = 5\n[penalty]\nalpha1 = 1.5\nalpha2 = 2\n"
+            "[experiment]\nwind_capacity = 8\n"
+        )
+        argv = ["compare", "--runs", "1", "--horizon", "6", "--eta", "0.5", "--config", str(cfg)]
+        assert main(argv) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["initial_level"], config["alpha1"], config["alpha2"]) == (5.0, 1.5, 2.0)
+        assert config["wind_capacity"] == 8.0
+
+
 class TestAdversary:
     @pytest.mark.parametrize(
         "strategy, digest",
@@ -283,6 +367,14 @@ class TestAdversary:
         data = json.loads(capsys.readouterr().out)
         assert data["max_ratio"] == "unbounded"
 
+    def test_rates_default_to_the_capacity(self, capsys):
+        # supplies of up to 40 MWh: the default 10 MWh rates would bind
+        argv = ["adversary", "--capacity", "40", "--horizon", "3", "--supply-count", "5"]
+        assert main(argv) == 0
+        unconstrained = capsys.readouterr().out
+        assert main(argv + ["--charge-rate", "40", "--discharge-rate", "40"]) == 0
+        assert capsys.readouterr().out == unconstrained
+
     def test_config_file_rates_match_flags(self, tmp_path, capsys):
         argv = ["adversary", "--capacity", "4", "--horizon", "2", "--levels", "4"]
         cfg = tmp_path / "rates.ini"
@@ -345,6 +437,8 @@ class TestValidationExits:
             ["adversary", "--horizon", "1", "--capacity", "4", "--levels", "0"],
             # refused before numpy is asked for the arrays
             ["gen-trace", "--horizon", "100000000000", "--out-prefix", "PREFIX"],
+            # the horizon is checked before the instance count is
+            ["adversary", "--horizon", "7", "--price-count", "1000000"],
         ],
     )
     def test_bad_number(self, argv, tmp_path, capsys):
@@ -357,8 +451,12 @@ class TestValidationExits:
 
     @pytest.mark.parametrize(
         "text",
-        ["[experiment]\nwind_capacity = inf\n", "[penalty]\nalpha1 = nan\n"],
-        ids=["wind_capacity", "alpha1"],
+        [
+            "[experiment]\nwind_capacity = inf\n",
+            "[penalty]\nalpha1 = nan\n",
+            "[storage]\ncapcity = 30\n",
+        ],
+        ids=["wind_capacity", "alpha1", "unknown_key"],
     )
     def test_bad_config_value(self, text, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

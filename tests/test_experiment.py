@@ -12,10 +12,10 @@ from hourahead import (
     offline_opt_dp,
     theoretical_cr,
 )
+from hourahead.cli import load_config_file
 from hourahead.experiment import (
     ExperimentConfig,
     emit_report,
-    load_config_file,
     run_experiment,
     run_offer_sweep,
 )
@@ -137,6 +137,26 @@ class TestConfigFile:
         path = tmp_path / "exp.ini"
         path.write_text("[mystery]\nx = 1\n")
         with pytest.raises(ValidationError, match="unknown section"):
+            load_config_file(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[storage]\ncapcity = 30\n", r"\[storage\] capcity"),
+            ("[market]\ncapacity = 30\n", r"\[market\] capacity"),  # a key of [storage]
+        ],
+        ids=["misspelt", "wrong_section"],
+    )
+    def test_unknown_key(self, text, where, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="unknown key " + where):
+            load_config_file(path)
+
+    def test_default_section_is_unknown(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[DEFAULT]\nruns = 2\n\n[experiment]\nhorizon = 4\n")
+        with pytest.raises(ValidationError, match=r"unknown section \[DEFAULT\]"):
             load_config_file(path)
 
     def test_bad_value(self, tmp_path):
