@@ -28,11 +28,8 @@ from .market import (
     RunResult,
     StorageSpec,
     Trace,
-    evolve_storage,
-    over_commitment,
     settle_offer,
     simulate_run,
-    slot_profit,
 )
 from .oracle import DiscretizationConfig, OptResult, offline_opt_dp
 from .policy import ThresholdPolicy, c_threshold, theoretical_cr
@@ -64,16 +61,13 @@ __all__ = [
     "ThresholdPolicy",
     "ValidationError",
     "c_threshold",
-    "evolve_storage",
     "fonline_offer",
     "mocsmb_offers",
     "nostorage_profit",
     "ocsmb_offers",
     "offline_opt_dp",
-    "over_commitment",
     "settle_offer",
     "simulate_run",
-    "slot_profit",
     "socs_offer",
     "theoretical_cr",
 ]

@@ -77,13 +77,17 @@ def load_config_file(path: str | Path) -> dict:
     """Read the INI config file into setting values; an unknown section or
     key (so also [DEFAULT]) or a value of the wrong type is an error."""
     parser = configparser.ConfigParser(default_section="")
-    if not parser.read(path):
-        raise OSError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise OSError(f"config file not found: {path}")
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:  # a file it cannot parse; the message spans lines
+        raise ValidationError(f"config {path}: {' '.join(str(exc).split())}") from None
     values = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in {setting.section for setting in SETTINGS.values()}:
             raise ValidationError(f"config {path}: unknown section [{section}]")
-        for key, text in parser.items(section):
+        for key, text in items:
             setting = SETTINGS.get(key)
             if setting is None or setting.section != section:
                 raise ValidationError(f"config {path}: unknown key [{section}] {key}")
@@ -265,17 +269,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     values, _given = _resolve(args)
     bounds, spec, penalty, disc = _market(values)
     cfg = ExperimentConfig(
-        runs=values["runs"],
-        horizon=values["horizon"],
-        seed=values["seed"],
-        bounds=bounds,
-        spec=spec,
-        penalty=penalty,
-        offers=values["offers"],
-        e_max=values["emax"],
-        disc_levels=disc.levels,
-        wind_capacity=values["wind_capacity"],
-    )
+        runs=values["runs"], horizon=values["horizon"], seed=values["seed"], bounds=bounds,
+        spec=spec, penalty=penalty, offers=values["offers"], e_max=values["emax"],
+        disc_levels=disc.levels, wind_capacity=values["wind_capacity"],
+    )  # fmt: skip
     if args.sweep_offers:
         rows = run_offer_sweep(cfg, _parse_list("--sweep-offers", args.sweep_offers, int))
         if args.csv:

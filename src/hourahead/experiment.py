@@ -22,6 +22,7 @@ from .market import OfferStrategy, PenaltyParams, PriceBounds, StorageSpec, Trac
 from .oracle import DiscretizationConfig, offline_opt_dp, profit_ratio, ratio_json
 from .policy import ThresholdPolicy
 from .strategies import (
+    DEFAULT_OFFERS,
     StrategyConfig,
     fonline_strategy,
     mocsmb_strategy,
@@ -29,7 +30,7 @@ from .strategies import (
     ocsmb_strategy,
     socs_strategy,
 )
-from .traces import check_wind_capacity, realize_outputs, synthesize
+from .traces import DEFAULT_WIND_CAPACITY, check_wind_capacity, realize_outputs, synthesize
 
 #: The one registry of online strategies: name -> builder taking the
 #: strategy config and the predicted output per slot.  Each builder looks its
@@ -51,10 +52,10 @@ class ExperimentConfig:
     bounds: PriceBounds = field(default_factory=lambda: PriceBounds(10.0, 40.0))
     spec: StorageSpec = field(default_factory=lambda: StorageSpec(20.0, 10.0, 10.0))
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
-    offers: int = 10
+    offers: int = DEFAULT_OFFERS
     e_max: float = 0.1
     disc_levels: int = 400
-    wind_capacity: float = 10.0
+    wind_capacity: float = DEFAULT_WIND_CAPACITY
     strategies: tuple[str, ...] = tuple(STRATEGIES)
 
     def __post_init__(self):
@@ -194,17 +195,15 @@ def run_offer_sweep(cfg: ExperimentConfig, offer_counts: Sequence[int]) -> list[
             ladder_tot[m] += simulate_run(
                 trace, cfg.spec, cfg.penalty, ocsmb_strategy(m_cfg)
             ).total_profit
-    rows = []
-    for m in offer_counts:
-        rows.append(
-            {
-                "offers": m,
-                "ocsmb_mean_profit": ladder_tot[m] / cfg.runs,
-                "socs_mean_profit": socs_tot / cfg.runs,
-                "offline_mean_profit": opt_tot / cfg.runs,
-            }
-        )
-    return rows
+    return [
+        {
+            "offers": m,
+            "ocsmb_mean_profit": ladder_tot[m] / cfg.runs,
+            "socs_mean_profit": socs_tot / cfg.runs,
+            "offline_mean_profit": opt_tot / cfg.runs,
+        }
+        for m in offer_counts
+    ]
 
 
 def emit_report(

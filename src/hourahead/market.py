@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import gt, itemgetter
 from typing import Callable
 
 from .errors import ValidationError
@@ -106,44 +107,43 @@ class PenaltyParams:
         if not (0.0 <= self.alpha1 < math.inf and 0.0 <= self.alpha2 < math.inf):
             raise ValidationError("penalty coefficients must be non-negative and finite")
 
-    def rate(self, price: float) -> float:
-        return self.alpha1 * price + self.alpha2
 
-
-@dataclass(frozen=True)
-class OfferBook:
+class OfferBook(tuple):
     """Offers for one slot as two equal-length tuples: positive prices in
     non-decreasing order and non-negative volumes.  An offer commits iff the
-    clearing price reaches its price."""
+    clearing price reaches its price.  Built as the tuple (prices, volumes),
+    so it costs what that tuple costs plus its checks; ``len`` counts offers."""
 
-    prices: tuple[float, ...]
-    volumes: tuple[float, ...]
+    __slots__ = ()
+    prices, volumes = (property(itemgetter(i)) for i in range(2))
 
-    def __post_init__(self):
-        prices, volumes = self.prices, self.volumes
-        if len(prices) != len(volumes):
-            raise ValidationError(
-                f"offer book has {len(prices)} prices but {len(volumes)} volumes"
-            )
-        if not prices:
-            return
-        if any(b < a for a, b in zip(prices, prices[1:])):
+    def __new__(cls, prices: tuple[float, ...], volumes: tuple[float, ...]):
+        n = len(prices)
+        if n != len(volumes):
+            raise ValidationError(f"offer book has {n} prices but {len(volumes)} volumes")
+        if n > 1 and any(map(gt, prices, prices[1:])):  # a later price below an earlier one
             raise ValidationError("offer book prices must be non-decreasing")
-        if prices[0] <= 0.0:
+        if n and prices[0] <= 0.0:
             raise ValidationError(f"offer price must be positive, got {prices[0]}")
-        if min(volumes) < 0.0:
+        if n and min(volumes) < 0.0:
             raise ValidationError(f"offer volume must be non-negative, got {min(volumes)}")
+        return tuple.__new__(cls, (prices, volumes))
 
     def __len__(self) -> int:
-        return len(self.prices)
+        return len(self[0])
 
     @property
     def total_volume(self) -> float:
-        return sum(self.volumes, 0.0)
+        return sum(self[1], 0.0)
 
     def settle(self, price: float) -> float:
-        """Commitment volume: total volume of offers priced at or below `price`."""
-        return sum((v for p, v in zip(self.prices, self.volumes) if p <= price), 0.0)
+        """Commitment volume: total volume of offers priced at or below
+        `price`, added up in book order from 0.0."""
+        total = 0.0
+        for p, v in zip(*self):
+            if p <= price:
+                total += v
+        return total
 
 
 EMPTY_BOOK = OfferBook((), ())
@@ -189,31 +189,6 @@ def settle_offer(book: OfferBook, clearing_price: float) -> float:
     return book.settle(clearing_price)
 
 
-def over_commitment(x: float, u: float, z: float, discharge_rate: float) -> float:
-    """Committed volume beyond what output plus discharge can deliver."""
-    return max(x - (u + min(z, discharge_rate)), 0.0)
-
-
-def slot_profit(price: float, x: float, y: float, penalty: PenaltyParams) -> float:
-    """Net profit of one slot: sale revenue minus over-commitment penalty."""
-    return price * x - penalty.rate(price) * y
-
-
-def evolve_storage(
-    level: float, spec: StorageSpec, u: float, x: float
-) -> tuple[float, float, float]:
-    """Advance the storage level by one slot.
-
-    Surplus output (u - x) charges up to the charge rate; deficit (x - u)
-    discharges up to the discharge rate and the available level.  Charge
-    beyond capacity is spilled.  Returns (next_level, charge, discharge).
-    """
-    charge = min(spec.charge_rate, max(u - x, 0.0))
-    discharge = min(spec.discharge_rate, max(x - u, 0.0), level)
-    next_level = min(max(level + charge - discharge, 0.0), spec.capacity)
-    return next_level, charge, discharge
-
-
 def play_slot(
     strategy: OfferStrategy,
     spec: StorageSpec,
@@ -231,12 +206,27 @@ def play_slot(
     Returns (commitment, over-commitment, charge, discharge, net profit,
     next level), one row of ``RunResult``'s columns.
     """
-    book = strategy(t, price, u, level)
-    x = book.settle(price)
-    y = over_commitment(x, u, level, spec.discharge_rate)
-    delivered = min(x, u + min(level, spec.discharge_rate))
-    next_level, charge, discharge = evolve_storage(level, spec, u, delivered)
-    return x, y, charge, discharge, slot_profit(price, x, y, penalty), next_level
+    x = strategy(t, price, u, level).settle(price)
+    # each min and max is written out as a conditional that picks the operand
+    # the builtin picks, signed zeros included, without the builtin's call
+    # cost: min(a, b) is b if b < a else a, and max(a - b, 0.0) is
+    # 0.0 if a < b else a - b
+    rate_d, rate_c, capacity = spec.discharge_rate, spec.charge_rate, spec.capacity
+    deliverable = u + (rate_d if rate_d < level else level)
+    over = 0.0 if x < deliverable else x - deliverable
+    delivered = deliverable if deliverable < x else x
+    # surplus output charges up to the charge rate; a deficit discharges up
+    # to the discharge rate and the level; charge beyond capacity is spilled
+    charge = 0.0 if u < delivered else u - delivered
+    charge = charge if charge < rate_c else rate_c
+    discharge = 0.0 if delivered < u else delivered - u
+    discharge = discharge if discharge < rate_d else rate_d
+    discharge = level if level < discharge else discharge
+    next_level = level + charge - discharge
+    next_level = 0.0 if next_level < 0.0 else next_level
+    next_level = capacity if capacity < next_level else next_level
+    profit = price * x - (penalty.alpha1 * price + penalty.alpha2) * over
+    return x, over, charge, discharge, profit, next_level
 
 
 def simulate_run(

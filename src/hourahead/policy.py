@@ -72,7 +72,8 @@ class ThresholdPolicy:
         """
         if z < -1e-12 * self.capacity or z > self.capacity * (1.0 + 1e-12):
             raise ValidationError(f"level {z} outside [0, {self.capacity}]")
-        z = max(z, 0.0)
+        if z < 0.0:  # max(z, 0.0) without the builtin's call cost
+            z = 0.0
         p_min = self.bounds.p_min
         if z >= self.c_th:
             return p_min

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter, sub
 from typing import Sequence
 
 from .errors import ValidationError
@@ -26,6 +27,7 @@ from .policy import ThresholdPolicy
 
 # work guard: offers per slot, each a rung the laddered strategies build
 MAX_OFFERS = 10_000
+DEFAULT_OFFERS = 10  # when no offer count is given
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class StrategyConfig:
 
     policy: ThresholdPolicy
     spec: StorageSpec
-    offers: int = 10  # max offers per slot (m); 1 means the floor offer only
+    offers: int = DEFAULT_OFFERS  # max offers per slot (m); 1 means the floor offer only
     e_max: float = 0.0  # output forecast error bound, < 0.5
 
     def __post_init__(self):
@@ -71,8 +73,7 @@ def socs_offer(cfg: StrategyConfig, price: float, output: float, level: float) -
     return OfferBook((price,), (volume,))
 
 
-@dataclass(frozen=True, slots=True)
-class Ladder:
+class Ladder(tuple):
     """The ocsmb offer book in closed form: a floor offer of ``floor_volume``
     at p_min (when positive), then ``rungs`` slices cum_i - cum_{i-1} of
     ``span``, where cum_i = span * (i / rungs) and rung i is priced at
@@ -80,33 +81,27 @@ class Ladder:
     clearing price commits a prefix of the book: ``settle`` guesses its
     length from one ``eval_g_inverse``, corrects it at the edge with
     ``eval_g`` and sums the prefix in book order, bit for bit what settling
-    the materialized book (``prices``, ``volumes``) gives."""
+    the materialized book (``prices``, ``volumes``) gives.
 
-    policy: ThresholdPolicy
-    floor_volume: float
-    span: float
-    top: float
-    rungs: int
+    Built as the tuple of its five fields, so it costs what that tuple costs
+    plus its checks; ``len`` counts offers, as for ``OfferBook``."""
 
-    def __post_init__(self):
-        if not (self.floor_volume >= 0.0 and self.span >= 0.0 and 0 <= self.rungs <= MAX_OFFERS
-                and (self.span > 0.0 or not self.rungs)):  # fmt: skip
+    __slots__ = ()
+    policy, floor_volume, span, top, rungs = (property(itemgetter(i)) for i in range(5))
+
+    def __new__(cls, policy, floor_volume: float, span: float, top: float, rungs: int):
+        if not (floor_volume >= 0.0 and span >= 0.0 and 0 <= rungs <= MAX_OFFERS
+                and (span > 0.0 or not rungs)):  # fmt: skip
             raise ValidationError(
                 f"ladder needs floor volume and span >= 0 and 0 to {MAX_OFFERS} rungs over a "
-                f"positive span, got {self.floor_volume}, {self.span}, {self.rungs}"
+                f"positive span, got {floor_volume}, {span}, {rungs}"
             )
+        return tuple.__new__(cls, (policy, floor_volume, span, top, rungs))
 
     def _rung_price(self, i: int) -> float:
-        return self.policy.eval_g(max(self.top - self.span * (i / self.rungs), 0.0))
-
-    def _volumes(self, rungs: int):
-        if self.floor_volume > 0.0:
-            yield self.floor_volume
-        sold = 0.0
-        for i in range(1, rungs + 1):
-            cum = self.span * (i / self.rungs)
-            yield cum - sold
-            sold = cum
+        pol, _floor, span, top, rungs = self
+        z = top - span * (i / rungs)
+        return pol.eval_g(0.0 if z < 0.0 else z)  # max(z, 0.0), as in market.play_slot
 
     @property
     def prices(self) -> tuple[float, ...]:
@@ -115,30 +110,41 @@ class Ladder:
 
     @property
     def volumes(self) -> tuple[float, ...]:
-        return tuple(self._volumes(self.rungs))
+        _pol, floor, span, _top, rungs = self
+        cums = [span * (i / rungs) for i in range(1, rungs + 1)]
+        return ((floor,) if floor > 0.0 else ()) + tuple(map(sub, cums, [0.0, *cums]))
 
     def __len__(self) -> int:
         return (self.floor_volume > 0.0) + self.rungs
 
     @property
     def total_volume(self) -> float:
-        return sum(self._volumes(self.rungs), 0.0)
+        return sum(self.volumes, 0.0)
 
     def settle(self, price: float) -> float:
-        """Commitment volume: the floor and the rungs priced at or below `price`."""
-        pol, rungs = self.policy, self.rungs
-        if price < pol.bounds.p_min:
+        """Commitment volume: the floor and the rungs priced at or below
+        `price`, added up in book order from 0.0 as ``OfferBook.settle`` does."""
+        pol, floor, span, top, rungs = self
+        bounds = pol.bounds
+        if price < bounds.p_min:
             return 0.0
         k = rungs
-        if rungs and price <= pol.bounds.p_max:  # rung i commits iff top - cum_i >= g^-1(price)
-            level = pol.c_th if price == pol.bounds.p_min else pol.eval_g_inverse(price)
-            guess = (self.top - level) / self.span * rungs
+        if rungs and price <= bounds.p_max:  # rung i commits iff top - cum_i >= g^-1(price)
+            level = pol.c_th if price == bounds.p_min else pol.eval_g_inverse(price)
+            guess = (top - level) / span * rungs
             k = rungs if guess >= rungs else int(guess) if guess > 0.0 else 0
-        while k < rungs and self._rung_price(k + 1) <= price:
+        rung_price = self._rung_price
+        while k < rungs and rung_price(k + 1) <= price:
             k += 1
-        while k and self._rung_price(k) > price:
+        while k and rung_price(k) > price:
             k -= 1
-        return sum(self._volumes(k), 0.0)
+        total = floor if floor > 0.0 else 0.0  # 0.0 + floor is floor
+        sold = 0.0
+        for i in range(1, k + 1):
+            cum = span * (i / rungs)
+            total += cum - sold
+            sold = cum
+        return total
 
 
 def ocsmb_offers(cfg: StrategyConfig, output: float, level: float) -> Ladder:
@@ -153,13 +159,17 @@ def ocsmb_offers(cfg: StrategyConfig, output: float, level: float) -> Ladder:
     over-commits.
     """
     pol, spec = cfg.policy, cfg.spec
-    deliverable = output + min(level, spec.discharge_rate)
-    if min(output, spec.charge_rate) + level > pol.c_th:
-        floor_volume = min(output + level - pol.c_th, deliverable)
-        span = min(pol.c_th, output + spec.discharge_rate, deliverable - floor_volume)
-        top = pol.c_th
+    c_th, rate_c, rate_d = pol.c_th, spec.charge_rate, spec.discharge_rate
+    # each min and max written out as in market.play_slot
+    deliverable = output + (rate_d if rate_d < level else level)
+    if (rate_c if rate_c < output else output) + level > c_th:
+        floor_volume = output + level - c_th
+        floor_volume = deliverable if deliverable < floor_volume else floor_volume
+        span = output + rate_d if output + rate_d < c_th else c_th
+        span = deliverable - floor_volume if deliverable - floor_volume < span else span
+        top = c_th
     else:
-        floor_volume = max(output - spec.charge_rate, 0.0)
+        floor_volume = 0.0 if output < rate_c else output - rate_c
         span = deliverable - floor_volume
         top = level + output - floor_volume
     return Ladder(pol, floor_volume, span, top, cfg.offers - 1 if span > 0.0 else 0)
@@ -212,7 +222,8 @@ def mocsmb_strategy(cfg: StrategyConfig, predicted: Sequence[float]) -> OfferStr
 
 
 def fonline_strategy(bounds: PriceBounds, spec: StorageSpec) -> OfferStrategy:
-    return lambda t, price, output, level: fonline_offer(bounds, spec, output, level)
+    # fonline_offer with its threshold computed once, not once per slot
+    return fixed_threshold_strategy(math.sqrt(bounds.p_min * bounds.p_max), spec)
 
 
 def fixed_threshold_strategy(threshold: float, spec: StorageSpec) -> OfferStrategy:

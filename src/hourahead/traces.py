@@ -108,6 +108,7 @@ PRICE_SIGMA = 0.15  # log-price random-walk step
 WIND_MEAN_FRAC = 0.4  # long-run wind mean as a fraction of capacity
 WIND_PHI = 0.85  # mean-reversion coefficient
 WIND_SIGMA_FRAC = 0.12  # innovation scale as a fraction of capacity
+DEFAULT_WIND_CAPACITY = 10.0  # MW, when no wind capacity is given
 # longest synthetic trace; checked before anything is drawn
 MAX_HORIZON = 10**6
 
@@ -121,7 +122,7 @@ def synthesize(
     rng: np.random.Generator,
     horizon: int,
     bounds: PriceBounds,
-    wind_capacity: float = 10.0,
+    wind_capacity: float = DEFAULT_WIND_CAPACITY,
 ) -> Trace:
     """Draw one synthetic trace from an already-seeded generator.
 
@@ -156,7 +157,7 @@ def gen_synthetic(
     seed: int,
     horizon: int,
     bounds: PriceBounds,
-    wind_capacity: float = 10.0,
+    wind_capacity: float = DEFAULT_WIND_CAPACITY,
 ) -> Trace:
     """Seeded, reproducible synthetic trace: same seed, same trace."""
     if seed < 0:
@@ -190,13 +191,10 @@ def write_trace_csv(
         (datetime.fromisoformat(start) + timedelta(hours=i)).isoformat(timespec="minutes")
         for i in range(trace.horizon)
     ]
-    with Path(price_path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "price"])
-        for stamp, price in zip(stamps, trace.prices):
-            writer.writerow([stamp, repr(price)])
-    with Path(wind_path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "wind_mw"])
-        for stamp, output in zip(stamps, trace.outputs):
-            writer.writerow([stamp, repr(output)])
+    for path, column, values in (
+        (price_path, "price", trace.prices), (wind_path, "wind_mw", trace.outputs)
+    ):
+        with Path(path).open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp", column])
+            writer.writerows([stamp, repr(value)] for stamp, value in zip(stamps, values))

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hourahead import PenaltyParams, PriceBounds, StorageSpec, ThresholdPolicy, Trace
 from hourahead.traces import realize_outputs, synthesize
@@ -44,3 +45,9 @@ def forecast_and_realized(
     forecast = synthesize(rng, horizon, bounds, 10.0)
     realized = realize_outputs(rng, forecast.outputs, e_max)
     return forecast, Trace(forecast.prices, realized)
+
+
+def non_negative(high: float):
+    """Hypothesis floats in [0, high] that include -0.0, which the builtin
+    min and max pass on when it ties with 0.0."""
+    return st.one_of(st.just(-0.0), st.just(0.0), st.floats(0.0, high))

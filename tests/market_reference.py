@@ -1,0 +1,51 @@
+"""Test-only reference for one market slot: the settlement, over-commitment,
+storage step and profit as separate helpers, and ``market.play_slot`` as
+their composition, written with the builtin ``min`` and ``max``."""
+from __future__ import annotations
+
+from hourahead import PenaltyParams, StorageSpec
+from hourahead.market import OfferStrategy
+
+
+def over_commitment(x: float, u: float, z: float, discharge_rate: float) -> float:
+    """Committed volume beyond what output plus discharge can deliver."""
+    return max(x - (u + min(z, discharge_rate)), 0.0)
+
+
+def slot_profit(price: float, x: float, y: float, penalty: PenaltyParams) -> float:
+    """Net profit of one slot: sale revenue minus over-commitment penalty."""
+    return price * x - (penalty.alpha1 * price + penalty.alpha2) * y
+
+
+def evolve_storage(
+    level: float, spec: StorageSpec, u: float, x: float
+) -> tuple[float, float, float]:
+    """Advance the storage level by one slot.
+
+    Surplus output (u - x) charges up to the charge rate; deficit (x - u)
+    discharges up to the discharge rate and the available level.  Charge
+    beyond capacity is spilled.  Returns (next_level, charge, discharge).
+    """
+    charge = min(spec.charge_rate, max(u - x, 0.0))
+    discharge = min(spec.discharge_rate, max(x - u, 0.0), level)
+    next_level = min(max(level + charge - discharge, 0.0), spec.capacity)
+    return next_level, charge, discharge
+
+
+def play_slot_reference(
+    strategy: OfferStrategy,
+    spec: StorageSpec,
+    penalty: PenaltyParams,
+    t: int,
+    price: float,
+    u: float,
+    level: float,
+) -> tuple[float, float, float, float, float, float]:
+    """``market.play_slot`` as the composition of the helpers above: settle
+    the book, compute the over-commitment, cap delivery at output plus
+    dischargeable storage, and step the storage on the delivered energy."""
+    x = strategy(t, price, u, level).settle(price)
+    y = over_commitment(x, u, level, spec.discharge_rate)
+    delivered = min(x, u + min(level, spec.discharge_rate))
+    next_level, charge, discharge = evolve_storage(level, spec, u, delivered)
+    return x, y, charge, discharge, slot_profit(price, x, y, penalty), next_level

@@ -455,8 +455,13 @@ class TestValidationExits:
             "[experiment]\nwind_capacity = inf\n",
             "[penalty]\nalpha1 = nan\n",
             "[storage]\ncapcity = 30\n",
+            "runs = 5\n",
+            "[experiment]\nruns = 5\nruns = 6\n",
+            "[experiment]\nruns = 5\nnot a setting\n",
+            "[experiment]\nhorizon = 5%\n",
         ],
-        ids=["wind_capacity", "alpha1", "unknown_key"],
+        ids=["wind_capacity", "alpha1", "unknown_key", "no_section", "repeated_key",
+             "malformed_line", "interpolation"],  # fmt: skip
     )
     def test_bad_config_value(self, text, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

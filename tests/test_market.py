@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hourahead import (
     EMPTY_BOOK,
@@ -11,13 +11,12 @@ from hourahead import (
     StorageSpec,
     Trace,
     ValidationError,
-    evolve_storage,
-    over_commitment,
     settle_offer,
     simulate_run,
-    slot_profit,
 )
-from conftest import synthetic_trace
+from hourahead.market import play_slot
+from conftest import non_negative, synthetic_trace
+from market_reference import evolve_storage, over_commitment, play_slot_reference, slot_profit
 
 
 def book(*pairs):
@@ -98,6 +97,50 @@ class TestSlotProfit:
 
     def test_empty_commitment(self):
         assert slot_profit(40.0, 0.0, 0.0, PenaltyParams()) == 0.0
+
+
+def _bits(row):
+    return tuple(x.hex() for x in row)
+
+
+@st.composite
+def offer_books(draw):
+    """A valid book of 0 to 4 offers, one offer most often."""
+    n = draw(st.sampled_from([0, 1, 1, 1, 2, 4]))
+    prices = sorted(draw(st.lists(st.floats(1.0, 50.0), min_size=n, max_size=n)))
+    volumes = draw(st.lists(non_negative(30.0), min_size=n, max_size=n))
+    return OfferBook(tuple(prices), tuple(volumes))
+
+
+class TestPlaySlot:
+    @settings(max_examples=400)
+    @given(
+        book=offer_books(),
+        price=st.floats(1.0, 50.0),
+        u=non_negative(15.0),
+        capacity=st.floats(0.5, 30.0),
+        level_frac=st.one_of(st.just(-0.0), st.floats(0.0, 1.0)),
+        rc=non_negative(12.0),
+        rd=non_negative(12.0),
+        alpha1=non_negative(3.0),
+        alpha2=non_negative(20.0),
+    )
+    def test_matches_reference_composition(
+        self, book, price, u, capacity, level_frac, rc, rd, alpha1, alpha2
+    ):
+        level = level_frac * capacity
+        spec = StorageSpec(capacity, rc, rd, level)
+        penalty = PenaltyParams(alpha1, alpha2)
+        strategy = lambda t, p, out, z: book  # noqa: E731
+        row = play_slot(strategy, spec, penalty, 0, price, u, level)
+        assert _bits(row) == _bits(play_slot_reference(strategy, spec, penalty, 0, price, u, level))
+        x, over, charge, discharge, _profit, next_level = row
+        assert 0.0 <= next_level <= capacity
+        deliverable = u + min(level, rd)
+        # x - over is what was delivered, up to one rounding of x - deliverable
+        assert x - over <= deliverable + 1e-12 * max(x, 1.0)
+        assert 0.0 <= charge <= rc
+        assert 0.0 <= discharge <= min(level, rd)
 
 
 def sell_all(t, price, output, level):
@@ -182,7 +225,7 @@ class TestSimulateRun:
         assert result.over_commitments == (4.0,)
         # delivered energy, not the commitment, drives the storage
         assert result.levels == (0.0,)
-        assert result.total_profit == 10.0 * 5.0 - penalty.rate(10.0) * 4.0
+        assert result.total_profit == 10.0 * 5.0 - (penalty.alpha1 * 10.0 + penalty.alpha2) * 4.0
 
 
 @st.composite
@@ -283,3 +326,19 @@ class TestValidation:
             book((20.0, 1.0), (10.0, 1.0))
         with pytest.raises(ValidationError):
             book((10.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "prices, volumes",
+        [((0.0,), (1.0,)), ((-5.0,), (1.0,)), ((10.0,), (-1.0,)), ((10.0,), (1.0, 2.0)),
+         ((10.0, 20.0), (1.0,)), ((10.0,), ())],
+    )
+    def test_one_offer_book_checks(self, prices, volumes):
+        with pytest.raises(ValidationError):
+            OfferBook(prices, volumes)
+
+    def test_offer_book_is_an_immutable_value(self):
+        b = book((10.0, 1.0), (20.0, 2.0))
+        assert len(b) == 2 and b.prices == (10.0, 20.0) and b.volumes == (1.0, 2.0)
+        assert b == book((10.0, 1.0), (20.0, 2.0)) != book((10.0, 1.0), (20.0, 3.0))
+        with pytest.raises(AttributeError):
+            b.prices = (5.0, 6.0)

@@ -24,12 +24,13 @@ from hourahead import (
 )
 from hourahead.strategies import (
     fixed_threshold_offer,
+    fonline_strategy,
     mocsmb_strategy,
     ocsmb_strategy,
     socs_strategy,
 )
 
-from conftest import forecast_and_realized, synthetic_trace
+from conftest import forecast_and_realized, non_negative, synthetic_trace
 
 
 @pytest.fixture
@@ -196,6 +197,19 @@ def _bits(x):
     return type(x), x.hex()
 
 
+def ocsmb_fields_reference(cfg, output, level):
+    """floor_volume, span and top of ``ocsmb_offers``, with the builtin min and max."""
+    pol, spec = cfg.policy, cfg.spec
+    deliverable = output + min(level, spec.discharge_rate)
+    if min(output, spec.charge_rate) + level > pol.c_th:
+        floor_volume = min(output + level - pol.c_th, deliverable)
+        span = min(pol.c_th, output + spec.discharge_rate, deliverable - floor_volume)
+        return floor_volume, span, pol.c_th
+    floor_volume = max(output - spec.charge_rate, 0.0)
+    return floor_volume, deliverable - floor_volume, level + output - floor_volume
+
+
+
 class TestLadderClosedForm:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -224,6 +238,24 @@ class TestLadderClosedForm:
         for p in sorted(prices):
             assert _bits(ladder.settle(p)) == _bits(settle_offer(book, p)), p
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        theta=st.one_of(st.just(1.0), st.floats(1.0, 200.0)),
+        u=non_negative(30.0),
+        z_frac=st.one_of(st.just(-0.0), st.floats(0.0, 1.0)),
+        charge=non_negative(15.0),
+        discharge=non_negative(15.0),
+        capacity=st.floats(0.1, 50.0),
+    )
+    def test_fields_match_builtin_min_max(self, theta, u, z_frac, charge, discharge, capacity):
+        bounds = PriceBounds(10.0, 10.0 * theta)
+        spec = StorageSpec(capacity, charge, discharge)
+        cfg = StrategyConfig(ThresholdPolicy.build(bounds, capacity), spec)
+        ladder = ocsmb_offers(cfg, u, z_frac * capacity)
+        fields = (ladder.floor_volume, ladder.span, ladder.top)
+        reference = ocsmb_fields_reference(cfg, u, z_frac * capacity)
+        assert list(map(_bits, fields)) == list(map(_bits, reference))
+
     def test_run_matches_materialized_books(self, bounds, spec, penalty):
         cfg = StrategyConfig(ThresholdPolicy.build(bounds, spec.capacity), spec)
         strategy = ocsmb_strategy(cfg)
@@ -242,6 +274,17 @@ class TestLadderClosedForm:
         for floor, span, rungs in ((-1.0, 1.0, 2), (1.0, -1.0, 0), (1.0, 0.0, 2), (0.0, 1.0, -1)):
             with pytest.raises(ValidationError):
                 Ladder(pol_e2, floor, span, 5.0, rungs)
+
+    def test_is_an_immutable_value(self, pol_e2):
+        ladder = Ladder(pol_e2, 1.0, 2.0, 5.0, 3)
+        assert (ladder.policy, ladder.floor_volume, ladder.span, ladder.top, ladder.rungs) == (
+            pol_e2, 1.0, 2.0, 5.0, 3
+        )
+        assert len(ladder) == 4 and len(Ladder(pol_e2, 0.0, 2.0, 5.0, 3)) == 3
+        assert ladder == Ladder(pol_e2, 1.0, 2.0, 5.0, 3)
+        assert ladder != Ladder(pol_e2, 1.0, 2.0, 5.0, 4)
+        with pytest.raises(AttributeError):
+            ladder.span = 3.0
 
 
 class TestMocsmbOffers:
@@ -294,6 +337,11 @@ class TestBaselines:
 
     def test_fonline_empty(self, spec):
         assert len(fonline_offer(PriceBounds(10.0, 40.0), spec, 0.0, 0.0)) == 0
+
+    def test_fonline_strategy_is_fonline_offer(self, bounds, spec):
+        strategy = fonline_strategy(bounds, spec)
+        for output, level in ((0.0, 0.0), (1.0, 5.0), (3.0, 20.0)):
+            assert strategy(0, 25.0, output, level) == fonline_offer(bounds, spec, output, level)
 
     def test_fixed_threshold_offer(self, spec):
         book = fixed_threshold_offer(25.0, spec, 2.0, 4.0)
