@@ -36,7 +36,6 @@ from .policy import ThresholdPolicy, c_threshold, theoretical_cr
 from .strategies import (
     Ladder,
     StrategyConfig,
-    fonline_offer,
     mocsmb_offers,
     nostorage_profit,
     ocsmb_offers,
@@ -61,7 +60,6 @@ __all__ = [
     "ThresholdPolicy",
     "ValidationError",
     "c_threshold",
-    "fonline_offer",
     "mocsmb_offers",
     "nostorage_profit",
     "ocsmb_offers",

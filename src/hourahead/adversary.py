@@ -24,11 +24,11 @@ float64 + - * / round as Python's floats do):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, InstanceTooLargeError, ValidationError
 from .market import (  # simulate_run stays for bench/tracer.py to replace by name
     OfferStrategy,
     PenaltyParams,
@@ -149,10 +149,17 @@ def step_lengths_from_equalization(
 CHUNK_CELLS = 2**12
 # default budget of a grid: the most instances it may hold
 MAX_INSTANCES = 10**7
+# work guard of a whole grid's oracle: instances x slots x (levels + 1)
+MAX_GRID_CELLS = 10**9
+# the default grid shape, of AdversaryGrid.geometric and the CLI flags alike
+GRID_DEFAULTS = {"horizon": 3, "price_count": 4, "supply_count": 3, "levels": 4}
 
 
-def _check_size(horizon: int, price_count: int, supply_count: int, budget: int) -> None:
-    """Refuse a grid shape before it is built, the horizon first: it bounds the count's cost."""
+def _check_size(
+    horizon: int, price_count: int, supply_count: int, disc: DiscretizationConfig, budget: int
+) -> None:
+    """Refuse a grid shape before it is built: the horizon first (it bounds the
+    count's cost), then the level counts, the budget and the oracle's work."""
     if not 1 <= horizon <= 6:
         raise ValidationError(f"grid horizon must be in [1, 6], got {horizon}")
     if price_count < 1 or supply_count < 1:
@@ -160,6 +167,13 @@ def _check_size(horizon: int, price_count: int, supply_count: int, budget: int) 
     count = (price_count * supply_count) ** horizon
     if count > budget:
         raise BudgetExceededError(f"grid holds {count} instances, budget is {budget}")
+    check_dp_cells(horizon, disc)
+    cells = count * horizon * (disc.levels + 1)
+    if cells > MAX_GRID_CELLS:
+        raise InstanceTooLargeError(
+            f"{count} instances x {horizon} slots x {disc.levels + 1} storage levels = "
+            f"{cells} cells exceed the grid guard {MAX_GRID_CELLS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -173,7 +187,8 @@ class AdversaryGrid:
     budget: int = MAX_INSTANCES
 
     def __post_init__(self):
-        _check_size(self.horizon, len(self.price_levels), len(self.supply_levels), self.budget)
+        shape = (self.horizon, len(self.price_levels), len(self.supply_levels))
+        _check_size(*shape, self.disc, self.budget)
         if any(p <= 0.0 for p in self.price_levels):
             raise ValidationError("price levels must be positive")
         if any(u < 0.0 for u in self.supply_levels):
@@ -190,10 +205,10 @@ class AdversaryGrid:
         cls,
         bounds: PriceBounds,
         capacity: float,
-        horizon: int = 3,
-        price_count: int = 4,
-        supply_count: int = 3,
-        levels: int = 4,
+        horizon: int = GRID_DEFAULTS["horizon"],
+        price_count: int = GRID_DEFAULTS["price_count"],
+        supply_count: int = GRID_DEFAULTS["supply_count"],
+        levels: int = GRID_DEFAULTS["levels"],
         budget: int = MAX_INSTANCES,
     ) -> "AdversaryGrid":
         """Geometric price ladder p_min * theta^(k/(K-1)) and supply levels on
@@ -202,7 +217,7 @@ class AdversaryGrid:
         """
         theta = bounds.theta
         disc = DiscretizationConfig.for_capacity(capacity, levels)
-        _check_size(horizon, 1 if theta == 1.0 else price_count, supply_count, budget)
+        _check_size(horizon, 1 if theta == 1.0 else price_count, supply_count, disc, budget)
         if price_count == 1 or theta == 1.0:
             prices = (bounds.p_min,)
         else:
@@ -218,15 +233,9 @@ class WorstCaseReport:
     """Outcome of an exhaustive search over a grid."""
 
     max_ratio: float
-    argmax_instance: Trace | None
-    theoretical_bound: float | None
-    bucket_ratios: dict[float, float] = field(default_factory=dict)
-    instances: int = 0
-
-    def exceeds_bound(self, slack: float = 0.05) -> bool:
-        if self.theoretical_bound is None:
-            return False
-        return self.max_ratio > self.theoretical_bound * (1.0 + slack)
+    argmax_instance: Trace
+    bucket_ratios: dict[float, float]
+    instances: int
 
 
 def _slot_table(strategy, spec, penalty, choices, t: int, level: np.ndarray):
@@ -266,10 +275,7 @@ def _prefix_states(strategy: OfferStrategy, spec: StorageSpec, choices: list, ho
 
 
 def adversarial_search(
-    grid: AdversaryGrid,
-    strategy: OfferStrategy,
-    spec: StorageSpec,
-    theoretical_bound: float | None = None,
+    grid: AdversaryGrid, strategy: OfferStrategy, spec: StorageSpec
 ) -> WorstCaseReport:
     """Measure the profit ratio on every instance of the grid.
 
@@ -278,10 +284,10 @@ def adversarial_search(
     minimum storage level the strategy reached (grid units, rounded), with
     the oracle on the grid's storage quantization and the default penalty.
     `strategy` must be a pure function of its arguments (see
-    ``market.OfferStrategy``): it is called once per distinct state.
+    ``market.OfferStrategy``): it is called once per distinct state.  The
+    grid checked its size and the oracle's work when it was built.
     """
     disc = grid.disc
-    check_dp_cells(grid.horizon, disc)
     u_units, rc, rd, k0 = _quantize(grid.supply_levels, spec, disc)
     eta, n, horizon = disc.eta, disc.levels, grid.horizon
 
@@ -338,7 +344,6 @@ def adversarial_search(
     return WorstCaseReport(
         max_ratio=best,
         argmax_instance=Trace(*zip(*combo)),
-        theoretical_bound=theoretical_bound,
         bucket_ratios=buckets,
         instances=count,
     )

@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 from pathlib import Path
 
-from .adversary import MAX_INSTANCES, AdversaryGrid, WorstCaseReport, adversarial_search
+from .adversary import GRID_DEFAULTS, MAX_INSTANCES, AdversaryGrid, adversarial_search
 from .errors import BudgetExceededError, TraceParseError, ValidationError
 from .experiment import (
     STRATEGIES,
@@ -142,14 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         default="socs",
         choices=ADVERSARY_STRATEGIES,
-        help="gmin: always-sell floor policy; const: fixed threshold above pmin",
+        help="gmin: always-sell floor policy; const: fixed --threshold above pmin",
     )
-    adv.add_argument("--horizon", type=int, default=3, help="grid horizon (<= 6)")
-    adv.add_argument("--price-count", type=int, default=4, help="geometric price levels")
-    adv.add_argument("--supply-count", type=int, default=3, help="supply levels")
-    adv.add_argument("--levels", type=int, default=4, help="storage levels (C_d)")
+    adv.add_argument("--horizon", type=int, help="grid horizon (<= 6)")
+    adv.add_argument("--price-count", type=int, help="geometric price levels")
+    adv.add_argument("--supply-count", type=int, help="supply levels")
+    adv.add_argument("--levels", type=int, help="storage levels (C_d)")
+    adv.set_defaults(**GRID_DEFAULTS)
     adv.add_argument("--budget", type=int, default=MAX_INSTANCES, help="max instances")
-    adv.add_argument("--threshold", type=float, help="threshold for the const strategy")
+    adv.add_argument("--threshold", type=float, help="const only; default sqrt(pmin*pmax)")
 
     crt = sub.add_parser("cr-table", help="worst-case guarantee for a list of theta")
     crt.add_argument(
@@ -182,17 +183,16 @@ def _market(values: dict) -> tuple[PriceBounds, StorageSpec, PenaltyParams, Disc
         values["initial_level"],
     )
     penalty = PenaltyParams(values["alpha1"], values["alpha2"])
-    if values["eta"] is None:
-        disc = DiscretizationConfig.for_capacity(spec.capacity, _DEFAULT.disc_levels)
-    else:
-        eta = values["eta"]
+    levels, eta = _DEFAULT.disc_levels, values["eta"]
+    if eta is not None:
         # checked before rounding: a zero, nan or tiny eta gives no finite level count
-        levels = spec.capacity / eta if eta > 0.0 else math.inf
-        if not levels < math.inf:
+        count = spec.capacity / eta if eta > 0.0 else math.inf
+        if not count < math.inf:
             raise ValidationError(f"eta must be a positive quantum of the capacity, got {eta}")
-        disc = DiscretizationConfig(eta, max(round(levels), 1))
-        disc.check_capacity(spec.capacity)
-    return bounds, spec, penalty, disc
+        levels = max(round(count), 1)
+        DiscretizationConfig(eta, levels).check_capacity(spec.capacity)
+    # eta picks the level count only: every subcommand quantizes by C / levels
+    return bounds, spec, penalty, DiscretizationConfig.for_capacity(spec.capacity, levels)
 
 
 def _parse_list(flag: str, text: str, cast: type = float) -> list:
@@ -290,6 +290,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _adversary_strategy(args, values, bounds, spec):
+    """The strategy to search and the ratio bound it is known to meet, or None."""
+    if args.threshold is not None and args.strategy != "const":
+        raise ValidationError(f"--threshold is read only by --strategy const, not {args.strategy}")
     if args.strategy in STRATEGIES:
         policy = ThresholdPolicy.build(bounds, spec.capacity)
         cfg = StrategyConfig(policy, spec, offers=values["offers"])
@@ -297,14 +300,11 @@ def _adversary_strategy(args, values, bounds, spec):
         return STRATEGIES[args.strategy](cfg, ()), bound
     if args.strategy == "gmin":
         return fixed_threshold_strategy(bounds.p_min, spec), bounds.theta
-    threshold = args.threshold
-    if threshold is None:
-        threshold = (bounds.p_min * bounds.p_max) ** 0.5
-    if not bounds.p_min < threshold <= bounds.p_max:
-        raise ValidationError(
-            f"const threshold {threshold} must lie in (p_min, p_max]"
-        )
-    return fixed_threshold_strategy(threshold, spec), None
+    if args.threshold is None:
+        return fonline_strategy(bounds, spec), None
+    if not bounds.p_min < args.threshold <= bounds.p_max:
+        raise ValidationError(f"const threshold {args.threshold} must lie in (p_min, p_max]")
+    return fixed_threshold_strategy(args.threshold, spec), None
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
@@ -330,26 +330,24 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         budget=args.budget,
     )
     strategy, bound = _adversary_strategy(args, values, bounds, spec)
-    report = adversarial_search(grid, strategy, spec, theoretical_bound=bound)
-    _emit(json.dumps(_worst_case_json(report), indent=2), args.out)
+    report = adversarial_search(grid, strategy, spec)
+    _emit(json.dumps(_worst_case_json(report, bound), indent=2), args.out)
     return EXIT_OK
 
 
-def _worst_case_json(report: WorstCaseReport) -> dict:
-    out = {
+def _worst_case_json(report, bound: float | None) -> dict:
+    return {
         "instances": report.instances,
         "max_ratio": ratio_json(report.max_ratio),
-        "theoretical_bound": report.theoretical_bound,
+        "theoretical_bound": bound,
         "bucket_ratios": {
             f"{level:g}": ratio_json(r) for level, r in sorted(report.bucket_ratios.items())
         },
-    }
-    if report.argmax_instance is not None:
-        out["argmax_instance"] = {
+        "argmax_instance": {
             "prices": list(report.argmax_instance.prices),
             "outputs": list(report.argmax_instance.outputs),
-        }
-    return out
+        },
+    }
 
 
 def _cmd_cr_table(args: argparse.Namespace) -> int:

@@ -10,7 +10,7 @@ Three threshold strategies share the same curve:
   the ladder on the conservative low end of the band so a short output can
   never leave a commitment unfilled.
 
-Baselines: a fixed-threshold seller (``fonline_offer``) and the no-storage
+Baselines: a fixed-threshold seller (``fonline_strategy``) and the no-storage
 clairvoyant total (``nostorage_profit``).
 """
 from __future__ import annotations
@@ -181,13 +181,6 @@ def mocsmb_offers(cfg: StrategyConfig, predicted: float, level: float) -> Ladder
     return ocsmb_offers(cfg, (1.0 - cfg.e_max) * predicted, level)
 
 
-def fonline_offer(
-    bounds: PriceBounds, spec: StorageSpec, output: float, level: float
-) -> OfferBook:
-    """Storage-level-oblivious baseline: everything at sqrt(p_min * p_max)."""
-    return fixed_threshold_offer(math.sqrt(bounds.p_min * bounds.p_max), spec, output, level)
-
-
 def fixed_threshold_offer(
     threshold: float, spec: StorageSpec, output: float, level: float
 ) -> OfferBook:
@@ -222,7 +215,7 @@ def mocsmb_strategy(cfg: StrategyConfig, predicted: Sequence[float]) -> OfferStr
 
 
 def fonline_strategy(bounds: PriceBounds, spec: StorageSpec) -> OfferStrategy:
-    # fonline_offer with its threshold computed once, not once per slot
+    # storage-level-oblivious baseline: everything at sqrt(p_min * p_max)
     return fixed_threshold_strategy(math.sqrt(bounds.p_min * bounds.p_max), spec)
 
 

@@ -107,7 +107,6 @@ def adversarial_search_reference(
     grid: AdversaryGrid,
     strategy: OfferStrategy,
     spec: StorageSpec,
-    theoretical_bound: float | None = None,
 ) -> WorstCaseReport:
     """``adversary.adversarial_search`` instance by instance: one Trace, one
     oracle DP and one simulation per grid instance, in product order."""
@@ -139,7 +138,6 @@ def adversarial_search_reference(
     return WorstCaseReport(
         max_ratio=best,
         argmax_instance=argmax,
-        theoretical_bound=theoretical_bound,
         bucket_ratios=buckets,
         instances=count,
     )

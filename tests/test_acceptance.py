@@ -181,12 +181,7 @@ def test_criterion_5_worst_case_certification(capsys):
         grid = AdversaryGrid.geometric(
             bounds, capacity, horizon=4, price_count=4, supply_count=3, levels=4
         )
-        rep = adversarial_search(
-            grid,
-            socs_strategy(StrategyConfig(pol, spec)),
-            spec,
-            theoretical_bound=pol.cr_value,
-        )
+        rep = adversarial_search(grid, socs_strategy(StrategyConfig(pol, spec)), spec)
         assert rep.max_ratio < math.inf
         assert rep.max_ratio <= pol.cr_value * 1.05
         assert max(rep.bucket_ratios.values()) == rep.max_ratio

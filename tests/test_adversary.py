@@ -26,7 +26,7 @@ from hourahead.adversary import (
     step_lengths_from_equalization,
 )
 from hourahead.experiment import STRATEGIES
-from hourahead.strategies import fixed_threshold_strategy, socs_strategy
+from hourahead.strategies import fixed_threshold_strategy, fonline_strategy, socs_strategy
 
 from oracle_reference import adversarial_search_reference, empirical_cr
 
@@ -147,16 +147,10 @@ class TestAdversarialSearch:
         spec = full_storage_spec(4.0)
         pol = ThresholdPolicy.build(bounds, spec.capacity)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=3, levels=4)
-        report = adversarial_search(
-            grid,
-            socs_strategy(StrategyConfig(pol, spec)),
-            spec,
-            theoretical_bound=pol.cr_value,
-        )
+        report = adversarial_search(grid, socs_strategy(StrategyConfig(pol, spec)), spec)
         assert report.instances == grid.instance_count
         assert report.max_ratio < math.inf
         assert report.max_ratio <= pol.cr_value * 1.05
-        assert not report.exceeds_bound()
 
     def test_flat_price_grid_ratio_is_one(self):
         bounds = PriceBounds(10.0, 10.0)
@@ -197,7 +191,6 @@ class TestAdversarialSearch:
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=2, levels=4)
         report = adversarial_search(grid, fixed_threshold_strategy(20.0, spec), spec)
         assert report.max_ratio == math.inf
-        assert report.exceeds_bound() is False  # no bound attached
         low = report.bucket_ratios[min(report.bucket_ratios)]
         assert low == math.inf or low >= 1.0
 
@@ -247,13 +240,13 @@ class TestGridValidation:
 
 def adversary_strategy(name, bounds, spec):
     """The CLI's adversary strategies: the registry's socs, ocsmb and fonline,
-    the always-sell floor policy and a fixed threshold above p_min."""
+    the always-sell floor policy and const at its default threshold, fonline's."""
     if name in STRATEGIES:
         cfg = StrategyConfig(ThresholdPolicy.build(bounds, spec.capacity), spec)
         return STRATEGIES[name](cfg, ())
     if name == "gmin":
         return fixed_threshold_strategy(bounds.p_min, spec)
-    return fixed_threshold_strategy(math.sqrt(bounds.p_min * bounds.p_max), spec)
+    return fonline_strategy(bounds, spec)
 
 
 ADVERSARY_NAMES = ("socs", "ocsmb", "fonline", "gmin", "const")
@@ -347,10 +340,7 @@ def test_socs_certified_at_horizon_five(theta):
     bounds = PriceBounds(10.0, 10.0 * theta)
     spec = full_storage_spec(4.0)
     grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=5, levels=4)
-    report = adversarial_search(
-        grid, adversary_strategy("socs", bounds, spec), spec, theoretical_cr(theta)
-    )
+    report = adversarial_search(grid, adversary_strategy("socs", bounds, spec), spec)
     assert report.instances == 248832
     assert report.max_ratio <= theoretical_cr(theta) * 1.05
-    assert not report.exceeds_bound()
     assert max(report.bucket_ratios.values()) == report.max_ratio

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from hourahead import DiscretizationConfig, PriceBounds, StorageSpec, offline_opt_dp
 from hourahead.cli import ADVERSARY_STRATEGIES, SETTINGS, build_parser, main
 from hourahead.experiment import STRATEGIES, ExperimentConfig, run_experiment
+from hourahead.traces import gen_synthetic
 
 
 def subcommands() -> dict[str, argparse.ArgumentParser]:
@@ -80,6 +82,15 @@ class TestGenTraceAndSimulate:
         assert data["horizon"] == 24
         assert data["profit"] > 0.0
         assert data["offline_profit"] >= data["profit"] - 1e-9
+
+    def test_eta_picks_the_level_count(self, capsys):
+        # --eta 0.1 picks 3 levels, and the oracle quantizes by 0.3 / 3 as compare's does
+        argv = ["simulate", "--capacity", "0.3", "--eta", "0.1", "--horizon", "24", "--seed", "0"]
+        assert main(argv) == 0
+        trace = gen_synthetic(0, 24, PriceBounds(10.0, 40.0), 10.0)
+        disc = DiscretizationConfig.for_capacity(0.3, 3)
+        opt = offline_opt_dp(trace, StorageSpec(0.3, 10.0, 10.0), disc).total_profit
+        assert json.loads(capsys.readouterr().out)["offline_profit"] == opt == 1956.3157189995443
 
     def test_synthetic_simulate_with_slots(self, capsys):
         assert main(["simulate", "--horizon", "6", "--seed", "2", "--slots", "--eta", "0.5"]) == 0
@@ -433,12 +444,17 @@ class TestValidationExits:
             ["compare", "--runs", "1", "--horizon", "4", "--eta", "0"],
             ["compare", "--runs", "1", "--horizon", "4", "--eta", "nan"],
             ["compare", "--runs", "1", "--horizon", "4", "--eta", "1e-320"],
+            ["simulate", "--horizon", "4", "--eta", "0"],
             ["simulate", "--horizon", "4", "--eta", "nan"],
+            ["simulate", "--horizon", "4", "--eta", "1e-320"],
+            ["simulate", "--horizon", "4", "--eta", "1e-9"],
             ["adversary", "--horizon", "1", "--capacity", "4", "--levels", "0"],
             # refused before numpy is asked for the arrays
             ["gen-trace", "--horizon", "100000000000", "--out-prefix", "PREFIX"],
             # the horizon is checked before the instance count is
             ["adversary", "--horizon", "7", "--price-count", "1000000"],
+            # 1728 instances x 3 slots x 10^6 levels: the whole grid's oracle work
+            ["adversary", "--horizon", "3", "--capacity", "4", "--levels", "1000000"],
         ],
     )
     def test_bad_number(self, argv, tmp_path, capsys):
@@ -481,6 +497,9 @@ class TestValidationExits:
             ["gen-trace", "--eta", "0.1"],
             ["adversary", "--horizon", "1", "--capacity", "4", "--eta", "0.1"],
             ["adversary", "--horizon", "1", "--capacity", "4", "--seed", "3"],
+            # --threshold is read by --strategy const only
+            ["adversary", "--strategy", "gmin", "--threshold", "999", "--horizon", "2",
+             "--capacity", "4", "--levels", "4"],  # fmt: skip
         ],
     )
     def test_ignored_flag_rejected(self, argv, tmp_path, monkeypatch, capsys):

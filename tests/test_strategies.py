@@ -14,7 +14,6 @@ from hourahead import (
     ThresholdPolicy,
     Trace,
     ValidationError,
-    fonline_offer,
     mocsmb_offers,
     nostorage_profit,
     ocsmb_offers,
@@ -327,21 +326,16 @@ class TestMocsmbOffers:
 
 class TestBaselines:
     def test_fonline_threshold(self, spec):
-        book = fonline_offer(PriceBounds(10.0, 40.0), spec, 1.0, 5.0)
+        book = fonline_strategy(PriceBounds(10.0, 40.0), spec)(0, 25.0, 1.0, 5.0)
         assert book.prices == (20.0,)
 
     def test_fonline_volume(self):
         spec = StorageSpec(20.0, 10.0, 2.0, 8.0)
-        book = fonline_offer(PriceBounds(10.0, 40.0), spec, 3.0, 8.0)
+        book = fonline_strategy(PriceBounds(10.0, 40.0), spec)(0, 25.0, 3.0, 8.0)
         assert book.volumes == (5.0,)
 
     def test_fonline_empty(self, spec):
-        assert len(fonline_offer(PriceBounds(10.0, 40.0), spec, 0.0, 0.0)) == 0
-
-    def test_fonline_strategy_is_fonline_offer(self, bounds, spec):
-        strategy = fonline_strategy(bounds, spec)
-        for output, level in ((0.0, 0.0), (1.0, 5.0), (3.0, 20.0)):
-            assert strategy(0, 25.0, output, level) == fonline_offer(bounds, spec, output, level)
+        assert len(fonline_strategy(PriceBounds(10.0, 40.0), spec)(0, 25.0, 0.0, 0.0)) == 0
 
     def test_fixed_threshold_offer(self, spec):
         book = fixed_threshold_offer(25.0, spec, 2.0, 4.0)
