@@ -16,8 +16,13 @@ float64 + - * / round as Python's floats do):
   running profit and its running minimum level, and the storage level takes
   few distinct values per slot, so the strategy and ``market.play_slot`` run
   once per (distinct level, slot choice) and numpy gathers the children.
-* The oracle is ``oracle.grid_dp`` on chunks of at most CHUNK_CELLS
-  (instance, level) cells, and the ratios, min-level buckets and the first
+* The oracle's values from slot s on depend only on the slot choices from s
+  on, so ``oracle.grid_step`` builds them once per suffix of slot choices:
+  a table walked back from v_T = 0, each slot tiling the rows once per slot
+  choice, up to the earliest slot s >= 1 whose table fits in CHUNK_CELLS
+  (suffix, level) cells.  Each chunk of at most CHUNK_CELLS (instance,
+  level) cells gathers its instances' rows and steps through the leading
+  slots s-1 ... 0 only, and the ratios, min-level buckets and the first
   argmax are reduced per chunk, so no array spans the whole grid times the
   storage levels.
 """
@@ -42,7 +47,7 @@ from .oracle import (  # offline_opt_dp stays for bench/tracer.py to replace by 
     DiscretizationConfig,
     _quantize,
     check_dp_cells,
-    grid_dp,
+    grid_step,
     offline_opt_dp,
     profit_ratios,
 )
@@ -145,8 +150,9 @@ def step_lengths_from_equalization(
     )
 
 
-# cells (instances x storage levels) of one chunk of the grid DP
-CHUNK_CELLS = 2**12
+# cells (suffixes or instances x storage levels) of the suffix table and of
+# one chunk of the grid DP
+CHUNK_CELLS = 2**14
 # default budget of a grid: the most instances it may hold
 MAX_INSTANCES = 10**7
 # work guard of a whole grid's oracle: instances x slots x (levels + 1)
@@ -303,26 +309,34 @@ def adversarial_search(
     cap_col = np.array([min(rc, u) for u in choice_units])
     strides = [width ** (horizon - 1 - t) for t in range(horizon)]
 
+    # v_s over every suffix of slot choices from slot s on, in product order,
+    # built backwards from v_T = 0 while it fits in CHUNK_CELLS (s >= 1)
+    table, s = np.zeros((1, n + 1)), horizon
+    while s > 1 and width * table.size <= CHUNK_CELLS:
+        s -= 1
+        c = np.repeat(np.arange(width), len(table))[:, None]
+        step = grid_step((len(c), n + 1), rd, eta)
+        table, _best = step(np.tile(table, (width, 1)), price_col[c], unit_col[c], cap_col[c])
+
     best = -math.inf
     argmax = 0
     buckets: dict[float, float] = {}
-    rows = max(CHUNK_CELLS // (n + 1), 1)
     count = grid.instance_count
+    rows = min(max(CHUNK_CELLS // (n + 1), 1), count)
+    step = grid_step((rows, n + 1), rd, eta)
     for start in range(0, count, rows):
         idx = np.arange(start, min(start + rows, count))
-        slots = [(idx // stride % width)[:, None] for stride in strides]
-        v, _bests = grid_dp(
-            [price_col[c] for c in slots],
-            [unit_col[c] for c in slots],
-            [cap_col[c] for c in slots],
-            rd,
-            n,
-            eta,
-        )
+        # each instance's suffix from slot s, then its leading slots s-1 ... 0
+        v = table[idx % len(table)]
+        if len(v) < rows:  # the last chunk
+            step = grid_step(v.shape, rd, eta)
+        for t in reversed(range(s)):
+            c = (idx // strides[t] % width)[:, None]
+            v, _best = step(v, price_col[c], unit_col[c], cap_col[c])
         parent, last = np.divmod(idx, width)
         g = group[parent]
         lowest = np.minimum(low[parent], last_level[g, last])
-        ratio = profit_ratios(v[:, k0], total[parent] + last_profit[g, last])
+        ratio = profit_ratios(v[:, n - k0], total[parent] + last_profit[g, last])
 
         # round(x) * eta as Python takes it: half to even, and never -0.0
         # (so the sign of a zero minimum level does not matter)

@@ -105,53 +105,48 @@ def check_dp_cells(horizon: int, disc: DiscretizationConfig) -> None:
         )
 
 
-def grid_dp(prices, units, caps, rd: int, n: int, eta: float):
-    """Backward pass of the grid DP, for one instance or a batch.
+def grid_step(shape: tuple[int, ...], rd: int, eta: float):
+    """The grid DP's backward step over levels 0 ... n, as a function
+    ``step(v, p, uq, cap)`` for one instance, ``shape`` (n+1,), or a batch
+    of R instances, ``shape`` (R, n+1).
 
-    Slot t's columns are the price ``prices[t]``, the output in grid units
-    as a float ``units[t]`` (exact below 2**53 units; no int64 overflow
-    above) and ``caps[t] = min(r_c, output units)``: Python scalars for one
-    instance, (N, 1) arrays for a batch of N.  Returns v_0 over the levels
-    0 ... n, shaped (n+1,) or (N, n+1), and the rightmost argmax m* of each
-    slot's window key, shaped (T,) or (N, T).
-
-    The arrays run over j = n - k, the levels counted from the top, so a
-    first argmax is the rightmost one in k.  Row i of a batch holds flat
-    indices i*(n+1) + j, so each clip and gather is one op over the batch.
+    ``v`` holds v_{t+1} over j = n - k, the levels counted from the top, so
+    a first argmax is the rightmost one in k.  The slot's price ``p``,
+    output in grid units as a float ``uq`` (exact below 2**53 units; no
+    int64 overflow above) and ``cap = min(r_c, output units)`` are Python
+    scalars for one instance, or (R, 1) columns.  ``step`` returns v_t,
+    shaped like ``v``, and the rightmost argmax m* of each window key,
+    shaped (1,) or (R, 1), as the flat index i*(n+1) + n - m* of row i.
+    Every row sees the same operations in the same order, so its values do
+    not depend on the batch it is in.
     """
-    width = n + 1
-    shape = np.shape(units[0])[:1] + (width,)
     j = np.arange(math.prod(shape)).reshape(shape)  # flat index of level n - j
     base = j[..., :1]
-    below_top = j - base  # n - k
+    below_top = np.arange(shape[-1])  # n - k, the same in every row
     highest = j + rd  # the lowest next level k - r_d
-    # each slot writes its key and values into these buffers; v and v_next swap roles
-    v, v_next, key = np.zeros(shape), np.empty(shape), np.empty(shape)
-    bests = []
-    for t in reversed(range(len(prices))):
-        p, uq = prices[t], units[t]
+
+    def step(v, p, uq, cap):
         # window key: v_{t+1}(m) - p*eta*m plus the constant p*eta*(u + n),
         # computed as the value of landing on m from the top level k = n.
         # Rounded like the values below, it ranks near-ties as they do more
         # often than the plain difference: over 300 synthetic 360 x 400 runs
         # no total, against 2, came out one ulp off the per-action DP
-        np.add(uq, below_top, out=key)
+        key = np.add(uq, below_top)
         key *= eta
         key *= p
         key += v
         # rightmost argmax of the concave key, clipped into each window:
         # min(max(k - r_d, m*), k + min(r_c, u)) counted from the top
         best = base + key.argmax(axis=-1, keepdims=True)
-        m = np.maximum(np.minimum(highest, best), j - caps[t])
+        m = np.maximum(np.minimum(highest, best), j - cap)
         # commits u + k - m units: p * ((u + (m - j)) * eta) + v_{t+1}(m)
-        np.add(uq, m - j, out=v_next)
+        v_next = np.add(uq, m - j, out=key)  # the key is spent
         v_next *= eta
         v_next *= p
         v_next += v.ravel()[m]  # a fancy-index gather beats np.take into a buffer
-        v, v_next = v_next, v
-        bests.append(best)
-    bests.reverse()
-    return v[..., ::-1], n - (np.concatenate(bests, axis=-1) - base)
+        return v_next, best
+
+    return step
 
 
 def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) -> OptResult:
@@ -169,13 +164,18 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
     u_units, rc, rd, k0 = _quantize(trace.outputs, spec, disc)
     eta, n = disc.eta, disc.levels
     caps = [min(rc, u) for u in u_units]
-    v, bests = grid_dp(trace.prices, [float(u) for u in u_units], caps, rd, n, eta)
+    step = grid_step((n + 1,), rd, eta)
+    v = np.zeros(n + 1)
+    bests = []
+    for t in reversed(range(trace.horizon)):
+        v, best = step(v, trace.prices[t], float(u_units[t]), caps[t])
+        bests.append(best)
 
-    total = float(v[k0])
+    total = float(v[n - k0])
     k = k0
     commitments = []
     levels = [k0 * eta]
-    for t, best in enumerate(bests.tolist()):
+    for t, best in enumerate((n - np.concatenate(bests[::-1])).tolist()):
         # the same clip as m[k] in the backward pass, for this slot's k only
         m = min(max(k - rd, best), k + caps[t])
         commitments.append((u_units[t] + k - m) * eta)

@@ -57,17 +57,20 @@ def socs_offer(cfg: StrategyConfig, price: float, output: float, level: float) -
     physically deliverable, so the commitment can always be met.
     """
     pol, spec = cfg.policy, cfg.spec
-    p_min = pol.bounds.p_min
-    z_plus = min(level + output, pol.capacity)
-    candidate = pol.eval_g(z_plus)
-    if candidate > price:
-        volume = max(output - spec.charge_rate, 0.0)
-    elif price <= p_min:
-        volume = level + output - min(pol.c_th, level + spec.charge_rate)
+    # each min and max is a conditional that picks the operand the builtin
+    # picks, signed zeros included, as in market.play_slot
+    capacity, rate_c, rate_d = pol.capacity, spec.charge_rate, spec.discharge_rate
+    stock = level + output
+    if pol.eval_g(capacity if capacity < stock else stock) > price:
+        volume = output - rate_c
     else:
-        volume = level + output - min(pol.eval_g_inverse(price), level + spec.charge_rate)
-    volume = min(volume, output + min(level, spec.discharge_rate))
-    volume = max(volume, 0.0)
+        # the level kept: the threshold level of the price, at most level + r_c
+        kept = pol.c_th if price <= pol.bounds.p_min else pol.eval_g_inverse(price)
+        reach = level + rate_c
+        volume = stock - (reach if reach < kept else kept)
+    deliverable = output + (rate_d if rate_d < level else level)
+    volume = deliverable if deliverable < volume else volume
+    volume = 0.0 if volume < 0.0 else volume
     if volume == 0.0:
         return EMPTY_BOOK
     return OfferBook((price,), (volume,))

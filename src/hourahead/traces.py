@@ -134,13 +134,18 @@ def synthesize(
     if not 1 <= horizon <= MAX_HORIZON:
         raise ValidationError(f"horizon must be in [1, {MAX_HORIZON}], got {horizon}")
     check_wind_capacity(wind_capacity)
-    lo, hi = math.log(bounds.p_min), math.log(bounds.p_max)
+    p_min, p_max = bounds.p_min, bounds.p_max
+    lo, hi = math.log(p_min), math.log(p_max)
     x = rng.uniform(lo, hi)
     price_steps = rng.standard_normal(horizon)
     prices = []
+    # each clip min(max(a, lo), hi) is a conditional that picks the operand
+    # the builtins pick (as lo <= hi), without their call cost
     for step in price_steps:
-        x = min(max(x + PRICE_SIGMA * float(step), lo), hi)
-        prices.append(min(max(math.exp(x), bounds.p_min), bounds.p_max))
+        x += PRICE_SIGMA * float(step)
+        x = hi if hi < x else (lo if x < lo else x)
+        price = math.exp(x)
+        prices.append(p_max if p_max < price else (p_min if price < p_min else price))
 
     mean = WIND_MEAN_FRAC * wind_capacity
     sigma = WIND_SIGMA_FRAC * wind_capacity
@@ -148,7 +153,8 @@ def synthesize(
     w = mean
     winds = []
     for step in wind_steps:
-        w = min(max(mean + WIND_PHI * (w - mean) + sigma * float(step), 0.0), wind_capacity)
+        w = mean + WIND_PHI * (w - mean) + sigma * float(step)
+        w = wind_capacity if wind_capacity < w else (0.0 if w < 0.0 else w)
         winds.append(w)
     return Trace(prices, winds)
 

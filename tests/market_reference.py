@@ -1,9 +1,10 @@
 """Test-only reference for one market slot: the settlement, over-commitment,
-storage step and profit as separate helpers, and ``market.play_slot`` as
-their composition, written with the builtin ``min`` and ``max``."""
+storage step and profit as separate helpers, ``market.play_slot`` as their
+composition, and ``strategies.socs_offer``, all written with the builtin
+``min`` and ``max``."""
 from __future__ import annotations
 
-from hourahead import PenaltyParams, StorageSpec
+from hourahead import EMPTY_BOOK, OfferBook, PenaltyParams, StorageSpec, StrategyConfig
 from hourahead.market import OfferStrategy
 
 
@@ -49,3 +50,24 @@ def play_slot_reference(
     delivered = min(x, u + min(level, spec.discharge_rate))
     next_level, charge, discharge = evolve_storage(level, spec, u, delivered)
     return x, y, charge, discharge, slot_profit(price, x, y, penalty), next_level
+
+
+def socs_offer_reference(cfg: StrategyConfig, price: float, output: float, level: float) -> OfferBook:
+    """``strategies.socs_offer``: sell down to the threshold level of the
+    price, or only the surplus beyond the charge rate when the threshold at
+    the post-charge level beats the price, capped at what is deliverable."""
+    pol, spec = cfg.policy, cfg.spec
+    p_min = pol.bounds.p_min
+    z_plus = min(level + output, pol.capacity)
+    candidate = pol.eval_g(z_plus)
+    if candidate > price:
+        volume = max(output - spec.charge_rate, 0.0)
+    elif price <= p_min:
+        volume = level + output - min(pol.c_th, level + spec.charge_rate)
+    else:
+        volume = level + output - min(pol.eval_g_inverse(price), level + spec.charge_rate)
+    volume = min(volume, output + min(level, spec.discharge_rate))
+    volume = max(volume, 0.0)
+    if volume == 0.0:
+        return EMPTY_BOOK
+    return OfferBook((price,), (volume,))

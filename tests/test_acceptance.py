@@ -9,7 +9,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from hourahead import (
     DiscretizationConfig,

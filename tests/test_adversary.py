@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hourahead import (
     BudgetExceededError,
     DiscretizationConfig,
-    PenaltyParams,
     PriceBounds,
     StorageSpec,
     StrategyConfig,
@@ -17,6 +16,7 @@ from hourahead import (
     ValidationError,
     theoretical_cr,
 )
+from hourahead import adversary
 from hourahead.adversary import (
     CHUNK_CELLS,
     AdversaryGrid,
@@ -296,7 +296,7 @@ class TestBatchedSearchIsExact:
         bounds = PriceBounds(10.0, 40.0)
         spec = full_storage_spec(4.0)
         grid = AdversaryGrid.geometric(
-            bounds, spec.capacity, horizon=3, price_count=6, supply_count=3, levels=6
+            bounds, spec.capacity, horizon=3, price_count=6, supply_count=3, levels=16
         )
         assert grid.instance_count > 5 * (CHUNK_CELLS // (grid.disc.levels + 1))
         strategy = adversary_strategy("const", bounds, spec)
@@ -312,6 +312,32 @@ class TestBatchedSearchIsExact:
         spec = full_storage_spec(4.0)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=2, levels=4)
         grid = replace(grid, supply_levels=tuple(u * grid.disc.eta for u in (0.0, 1.0, 1e30)))
+        strategy = adversary_strategy(name, bounds, spec)
+        assert_same_report(
+            adversarial_search(grid, strategy, spec),
+            adversarial_search_reference(grid, strategy, spec),
+        )
+
+    @pytest.mark.parametrize(
+        "cells, horizon, price_count, rates, initial, name",
+        [
+            (8, 3, 4, (4.0, 4.0), None, "socs"),
+            (64, 3, 4, (1.0, 3.0), 1.3, "ocsmb"),
+            (8, 4, 2, (1.0, 3.0), 1.3, "socs"),
+            (64, 4, 2, (4.0, 4.0), 2.0, "ocsmb"),
+        ],
+    )
+    def test_capped_suffix_table(
+        self, monkeypatch, cells, horizon, price_count, rates, initial, name
+    ):
+        # 8 cells hold no slot of the table and one instance per chunk; 64
+        # hold one slot, so each chunk runs the two or three leading slots
+        monkeypatch.setattr(adversary, "CHUNK_CELLS", cells)
+        bounds = PriceBounds(10.0, 40.0)
+        spec = StorageSpec(4.0, *rates, initial)
+        grid = AdversaryGrid.geometric(
+            bounds, spec.capacity, horizon=horizon, price_count=price_count, levels=4
+        )
         strategy = adversary_strategy(name, bounds, spec)
         assert_same_report(
             adversarial_search(grid, strategy, spec),
@@ -344,3 +370,28 @@ def test_socs_certified_at_horizon_five(theta):
     assert report.instances == 248832
     assert report.max_ratio <= theoretical_cr(theta) * 1.05
     assert max(report.bucket_ratios.values()) == report.max_ratio
+
+
+def test_ocsmb_converges_to_socs_bound():
+    # on the 104976-instance theta=4 grid the worst case of ocsmb falls as
+    # the offer count m grows and reaches socs's guarantee from m = 8 on
+    bounds = PriceBounds(10.0, 40.0)
+    spec = full_storage_spec(4.0)
+    grid = AdversaryGrid.geometric(
+        bounds, spec.capacity, horizon=4, price_count=6, supply_count=3, levels=4
+    )
+    assert grid.instance_count == 104976
+    policy = ThresholdPolicy.build(bounds, spec.capacity)
+    offers = (1, 2, 3, 4, 6, 8, 12, 16)
+    worst = [
+        adversarial_search(grid, STRATEGIES["ocsmb"](StrategyConfig(policy, spec, m), ()), spec)
+        .max_ratio
+        for m in offers
+    ]
+    assert worst == pytest.approx([12.2377, 9.2745, 5.3268, 4.0370, 3.1021] + [3.0594] * 3, abs=1e-4)
+    assert worst == sorted(worst, reverse=True)
+    for m, ratio in zip(offers, worst):
+        if m <= 6:
+            assert ratio > theoretical_cr(4.0)
+        else:
+            assert ratio == theoretical_cr(4.0)

@@ -2,16 +2,7 @@ import json
 
 import pytest
 
-from hourahead import (
-    DiscretizationConfig,
-    PenaltyParams,
-    PriceBounds,
-    StorageSpec,
-    Trace,
-    ValidationError,
-    offline_opt_dp,
-    theoretical_cr,
-)
+from hourahead import ValidationError, theoretical_cr
 from hourahead.cli import load_config_file
 from hourahead.experiment import (
     ExperimentConfig,

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from hourahead import (
     DiscretizationConfig,
     InstanceTooLargeError,
-    PenaltyParams,
     StorageSpec,
     Trace,
     ValidationError,

@@ -30,6 +30,7 @@ from hourahead.strategies import (
 )
 
 from conftest import forecast_and_realized, non_negative, synthetic_trace
+from market_reference import socs_offer_reference
 
 
 @pytest.fixture
@@ -55,6 +56,30 @@ def bisect_inverse(pol, price, tol=1e-12):
 
 
 class TestSocsOffer:
+    @settings(max_examples=400)
+    @given(
+        theta=st.sampled_from([1.0, 1.5, 4.0, math.e**2, 50.0]),
+        price_frac=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        output=non_negative(30.0),
+        capacity=st.floats(0.5, 30.0),
+        level_frac=st.one_of(st.just(-0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        rc=non_negative(12.0),
+        rd=non_negative(12.0),
+    )
+    def test_matches_builtin_reference(
+        self, theta, price_frac, output, capacity, level_frac, rc, rd
+    ):
+        # the conditionals pick what the builtin min and max pick, bit for bit
+        bounds = PriceBounds(10.0, 10.0 * theta)
+        price = bounds.p_min + price_frac * (bounds.p_max - bounds.p_min)
+        cfg = StrategyConfig(ThresholdPolicy.build(bounds, capacity), StorageSpec(capacity, rc, rd))
+        level = level_frac * capacity
+        book = socs_offer(cfg, price, output, level)
+        ref = socs_offer_reference(cfg, price, output, level)
+        assert [x.hex() for x in book.prices + book.volumes] == [
+            x.hex() for x in ref.prices + ref.volumes
+        ]
+
     def test_market_beats_candidate(self, pol_e2, cfg_e2):
         # z=10, u=2, p=20: sell down to the level whose threshold equals 20
         book = socs_offer(cfg_e2, 20.0, 2.0, 10.0)
