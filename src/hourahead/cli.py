@@ -3,7 +3,7 @@
 Subcommands mirror the experiment families: ``simulate`` (one trace, one
 strategy), ``compare`` (full multi-run comparison), ``adversary``
 (worst-case grid search), ``cr-table`` (guarantee formula over a theta
-list), and ``gen-trace`` (synthetic trace to CSV).
+list), and ``gen-trace`` (the trace of compare's run 0 to CSV).
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 budget exceeded.
 """
@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from collections import namedtuple
+from dataclasses import replace
 from pathlib import Path
 
 from .adversary import GRID_DEFAULTS, MAX_INSTANCES, AdversaryGrid, adversarial_search
@@ -23,9 +24,11 @@ from .errors import BudgetExceededError, TraceParseError, ValidationError
 from .experiment import (
     STRATEGIES,
     ExperimentConfig,
+    draw_instance,
     emit_report,
     run_experiment,
     run_offer_sweep,
+    strategy_config,
 )
 from .market import PenaltyParams, PriceBounds, StorageSpec, simulate_run
 from .oracle import DiscretizationConfig, offline_opt_dp, profit_ratio, ratio_json
@@ -38,7 +41,7 @@ from .strategies import (  # the *_strategy factories stay for bench/tracer.py t
     ocsmb_strategy,
     socs_strategy,
 )
-from .traces import gen_synthetic, load_trace, write_trace_csv
+from .traces import load_trace, write_trace_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -174,7 +177,9 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
     return {name: setting.default for name, setting in SETTINGS.items()} | given, given
 
 
-def _market(values: dict) -> tuple[PriceBounds, StorageSpec, PenaltyParams, DiscretizationConfig]:
+def _experiment_config(values: dict) -> ExperimentConfig:
+    """The experiment of the resolved settings: what simulate, compare and
+    gen-trace draw their traces from and quantize the oracle by."""
     bounds = PriceBounds(values["pmin"], values["pmax"])
     spec = StorageSpec(
         values["capacity"],
@@ -182,7 +187,6 @@ def _market(values: dict) -> tuple[PriceBounds, StorageSpec, PenaltyParams, Disc
         values["discharge_rate"],
         values["initial_level"],
     )
-    penalty = PenaltyParams(values["alpha1"], values["alpha2"])
     levels, eta = _DEFAULT.disc_levels, values["eta"]
     if eta is not None:
         # checked before rounding: a zero, nan or tiny eta gives no finite level count
@@ -192,16 +196,21 @@ def _market(values: dict) -> tuple[PriceBounds, StorageSpec, PenaltyParams, Disc
         levels = max(round(count), 1)
         DiscretizationConfig(eta, levels).check_capacity(spec.capacity)
     # eta picks the level count only: every subcommand quantizes by C / levels
-    return bounds, spec, penalty, DiscretizationConfig.for_capacity(spec.capacity, levels)
+    return ExperimentConfig(
+        runs=values["runs"], horizon=values["horizon"], seed=values["seed"], bounds=bounds,
+        spec=spec, penalty=PenaltyParams(values["alpha1"], values["alpha2"]),
+        offers=values["offers"], e_max=values["emax"], disc_levels=levels,
+        wind_capacity=values["wind_capacity"],
+    )  # fmt: skip
 
 
-def _parse_list(flag: str, text: str, cast: type = float) -> list:
+def _parse_list(flag: str, text: str, cast: type = float) -> list | range:
     """A comma-separated list, or for integers also an inclusive 'lo-hi'
-    range; raises ValidationError when it is malformed or empty."""
+    range, kept lazy; raises ValidationError when it is malformed or empty."""
     try:
         if cast is int and "-" in text and "," not in text:
             lo, hi = text.split("-", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
         else:
             values = [cast(x) for x in text.split(",") if x.strip()]
     except ValueError:
@@ -220,7 +229,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     values, given = _resolve(args)
-    bounds, spec, penalty, disc = _market(values)
+    cfg = _experiment_config(values)
     if args.price_csv or args.wind_csv:
         if not (args.price_csv and args.wind_csv):
             raise ValidationError("--price-csv and --wind-csv must be given together")
@@ -229,20 +238,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             args.wind_csv,
             # bounds count only when a flag or the config file sets them;
             # otherwise the trace's observed range sets them
-            bounds=bounds if {"pmin", "pmax"} & given.keys() else None,
+            bounds=cfg.bounds if {"pmin", "pmax"} & given.keys() else None,
             clip=args.clip_prices,
         )
+        cfg, predicted = replace(cfg, bounds=bounds), trace.outputs
     else:
-        trace = gen_synthetic(
-            values["seed"], values["horizon"], bounds, values["wind_capacity"]
-        )
+        # run 0 of compare with the same settings: the forecast and its realization
+        trace, predicted = draw_instance(cfg, 0)
 
-    policy = ThresholdPolicy.build(bounds, spec.capacity)
-    cfg = StrategyConfig(policy, spec, offers=values["offers"], e_max=values["emax"])
-    strategy = STRATEGIES[args.strategy](cfg, trace.outputs)
-
-    result = simulate_run(trace, spec, penalty, strategy)
-    opt = offline_opt_dp(trace, spec, disc).total_profit
+    strategy = STRATEGIES[args.strategy](strategy_config(cfg), predicted)
+    result = simulate_run(trace, cfg.spec, cfg.penalty, strategy)
+    opt = offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit
     ratio = profit_ratio(opt, result.total_profit)
     out = {
         "strategy": args.strategy,
@@ -267,13 +273,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     values, _given = _resolve(args)
-    bounds, spec, penalty, disc = _market(values)
-    cfg = ExperimentConfig(
-        runs=values["runs"], horizon=values["horizon"], seed=values["seed"], bounds=bounds,
-        spec=spec, penalty=penalty, offers=values["offers"], e_max=values["emax"],
-        disc_levels=disc.levels, wind_capacity=values["wind_capacity"],
-    )  # fmt: skip
+    cfg = _experiment_config(values)
     if args.sweep_offers:
+        if args.parallel:
+            raise ValidationError("--parallel is not read by --sweep-offers, which runs serially")
         rows = run_offer_sweep(cfg, _parse_list("--sweep-offers", args.sweep_offers, int))
         if args.csv:
             with Path(args.csv).open("w", newline="") as fh:
@@ -360,10 +363,8 @@ def _cmd_cr_table(args: argparse.Namespace) -> int:
 
 def _cmd_gen_trace(args: argparse.Namespace) -> int:
     values, _given = _resolve(args)
-    bounds = PriceBounds(values["pmin"], values["pmax"])
-    trace = gen_synthetic(
-        values["seed"], values["horizon"], bounds, values["wind_capacity"]
-    )
+    # the realized trace that synthetic simulate plays, run 0 of compare
+    trace, _predicted = draw_instance(_experiment_config(values), 0)
     price_path = f"{args.out_prefix}-price.csv"
     wind_path = f"{args.out_prefix}-wind.csv"
     write_trace_csv(trace, price_path, wind_path)

@@ -1,7 +1,7 @@
 """Experiment orchestration: seeded runs, aggregation, and report emission.
 
-Each run draws a synthetic trace from seed XOR run-index, simulates the
-selected strategies against the clairvoyant benchmarks, and the harness
+Each run draws a synthetic trace from seed XOR run-index, simulates every
+registered strategy against the clairvoyant benchmarks, and the harness
 aggregates profits and empirical profit ratios.  Runs are independent, so
 serial and parallel execution produce identical reports.
 """
@@ -56,7 +56,6 @@ class ExperimentConfig:
     e_max: float = 0.1
     disc_levels: int = 400
     wind_capacity: float = DEFAULT_WIND_CAPACITY
-    strategies: tuple[str, ...] = tuple(STRATEGIES)
 
     def __post_init__(self):
         if self.runs < 1 or self.horizon < 1:
@@ -64,9 +63,11 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         check_wind_capacity(self.wind_capacity)
-        unknown = set(self.strategies) - set(STRATEGIES)
-        if unknown:
-            raise ValidationError(f"unknown strategies: {sorted(unknown)}")
+
+    @property
+    def disc(self) -> DiscretizationConfig:
+        """The oracle's grid: disc_levels levels of capacity / disc_levels"""
+        return DiscretizationConfig.for_capacity(self.spec.capacity, self.disc_levels)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -85,7 +86,7 @@ class ExperimentConfig:
             "e_max": self.e_max,
             "disc_levels": self.disc_levels,
             "wind_capacity": self.wind_capacity,
-            "strategies": list(self.strategies),
+            "strategies": list(STRATEGIES),
         }
 
 
@@ -120,21 +121,21 @@ def draw_instance(cfg: ExperimentConfig, run: int) -> tuple[Trace, tuple[float, 
     return Trace(forecast.prices, realized), forecast.outputs
 
 
-def _strategy_config(cfg: ExperimentConfig) -> StrategyConfig:
+def strategy_config(cfg: ExperimentConfig) -> StrategyConfig:
+    """The threshold curve, storage and ladder settings every strategy of a run reads"""
     policy = ThresholdPolicy.build(cfg.bounds, cfg.spec.capacity)
     return StrategyConfig(policy, cfg.spec, offers=cfg.offers, e_max=cfg.e_max)
 
 
 def _single_run(cfg: ExperimentConfig, run: int) -> list[RunRecord]:
     trace, predicted = draw_instance(cfg, run)
-    disc = DiscretizationConfig.for_capacity(cfg.spec.capacity, cfg.disc_levels)
-    opt_profit = offline_opt_dp(trace, cfg.spec, disc).total_profit
-    strat_cfg = _strategy_config(cfg)
+    opt_profit = offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit
+    strat_cfg = strategy_config(cfg)
 
     records = [RunRecord(run, "offline", opt_profit, 1.0)]
     ns_profit = nostorage_profit(trace)
     records.append(RunRecord(run, "nostorage", ns_profit, profit_ratio(opt_profit, ns_profit)))
-    for name in cfg.strategies:
+    for name in STRATEGIES:
         strategy = STRATEGIES[name](strat_cfg, predicted)
         result = simulate_run(trace, cfg.spec, cfg.penalty, strategy)
         records.append(
@@ -145,7 +146,7 @@ def _single_run(cfg: ExperimentConfig, run: int) -> list[RunRecord]:
 
 def _aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> Report:
     strategies: dict[str, dict[str, Any]] = {}
-    for name in BENCHMARK_NAMES + tuple(cfg.strategies):
+    for name in BENCHMARK_NAMES + tuple(STRATEGIES):
         rows = [r for r in records if r.strategy == name]
         profits = [r.profit for r in rows]
         ratios = [r.empirical_cr for r in rows]
@@ -179,19 +180,19 @@ def run_offer_sweep(cfg: ExperimentConfig, offer_counts: Sequence[int]) -> list[
     """Mean profits of the laddered strategy for each offer count.
 
     The traces, the clairvoyant optimum, and the known-price reference are
-    computed once per run and reused across the sweep.
+    computed once per run and reused across the sweep.  Every offer count is
+    checked before the first run is drawn; a repeated count gives one row.
     """
-    disc = DiscretizationConfig.for_capacity(cfg.spec.capacity, cfg.disc_levels)
-    base_cfg = _strategy_config(cfg)
+    base_cfg = strategy_config(cfg)
+    ladder_cfgs = {m: replace(base_cfg, offers=m) for m in offer_counts}
     opt_tot = 0.0
     socs_tot = 0.0
-    ladder_tot = {m: 0.0 for m in offer_counts}
+    ladder_tot = dict.fromkeys(ladder_cfgs, 0.0)
     for run in range(cfg.runs):
         trace, _predicted = draw_instance(cfg, run)
-        opt_tot += offline_opt_dp(trace, cfg.spec, disc).total_profit
+        opt_tot += offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit
         socs_tot += simulate_run(trace, cfg.spec, cfg.penalty, socs_strategy(base_cfg)).total_profit
-        for m in offer_counts:
-            m_cfg = replace(base_cfg, offers=m)
+        for m, m_cfg in ladder_cfgs.items():
             ladder_tot[m] += simulate_run(
                 trace, cfg.spec, cfg.penalty, ocsmb_strategy(m_cfg)
             ).total_profit
@@ -202,7 +203,7 @@ def run_offer_sweep(cfg: ExperimentConfig, offer_counts: Sequence[int]) -> list[
             "socs_mean_profit": socs_tot / cfg.runs,
             "offline_mean_profit": opt_tot / cfg.runs,
         }
-        for m in offer_counts
+        for m in ladder_tot
     ]
 
 

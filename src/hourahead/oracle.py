@@ -101,7 +101,7 @@ def check_dp_cells(horizon: int, disc: DiscretizationConfig) -> None:
     if cells > MAX_DP_CELLS:
         raise InstanceTooLargeError(
             f"{horizon} slots x {disc.levels + 1} storage levels = {cells} cells "
-            f"exceed the oracle guard {MAX_DP_CELLS}; use a larger eta"
+            f"exceed the oracle guard {MAX_DP_CELLS}; use fewer storage levels"
         )
 
 

@@ -21,10 +21,15 @@ from .errors import TraceParseError, ValidationError
 from .market import PriceBounds, Trace
 
 
-def _read_series(path: str | Path, value_column: str) -> tuple[list[str], list[float]]:
+# the sign each series' values must have: (test, what the error says)
+_SIGNS = {"price": (lambda v: v > 0.0, "positive"), "wind_mw": (lambda v: v >= 0.0, "non-negative")}
+
+
+def _read_series(path: str | Path, value_column: str) -> list[tuple[int, str, float]]:
+    """The (line number, timestamp, value) of each data row; blank lines are skipped."""
     path = Path(path)
-    timestamps: list[str] = []
-    values: list[float] = []
+    has_sign, sign = _SIGNS[value_column]
+    rows: list[tuple[int, str, float]] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -52,11 +57,14 @@ def _read_series(path: str | Path, value_column: str) -> tuple[list[str], list[f
                 ) from None
             if math.isnan(value) or math.isinf(value):
                 raise TraceParseError(f"{path}:{lineno}: non-finite {value_column} value")
-            timestamps.append(stamp)
-            values.append(value)
-    if not values:
+            if not has_sign(value):
+                raise ValidationError(
+                    f"{path}:{lineno}: {value_column} must be {sign}, got {value}"
+                )
+            rows.append((lineno, stamp, value))
+    if not rows:
         raise TraceParseError(f"{path}: no data rows")
-    return timestamps, values
+    return rows
 
 
 def load_trace(
@@ -69,37 +77,32 @@ def load_trace(
 
     With explicit `bounds`, prices outside them fail (or are clipped when
     `clip` is set).  Without bounds, they are derived from the observed
-    price range.  Errors name the offending file row.
+    price range.  Errors name the offending file and line.
     """
-    price_stamps, prices = _read_series(price_path, "price")
-    wind_stamps, winds = _read_series(wind_path, "wind_mw")
-    if len(prices) != len(winds):
+    price_rows = _read_series(price_path, "price")
+    wind_rows = _read_series(wind_path, "wind_mw")
+    if len(price_rows) != len(wind_rows):
         raise TraceParseError(
-            f"misaligned series: {len(prices)} price rows vs {len(winds)} wind rows"
+            f"misaligned series: {len(price_rows)} price rows vs {len(wind_rows)} wind rows"
         )
-    for i, (a, b) in enumerate(zip(price_stamps, wind_stamps)):
-        if a != b:
+    check_bounds = bounds is not None and not clip
+    for (line, stamp, p), (wind_line, wind_stamp, _) in zip(price_rows, wind_rows):
+        if stamp != wind_stamp:
             raise TraceParseError(
-                f"row {i + 2}: timestamp mismatch, price file has {a!r}, wind file has {b!r}"
+                f"{wind_path}:{wind_line}: timestamp {wind_stamp!r} does not match "
+                f"{price_path}:{line}, which has {stamp!r}"
             )
-    for i, p in enumerate(prices):
-        if p <= 0.0:
-            raise ValidationError(f"row {i + 2}: price must be positive, got {p}")
-    for i, w in enumerate(winds):
-        if w < 0.0:
-            raise ValidationError(f"row {i + 2}: wind must be non-negative, got {w}")
-
+        if check_bounds and not bounds.p_min <= p <= bounds.p_max:
+            raise ValidationError(
+                f"{price_path}:{line}: price {p} outside bounds "
+                f"[{bounds.p_min}, {bounds.p_max}] and clipping is off"
+            )
+    prices = [p for _, _, p in price_rows]
+    winds = [w for _, _, w in wind_rows]
     if bounds is None:
         bounds = PriceBounds(min(prices), max(prices))
     elif clip:
         prices = [min(max(p, bounds.p_min), bounds.p_max) for p in prices]
-    else:
-        for i, p in enumerate(prices):
-            if not bounds.p_min <= p <= bounds.p_max:
-                raise ValidationError(
-                    f"row {i + 2}: price {p} outside bounds "
-                    f"[{bounds.p_min}, {bounds.p_max}] and clipping is off"
-                )
     return Trace(prices, winds), bounds
 
 
@@ -157,18 +160,6 @@ def synthesize(
         w = wind_capacity if wind_capacity < w else (0.0 if w < 0.0 else w)
         winds.append(w)
     return Trace(prices, winds)
-
-
-def gen_synthetic(
-    seed: int,
-    horizon: int,
-    bounds: PriceBounds,
-    wind_capacity: float = DEFAULT_WIND_CAPACITY,
-) -> Trace:
-    """Seeded, reproducible synthetic trace: same seed, same trace."""
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    return synthesize(np.random.default_rng(seed), horizon, bounds, wind_capacity)
 
 
 def realize_outputs(

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 import time
@@ -6,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from hourahead import DiscretizationConfig, PriceBounds, StorageSpec, offline_opt_dp
+from hourahead import DiscretizationConfig, StorageSpec, offline_opt_dp
+from hourahead import experiment
 from hourahead.cli import ADVERSARY_STRATEGIES, SETTINGS, build_parser, main
-from hourahead.experiment import STRATEGIES, ExperimentConfig, run_experiment
-from hourahead.traces import gen_synthetic
+from hourahead.experiment import STRATEGIES, ExperimentConfig, draw_instance, run_experiment
 
 
 def subcommands() -> dict[str, argparse.ArgumentParser]:
@@ -84,13 +85,43 @@ class TestGenTraceAndSimulate:
         assert data["offline_profit"] >= data["profit"] - 1e-9
 
     def test_eta_picks_the_level_count(self, capsys):
-        # --eta 0.1 picks 3 levels, and the oracle quantizes by 0.3 / 3 as compare's does
+        # --eta 0.1 picks 3 levels, and the oracle quantizes by 0.3 / 3 as compare's does,
+        # over the trace of compare's run 0
         argv = ["simulate", "--capacity", "0.3", "--eta", "0.1", "--horizon", "24", "--seed", "0"]
         assert main(argv) == 0
-        trace = gen_synthetic(0, 24, PriceBounds(10.0, 40.0), 10.0)
+        trace, _predicted = draw_instance(ExperimentConfig(horizon=24, seed=0), 0)
         disc = DiscretizationConfig.for_capacity(0.3, 3)
         opt = offline_opt_dp(trace, StorageSpec(0.3, 10.0, 10.0), disc).total_profit
-        assert json.loads(capsys.readouterr().out)["offline_profit"] == opt == 1956.3157189995443
+        assert json.loads(capsys.readouterr().out)["offline_profit"] == opt == 1938.0998807801934
+
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_synthetic_simulate_is_compare_run_0(self, strategy, tmp_path, capsys):
+        settings = ["--seed", "7", "--horizon", "48"]
+        csv_path = tmp_path / "runs.csv"
+        assert main(["compare", "--runs", "1", *settings, "--csv", str(csv_path)]) == 0
+        with csv_path.open(newline="") as fh:
+            rows = {row["strategy"]: row for row in csv.DictReader(fh)}
+        capsys.readouterr()
+        assert main(["simulate", "--strategy", strategy, *settings]) == 0
+        data = json.loads(capsys.readouterr().out)
+        # the CSV holds each float's repr, so equal text is equal bits
+        assert [repr(data["profit"]), repr(data["offline_profit"]), str(data["empirical_cr"])] == [
+            rows[strategy]["profit"], rows["offline"]["profit"], rows[strategy]["empirical_cr"]
+        ]  # fmt: skip
+
+    # mocsmb is left out: on a CSV trace it reads the realized outputs as its forecast
+    @pytest.mark.parametrize("strategy", ["socs", "ocsmb", "fonline"])
+    def test_gen_trace_replays_synthetic_simulate(self, strategy, tmp_path, capsys):
+        prefix = str(tmp_path / "t")
+        settings = ["--seed", "5", "--horizon", "48", "--pmin", "10", "--pmax", "40"]
+        assert main(["gen-trace", *settings, "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        argv = ["simulate", "--strategy", strategy, "--pmin", "10", "--pmax", "40"]
+        assert main(argv + ["--seed", "5", "--horizon", "48"]) == 0
+        synthetic = json.loads(capsys.readouterr().out)
+        argv += ["--price-csv", f"{prefix}-price.csv", "--wind-csv", f"{prefix}-wind.csv"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == synthetic
 
     def test_synthetic_simulate_with_slots(self, capsys):
         assert main(["simulate", "--horizon", "6", "--seed", "2", "--slots", "--eta", "0.5"]) == 0
@@ -280,7 +311,8 @@ class TestConfigFileActsLikeFlags:
         monkeypatch.chdir(tmp_path)
         argv = [command, "--out-prefix", "t"] if command == "gen-trace" else [command]
         if command == "simulate":
-            argv += ["--strategy", "mocsmb"]  # the one that reads both offers and emax
+            # offers moves ocsmb's profit; every strategy reads emax through the draw
+            argv += ["--strategy", "ocsmb"]
         for other in setting_flags(command):
             if other != name:
                 argv += [flag(other), FLAG_VALUES[other]]
@@ -507,6 +539,27 @@ class TestValidationExits:
         assert main(argv) == 1
         assert capsys.readouterr().out == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "sweep", [["1,20000"], ["1-20000"], ["1-2", "--parallel"]], ids=["list", "range", "parallel"]
+    )
+    def test_sweep_refused_before_any_run(self, sweep, monkeypatch, capsys):
+        calls = []
+        simulate_run = experiment.simulate_run
+        monkeypatch.setattr(
+            experiment, "simulate_run", lambda *args: calls.append(1) or simulate_run(*args)
+        )
+        assert main(["compare", "--runs", "2", "--horizon", "4", "--sweep-offers", *sweep]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, calls) == ("", [])
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_adversary_oracle_guard_names_levels(self, capsys):
+        # adversary has no --eta: the remedy is the level count it does take
+        argv = ["adversary", "--horizon", "2", "--capacity", "4", "--levels", "1000000000"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.endswith("; use fewer storage levels\n")
 
     def test_oracle_work_guard(self, capsys):
         # 2e10 storage levels: refused before any array is allocated

@@ -5,6 +5,7 @@ import pytest
 from hourahead import ValidationError, theoretical_cr
 from hourahead.cli import load_config_file
 from hourahead.experiment import (
+    STRATEGIES,
     ExperimentConfig,
     emit_report,
     run_experiment,
@@ -75,8 +76,6 @@ class TestRunExperiment:
     def test_validation(self):
         with pytest.raises(ValidationError):
             small_config(runs=0)
-        with pytest.raises(ValidationError):
-            small_config(strategies=("socs", "mystery"))
 
 
 class TestEmitReport:
@@ -92,7 +91,7 @@ class TestEmitReport:
         path = tmp_path / "runs.csv"
         emit_report(report, csv_path=path)
         lines = path.read_text().strip().splitlines()
-        strategies_per_run = len(cfg.strategies) + 2  # plus offline & nostorage
+        strategies_per_run = len(STRATEGIES) + 2  # plus offline & nostorage
         assert len(lines) == 1 + cfg.runs * strategies_per_run
 
 
@@ -102,6 +101,10 @@ class TestOfferSweep:
         assert [r["offers"] for r in rows] == [1, 2, 3, 5]
         for row in rows:
             assert row["ocsmb_mean_profit"] <= row["offline_mean_profit"] + 1e-9
+
+    def test_repeated_count_one_row(self):
+        cfg = small_config(runs=2, horizon=12, disc_levels=40)
+        assert run_offer_sweep(cfg, [2, 2]) == run_offer_sweep(cfg, [2])
 
     def test_more_offers_track_known_price(self):
         rows = run_offer_sweep(small_config(runs=3, horizon=36), [2, 10])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from hourahead import PriceBounds, TraceParseError, ValidationError
 from hourahead import traces
 from hourahead.traces import (
     MAX_HORIZON,
-    gen_synthetic,
     load_trace,
     realize_outputs,
     synthesize,
@@ -16,6 +17,17 @@ from hourahead.traces import (
 def write(path, text):
     path.write_text(text)
     return path
+
+
+def at(path, line: int) -> str:
+    """A pattern for the path:line an error starts with"""
+    return "^" + re.escape(f"{path}:{line}:")
+
+
+def blank_lines_after_header(text: str) -> str:
+    """The CSV text with two blank lines after its header: data row i moves to line i + 3"""
+    header, rows = text.split("\n", 1)
+    return f"{header}\n\n\n{rows}"
 
 
 PRICE_3 = "timestamp,price\n2015-01-01T00:00,10.5\n2015-01-01T01:00,22.0\n2015-01-01T02:00,41.3\n"
@@ -48,7 +60,7 @@ class TestLoadTrace:
     def test_explicit_bounds_reject_out_of_range(self, tmp_path):
         p = write(tmp_path / "p.csv", PRICE_3.replace("41.3", "200.0"))
         w = write(tmp_path / "w.csv", WIND_3)
-        with pytest.raises(ValidationError, match="row 4"):
+        with pytest.raises(ValidationError, match=at(p, 4) + r" price 200\.0 outside bounds"):
             load_trace(p, w, bounds=PriceBounds(10.0, 100.0))
 
     def test_explicit_bounds_clip(self, tmp_path):
@@ -84,17 +96,44 @@ class TestLoadTrace:
     def test_timestamp_mismatch(self, tmp_path):
         p = write(tmp_path / "p.csv", PRICE_3)
         w = write(tmp_path / "w.csv", WIND_3.replace("T01:00", "T05:00"))
-        with pytest.raises(TraceParseError, match="row 3"):
+        with pytest.raises(TraceParseError, match=at(w, 3) + " timestamp '2015-01-01T05:00'"):
             load_trace(p, w)
 
     def test_negative_wind_rejected(self, tmp_path):
         p = write(tmp_path / "p.csv", PRICE_3)
         w = write(tmp_path / "w.csv", WIND_3.replace("0.0", "-1.0"))
-        with pytest.raises(ValidationError, match="row 3"):
+        with pytest.raises(ValidationError, match=at(w, 3) + " wind_mw must be non-negative"):
+            load_trace(p, w)
+
+    @pytest.mark.parametrize(
+        "price_text, wind_text, bounds, error, message",
+        [
+            (PRICE_3.replace("41.3", "-41.3"), WIND_3, None, ValidationError,
+             "{p}:6: price must be positive, got -41.3"),
+            (PRICE_3, WIND_3.replace("9.9", "-9.9"), None, ValidationError,
+             "{w}:6: wind_mw must be non-negative, got -9.9"),
+            (PRICE_3.replace("41.3", "200.0"), WIND_3, PriceBounds(10.0, 100.0), ValidationError,
+             "{p}:6: price 200.0 outside bounds [10.0, 100.0] and clipping is off"),
+        ],
+        ids=["negative_price", "negative_wind", "price_out_of_bounds"],
+    )  # fmt: skip
+    def test_line_after_blank_lines(self, price_text, wind_text, bounds, error, message, tmp_path):
+        # the file's own line, not the data row's index
+        p = write(tmp_path / "p.csv", blank_lines_after_header(price_text))
+        w = write(tmp_path / "w.csv", blank_lines_after_header(wind_text))
+        with pytest.raises(error, match="^" + re.escape(message.format(p=p, w=w)) + "$"):
+            load_trace(p, w, bounds=bounds)
+
+    def test_timestamp_mismatch_after_blank_lines(self, tmp_path):
+        # each file's own line of the mismatched row
+        p = write(tmp_path / "p.csv", PRICE_3)
+        w = write(tmp_path / "w.csv", blank_lines_after_header(WIND_3.replace("T02:00", "T05:00")))
+        message = f"{w}:6: timestamp '2015-01-01T05:00' does not match {p}:4, which has "
+        with pytest.raises(TraceParseError, match="^" + re.escape(message + "'2015-01-01T02:00'")):
             load_trace(p, w)
 
     def test_write_then_load(self, tmp_path, bounds):
-        trace = gen_synthetic(5, 24, bounds)
+        trace = synthesize(np.random.default_rng(5), 24, bounds)
         write_trace_csv(trace, tmp_path / "p.csv", tmp_path / "w.csv")
         back, _ = load_trace(tmp_path / "p.csv", tmp_path / "w.csv")
         assert back.prices == trace.prices
@@ -103,33 +142,34 @@ class TestLoadTrace:
 
 class TestSynthetic:
     def test_same_seed_identical(self, bounds):
-        a = gen_synthetic(123, 100, bounds)
-        b = gen_synthetic(123, 100, bounds)
+        a = synthesize(np.random.default_rng(123), 100, bounds)
+        b = synthesize(np.random.default_rng(123), 100, bounds)
         assert a == b
 
     def test_different_seed_differs(self, bounds):
-        assert gen_synthetic(1, 50, bounds) != gen_synthetic(2, 50, bounds)
+        one, two = (synthesize(np.random.default_rng(seed), 50, bounds) for seed in (1, 2))
+        assert one != two
 
     def test_prices_within_bounds(self, bounds):
         for seed in range(5):
-            trace = gen_synthetic(seed, 200, bounds)
+            trace = synthesize(np.random.default_rng(seed), 200, bounds)
             assert all(bounds.p_min <= p <= bounds.p_max for p in trace.prices)
 
     def test_wind_within_capacity(self, bounds):
         for seed in range(5):
-            trace = gen_synthetic(seed, 200, bounds, wind_capacity=10.0)
+            trace = synthesize(np.random.default_rng(seed), 200, bounds, wind_capacity=10.0)
             assert all(0.0 <= u <= 10.0 for u in trace.outputs)
 
     def test_params_change_shape(self, bounds, monkeypatch):
         monkeypatch.setattr(traces, "PRICE_SIGMA", 0.01)
-        calm = gen_synthetic(3, 100, bounds)
+        calm = synthesize(np.random.default_rng(3), 100, bounds)
         monkeypatch.setattr(traces, "PRICE_SIGMA", 0.5)
-        wild = gen_synthetic(3, 100, bounds)
+        wild = synthesize(np.random.default_rng(3), 100, bounds)
         assert np.std(calm.prices) < np.std(wild.prices)
 
     def test_bad_horizon(self, bounds):
         with pytest.raises(ValidationError):
-            gen_synthetic(1, 0, bounds)
+            synthesize(np.random.default_rng(1), 0, bounds)
 
     def test_horizon_guard(self, bounds):
         # refused before a single draw: the generator's stream is untouched
