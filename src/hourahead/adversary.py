@@ -45,10 +45,12 @@ from .market import (  # simulate_run stays for bench/tracer.py to replace by na
 )
 from .oracle import (  # offline_opt_dp stays for bench/tracer.py to replace by name
     DiscretizationConfig,
+    _count_text,
     _quantize,
     check_dp_cells,
     grid_step,
     offline_opt_dp,
+    overflow_is_an_error,
     profit_ratios,
 )
 from .policy import ThresholdPolicy
@@ -172,13 +174,15 @@ def _check_size(
         raise ValidationError("grid needs at least one price and one supply level")
     count = (price_count * supply_count) ** horizon
     if count > budget:
-        raise BudgetExceededError(f"grid holds {count} instances, budget is {budget}")
+        raise BudgetExceededError(
+            f"grid holds {_count_text(count)} instances, budget is {_count_text(budget)}"
+        )
     check_dp_cells(horizon, disc)
     cells = count * horizon * (disc.levels + 1)
     if cells > MAX_GRID_CELLS:
         raise InstanceTooLargeError(
-            f"{count} instances x {horizon} slots x {disc.levels + 1} storage levels = "
-            f"{cells} cells exceed the grid guard {MAX_GRID_CELLS}"
+            f"{_count_text(count)} instances x {horizon} slots x {disc.levels + 1} storage "
+            f"levels = {_count_text(cells)} cells exceed the grid guard {MAX_GRID_CELLS}"
         )
 
 
@@ -222,7 +226,7 @@ class AdversaryGrid:
         which geometric spacing tracks.
         """
         theta = bounds.theta
-        disc = DiscretizationConfig.for_capacity(capacity, levels)
+        disc = DiscretizationConfig(levels)
         _check_size(horizon, 1 if theta == 1.0 else price_count, supply_count, disc, budget)
         if price_count == 1 or theta == 1.0:
             prices = (bounds.p_min,)
@@ -230,7 +234,8 @@ class AdversaryGrid:
             prices = tuple(
                 bounds.p_min * theta ** (k / (price_count - 1)) for k in range(price_count)
             )
-        supplies = tuple(i * disc.eta for i in range(supply_count))
+        eta = disc.quantum(capacity)
+        supplies = tuple(i * eta for i in range(supply_count))
         return cls(horizon, prices, supplies, disc, budget)
 
 
@@ -280,6 +285,7 @@ def _prefix_states(strategy: OfferStrategy, spec: StorageSpec, choices: list, ho
     return (total, low, *_slot_table(strategy, spec, penalty, choices, horizon - 1, level))
 
 
+@overflow_is_an_error()
 def adversarial_search(
     grid: AdversaryGrid, strategy: OfferStrategy, spec: StorageSpec
 ) -> WorstCaseReport:
@@ -293,9 +299,8 @@ def adversarial_search(
     ``market.OfferStrategy``): it is called once per distinct state.  The
     grid checked its size and the oracle's work when it was built.
     """
-    disc = grid.disc
-    u_units, rc, rd, k0 = _quantize(grid.supply_levels, spec, disc)
-    eta, n, horizon = disc.eta, disc.levels, grid.horizon
+    eta, u_units, rc, rd, k0 = _quantize(grid.supply_levels, spec, grid.disc)
+    n, horizon = grid.disc.levels, grid.horizon
 
     # slot choices in itertools.product order of (price, supply)
     choices = [(float(p), float(u)) for p in grid.price_levels for u in grid.supply_levels]

@@ -31,7 +31,7 @@ from .experiment import (
     strategy_config,
 )
 from .market import PenaltyParams, PriceBounds, StorageSpec, simulate_run
-from .oracle import DiscretizationConfig, offline_opt_dp, profit_ratio, ratio_json
+from .oracle import check_dp_cells, offline_opt_dp, profit_ratio, ratio_json
 from .policy import ThresholdPolicy, theoretical_cr
 from .strategies import (  # the *_strategy factories stay for bench/tracer.py to replace by name
     StrategyConfig,
@@ -194,7 +194,10 @@ def _experiment_config(values: dict) -> ExperimentConfig:
         if not count < math.inf:
             raise ValidationError(f"eta must be a positive quantum of the capacity, got {eta}")
         levels = max(round(count), 1)
-        DiscretizationConfig(eta, levels).check_capacity(spec.capacity)
+        if abs(levels * eta - spec.capacity) > 1e-9 * spec.capacity:
+            raise ValidationError(
+                f"{levels} levels of {eta} MWh do not tile a capacity of {spec.capacity} MWh"
+            )
     # eta picks the level count only: every subcommand quantizes by C / levels
     return ExperimentConfig(
         runs=values["runs"], horizon=values["horizon"], seed=values["seed"], bounds=bounds,
@@ -243,12 +246,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         cfg, predicted = replace(cfg, bounds=bounds), trace.outputs
     else:
-        # run 0 of compare with the same settings: the forecast and its realization
+        # run 0 of compare with the same settings: the forecast and its
+        # realization, drawn once the oracle's work guard lets it run
+        check_dp_cells(cfg.horizon, cfg.disc)
         trace, predicted = draw_instance(cfg, 0)
 
+    # the oracle first, so that its guard fires before the strategy runs
+    opt = offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit
     strategy = STRATEGIES[args.strategy](strategy_config(cfg), predicted)
     result = simulate_run(trace, cfg.spec, cfg.penalty, strategy)
-    opt = offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit
     ratio = profit_ratio(opt, result.total_profit)
     out = {
         "strategy": args.strategy,

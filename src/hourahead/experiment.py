@@ -19,7 +19,14 @@ import numpy as np
 from . import __version__
 from .errors import ValidationError
 from .market import OfferStrategy, PenaltyParams, PriceBounds, StorageSpec, Trace, simulate_run
-from .oracle import DiscretizationConfig, offline_opt_dp, profit_ratio, ratio_json
+from .oracle import (
+    DiscretizationConfig,
+    check_dp_cells,
+    check_profits,
+    offline_opt_dp,
+    profit_ratio,
+    ratio_json,
+)
 from .policy import ThresholdPolicy
 from .strategies import (
     DEFAULT_OFFERS,
@@ -30,7 +37,13 @@ from .strategies import (
     ocsmb_strategy,
     socs_strategy,
 )
-from .traces import DEFAULT_WIND_CAPACITY, check_wind_capacity, realize_outputs, synthesize
+from .traces import (
+    DEFAULT_WIND_CAPACITY,
+    check_horizon,
+    check_wind_capacity,
+    realize_outputs,
+    synthesize,
+)
 
 #: The one registry of online strategies: name -> builder taking the
 #: strategy config and the predicted output per slot.  Each builder looks its
@@ -58,8 +71,9 @@ class ExperimentConfig:
     wind_capacity: float = DEFAULT_WIND_CAPACITY
 
     def __post_init__(self):
-        if self.runs < 1 or self.horizon < 1:
-            raise ValidationError("runs and horizon must be >= 1")
+        if self.runs < 1:
+            raise ValidationError(f"runs must be >= 1, got {self.runs}")
+        check_horizon(self.horizon)  # so a huge horizon is named before the oracle's guard runs
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         check_wind_capacity(self.wind_capacity)
@@ -67,7 +81,7 @@ class ExperimentConfig:
     @property
     def disc(self) -> DiscretizationConfig:
         """The oracle's grid: disc_levels levels of capacity / disc_levels"""
-        return DiscretizationConfig.for_capacity(self.spec.capacity, self.disc_levels)
+        return DiscretizationConfig(self.disc_levels)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -148,11 +162,12 @@ def _aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> Report:
     strategies: dict[str, dict[str, Any]] = {}
     for name in BENCHMARK_NAMES + tuple(STRATEGIES):
         rows = [r for r in records if r.strategy == name]
-        profits = [r.profit for r in rows]
+        total = sum(r.profit for r in rows)
+        check_profits(total)
         ratios = [r.empirical_cr for r in rows]
         strategies[name] = {
-            "total_profit": sum(profits),
-            "mean_profit": sum(profits) / len(profits),
+            "total_profit": total,
+            "mean_profit": total / len(rows),
             # one inf ratio makes both the max and the mean inf
             "empirical_cr_max": ratio_json(max(ratios)),
             "empirical_cr_mean": ratio_json(sum(ratios) / len(ratios)),
@@ -166,7 +181,8 @@ def run_experiment(
 ) -> Report:
     """Execute all runs and aggregate.  Deterministic for a given config and
     seed, whether executed serially or with a process pool (by default one
-    worker per core)."""
+    worker per core).  The oracle's work guard is checked before any run."""
+    check_dp_cells(cfg.horizon, cfg.disc)
     if parallel and cfg.runs > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_single_run, [cfg] * cfg.runs, range(cfg.runs)))
@@ -180,9 +196,11 @@ def run_offer_sweep(cfg: ExperimentConfig, offer_counts: Sequence[int]) -> list[
     """Mean profits of the laddered strategy for each offer count.
 
     The traces, the clairvoyant optimum, and the known-price reference are
-    computed once per run and reused across the sweep.  Every offer count is
-    checked before the first run is drawn; a repeated count gives one row.
+    computed once per run and reused across the sweep.  Every offer count and
+    the oracle's work guard are checked before the first run is drawn; a
+    repeated count gives one row.
     """
+    check_dp_cells(cfg.horizon, cfg.disc)
     base_cfg = strategy_config(cfg)
     ladder_cfgs = {m: replace(base_cfg, offers=m) for m in offer_counts}
     opt_tot = 0.0
@@ -196,6 +214,7 @@ def run_offer_sweep(cfg: ExperimentConfig, offer_counts: Sequence[int]) -> list[
             ladder_tot[m] += simulate_run(
                 trace, cfg.spec, cfg.penalty, ocsmb_strategy(m_cfg)
             ).total_profit
+    check_profits(opt_tot, socs_tot, *ladder_tot.values())
     return [
         {
             "offers": m,

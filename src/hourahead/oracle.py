@@ -22,6 +22,7 @@ recomputed as p * (j * eta) + v_{t+1}(m).  T slots over n levels cost O(T * n).
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,29 +40,20 @@ def ratio_json(value: float) -> float | str:
 
 @dataclass(frozen=True)
 class DiscretizationConfig:
-    """Energy quantum eta and the number of storage levels above zero."""
+    """The storage grid: levels {0, eta, ..., C}, levels + 1 in all."""
 
-    eta: float
     levels: int
 
     def __post_init__(self):
-        if not 0.0 < self.eta < math.inf:
-            raise ValidationError(f"eta must be positive and finite, got {self.eta}")
         if self.levels < 1:
             raise ValidationError(f"level count must be >= 1, got {self.levels}")
 
-    @classmethod
-    def for_capacity(cls, capacity: float, levels: int) -> "DiscretizationConfig":
-        if levels < 1:  # before dividing by it
-            raise ValidationError(f"level count must be >= 1, got {levels}")
-        return cls(eta=capacity / levels, levels=levels)
-
-    def check_capacity(self, capacity: float) -> None:
-        if abs(self.levels * self.eta - capacity) > 1e-9 * capacity:
-            raise ValidationError(
-                f"{self.levels} levels of {self.eta} MWh do not tile a capacity "
-                f"of {capacity} MWh"
-            )
+    def quantum(self, capacity: float) -> float:
+        """The energy quantum eta = C / levels of the grid over a capacity C."""
+        eta = capacity / self.levels
+        if eta == 0.0:  # a capacity below levels times the least float
+            raise ValidationError(f"{self.levels} levels leave no quantum of {capacity} MWh")
+        return eta
 
 
 @dataclass(frozen=True)
@@ -73,26 +65,34 @@ class OptResult:
     level_path: tuple[float, ...]  # horizon + 1 entries, starting level first
 
 
-def _units(value: float, eta: float) -> int:
-    # floor onto the grid; the epsilon keeps grid-aligned floats from
-    # dropping a unit through rounding noise
-    return max(int(math.floor(value / eta + 1e-9)), 0)
+def _units(value: float, eta: float, most: float = math.inf) -> int:
+    # floor onto the grid, clipped to `most` before the int conversion (so
+    # only an output, which is not clipped, can count to inf); the epsilon
+    # keeps grid-aligned floats from dropping a unit through rounding noise
+    units = min(value / eta + 1e-9, most)
+    if units == math.inf:
+        raise ValidationError(f"an output of {value} MWh is no finite count of {eta} MWh quanta")
+    return max(int(math.floor(units)), 0)
 
 
 def _quantize(outputs: Sequence[float], spec: StorageSpec, disc: DiscretizationConfig):
-    disc.check_capacity(spec.capacity)
-    eta = disc.eta
+    eta, n = disc.quantum(spec.capacity), disc.levels
     u_units = [_units(u, eta) for u in outputs]
     # a rate beyond the grid moves no further than the grid: clipping keeps
     # the oracle's window, and its work, O(levels) whatever rate / eta is
-    rc = min(_units(spec.charge_rate, eta), disc.levels)
-    rd = min(_units(spec.discharge_rate, eta), disc.levels)
-    k0 = min(_units(spec.initial_level, eta), disc.levels)
-    return u_units, rc, rd, k0
+    rc = _units(spec.charge_rate, eta, n)
+    rd = _units(spec.discharge_rate, eta, n)
+    k0 = _units(spec.initial_level, eta, n)
+    return eta, u_units, rc, rd, k0
 
 
 # work guard of the grid DP: slots x (levels + 1)
 MAX_DP_CELLS = 10**7
+
+
+def _count_text(n: int) -> str:
+    """A count as an error line prints it: exact below 10**12, else as 10^k.k"""
+    return str(n) if n < 10**12 else f"10^{math.log10(n):.1f}"  # log10 takes any int
 
 
 def check_dp_cells(horizon: int, disc: DiscretizationConfig) -> None:
@@ -100,8 +100,9 @@ def check_dp_cells(horizon: int, disc: DiscretizationConfig) -> None:
     cells = horizon * (disc.levels + 1)
     if cells > MAX_DP_CELLS:
         raise InstanceTooLargeError(
-            f"{horizon} slots x {disc.levels + 1} storage levels = {cells} cells "
-            f"exceed the oracle guard {MAX_DP_CELLS}; use fewer storage levels"
+            f"{_count_text(horizon)} slots x {_count_text(disc.levels + 1)} storage levels = "
+            f"{_count_text(cells)} cells exceed the oracle guard {MAX_DP_CELLS}; "
+            "use fewer storage levels"
         )
 
 
@@ -149,6 +150,21 @@ def grid_step(shape: tuple[int, ...], rd: int, eta: float):
     return step
 
 
+_PROFIT_OVERFLOW = "a profit is not finite: prices times outputs overflow float64"
+
+
+@contextlib.contextmanager
+def overflow_is_an_error():
+    """numpy's float64 overflow as a ValidationError, not a warning: a grid DP
+    whose window keys overflow can return a finite total below the optimum."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValidationError(_PROFIT_OVERFLOW) from None
+
+
+@overflow_is_an_error()
 def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) -> OptResult:
     """Maximum clairvoyant sale revenue over the quantized storage grid.
 
@@ -161,8 +177,8 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
     InstanceTooLargeError beyond MAX_DP_CELLS slots x (levels + 1).
     """
     check_dp_cells(trace.horizon, disc)
-    u_units, rc, rd, k0 = _quantize(trace.outputs, spec, disc)
-    eta, n = disc.eta, disc.levels
+    eta, u_units, rc, rd, k0 = _quantize(trace.outputs, spec, disc)
+    n = disc.levels
     caps = [min(rc, u) for u in u_units]
     step = grid_step((n + 1,), rd, eta)
     v = np.zeros(n + 1)
@@ -184,9 +200,17 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
     return OptResult(total, tuple(commitments), tuple(levels))
 
 
+def check_profits(*profits: float | np.ndarray) -> None:
+    """Raise ValidationError unless every profit (a float or an array) is finite."""
+    if not all(np.isfinite(p).all() for p in profits):
+        raise ValidationError(_PROFIT_OVERFLOW)
+
+
 def profit_ratios(opt_profit: np.ndarray, strategy_profit: np.ndarray) -> np.ndarray:
-    """Optimum over strategy profit, elementwise: 1.0 where both earn
-    nothing, and math.inf where only the strategy does."""
+    """Optimum over strategy profit, elementwise: 1.0 where both earn nothing,
+    math.inf where only the optimum does, and ValidationError where a profit
+    is not finite."""
+    check_profits(opt_profit, strategy_profit)
     earns = strategy_profit > 1e-12
     with np.errstate(over="ignore", invalid="ignore"):  # quiet, as Python floats are
         ratio = opt_profit / np.where(earns, strategy_profit, 1.0)

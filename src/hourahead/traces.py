@@ -116,6 +116,11 @@ DEFAULT_WIND_CAPACITY = 10.0  # MW, when no wind capacity is given
 MAX_HORIZON = 10**6
 
 
+def check_horizon(horizon: int) -> None:
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValidationError(f"horizon must be in [1, {MAX_HORIZON}], got {horizon}")
+
+
 def check_wind_capacity(wind_capacity: float) -> None:
     if not 0.0 <= wind_capacity < math.inf:
         raise ValidationError(f"wind capacity must be non-negative and finite, got {wind_capacity}")
@@ -134,8 +139,7 @@ def synthesize(
     [0, wind_capacity].  Raises ValidationError for a horizon outside
     [1, MAX_HORIZON].
     """
-    if not 1 <= horizon <= MAX_HORIZON:
-        raise ValidationError(f"horizon must be in [1, {MAX_HORIZON}], got {horizon}")
+    check_horizon(horizon)
     check_wind_capacity(wind_capacity)
     p_min, p_max = bounds.p_min, bounds.p_max
     lo, hi = math.log(p_min), math.log(p_max)

@@ -41,8 +41,8 @@ def offline_opt_exhaustive(
 
     Only for tiny instances; raises InstanceTooLargeError beyond the guards.
     """
-    u_units, rc, rd, k0 = _quantize(trace.outputs, spec, disc)
-    eta, n = disc.eta, disc.levels
+    eta, u_units, rc, rd, k0 = _quantize(trace.outputs, spec, disc)
+    n = disc.levels
     prices = trace.prices
     horizon = trace.horizon
 
@@ -111,6 +111,7 @@ def adversarial_search_reference(
     """``adversary.adversarial_search`` instance by instance: one Trace, one
     oracle DP and one simulation per grid instance, in product order."""
     disc = grid.disc
+    eta = disc.quantum(spec.capacity)
     penalty = PenaltyParams()
     if grid.instance_count > grid.budget:
         raise BudgetExceededError(
@@ -128,7 +129,7 @@ def adversarial_search_reference(
         run = simulate_run(trace, spec, penalty, strategy)
         ratio = profit_ratio(opt, run.total_profit)
         count += 1
-        bucket = round(run.min_level(spec.initial_level) / disc.eta) * disc.eta
+        bucket = round(run.min_level(spec.initial_level) / eta) * eta
         # strict: the first instance in enumeration order keeps a tie
         if ratio > buckets.get(bucket, -math.inf):
             buckets[bucket] = ratio

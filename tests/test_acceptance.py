@@ -139,7 +139,7 @@ def test_criterion_4_oracle_soundness(capsys):
             rng.uniform(1.0, 50.0, horizon).tolist(),
             rng.uniform(0.0, u_cap, horizon).tolist(),
         )
-        disc = DiscretizationConfig(eta, levels)
+        disc = DiscretizationConfig(levels)
         assert (
             offline_opt_dp(trace, spec, disc).total_profit
             == offline_opt_exhaustive(trace, spec, disc).total_profit
@@ -148,8 +148,8 @@ def test_criterion_4_oracle_soundness(capsys):
     # part 2: the quantized optimum plus one quantum per slot dominates every
     # strategy on synthetic runs
     horizon = 120
-    disc = DiscretizationConfig.for_capacity(SUITE_SPEC.capacity, 100)
-    slack = SUITE_BOUNDS.p_max * disc.eta * horizon
+    disc = DiscretizationConfig(100)
+    slack = SUITE_BOUNDS.p_max * disc.quantum(SUITE_SPEC.capacity) * horizon
     cfg = StrategyConfig(SUITE_POLICY, SUITE_SPEC, offers=10, e_max=0.1)
     for run in range(200):
         forecast, trace = suite_instance(run, horizon, e_max=0.1)
@@ -189,7 +189,7 @@ def test_criterion_5_worst_case_certification(capsys):
     # stubborn fixed threshold above p_min: earns nothing on an all-low trace
     spec = StorageSpec(capacity, capacity, capacity)
     low_trace = Trace([10.0] * 4, [1.0] * 4)
-    disc = DiscretizationConfig.for_capacity(capacity, 4)
+    disc = DiscretizationConfig(4)
     ratio = empirical_cr(
         low_trace, spec, SUITE_PENALTY, fixed_threshold_strategy(20.0, spec), disc
     )
@@ -211,7 +211,7 @@ def test_criterion_6_multi_offer_bound(capsys):
     theta = SUITE_BOUNDS.theta
     cr = theoretical_cr(theta)
     horizon = 48
-    disc = DiscretizationConfig.for_capacity(SUITE_SPEC.capacity, 100)
+    disc = DiscretizationConfig(100)
     counts = (2, 3, 5, 10)
     worst = {m: 0.0 for m in counts}
     totals = {m: 0.0 for m in counts}

@@ -179,7 +179,7 @@ class TestAdversarialSearch:
         # a threshold strictly above p_min never sells on an all-low trace
         spec = full_storage_spec(4.0)
         trace = Trace([10.0] * 3, [1.0] * 3)
-        disc = DiscretizationConfig.for_capacity(4.0, 4)
+        disc = DiscretizationConfig(4)
         ratio = empirical_cr(
             trace, spec, penalty, fixed_threshold_strategy(20.0, spec), disc
         )
@@ -199,14 +199,14 @@ class TestGridValidation:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", ["price_levels", "supply_levels"])
     def test_non_finite_levels_rejected(self, field, bad):
-        disc = DiscretizationConfig.for_capacity(4.0, 4)
+        disc = DiscretizationConfig(4)
         levels = {"price_levels": (10.0, 40.0), "supply_levels": (0.0, 1.0)}
         levels[field] = (*levels[field], bad)
         with pytest.raises(ValidationError):
             AdversaryGrid(2, levels["price_levels"], levels["supply_levels"], disc)
 
     def test_horizon_limits(self):
-        disc = DiscretizationConfig.for_capacity(4.0, 4)
+        disc = DiscretizationConfig(4)
         with pytest.raises(ValidationError):
             AdversaryGrid(7, (10.0,), (0.0,), disc)
         with pytest.raises(ValidationError):
@@ -233,7 +233,7 @@ class TestGridValidation:
         # a flat price range has one price level, however many are asked for
         grid = AdversaryGrid.geometric(PriceBounds(10.0, 10.0), 4.0, price_count=10**6)
         assert grid.price_levels == (10.0,)
-        disc = DiscretizationConfig.for_capacity(4.0, 4)
+        disc = DiscretizationConfig(4)
         with pytest.raises(BudgetExceededError, match="grid holds 144 instances"):
             AdversaryGrid(2, (10.0, 20.0, 30.0, 40.0), (0.0, 1.0, 2.0), disc, budget=143)
 
@@ -285,7 +285,7 @@ class TestBatchedSearchIsExact:
             bounds, capacity, horizon=horizon, price_count=price_count, levels=levels
         )
         # supplies in units of the storage quantum, on and off the grid
-        grid = replace(grid, supply_levels=tuple(u * grid.disc.eta for u in supplies))
+        grid = replace(grid, supply_levels=tuple(u * grid.disc.quantum(capacity) for u in supplies))
         strategy = adversary_strategy(name, bounds, spec)
         assert_same_report(
             adversarial_search(grid, strategy, spec),
@@ -311,7 +311,8 @@ class TestBatchedSearchIsExact:
         bounds = PriceBounds(10.0, 40.0)
         spec = full_storage_spec(4.0)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=2, levels=4)
-        grid = replace(grid, supply_levels=tuple(u * grid.disc.eta for u in (0.0, 1.0, 1e30)))
+        eta = grid.disc.quantum(spec.capacity)
+        grid = replace(grid, supply_levels=(0.0, eta, 1e30 * eta))
         strategy = adversary_strategy(name, bounds, spec)
         assert_same_report(
             adversarial_search(grid, strategy, spec),

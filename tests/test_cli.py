@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hourahead import DiscretizationConfig, StorageSpec, offline_opt_dp
-from hourahead import experiment
+from hourahead import cli, experiment
 from hourahead.cli import ADVERSARY_STRATEGIES, SETTINGS, build_parser, main
 from hourahead.experiment import STRATEGIES, ExperimentConfig, draw_instance, run_experiment
 
@@ -90,7 +90,7 @@ class TestGenTraceAndSimulate:
         argv = ["simulate", "--capacity", "0.3", "--eta", "0.1", "--horizon", "24", "--seed", "0"]
         assert main(argv) == 0
         trace, _predicted = draw_instance(ExperimentConfig(horizon=24, seed=0), 0)
-        disc = DiscretizationConfig.for_capacity(0.3, 3)
+        disc = DiscretizationConfig(3)
         opt = offline_opt_dp(trace, StorageSpec(0.3, 10.0, 10.0), disc).total_profit
         assert json.loads(capsys.readouterr().out)["offline_profit"] == opt == 1938.0998807801934
 
@@ -286,6 +286,14 @@ class TestCompare:
         data = json.loads(out.read_text())
         assert data["config"]["runs"] == 2  # flag wins
         assert data["config"]["horizon"] == 6  # file value
+
+    def test_rate_beyond_the_grid_is_the_grid(self, capsys):
+        # a charge rate of 1e308 MWh moves no further than 20 MWh over 400 levels does
+        reports = []
+        for rate in ("1e308", "20"):
+            assert main(["compare", "--runs", "1", "--horizon", "4", "--charge-rate", rate]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["strategies"])
+        assert reports[0] == reports[1]
 
 
 # a value other than the default for each setting that compare, simulate or
@@ -487,6 +495,13 @@ class TestValidationExits:
             ["adversary", "--horizon", "7", "--price-count", "1000000"],
             # 1728 instances x 3 slots x 10^6 levels: the whole grid's oracle work
             ["adversary", "--horizon", "3", "--capacity", "4", "--levels", "1000000"],
+            # profits beyond float64: no Infinity or NaN in a report, and no numpy warning
+            ["compare", "--runs", "1", "--horizon", "4", "--pmin", "1e307", "--pmax", "1e308"],
+            ["compare", "--runs", "1", "--horizon", "4", "--pmin", "1e307", "--pmax", "1e308",
+             "--sweep-offers", "1-2"],  # fmt: skip
+            ["simulate", "--horizon", "4", "--pmin", "1e307", "--pmax", "1e308"],
+            ["adversary", "--horizon", "2", "--pmin", "1e307", "--pmax", "1e308",
+             "--capacity", "100"],  # fmt: skip
         ],
     )
     def test_bad_number(self, argv, tmp_path, capsys):
@@ -501,6 +516,8 @@ class TestValidationExits:
         "text",
         [
             "[experiment]\nwind_capacity = inf\n",
+            # outputs near 1e308 MWh: no finite count of 0.05 MWh quanta
+            "[experiment]\nwind_capacity = 1e308\n",
             "[penalty]\nalpha1 = nan\n",
             "[storage]\ncapcity = 30\n",
             "runs = 5\n",
@@ -508,8 +525,8 @@ class TestValidationExits:
             "[experiment]\nruns = 5\nnot a setting\n",
             "[experiment]\nhorizon = 5%\n",
         ],
-        ids=["wind_capacity", "alpha1", "unknown_key", "no_section", "repeated_key",
-             "malformed_line", "interpolation"],  # fmt: skip
+        ids=["wind_capacity", "wind_capacity_overflow", "alpha1", "unknown_key", "no_section",
+             "repeated_key", "malformed_line", "interpolation"],  # fmt: skip
     )
     def test_bad_config_value(self, text, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
@@ -568,3 +585,68 @@ class TestValidationExits:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--runs", "1", "--horizon", "1000000"],
+            ["compare", "--runs", "1", "--horizon", "1000000", "--sweep-offers", "1-2"],
+            ["compare", "--runs", "2", "--horizon", "1000000", "--parallel"],
+            ["simulate", "--horizon", "1000000"],
+            # 2e301 storage levels: the counts print as powers of ten
+            ["compare", "--runs", "1", "--horizon", "4", "--eta", "1e-300"],
+            ["simulate", "--horizon", "4", "--eta", "1e-300"],
+            ["adversary", "--horizon", "2", "--levels", "1" + "0" * 1000],
+        ],
+    )
+    def test_oracle_guard_before_any_draw(self, argv, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("drew or simulated before the oracle guard")
+
+        for module in (experiment, cli):
+            monkeypatch.setattr(module, "draw_instance", never)
+            monkeypatch.setattr(module, "simulate_run", never)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith("; use fewer storage levels\n")
+        assert len(captured.err) < 200
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # 10^4800 instances: more digits than str() of an int may print
+            (["adversary", "--horizon", "6", "--price-count", str(10**800)], 3),
+            (["adversary", "--horizon", "6", "--price-count", str(10**716), "--supply-count", "1",
+              "--budget", "9" * 4300], 1),  # fmt: skip
+        ],
+        ids=["budget", "grid_guard"],
+    )
+    def test_huge_grid_counts_print_short(self, argv, code, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err) < 200
+
+    @pytest.mark.parametrize("command", [["compare", "--runs", "1"], ["simulate"]])
+    def test_horizon_bound_named_before_the_oracle_guard(self, command, capsys):
+        assert main([*command, "--horizon", "100000000000"]) == 1
+        assert capsys.readouterr().err == "error: horizon must be in [1, 1000000], got 100000000000\n"
+
+    def test_wind_row_beyond_the_grid(self, tmp_path, capsys):
+        prefix = str(tmp_path / "t")
+        assert main(["gen-trace", "--horizon", "3", "--out-prefix", prefix]) == 0
+        wind = Path(f"{prefix}-wind.csv")
+        lines = wind.read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + ",1e308"
+        wind.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = ["simulate", "--price-csv", f"{prefix}-price.csv", "--wind-csv", str(wind)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: an output of 1e+308 MWh is no finite count of 0.05 MWh quanta\n"
+        )
+

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from hourahead import ValidationError, theoretical_cr
 from hourahead.cli import load_config_file
+from hourahead.market import PriceBounds
 from hourahead.experiment import (
     STRATEGIES,
     ExperimentConfig,
@@ -112,6 +114,23 @@ class TestOfferSweep:
             r["offers"]: abs(r["socs_mean_profit"] - r["ocsmb_mean_profit"]) for r in rows
         }
         assert gap[10] <= gap[2]
+
+
+class TestOverflowingTotals:
+    # one slot at a flat 4e306: every run's profits are finite, five runs' totals are not
+    CFG = ExperimentConfig(runs=5, horizon=1, bounds=PriceBounds(4e306, 4e306))
+
+    def test_two_runs_still_add_up(self):
+        report = run_experiment(replace(self.CFG, runs=2))
+        assert report.strategies["offline"]["total_profit"] > 1e308
+
+    def test_report_totals(self):
+        with pytest.raises(ValidationError, match="not finite"):
+            run_experiment(self.CFG)
+
+    def test_sweep_totals(self):
+        with pytest.raises(ValidationError, match="not finite"):
+            run_offer_sweep(self.CFG, [1, 2])
 
 
 class TestConfigFile:

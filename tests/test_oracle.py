@@ -15,7 +15,7 @@ from hourahead import (
     simulate_run,
 )
 from hourahead.market import EMPTY_BOOK, OfferBook
-from hourahead.oracle import profit_ratio, ratio_json
+from hourahead.oracle import _quantize, profit_ratio, profit_ratios, ratio_json
 from hourahead.policy import ThresholdPolicy
 from hourahead.strategies import StrategyConfig, socs_strategy
 
@@ -40,44 +40,42 @@ def random_tiny_instance(rng):
         rng.uniform(1.0, 50.0, horizon).tolist(),
         rng.uniform(0.0, u_cap, horizon).tolist(),
     )
-    return trace, spec, DiscretizationConfig(eta, levels)
+    return trace, spec, DiscretizationConfig(levels)
 
 
 class TestDiscretization:
     def test_tiles_capacity(self):
-        disc = DiscretizationConfig.for_capacity(20.0, 400)
-        disc.check_capacity(20.0)
-        assert disc.levels == 400
+        eta, *_units = _quantize([], StorageSpec(20.0, 10.0, 10.0), DiscretizationConfig(400))
+        assert (eta, 400 * eta) == (0.05, 20.0)
 
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValidationError):
-            DiscretizationConfig(3.0, 4).check_capacity(20.0)
-
-    def test_rejects_quantum_above_capacity(self):
-        with pytest.raises(ValidationError):
-            DiscretizationConfig(30.0, 1).check_capacity(20.0)
+    def test_quantum_follows_the_spec(self):
+        # one grid over two capacities: each spec is quantized by its own C / levels
+        disc = DiscretizationConfig(4)
+        trace = Trace([10.0, 20.0], [2.0, 0.0])
+        for capacity in (4.0, 8.0):
+            spec = StorageSpec(capacity, capacity, capacity, 0.0)
+            assert _quantize(trace.outputs, spec, disc)[0] == capacity / 4
+            assert offline_opt_dp(trace, spec, disc).total_profit == 40.0
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValidationError):
-            DiscretizationConfig(0.0, 4)
-        with pytest.raises(ValidationError):
-            DiscretizationConfig(1.0, 0)
-
-    @pytest.mark.parametrize("eta", [math.nan, math.inf])
-    def test_rejects_non_finite_eta(self, eta):
-        with pytest.raises(ValidationError):
-            DiscretizationConfig(eta, 1)
+            DiscretizationConfig(-1)
 
     def test_zero_levels_rejected_before_dividing(self):
-        with pytest.raises(ValidationError):
-            DiscretizationConfig.for_capacity(20.0, 0)
+        with pytest.raises(ValidationError, match="level count must be >= 1"):
+            DiscretizationConfig(0)
+
+    def test_rejects_a_zero_quantum(self):
+        # 4 levels of the least positive float round down to a quantum of 0.0
+        with pytest.raises(ValidationError, match="no quantum"):
+            DiscretizationConfig(4).quantum(5e-324)
 
 
 class TestOfflineOptimum:
     def test_charge_then_sell(self):
         trace = Trace([10.0, 20.0], [1.0, 0.0])
         spec = StorageSpec(1.0, 1.0, 1.0, 0.0)
-        disc = DiscretizationConfig(0.25, 4)
+        disc = DiscretizationConfig(4)
         result = offline_opt_dp(trace, spec, disc)
         assert result.total_profit == 20.0
         assert result.commitment_path == (0.0, 1.0)
@@ -87,14 +85,14 @@ class TestOfflineOptimum:
         # selling now or next slot earns the same: the smaller commitment wins
         trace = Trace([10.0, 10.0], [0.0, 0.0])
         spec = StorageSpec(2.0, 2.0, 2.0, 2.0)
-        result = offline_opt_dp(trace, spec, DiscretizationConfig(0.5, 4))
+        result = offline_opt_dp(trace, spec, DiscretizationConfig(4))
         assert result.total_profit == 20.0
         assert result.commitment_path == (0.0, 2.0)
 
     def test_single_slot_closed_form(self):
         trace = Trace([25.0], [3.0])
         spec = StorageSpec(20.0, 10.0, 4.0, 10.0)
-        disc = DiscretizationConfig.for_capacity(20.0, 80)
+        disc = DiscretizationConfig(80)
         result = offline_opt_dp(trace, spec, disc)
         assert result.total_profit == pytest.approx(25.0 * (3.0 + min(10.0, 4.0)))
 
@@ -102,7 +100,7 @@ class TestOfflineOptimum:
         # grid-aligned inputs, generous rates: profit is price times all energy
         trace = Trace([15.0] * 4, [2.0, 1.0, 0.0, 3.0])
         spec = StorageSpec(8.0, 8.0, 8.0, 4.0)
-        disc = DiscretizationConfig(0.5, 16)
+        disc = DiscretizationConfig(16)
         result = offline_opt_dp(trace, spec, disc)
         assert result.total_profit == pytest.approx(15.0 * (6.0 + 4.0))
 
@@ -131,20 +129,20 @@ class TestOfflineOptimum:
     def test_monotone_in_resources(self):
         trace = Trace([10.0, 30.0, 20.0], [1.0, 0.5, 2.0])
         base = offline_opt_dp(
-            trace, StorageSpec(4.0, 1.0, 1.0, 2.0), DiscretizationConfig(0.25, 16)
+            trace, StorageSpec(4.0, 1.0, 1.0, 2.0), DiscretizationConfig(16)
         ).total_profit
         richer = [
-            (StorageSpec(6.0, 1.0, 1.0, 2.0), DiscretizationConfig(0.25, 24)),
-            (StorageSpec(4.0, 2.0, 1.0, 2.0), DiscretizationConfig(0.25, 16)),
-            (StorageSpec(4.0, 1.0, 2.0, 2.0), DiscretizationConfig(0.25, 16)),
-            (StorageSpec(4.0, 1.0, 1.0, 3.0), DiscretizationConfig(0.25, 16)),
+            (StorageSpec(6.0, 1.0, 1.0, 2.0), DiscretizationConfig(24)),
+            (StorageSpec(4.0, 2.0, 1.0, 2.0), DiscretizationConfig(16)),
+            (StorageSpec(4.0, 1.0, 2.0, 2.0), DiscretizationConfig(16)),
+            (StorageSpec(4.0, 1.0, 1.0, 3.0), DiscretizationConfig(16)),
         ]
         for spec, disc in richer:
             assert offline_opt_dp(trace, spec, disc).total_profit >= base
 
     def test_monotone_in_inputs(self):
         spec = StorageSpec(4.0, 1.0, 1.0, 2.0)
-        disc = DiscretizationConfig(0.25, 16)
+        disc = DiscretizationConfig(16)
         trace = Trace([10.0, 30.0, 20.0], [1.0, 0.5, 2.0])
         base = offline_opt_dp(trace, spec, disc).total_profit
         higher_p = Trace([12.0, 31.0, 20.0], [1.0, 0.5, 2.0])
@@ -155,22 +153,22 @@ class TestOfflineOptimum:
     def test_refinement_never_decreases(self, bounds):
         spec = StorageSpec(20.0, 10.0, 10.0)
         trace = synthetic_trace(21, 36, bounds)
-        coarse = offline_opt_dp(trace, spec, DiscretizationConfig.for_capacity(20.0, 50))
-        fine = offline_opt_dp(trace, spec, DiscretizationConfig.for_capacity(20.0, 100))
+        coarse = offline_opt_dp(trace, spec, DiscretizationConfig(50))
+        fine = offline_opt_dp(trace, spec, DiscretizationConfig(100))
         assert fine.total_profit >= coarse.total_profit
         gap_bound = bounds.p_max * (20.0 / 50) * trace.horizon
         assert fine.total_profit - coarse.total_profit < gap_bound
 
     def test_dominates_strategies(self, bounds, spec, penalty):
         pol = ThresholdPolicy.build(bounds, spec.capacity)
-        disc = DiscretizationConfig.for_capacity(spec.capacity, 100)
+        disc = DiscretizationConfig(100)
         for seed in range(10):
             trace = synthetic_trace(seed, 60, bounds)
             opt = offline_opt_dp(trace, spec, disc).total_profit
             strat = simulate_run(
                 trace, spec, penalty, socs_strategy(StrategyConfig(pol, spec))
             ).total_profit
-            assert opt + bounds.p_max * disc.eta * trace.horizon >= strat
+            assert opt + bounds.p_max * disc.quantum(spec.capacity) * trace.horizon >= strat
 
 
 def per_action_dp(prices, outputs, rc, rd, k0, eta, n):
@@ -216,7 +214,7 @@ def test_window_dp_matches_per_action_dp(instance):
     n, eta, rc, rd, k0, prices, outputs = instance
     trace = Trace(prices, [u * eta for u in outputs])
     spec = StorageSpec(n * eta, rc * eta, rd * eta, k0 * eta)
-    result = offline_opt_dp(trace, spec, DiscretizationConfig(eta, n))
+    result = offline_opt_dp(trace, spec, DiscretizationConfig(n))
     expected = per_action_dp(prices, outputs, rc, rd, k0, eta, n)
     assert result.total_profit == pytest.approx(expected, rel=1e-12)
 
@@ -239,7 +237,7 @@ def test_value_is_concave_in_initial_level(instance):
     # the window-max step rests on v_0 being discretely concave in k0
     n, eta, rc, rd, _k0, prices, outputs = instance
     trace = Trace(prices, [u * eta for u in outputs])
-    disc = DiscretizationConfig(eta, n)
+    disc = DiscretizationConfig(n)
     values = [
         offline_opt_dp(trace, StorageSpec(n * eta, rc * eta, rd * eta, k * eta), disc).total_profit
         for k in range(n + 1)
@@ -253,32 +251,32 @@ class TestExhaustiveGuards:
     def test_horizon_guard(self):
         trace = Trace([10.0] * 7, [0.0] * 7)
         with pytest.raises(InstanceTooLargeError):
-            offline_opt_exhaustive(trace, StorageSpec(2.0, 1.0, 1.0), DiscretizationConfig(1.0, 2))
+            offline_opt_exhaustive(trace, StorageSpec(2.0, 1.0, 1.0), DiscretizationConfig(2))
 
     def test_level_guard(self):
         trace = Trace([10.0], [0.0])
         with pytest.raises(InstanceTooLargeError):
             offline_opt_exhaustive(
-                trace, StorageSpec(9.0, 1.0, 1.0), DiscretizationConfig(1.0, 9)
+                trace, StorageSpec(9.0, 1.0, 1.0), DiscretizationConfig(9)
             )
 
     def test_action_guard(self):
         trace = Trace([10.0], [20.0])
         with pytest.raises(InstanceTooLargeError):
             offline_opt_exhaustive(
-                trace, StorageSpec(4.0, 1.0, 1.0), DiscretizationConfig(1.0, 4)
+                trace, StorageSpec(4.0, 1.0, 1.0), DiscretizationConfig(4)
             )
 
     def test_empty_availability(self):
         trace = Trace([10.0, 20.0], [0.0, 0.0])
         spec = StorageSpec(4.0, 1.0, 1.0, 0.0)
-        result = offline_opt_exhaustive(trace, spec, DiscretizationConfig(1.0, 4))
+        result = offline_opt_exhaustive(trace, spec, DiscretizationConfig(4))
         assert result.total_profit == 0.0
 
 
 class TestEmpiricalRatio:
     def test_self_replay_is_one(self, bounds, spec, penalty):
-        disc = DiscretizationConfig.for_capacity(spec.capacity, 100)
+        disc = DiscretizationConfig(100)
         trace = synthetic_trace(3, 40, bounds)
         opt = offline_opt_dp(trace, spec, disc)
 
@@ -292,7 +290,7 @@ class TestEmpiricalRatio:
     def test_ratio_floor(self, bounds, spec, penalty):
         # the clairvoyant plan can lose at most one quantum per slot
         pol = ThresholdPolicy.build(bounds, spec.capacity)
-        disc = DiscretizationConfig.for_capacity(spec.capacity, 100)
+        disc = DiscretizationConfig(100)
         for seed in range(6):
             trace = synthetic_trace(seed, 48, bounds)
             ratio = empirical_cr(
@@ -301,13 +299,13 @@ class TestEmpiricalRatio:
             profit = simulate_run(
                 trace, spec, penalty, socs_strategy(StrategyConfig(pol, spec))
             ).total_profit
-            eps = bounds.p_max * disc.eta * trace.horizon / profit
+            eps = bounds.p_max * disc.quantum(spec.capacity) * trace.horizon / profit
             assert ratio >= 1.0 - eps
 
     def test_unbounded_sentinel(self, penalty):
         trace = Trace([10.0, 10.0], [1.0, 1.0])
         spec = StorageSpec(4.0, 1.0, 1.0, 2.0)
-        disc = DiscretizationConfig(0.5, 8)
+        disc = DiscretizationConfig(8)
 
         def silent(t, price, output, level):
             return EMPTY_BOOK
@@ -329,6 +327,29 @@ class TestEmpiricalRatio:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert profit_ratio(1e308, 1e-11) == math.inf
+
+    @pytest.mark.parametrize("opt, strat", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 0.0)])
+    def test_rejects_a_profit_that_is_not_finite(self, opt, strat):
+        with pytest.raises(ValidationError, match="not finite"):
+            profit_ratio(opt, strat)
+        with pytest.raises(ValidationError, match="not finite"):
+            profit_ratios(np.array([2.0, opt]), np.array([1.0, strat]))
+
+    @pytest.mark.parametrize(
+        "spec, prices, outputs",
+        [
+            (StorageSpec(4.0, 4.0, 4.0), [1e308, 1e308], [4.0, 4.0]),
+            # the grid optimum is 1.68e308, but its window keys overflow: the
+            # DP returned 1.57e308 here, a finite total below the optimum
+            (StorageSpec(4.0, 4.0, 3.0, 1.0), [1.689542699392248e307, 2.354240057289615e307,
+             5.176769962146966e306], [5.0, 2.0, 0.0]),  # fmt: skip
+        ],
+    )
+    def test_dp_overflow_is_an_error(self, spec, prices, outputs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning
+            with pytest.raises(ValidationError, match="not finite"):
+                offline_opt_dp(Trace(prices, outputs), spec, DiscretizationConfig(4))
 
     def test_unbounded_is_inf_and_prints_as_unbounded(self):
         assert profit_ratio(1.0, 0.0) == math.inf
