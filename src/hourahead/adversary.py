@@ -20,11 +20,13 @@ float64 + - * / round as Python's floats do):
   on, so ``oracle.grid_step`` builds them once per suffix of slot choices:
   a table walked back from v_T = 0, each slot tiling the rows once per slot
   choice, up to the earliest slot s >= 1 whose table fits in CHUNK_CELLS
-  (suffix, level) cells.  Each chunk of at most CHUNK_CELLS (instance,
-  level) cells gathers its instances' rows and steps through the leading
-  slots s-1 ... 0 only, and the ratios, min-level buckets and the first
-  argmax are reduced per chunk, so no array spans the whole grid times the
-  storage levels.
+  (suffix, level) cells.  The instances fall into blocks of the table's
+  length that share their choices in the leading slots s-1 ... 0, and a
+  chunk is as many whole blocks as fit in CHUNK_CELLS cells: the table,
+  tiled once, steps through slots s-1 ... 1 with one choice column per
+  block, and through slot 0 at the initial level only.  The ratios, the
+  min-level buckets (by grid index) and the first argmax are reduced per
+  chunk, so no array spans the whole grid times the storage levels.
 """
 from __future__ import annotations
 
@@ -317,52 +319,57 @@ def adversarial_search(
     # v_s over every suffix of slot choices from slot s on, in product order,
     # built backwards from v_T = 0 while it fits in CHUNK_CELLS (s >= 1)
     table, s = np.zeros((1, n + 1)), horizon
+    c = np.arange(width)[:, None, None]
     while s > 1 and width * table.size <= CHUNK_CELLS:
         s -= 1
-        c = np.repeat(np.arange(width), len(table))[:, None]
-        step = grid_step((len(c), n + 1), rd, eta)
-        table, _best = step(np.tile(table, (width, 1)), price_col[c], unit_col[c], cap_col[c])
+        step = grid_step((width, *table.shape), rd, eta)
+        table, _best = step(np.tile(table, (width, 1, 1)), price_col[c], unit_col[c], cap_col[c])
+        table = table.reshape(-1, n + 1)
 
     best = -math.inf
     argmax = 0
     buckets: dict[float, float] = {}
-    count = grid.instance_count
-    rows = min(max(CHUNK_CELLS // (n + 1), 1), count)
-    step = grid_step((rows, n + 1), rd, eta)
-    for start in range(0, count, rows):
-        idx = np.arange(start, min(start + rows, count))
-        # each instance's suffix from slot s, then its leading slots s-1 ... 0
-        v = table[idx % len(table)]
-        if len(v) < rows:  # the last chunk
+    # instance b*len(table) + r has the suffix row r and block b's choices
+    # in its leading slots s-1 ... 0; a chunk is whole blocks
+    blocks = width**s
+    tiled = np.tile(table, (min(max(CHUNK_CELLS // table.size, 1), blocks), 1, 1))
+    for b0 in range(0, blocks, len(tiled)):
+        b = np.arange(b0, min(b0 + len(tiled), blocks))
+        v = tiled[: len(b)]
+        if b0 == 0 or len(b) < len(tiled):  # the first and the last chunk
             step = grid_step(v.shape, rd, eta)
+            at_k0 = grid_step(v.shape, rd, eta, k0)
         for t in reversed(range(s)):
-            c = (idx // strides[t] % width)[:, None]
-            v, _best = step(v, price_col[c], unit_col[c], cap_col[c])
+            c = (b // width ** (s - 1 - t) % width)[:, None, None]
+            v, _best = (step if t else at_k0)(v, price_col[c], unit_col[c], cap_col[c])
+        idx = np.arange(b0 * len(table), (b0 + len(b)) * len(table))
         parent, last = np.divmod(idx, width)
         g = group[parent]
         lowest = np.minimum(low[parent], last_level[g, last])
-        ratio = profit_ratios(v[:, n - k0], total[parent] + last_profit[g, last])
+        ratio = profit_ratios(v.ravel(), total[parent] + last_profit[g, last])
 
-        # round(x) * eta as Python takes it: half to even, and never -0.0
-        # (so the sign of a zero minimum level does not matter)
-        keys = np.rint(lowest / eta) * eta + 0.0
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        peaks = np.full(len(uniq), -math.inf)
-        np.maximum.at(peaks, inverse, ratio)
-        # strict: the first instance in enumeration order keeps a tie
-        for j in np.argsort(first).tolist():
-            key, peak = uniq[j].item(), peaks[j].item()
-            if peak > buckets.get(key, -math.inf):
-                buckets[key] = peak
+        # the minimum level's grid index, rounded as Python rounds: half to
+        # even; a level lies in [0, C], so the index lies in [0, n]
+        i = np.rint(lowest / eta).astype(np.intp)
+        peaks = np.full(n + 1, -math.inf)
+        np.maximum.at(peaks, i, ratio)
+        first = np.full(n + 1, len(i))
+        np.minimum.at(first, i, np.arange(len(i)))
+        # the buckets reached, by first appearance; strict: the first
+        # instance in enumeration order keeps a tie; no key j * eta is -0.0
+        for j in np.argsort(first)[: np.count_nonzero(first < len(i))].tolist():
+            peak = peaks[j].item()
+            if peak > buckets.get(j * eta, -math.inf):
+                buckets[j * eta] = peak
         top = int(ratio.argmax())
         if ratio[top] > best:
             best = ratio[top].item()
-            argmax = start + top
+            argmax = b0 * len(table) + top
 
     combo = [choices[argmax // stride % width] for stride in strides]
     return WorstCaseReport(
         max_ratio=best,
         argmax_instance=Trace(*zip(*combo)),
         bucket_ratios=buckets,
-        instances=count,
+        instances=grid.instance_count,
     )

@@ -106,24 +106,28 @@ def check_dp_cells(horizon: int, disc: DiscretizationConfig) -> None:
         )
 
 
-def grid_step(shape: tuple[int, ...], rd: int, eta: float):
+def grid_step(shape: tuple[int, ...], rd: int, eta: float, level: int | None = None):
     """The grid DP's backward step over levels 0 ... n, as a function
-    ``step(v, p, uq, cap)`` for one instance, ``shape`` (n+1,), or a batch
-    of R instances, ``shape`` (R, n+1).
+    ``step(v, p, uq, cap)`` for one instance, ``shape`` (n+1,), or a batch,
+    ``shape`` (..., n+1).
 
     ``v`` holds v_{t+1} over j = n - k, the levels counted from the top, so
     a first argmax is the rightmost one in k.  The slot's price ``p``,
     output in grid units as a float ``uq`` (exact below 2**53 units; no
     int64 overflow above) and ``cap = min(r_c, output units)`` are Python
-    scalars for one instance, or (R, 1) columns.  ``step`` returns v_t,
-    shaped like ``v``, and the rightmost argmax m* of each window key,
-    shaped (1,) or (R, 1), as the flat index i*(n+1) + n - m* of row i.
+    scalars for one instance, or columns over the batch axes.  ``step``
+    returns v_t, shaped like ``v`` (given a ``level`` k, v_t(k) alone), and
+    the rightmost argmax m* of each window key, both v_t(k) and m* with a
+    last axis of length 1, m* as the flat index i*(n+1) + n - m* of row i.
     Every row sees the same operations in the same order, so its values do
     not depend on the batch it is in.
     """
     j = np.arange(math.prod(shape)).reshape(shape)  # flat index of level n - j
     base = j[..., :1]
-    below_top = np.arange(shape[-1])  # n - k, the same in every row
+    # n - k in every row, so the key has v's shape whatever the columns' shape
+    below_top = np.broadcast_to(np.arange(shape[-1]), shape)
+    if level is not None:  # the one level's flat index in each row
+        j = base + (shape[-1] - 1 - level)
     highest = j + rd  # the lowest next level k - r_d
 
     def step(v, p, uq, cap):
@@ -141,7 +145,8 @@ def grid_step(shape: tuple[int, ...], rd: int, eta: float):
         best = base + key.argmax(axis=-1, keepdims=True)
         m = np.maximum(np.minimum(highest, best), j - cap)
         # commits u + k - m units: p * ((u + (m - j)) * eta) + v_{t+1}(m)
-        v_next = np.add(uq, m - j, out=key)  # the key is spent
+        # the key is spent: its buffer takes v_t, unless v_t is one level
+        v_next = np.add(uq, m - j, out=key if level is None else None)
         v_next *= eta
         v_next *= p
         v_next += v.ravel()[m]  # a fancy-index gather beats np.take into a buffer

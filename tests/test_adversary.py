@@ -18,7 +18,6 @@ from hourahead import (
 )
 from hourahead import adversary
 from hourahead.adversary import (
-    CHUNK_CELLS,
     AdversaryGrid,
     StepFunction,
     adversarial_search,
@@ -260,6 +259,27 @@ def assert_same_report(new, ref):
     assert new.instances == ref.instances
 
 
+def spy_on_chunks(monkeypatch):
+    """The shape of each chunk the search steps through slot 0, in order:
+    (table blocks, suffixes per block, levels)."""
+    chunks = []
+    real = adversary.grid_step
+
+    def grid_step(shape, rd, eta, *level):
+        step = real(shape, rd, eta, *level)
+        if not level:  # a table slot or a leading slot s-1 ... 1
+            return step
+
+        def at_level(v, *columns):
+            chunks.append(v.shape)
+            return step(v, *columns)
+
+        return at_level
+
+    monkeypatch.setattr(adversary, "grid_step", grid_step)
+    return chunks
+
+
 class TestBatchedSearchIsExact:
     """The batched search reports exactly what one oracle DP and one
     simulate_run per instance report."""
@@ -292,15 +312,16 @@ class TestBatchedSearchIsExact:
             adversarial_search_reference(grid, strategy, spec),
         )
 
-    def test_several_chunks_with_unbounded_bucket(self):
+    def test_several_chunks_with_unbounded_bucket(self, monkeypatch):
         bounds = PriceBounds(10.0, 40.0)
         spec = full_storage_spec(4.0)
         grid = AdversaryGrid.geometric(
             bounds, spec.capacity, horizon=3, price_count=6, supply_count=3, levels=16
         )
-        assert grid.instance_count > 5 * (CHUNK_CELLS // (grid.disc.levels + 1))
         strategy = adversary_strategy("const", bounds, spec)
+        chunks = spy_on_chunks(monkeypatch)
         report = adversarial_search(grid, strategy, spec)
+        assert len(chunks) > 5
         assert_same_report(report, adversarial_search_reference(grid, strategy, spec))
         assert math.inf in report.bucket_ratios.values()
         assert any(r < math.inf for r in report.bucket_ratios.values())
@@ -331,8 +352,10 @@ class TestBatchedSearchIsExact:
     def test_capped_suffix_table(
         self, monkeypatch, cells, horizon, price_count, rates, initial, name
     ):
-        # 8 cells hold no slot of the table and one instance per chunk; 64
-        # hold one slot, so each chunk runs the two or three leading slots
+        # 8 cells hold no slot of the table, so a chunk is one block of one
+        # instance; 64 hold one slot, so a chunk is one block of the table's
+        # 12 suffixes or two blocks of its 6 and runs the two or three
+        # leading slots
         monkeypatch.setattr(adversary, "CHUNK_CELLS", cells)
         bounds = PriceBounds(10.0, 40.0)
         spec = StorageSpec(4.0, *rates, initial)
@@ -344,6 +367,56 @@ class TestBatchedSearchIsExact:
             adversarial_search(grid, strategy, spec),
             adversarial_search_reference(grid, strategy, spec),
         )
+
+    @pytest.mark.parametrize(
+        "cells, horizon, price_count, rates",
+        [
+            (25, 3, 2, (4.0, 4.0)),  # no table slot: 5 one-instance blocks
+            (300, 3, 4, (1.0, 3.0)),  # 12-suffix table: 5 blocks, slots 1, 0
+            (1000, 4, 2, (2.5, 1.0)),  # 36-suffix table: 5 blocks, slots 1, 0
+        ],
+    )
+    @pytest.mark.parametrize("initial", [0.0, 1.3, None])
+    @pytest.mark.parametrize("name", ["socs", "ocsmb"])
+    def test_chunks_of_several_blocks(
+        self, monkeypatch, cells, horizon, price_count, rates, initial, name
+    ):
+        # a chunk holds several blocks of the suffix table, and the last
+        # chunk fewer than the others
+        monkeypatch.setattr(adversary, "CHUNK_CELLS", cells)
+        bounds = PriceBounds(10.0, 40.0)
+        spec = StorageSpec(4.0, *rates, initial)
+        grid = AdversaryGrid.geometric(
+            bounds, spec.capacity, horizon=horizon, price_count=price_count, levels=4
+        )
+        strategy = adversary_strategy(name, bounds, spec)
+        chunks = spy_on_chunks(monkeypatch)
+        report = adversarial_search(grid, strategy, spec)
+        assert chunks[0][0] == 5 and 0 < chunks[-1][0] < 5
+        assert_same_report(report, adversarial_search_reference(grid, strategy, spec))
+
+    @pytest.mark.parametrize(
+        "name, horizon, initial, keys",
+        [
+            # from 2.5 or 1.5, one unit a slot: minimum levels 2.5, 1.5 and
+            # 0.5 round half to even, to 2, 2 and 0
+            ("const", 2, 2.5, {2.0, 0.0}),
+            ("const", 2, 1.5, {2.0, 0.0}),
+            ("gmin", 1, 2.5, {2.0}),
+            ("gmin", 1, 1.5, {0.0}),
+            # a -0.0 minimum level falls in the bucket 0.0
+            ("const", 2, -0.0, {0.0}),
+            ("gmin", 2, -0.0, {0.0}),
+        ],
+    )
+    def test_buckets_of_half_grid_levels(self, name, horizon, initial, keys):
+        bounds = PriceBounds(10.0, 40.0)
+        spec = StorageSpec(4.0, 1.0, 1.0, initial)
+        grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=horizon, levels=4)
+        strategy = adversary_strategy(name, bounds, spec)
+        report = adversarial_search(grid, strategy, spec)
+        assert set(report.bucket_ratios) == keys
+        assert_same_report(report, adversarial_search_reference(grid, strategy, spec))
 
     def test_horizon_five_peaks_at_a_few_megabytes(self):
         # chunked: no array spans the 248832 instances times the levels
