@@ -7,9 +7,9 @@ storage level the strategy reached.  The step-function helpers evaluate
 the closed-form local ratio of a discretized threshold curve and the
 step lengths that equalize it.
 
-The grid is evaluated with array operations, bit for bit as one
-``simulate_run`` and one ``offline_opt_dp`` per instance would (numpy's
-float64 + - * / round as Python's floats do):
+The grid is evaluated with array operations (numpy's float64 + - * / round
+as Python's floats do), bit for bit as one ``simulate_run`` and one per-level
+grid DP per instance would, and as ``offline_opt_dp`` up to rounding:
 
 * The strategy walks the tree of slot-choice prefixes in
   ``itertools.product`` order.  A prefix's state is its storage level, its

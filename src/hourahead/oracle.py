@@ -7,21 +7,23 @@ result is a lower bound on the continuous optimum; the gap shrinks
 linearly in eta.  The test suite checks it against a brute-force
 enumerator over the same quantized world on tiny instances.
 
-Each slot of the value iteration is one sliding-window max.  Landing on
-level m from level k commits j = u + k - m units, so
+Landing on level m from level k commits j = u + k - m units, so
 
     v_t(k) = p*eta*(u + k) + max over m in [k - r_d, k + min(r_c, u)] ∩ [0, n]
              of (v_{t+1}(m) - p*eta*m).
 
-The key v_{t+1}(m) - p*eta*m is concave in m, by induction from v_T = 0: a
-window max of a concave sequence is concave in k, and so is that plus the
-linear p*eta*(u + k).  So each window's max is the key's rightmost global
-argmax m* clipped into the window, m = min(max(k - r_d, m*), k + min(r_c, u)),
-with ties going to the larger m (the smaller commitment); the kept value is
-recomputed as p * (j * eta) + v_{t+1}(m).  T slots over n levels cost O(T * n).
+By induction from v_T = 0, v_t is concave and piecewise linear: pieces of
+whole levels whose slopes, falling, are later slots' prices times eta.  The
+key's rightmost argmax z* is the length of the pieces of slope >= p, and a
+window's max is at z* clipped into it, m = min(max(k - r_d, z*), k + min(r_c,
+u)), ties going to the larger m (the smaller commitment).  So v_t is v_{t+1}
+less its first b = min(r_c, u, z*) levels, plus a piece of slope p and length
+r_d + b after the slopes >= p, cut back to n levels: the backward pass only
+compares prices and adds lengths.
 """
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 from dataclasses import dataclass
@@ -169,39 +171,52 @@ def overflow_is_an_error():
         raise ValidationError(_PROFIT_OVERFLOW) from None
 
 
-@overflow_is_an_error()
+def _trim(lengths: list[int], neg_slopes: list[float], units: int, end: int) -> None:
+    """Remove ``units`` levels from the first (``end`` 0) or last (-1) pieces."""
+    while units:
+        cut = min(units, lengths[end])
+        lengths[end] -= cut
+        units -= cut
+        if not lengths[end]:
+            del lengths[end], neg_slopes[end]
+
+
 def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) -> OptResult:
     """Maximum clairvoyant sale revenue over the quantized storage grid.
 
     Commitments are grid multiples within [0, min(level, discharge) + output]
-    so the plan never over-commits.  One argmax and one clip per slot (see the
-    module docstring): the next level from k is the rightmost argmax m* of the
-    concave key clipped into [k - r_d, k + min(r_c, u)], committing u + k - m
-    units, so ties go to the smaller commitment.  Costs O(T * n) for T slots
-    and n levels, whatever the rates are relative to eta; raises
-    InstanceTooLargeError beyond MAX_DP_CELLS slots x (levels + 1).
+    so the plan never over-commits.  v_t is stepped as concave pieces by exact
+    comparisons (see the module docstring); each spans a level, so T slots of
+    n levels cost at most T * (n + 1) piece steps.  Raises InstanceTooLargeError
+    beyond MAX_DP_CELLS slots x (levels + 1), ValidationError on an overflow.
     """
     check_dp_cells(trace.horizon, disc)
     eta, u_units, rc, rd, k0 = _quantize(trace.outputs, spec, disc)
-    n = disc.levels
-    caps = [min(rc, u) for u in u_units]
-    step = grid_step((n + 1,), rd, eta)
-    v = np.zeros(n + 1)
-    bests = []
+    # v_{t+1} from level 0 up: lengths[i] levels of slope -neg[i] * eta each;
+    # neg rises, so bisect counts the pieces of slope >= p
+    lengths, neg, argmaxes = [disc.levels], [-0.0], []
     for t in reversed(range(trace.horizon)):
-        v, best = step(v, trace.prices[t], float(u_units[t]), caps[t])
-        bests.append(best)
+        p = trace.prices[t]
+        z = sum(lengths[: bisect.bisect_right(neg, -p)])
+        argmaxes.append(z)
+        drop = min(rc, u_units[t], z)
+        _trim(lengths, neg, drop, 0)
+        if rd + drop:
+            i = bisect.bisect_right(neg, -p)
+            lengths.insert(i, rd + drop)
+            neg.insert(i, -p)
+        _trim(lengths, neg, rd, -1)  # n + rd levels back to n
 
-    total = float(v[n - k0])
-    k = k0
-    commitments = []
-    levels = [k0 * eta]
-    for t, best in enumerate((n - np.concatenate(bests[::-1])).tolist()):
-        # the same clip as m[k] in the backward pass, for this slot's k only
-        m = min(max(k - rd, best), k + caps[t])
+    k, commitments, levels = k0, [], [k0 * eta]
+    for t, z in enumerate(reversed(argmaxes)):
+        m = min(max(k - rd, z), k + min(rc, u_units[t]))
         commitments.append((u_units[t] + k - m) * eta)
         k = m
         levels.append(k * eta)
+    total = 0.0
+    for c, p in zip(reversed(commitments), reversed(trace.prices)):
+        total = c * p + total  # slot by slot from the last, as v_t is built
+    check_profits(total)
     return OptResult(total, tuple(commitments), tuple(levels))
 
 

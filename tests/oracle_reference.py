@@ -1,11 +1,23 @@
-"""Test-only references: a brute-force enumerator over the oracle DP's
-quantized world, the profit ratio of one strategy on one instance, and the
-worst-case search as one ``offline_opt_dp`` and one ``simulate_run`` per
-instance."""
+"""Test-only references for the oracle and the worst-case search.
+
+* ``offline_opt_exhaustive`` enumerates every commitment sequence of the
+  oracle's quantized world, on tiny instances.
+* ``offline_opt_grid`` is the per-level grid DP that ``offline_opt_dp``
+  replaces with concave pieces: one ``oracle.grid_step`` per slot over all
+  n + 1 levels, O(T * n).  Its float argmax is the one the batched search
+  takes, so the search matches it bit for bit; ``offline_opt_dp`` finds the
+  exact argmax, and on exact ties (repeated prices) may take another equally
+  optimal plan whose total differs in the last bit.
+* ``empirical_cr`` is the profit ratio of one strategy on one instance.
+* ``adversarial_search_reference`` is the worst-case search as one
+  ``offline_opt_grid`` and one ``simulate_run`` per instance.
+"""
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 from hourahead import (
     BudgetExceededError,
@@ -19,7 +31,14 @@ from hourahead import (
 )
 from hourahead.adversary import AdversaryGrid, WorstCaseReport
 from hourahead.market import OfferStrategy
-from hourahead.oracle import OptResult, _quantize, profit_ratio
+from hourahead.oracle import (
+    OptResult,
+    _quantize,
+    check_dp_cells,
+    grid_step,
+    overflow_is_an_error,
+    profit_ratio,
+)
 
 def _step(k: int, j: int, uq: int, rc: int, n: int) -> int:
     """Next level index after committing j units with uq units of output."""
@@ -86,6 +105,36 @@ def offline_opt_exhaustive(
     return OptResult(total, tuple(j * eta for j in seq), tuple(levels))
 
 
+@overflow_is_an_error()
+def offline_opt_grid(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) -> OptResult:
+    """The grid DP over every level: the next level from k is the rightmost
+    float argmax m* of the concave key clipped into [k - r_d, k + min(r_c, u)],
+    committing u + k - m units.  Raises ValidationError where a window key
+    overflows, even if the optimum is finite."""
+    check_dp_cells(trace.horizon, disc)
+    eta, u_units, rc, rd, k0 = _quantize(trace.outputs, spec, disc)
+    n = disc.levels
+    caps = [min(rc, u) for u in u_units]
+    step = grid_step((n + 1,), rd, eta)
+    v = np.zeros(n + 1)
+    bests = []
+    for t in reversed(range(trace.horizon)):
+        v, best = step(v, trace.prices[t], float(u_units[t]), caps[t])
+        bests.append(best)
+
+    total = float(v[n - k0])
+    k = k0
+    commitments = []
+    levels = [k0 * eta]
+    for t, best in enumerate((n - np.concatenate(bests[::-1])).tolist()):
+        # the same clip as m[k] in the backward pass, for this slot's k only
+        m = min(max(k - rd, best), k + caps[t])
+        commitments.append((u_units[t] + k - m) * eta)
+        k = m
+        levels.append(k * eta)
+    return OptResult(total, tuple(commitments), tuple(levels))
+
+
 def empirical_cr(
     trace: Trace,
     spec: StorageSpec,
@@ -109,7 +158,7 @@ def adversarial_search_reference(
     spec: StorageSpec,
 ) -> WorstCaseReport:
     """``adversary.adversarial_search`` instance by instance: one Trace, one
-    oracle DP and one simulation per grid instance, in product order."""
+    per-level grid DP and one simulation per grid instance, in product order."""
     disc = grid.disc
     eta = disc.quantum(spec.capacity)
     penalty = PenaltyParams()
@@ -125,7 +174,7 @@ def adversarial_search_reference(
     count = 0
     for combo in itertools.product(slot_choices, repeat=grid.horizon):
         trace = Trace(*zip(*combo))
-        opt = offline_opt_dp(trace, spec, disc).total_profit
+        opt = offline_opt_grid(trace, spec, disc).total_profit
         run = simulate_run(trace, spec, penalty, strategy)
         ratio = profit_ratio(opt, run.total_profit)
         count += 1

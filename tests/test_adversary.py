@@ -281,7 +281,7 @@ def spy_on_chunks(monkeypatch):
 
 
 class TestBatchedSearchIsExact:
-    """The batched search reports exactly what one oracle DP and one
+    """The batched search reports exactly what one per-level grid DP and one
     simulate_run per instance report."""
 
     @settings(max_examples=40, deadline=None)

@@ -14,6 +14,8 @@ from hourahead import (
     offline_opt_dp,
     simulate_run,
 )
+from hourahead import oracle
+from hourahead.experiment import ExperimentConfig, draw_instance
 from hourahead.market import EMPTY_BOOK, OfferBook
 from hourahead.oracle import _quantize, profit_ratio, profit_ratios, ratio_json
 from hourahead.policy import ThresholdPolicy
@@ -233,6 +235,57 @@ def test_window_dp_matches_per_action_dp(instance):
 
 @settings(max_examples=100, deadline=None)
 @given(instance=grid_instances())
+@example(instance=(4, 1.0, 0, 1, 4, [1.0, 2.0, 3.0, 4.0, 5.0], [0] * 5))  # a piece per level
+def test_pieces_tile_the_grid(instance):
+    # after every slot the pieces cover the n levels, each at least one level,
+    # slopes falling: so there are never more than n + 1 of them
+    n, eta, rc, rd, k0, prices, outputs = instance
+    trace = Trace(prices, [u * eta for u in outputs])
+    spec = StorageSpec(n * eta, rc * eta, rd * eta, k0 * eta)
+    counts = []
+
+    def trim(lengths, neg_slopes, units, end):
+        real_trim(lengths, neg_slopes, units, end)
+        if end == -1:  # the slot's last trim
+            assert sum(lengths) == n and min(lengths) >= 1
+            assert neg_slopes == sorted(neg_slopes)
+            counts.append(len(lengths))
+
+    real_trim = oracle._trim
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_trim", trim)
+        offline_opt_dp(trace, spec, DiscretizationConfig(n))
+    assert len(counts) == trace.horizon and max(counts) <= n + 1
+
+
+@pytest.mark.parametrize("run", range(5))
+def test_matches_the_linear_program(run):
+    # the quantized instance as an LP over x_t, the energy stored in slot t:
+    # slot t sells (u_t - x_t), x_t in [-r_d, min(r_c, u_t)] quanta, and every
+    # level k0 + x_0 + ... + x_t lies in [0, n].  Its rows are intervals of
+    # ones, a totally unimodular matrix, so the LP optimum is the grid optimum
+    optimize = pytest.importorskip("scipy.optimize")
+    cfg = ExperimentConfig(horizon=360, seed=7)  # 400 levels
+    trace, _ = draw_instance(cfg, run)
+    eta, u_units, rc, rd, k0 = _quantize(trace.outputs, cfg.spec, cfg.disc)
+    n, horizon = cfg.disc.levels, trace.horizon
+    prices = np.array(trace.prices)
+    prefix = np.tril(np.ones((horizon, horizon)))
+    lp = optimize.linprog(
+        prices,  # minimize the value of what is stored instead of sold
+        A_ub=np.vstack([prefix, -prefix]),
+        b_ub=np.repeat([(n - k0) * eta, k0 * eta], horizon),
+        bounds=[(-rd * eta, min(rc, u) * eta) for u in u_units],
+        method="highs",
+    )
+    assert lp.status == 0
+    expected = prices @ (np.array(u_units) * eta) - lp.fun
+    got = offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=grid_instances())
 def test_value_is_concave_in_initial_level(instance):
     # the window-max step rests on v_0 being discretely concave in k0
     n, eta, rc, rd, _k0, prices, outputs = instance
@@ -336,20 +389,28 @@ class TestEmpiricalRatio:
             profit_ratios(np.array([2.0, opt]), np.array([1.0, strat]))
 
     @pytest.mark.parametrize(
-        "spec, prices, outputs",
-        [
-            (StorageSpec(4.0, 4.0, 4.0), [1e308, 1e308], [4.0, 4.0]),
-            # the grid optimum is 1.68e308, but its window keys overflow: the
-            # DP returned 1.57e308 here, a finite total below the optimum
-            (StorageSpec(4.0, 4.0, 3.0, 1.0), [1.689542699392248e307, 2.354240057289615e307,
-             5.176769962146966e306], [5.0, 2.0, 0.0]),  # fmt: skip
-        ],
+        "spec, prices, outputs", [(StorageSpec(4.0, 4.0, 4.0), [1e308, 1e308], [4.0, 4.0])]
     )
     def test_dp_overflow_is_an_error(self, spec, prices, outputs):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no numpy RuntimeWarning
             with pytest.raises(ValidationError, match="not finite"):
                 offline_opt_dp(Trace(prices, outputs), spec, DiscretizationConfig(4))
+
+    def test_optimum_next_to_the_float_limit(self):
+        # the grid optimum is 1.68e308, and the per-level grid DP's window keys
+        # overflow on the way to it (that DP once returned 1.57e308, a finite
+        # total below the optimum); the pieces reach it exactly
+        trace = Trace(
+            [1.689542699392248e307, 2.354240057289615e307, 5.176769962146966e306],
+            [5.0, 2.0, 0.0],
+        )
+        spec, disc = StorageSpec(4.0, 4.0, 3.0, 1.0), DiscretizationConfig(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = offline_opt_dp(trace, spec, disc)
+        assert got == offline_opt_exhaustive(trace, spec, disc)
+        assert got.total_profit == 1.683982838462482e308
 
     def test_unbounded_is_inf_and_prints_as_unbounded(self):
         assert profit_ratio(1.0, 0.0) == math.inf
