@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import sys
@@ -111,7 +112,9 @@ def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument("--" + name.replace("_", "-"), type=setting.type, help=setting.help)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first call: a parse only reads it."""
     parser = argparse.ArgumentParser(
         prog="hourahead",
         description="Offering strategies for a storage-assisted renewable producer",
@@ -388,9 +391,8 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:

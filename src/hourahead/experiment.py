@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -181,10 +182,13 @@ def run_experiment(
 ) -> Report:
     """Execute all runs and aggregate.  Deterministic for a given config and
     seed, whether executed serially or with a process pool (by default one
-    worker per core).  The oracle's work guard is checked before any run."""
+    worker per core, and never more workers than runs).  The worker count and
+    the oracle's work guard are checked before any run."""
+    if workers is not None and workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     check_dp_cells(cfg.horizon, cfg.disc)
     if parallel and cfg.runs > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers or os.cpu_count() or 1, cfg.runs)) as pool:
             chunks = list(pool.map(_single_run, [cfg] * cfg.runs, range(cfg.runs)))
     else:
         chunks = [_single_run(cfg, run) for run in range(cfg.runs)]

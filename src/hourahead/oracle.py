@@ -174,11 +174,12 @@ def overflow_is_an_error():
 def _trim(lengths: list[int], neg_slopes: list[float], units: int, end: int) -> None:
     """Remove ``units`` levels from the first (``end`` 0) or last (-1) pieces."""
     while units:
-        cut = min(units, lengths[end])
-        lengths[end] -= cut
-        units -= cut
-        if not lengths[end]:
-            del lengths[end], neg_slopes[end]
+        length = lengths[end]
+        if units < length:
+            lengths[end] = length - units
+            return
+        del lengths[end], neg_slopes[end]
+        units -= length
 
 
 def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) -> OptResult:
@@ -192,6 +193,7 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
     """
     check_dp_cells(trace.horizon, disc)
     eta, u_units, rc, rd, k0 = _quantize(trace.outputs, spec, disc)
+    caps = [u if u < rc else rc for u in u_units]  # min and max as conditionals: see play_slot
     # v_{t+1} from level 0 up: lengths[i] levels of slope -neg[i] * eta each;
     # neg rises, so bisect counts the pieces of slope >= p
     lengths, neg, argmaxes = [disc.levels], [-0.0], []
@@ -199,7 +201,7 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
         p = trace.prices[t]
         z = sum(lengths[: bisect.bisect_right(neg, -p)])
         argmaxes.append(z)
-        drop = min(rc, u_units[t], z)
+        drop = z if z < caps[t] else caps[t]
         _trim(lengths, neg, drop, 0)
         if rd + drop:
             i = bisect.bisect_right(neg, -p)
@@ -209,7 +211,9 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
 
     k, commitments, levels = k0, [], [k0 * eta]
     for t, z in enumerate(reversed(argmaxes)):
-        m = min(max(k - rd, z), k + min(rc, u_units[t]))
+        m = z if k - rd < z else k - rd
+        if k + caps[t] < m:
+            m = k + caps[t]
         commitments.append((u_units[t] + k - m) * eta)
         k = m
         levels.append(k * eta)

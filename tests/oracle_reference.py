@@ -2,6 +2,9 @@
 
 * ``offline_opt_exhaustive`` enumerates every commitment sequence of the
   oracle's quantized world, on tiny instances.
+* ``offline_opt_dp_reference`` is ``offline_opt_dp``'s recursion over
+  concave pieces written with the builtin ``min`` and ``max``, which the
+  oracle spells as conditionals that pick the same operand.
 * ``offline_opt_grid`` is the per-level grid DP that ``offline_opt_dp``
   replaces with concave pieces: one ``oracle.grid_step`` per slot over all
   n + 1 levels, O(T * n).  Its float argmax is the one the batched search
@@ -14,6 +17,7 @@
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -35,6 +39,7 @@ from hourahead.oracle import (
     OptResult,
     _quantize,
     check_dp_cells,
+    check_profits,
     grid_step,
     overflow_is_an_error,
     profit_ratio,
@@ -103,6 +108,49 @@ def offline_opt_exhaustive(
         k = _step(k, j, u_units[t], rc, n)
         levels.append(k * eta)
     return OptResult(total, tuple(j * eta for j in seq), tuple(levels))
+
+
+def _trim_reference(lengths: list[int], neg_slopes: list[float], units: int, end: int) -> None:
+    """``oracle._trim``: remove ``units`` levels from the first or last pieces."""
+    while units:
+        cut = min(units, lengths[end])
+        lengths[end] -= cut
+        units -= cut
+        if not lengths[end]:
+            del lengths[end], neg_slopes[end]
+
+
+def offline_opt_dp_reference(
+    trace: Trace, spec: StorageSpec, disc: DiscretizationConfig
+) -> OptResult:
+    """``oracle.offline_opt_dp`` with the builtin ``min`` and ``max``: the
+    same backward pass over concave pieces and the same forward clip."""
+    check_dp_cells(trace.horizon, disc)
+    eta, u_units, rc, rd, k0 = _quantize(trace.outputs, spec, disc)
+    lengths, neg, argmaxes = [disc.levels], [-0.0], []
+    for t in reversed(range(trace.horizon)):
+        p = trace.prices[t]
+        z = sum(lengths[: bisect.bisect_right(neg, -p)])
+        argmaxes.append(z)
+        drop = min(rc, u_units[t], z)
+        _trim_reference(lengths, neg, drop, 0)
+        if rd + drop:
+            i = bisect.bisect_right(neg, -p)
+            lengths.insert(i, rd + drop)
+            neg.insert(i, -p)
+        _trim_reference(lengths, neg, rd, -1)
+
+    k, commitments, levels = k0, [], [k0 * eta]
+    for t, z in enumerate(reversed(argmaxes)):
+        m = min(max(k - rd, z), k + min(rc, u_units[t]))
+        commitments.append((u_units[t] + k - m) * eta)
+        k = m
+        levels.append(k * eta)
+    total = 0.0
+    for c, p in zip(reversed(commitments), reversed(trace.prices)):
+        total = c * p + total
+    check_profits(total)
+    return OptResult(total, tuple(commitments), tuple(levels))
 
 
 @overflow_is_an_error()

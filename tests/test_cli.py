@@ -13,8 +13,9 @@ from hourahead.cli import ADVERSARY_STRATEGIES, SETTINGS, build_parser, main
 from hourahead.experiment import STRATEGIES, ExperimentConfig, draw_instance, run_experiment
 
 
-def subcommands() -> dict[str, argparse.ArgumentParser]:
-    parser = build_parser()
+def subcommands(parser: argparse.ArgumentParser | None = None) -> dict:
+    """The subcommand parsers of ``parser``, by default the shared one."""
+    parser = parser or build_parser()
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
@@ -42,6 +43,52 @@ def test_flag_sets():
         for name, sub in subcommands().items()
     }
     assert found == {name: sorted(["--help", *flags.split()]) for name, flags in expected.items()}
+
+
+class TestSharedParser:
+    """build_parser builds once per process; every call parses with that parser."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_print_what_a_fresh_parser_prints(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
+        calls = [
+            (["compare", "--frobnicate"], 1),
+            (["--help"], 0),
+            (["compare", "--runs", "1", "--horizon", "12", "--seed", "3"], 0),
+            (["adversary", "--horizon", "2", "--levels", "4", "--capacity", "4"], 0),
+        ]
+
+        def play():
+            printed = []
+            for argv, code in calls:
+                assert main(argv) == code
+                printed.append(capsys.readouterr())
+            return printed
+
+        shared = play()
+        assert shared[0].err and shared[1].out and shared[2].out and shared[3].out
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)  # a new one per call
+        assert play() == shared
+
+    def test_help_equals_a_fresh_parsers(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        shared, fresh = build_parser(), build_parser.__wrapped__()
+        assert shared is not fresh
+        assert shared.format_help() == fresh.format_help()
+        shared_subs, fresh_subs = subcommands(shared), subcommands(fresh)
+        assert {name: sub.format_help() for name, sub in shared_subs.items()} == {
+            name: sub.format_help() for name, sub in fresh_subs.items()
+        }
+
+    def test_no_default_is_mutable(self):
+        # a parse hands each default to its namespace as it is, so a mutable
+        # one would carry what one call did to it into the next
+        for parser in [build_parser(), *subcommands().values()]:
+            defaults = [a.default for a in parser._actions] + list(parser._defaults.values())
+            for default in defaults:
+                assert default is None or isinstance(default, (int, float, str, tuple)), default
 
 
 class TestCrTable:

@@ -1,9 +1,11 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
 
 from hourahead import ValidationError, theoretical_cr
+from hourahead import experiment
 from hourahead.cli import load_config_file
 from hourahead.market import PriceBounds
 from hourahead.experiment import (
@@ -45,6 +47,29 @@ class TestRunExperiment:
         serial = run_experiment(cfg, parallel=False)
         parallel = run_experiment(cfg, parallel=True, workers=2)
         assert serial.to_json() == parallel.to_json()
+
+    @pytest.mark.parametrize("workers", [None, 6])
+    def test_pool_never_outnumbers_the_runs(self, workers, monkeypatch):
+        # the pool forks its workers at the first submit, wanted or not
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                started.append((self._max_workers, len(self._processes or ())))
+                super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        cfg = small_config(runs=2)
+        parallel = run_experiment(cfg, parallel=True, workers=workers)
+        [(max_workers, processes)] = started
+        assert max_workers <= 2 and processes <= 2
+        assert parallel.to_json() == run_experiment(cfg).to_json()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_worker_count_checked(self, workers, parallel):
+        with pytest.raises(ValidationError, match="workers must be >= 1"):
+            run_experiment(small_config(), parallel=parallel, workers=workers)
 
     def test_single_slot_profits_match_hand_computation(self):
         cfg = small_config(runs=1, horizon=1, e_max=0.0, disc_levels=400)

@@ -22,7 +22,7 @@ from hourahead.policy import ThresholdPolicy
 from hourahead.strategies import StrategyConfig, socs_strategy
 
 from conftest import synthetic_trace
-from oracle_reference import empirical_cr, offline_opt_exhaustive
+from oracle_reference import empirical_cr, offline_opt_dp_reference, offline_opt_exhaustive
 
 
 def random_tiny_instance(rng):
@@ -256,6 +256,39 @@ def test_pieces_tile_the_grid(instance):
         mp.setattr(oracle, "_trim", trim)
         offline_opt_dp(trace, spec, DiscretizationConfig(n))
     assert len(counts) == trace.horizon and max(counts) <= n + 1
+
+
+def _bits(result):
+    """An OptResult's floats by their bits, so that -0.0 and 0.0 differ."""
+    return (
+        result.total_profit.hex(),
+        [x.hex() for x in result.commitment_path],
+        [x.hex() for x in result.level_path],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=grid_instances())
+@example(instance=(4, 1.0, 0, 1, 4, [1.0, 2.0, 3.0, 4.0, 5.0], [0] * 5))  # a piece per level
+@example(instance=(3, 1.0, 9, 9, 3, [5.0, 30.0, 12.0], [7, 0, 9]))  # rates beyond the grid
+def test_matches_the_builtin_min_max_reference(instance):
+    # the conditionals pick the operand min and max pick, so every bit agrees
+    n, eta, rc, rd, k0, prices, outputs = instance
+    trace = Trace(prices, [u * eta for u in outputs])
+    spec = StorageSpec(n * eta, rc * eta, rd * eta, k0 * eta)
+    disc = DiscretizationConfig(n)
+    assert _bits(offline_opt_dp(trace, spec, disc)) == _bits(
+        offline_opt_dp_reference(trace, spec, disc)
+    )
+
+
+def test_matches_the_builtin_min_max_reference_on_seed_7_runs():
+    cfg = ExperimentConfig(horizon=360, seed=7)  # 400 levels
+    for run in range(40):
+        trace, _ = draw_instance(cfg, run)
+        assert _bits(offline_opt_dp(trace, cfg.spec, cfg.disc)) == _bits(
+            offline_opt_dp_reference(trace, cfg.spec, cfg.disc)
+        ), run
 
 
 @pytest.mark.parametrize("run", range(5))
