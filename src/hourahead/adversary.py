@@ -328,7 +328,9 @@ def adversarial_search(
 
     best = -math.inf
     argmax = 0
-    buckets: dict[float, float] = {}
+    # per grid index of the minimum level: the peak ratio and the first instance reaching it
+    peaks = np.full(n + 1, -math.inf)
+    first = np.full(n + 1, grid.instance_count)
     # instance b*len(table) + r has the suffix row r and block b's choices
     # in its leading slots s-1 ... 0; a chunk is whole blocks
     blocks = width**s
@@ -351,21 +353,16 @@ def adversarial_search(
         # the minimum level's grid index, rounded as Python rounds: half to
         # even; a level lies in [0, C], so the index lies in [0, n]
         i = np.rint(lowest / eta).astype(np.intp)
-        peaks = np.full(n + 1, -math.inf)
         np.maximum.at(peaks, i, ratio)
-        first = np.full(n + 1, len(i))
-        np.minimum.at(first, i, np.arange(len(i)))
-        # the buckets reached, by first appearance; strict: the first
-        # instance in enumeration order keeps a tie; no key j * eta is -0.0
-        for j in np.argsort(first)[: np.count_nonzero(first < len(i))].tolist():
-            peak = peaks[j].item()
-            if peak > buckets.get(j * eta, -math.inf):
-                buckets[j * eta] = peak
+        np.minimum.at(first, i, idx)
         top = int(ratio.argmax())
         if ratio[top] > best:
             best = ratio[top].item()
             argmax = b0 * len(table) + top
 
+    # the buckets reached, by first appearance; no key j * eta is -0.0
+    reached = np.argsort(first)[: np.count_nonzero(first < grid.instance_count)]
+    buckets = {j * eta: peaks[j].item() for j in reached.tolist()}
     combo = [choices[argmax // stride % width] for stride in strides]
     return WorstCaseReport(
         max_ratio=best,

@@ -14,7 +14,6 @@ import configparser
 import csv
 import functools
 import json
-import math
 import sys
 from collections import namedtuple
 from dataclasses import replace
@@ -72,7 +71,7 @@ SETTINGS = {
     "seed": Setting("experiment", int, _DEFAULT.seed, "base RNG seed"),
     "offers": Setting("experiment", int, _DEFAULT.offers, "offers per slot of the ladders"),
     "emax": Setting("experiment", float, _DEFAULT.e_max, "forecast error bound"),
-    "eta": Setting("experiment", float, None, f"MWh per level (default C/{_DEFAULT.disc_levels})"),
+    "levels": Setting("experiment", int, _DEFAULT.disc_levels, "oracle storage levels (C_d)"),
     "wind_capacity": Setting("experiment", float, _DEFAULT.wind_capacity, "wind capacity in MW"),
 }
 
@@ -112,16 +111,23 @@ def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument("--" + name.replace("_", "-"), type=setting.type, help=setting.help)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors print one ``error:`` line, as every other error does; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built at the first call: a parse only reads it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hourahead",
         description="Offering strategies for a storage-assisted renewable producer",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = ("seed", "capacity", "charge_rate", "discharge_rate", "pmin", "pmax", "eta")
+    shared = ("seed", "capacity", "charge_rate", "discharge_rate", "pmin", "pmax", "levels")
     sim = sub.add_parser("simulate", help="run one strategy over one trace")
     _add_settings(sim, *shared, "horizon", "offers", "emax")
     sim.add_argument("--out", help="output path (JSON report)")
@@ -190,22 +196,10 @@ def _experiment_config(values: dict) -> ExperimentConfig:
         values["discharge_rate"],
         values["initial_level"],
     )
-    levels, eta = _DEFAULT.disc_levels, values["eta"]
-    if eta is not None:
-        # checked before rounding: a zero, nan or tiny eta gives no finite level count
-        count = spec.capacity / eta if eta > 0.0 else math.inf
-        if not count < math.inf:
-            raise ValidationError(f"eta must be a positive quantum of the capacity, got {eta}")
-        levels = max(round(count), 1)
-        if abs(levels * eta - spec.capacity) > 1e-9 * spec.capacity:
-            raise ValidationError(
-                f"{levels} levels of {eta} MWh do not tile a capacity of {spec.capacity} MWh"
-            )
-    # eta picks the level count only: every subcommand quantizes by C / levels
     return ExperimentConfig(
         runs=values["runs"], horizon=values["horizon"], seed=values["seed"], bounds=bounds,
         spec=spec, penalty=PenaltyParams(values["alpha1"], values["alpha2"]),
-        offers=values["offers"], e_max=values["emax"], disc_levels=levels,
+        offers=values["offers"], e_max=values["emax"], disc_levels=values["levels"],
         wind_capacity=values["wind_capacity"],
     )  # fmt: skip
 
@@ -236,16 +230,18 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     values, given = _resolve(args)
     cfg = _experiment_config(values)
+    # bounds count only when a flag or the config file sets them;
+    # otherwise the trace's observed range sets them and clips nothing
+    explicit = bool({"pmin", "pmax"} & given.keys())
+    if args.clip_prices and not (args.price_csv and explicit):
+        raise ValidationError("--clip-prices is read only with --price-csv and --pmin or --pmax")
     if args.price_csv or args.wind_csv:
         if not (args.price_csv and args.wind_csv):
             raise ValidationError("--price-csv and --wind-csv must be given together")
+        if args.seed is not None or args.horizon is not None:  # from a config file they may be
+            raise ValidationError("--seed and --horizon are not read with --price-csv/--wind-csv")
         trace, bounds = load_trace(
-            args.price_csv,
-            args.wind_csv,
-            # bounds count only when a flag or the config file sets them;
-            # otherwise the trace's observed range sets them
-            bounds=cfg.bounds if {"pmin", "pmax"} & given.keys() else None,
-            clip=args.clip_prices,
+            args.price_csv, args.wind_csv, cfg.bounds if explicit else None, args.clip_prices
         )
         cfg, predicted = replace(cfg, bounds=bounds), trace.outputs
     else:

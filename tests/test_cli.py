@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -28,10 +29,10 @@ def test_flag_sets():
     # the long options of each subcommand: none added or dropped by accident
     expected = {
         "simulate": "--capacity --charge-rate --clip-prices --config --discharge-rate --emax "
-        "--eta --horizon --offers --out --pmax --pmin --price-csv --seed --slots --strategy "
+        "--horizon --levels --offers --out --pmax --pmin --price-csv --seed --slots --strategy "
         "--wind-csv",
-        "compare": "--capacity --charge-rate --config --csv --discharge-rate --emax --eta "
-        "--horizon --offers --out --parallel --pmax --pmin --runs --seed --sweep-offers",
+        "compare": "--capacity --charge-rate --config --csv --discharge-rate --emax --horizon "
+        "--levels --offers --out --parallel --pmax --pmin --runs --seed --sweep-offers",
         "adversary": "--budget --capacity --charge-rate --config --discharge-rate --horizon "
         "--levels --offers --out --pmax --pmin --price-count --strategy --supply-count "
         "--threshold",
@@ -43,6 +44,24 @@ def test_flag_sets():
         for name, sub in subcommands().items()
     }
     assert found == {name: sorted(["--help", *flags.split()]) for name, flags in expected.items()}
+
+
+def readme_bullets() -> dict[str, list[str]]:
+    """README's bullets by their first code span: the code spans that follow it."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    bullets = re.findall(r"^\* (.*(?:\n  .*)*)", text, flags=re.MULTILINE)
+    return {spans[0]: spans[1:] for spans in map(re.compile(r"`([^`]+)`").findall, bullets) if spans}
+
+
+def test_readme_lists_the_settings_and_flags():
+    bullets = readme_bullets()
+    sections = {}
+    for name, setting in SETTINGS.items():
+        sections.setdefault(f"[{setting.section}]", []).append(name)
+    assert {section: bullets[section] for section in sections} == sections
+    for command in ("simulate", "compare"):
+        flags = [o for a in subcommands()[command]._actions for o in a.option_strings]
+        assert bullets[command] == [o for o in flags if o[:2] == "--" and o != "--help"]
 
 
 class TestSharedParser:
@@ -121,8 +140,8 @@ class TestGenTraceAndSimulate:
                 f"{prefix}-wind.csv",
                 "--strategy",
                 "socs",
-                "--eta",
-                "0.2",
+                "--levels",
+                "100",
             ]
         )
         assert code == 0
@@ -131,15 +150,22 @@ class TestGenTraceAndSimulate:
         assert data["profit"] > 0.0
         assert data["offline_profit"] >= data["profit"] - 1e-9
 
-    def test_eta_picks_the_level_count(self, capsys):
-        # --eta 0.1 picks 3 levels, and the oracle quantizes by 0.3 / 3 as compare's does,
-        # over the trace of compare's run 0
-        argv = ["simulate", "--capacity", "0.3", "--eta", "0.1", "--horizon", "24", "--seed", "0"]
+    def test_levels_set_the_oracle_grid(self, capsys):
+        # --levels 3: the oracle quantizes by 0.3 / 3 as compare's does, over the trace of
+        # compare's run 0
+        argv = ["simulate", "--capacity", "0.3", "--levels", "3", "--horizon", "24", "--seed", "0"]
         assert main(argv) == 0
         trace, _predicted = draw_instance(ExperimentConfig(horizon=24, seed=0), 0)
         disc = DiscretizationConfig(3)
         opt = offline_opt_dp(trace, StorageSpec(0.3, 10.0, 10.0), disc).total_profit
         assert json.loads(capsys.readouterr().out)["offline_profit"] == opt == 1938.0998807801934
+
+    def test_levels_digest(self, capsys):
+        # the report that 20 MWh over 40 levels of 0.5 MWh gave when the grid was set by --eta 0.5
+        argv = ["simulate", "--horizon", "24", "--seed", "3", "--levels", "40", "--strategy", "ocsmb"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "c5c317a501e53c37294359880753c40dcdaa34d7927753663b065ff5056cd25a"
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_synthetic_simulate_is_compare_run_0(self, strategy, tmp_path, capsys):
@@ -171,7 +197,7 @@ class TestGenTraceAndSimulate:
         assert json.loads(capsys.readouterr().out) == synthetic
 
     def test_synthetic_simulate_with_slots(self, capsys):
-        assert main(["simulate", "--horizon", "6", "--seed", "2", "--slots", "--eta", "0.5"]) == 0
+        assert main(["simulate", "--horizon", "6", "--seed", "2", "--slots", "--levels", "40"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data["slots"]) == 6
 
@@ -186,7 +212,7 @@ class TestGenTraceAndSimulate:
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_synthetic_simulate_every_strategy(self, strategy, capsys):
-        argv = ["simulate", "--horizon", "6", "--eta", "0.5", "--strategy", strategy]
+        argv = ["simulate", "--horizon", "6", "--levels", "40", "--strategy", strategy]
         assert main(argv) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["strategy"] == strategy
@@ -219,6 +245,47 @@ class TestGenTraceAndSimulate:
     def test_csv_without_pair_is_validation_error(self, tmp_path):
         assert main(["simulate", "--price-csv", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "extra, csv",
+        [
+            (["--seed", "3"], True),
+            (["--horizon", "24"], True),
+            (["--clip-prices"], True),  # bounds from the observed range: nothing to clip
+            (["--clip-prices"], False),
+            (["--clip-prices", "--pmin", "10"], False),
+        ],
+        ids=["csv_seed", "csv_horizon", "csv_clip_without_bounds", "synthetic_clip",
+             "synthetic_clip_with_bounds"],  # fmt: skip
+    )
+    def test_unread_flag_refused(self, extra, csv, tmp_path, capsys):
+        prefix = str(tmp_path / "t")
+        assert main(["gen-trace", "--horizon", "24", "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        argv = ["simulate", "--price-csv", f"{prefix}-price.csv", "--wind-csv", f"{prefix}-wind.csv"]
+        assert main((argv if csv else ["simulate"]) + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_csv_reads_what_it_uses(self, tmp_path, capsys):
+        # prices in [10, 40]: --pmin 20 clips, and a config file's seed and horizon,
+        # which compare reads, are not refused
+        prefix = str(tmp_path / "t")
+        assert main(["gen-trace", "--horizon", "24", "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        argv = ["simulate", "--price-csv", f"{prefix}-price.csv", "--wind-csv", f"{prefix}-wind.csv"]
+        assert main(argv) == 0
+        derived = capsys.readouterr().out
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nseed = 3\nhorizon = 6\n")
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == derived
+        assert main(argv + ["--pmin", "20"]) == 1
+        assert "clipping is off" in capsys.readouterr().err
+        assert main(argv + ["--pmin", "20", "--clip-prices"]) == 0
+        assert capsys.readouterr().out != derived
+
 
 class TestCompare:
     def test_deterministic_report_files(self, tmp_path, capsys):
@@ -230,8 +297,8 @@ class TestCompare:
             "12",
             "--seed",
             "7",
-            "--eta",
-            "0.25",
+            "--levels",
+            "80",
         ]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(args + ["--out", str(a)]) == 0
@@ -248,8 +315,8 @@ class TestCompare:
                 "2",
                 "--horizon",
                 "8",
-                "--eta",
-                "0.5",
+                "--levels",
+                "40",
                 "--csv",
                 str(csv_path),
             ]
@@ -268,8 +335,8 @@ class TestCompare:
                 "1",
                 "--horizon",
                 "8",
-                "--eta",
-                "0.5",
+                "--levels",
+                "40",
                 "--sweep-offers",
                 "1-3",
             ]
@@ -291,10 +358,21 @@ class TestCompare:
                 ["--sweep-offers", "1-15"],
                 "ac9f8f0599f276abda581ec15f5e2558e941cb31162f04db2ef0d4233ef38e71",
             ),
+            (
+                ["--runs", "2", "--horizon", "24", "--seed", "3", "--levels", "40"],
+                "5132f3c3928b75754c9fc0c5efa54ef85830701145775ddc5caf03a11703eb6d",
+            ),
+            (
+                ["--runs", "2", "--horizon", "24", "--seed", "3", "--levels", "40",
+                 "--sweep-offers", "1-3"],  # fmt: skip
+                "fdade49f5ab533ae2b390d54a05e93876485f4d0f19b575d81fbdfa2ac928fb1",
+            ),
         ],
     )
     def test_reference_digests(self, extra, digest, capsys):
-        # the seed-7 `compare` and `sweep` batch reports of bench/README.md
+        # the seed-7 `compare` and `sweep` batch reports of bench/README.md; a later flag
+        # overrides an earlier one, and the --levels 40 reports are those that 20 MWh over
+        # 40 levels of 0.5 MWh gave when the grid was set by --eta 0.5
         argv = [
             "compare", "--runs", "1", "--horizon", "360", "--seed", "7",
             "--pmin", "10.0", "--pmax", "40.0", "--capacity", "20.0",
@@ -326,7 +404,7 @@ class TestCompare:
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
-        cfg.write_text("[experiment]\nruns = 1\nhorizon = 6\nseed = 9\neta = 0.5\n")
+        cfg.write_text("[experiment]\nruns = 1\nhorizon = 6\nseed = 9\nlevels = 40\n")
         out = tmp_path / "r.json"
         assert main(["compare", "--config", str(cfg), "--runs", "2", "--out", str(out)]) == 0
         capsys.readouterr()
@@ -347,7 +425,7 @@ class TestCompare:
 # gen-trace takes as a flag; small enough runs, horizon and level count to be quick
 FLAG_VALUES = {
     "pmin": "8", "pmax": "12", "capacity": "10", "charge_rate": "0.5", "discharge_rate": "1",
-    "runs": "2", "horizon": "24", "seed": "3", "offers": "2", "emax": "0.2", "eta": "0.5",
+    "runs": "2", "horizon": "24", "seed": "3", "offers": "2", "emax": "0.2", "levels": "40",
     "wind_capacity": "8",
 }  # fmt: skip
 
@@ -388,7 +466,7 @@ class TestConfigFileActsLikeFlags:
             "[storage]\ninitial_level = 5\n[penalty]\nalpha1 = 1.5\nalpha2 = 2\n"
             "[experiment]\nwind_capacity = 8\n"
         )
-        argv = ["compare", "--runs", "1", "--horizon", "6", "--eta", "0.5", "--config", str(cfg)]
+        argv = ["compare", "--runs", "1", "--horizon", "6", "--levels", "40", "--config", str(cfg)]
         assert main(argv) == 0
         config = json.loads(capsys.readouterr().out)["config"]
         assert (config["initial_level"], config["alpha1"], config["alpha2"]) == (5.0, 1.5, 2.0)
@@ -492,6 +570,31 @@ class TestValidationExits:
 
     def test_unknown_flag(self, capsys):
         assert main(["compare", "--frobnicate"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --frobnicate\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--runs", "abc"],
+            ["adversary", "--strategy", "nope"],
+            ["simulate", "--levels", "1.5"],
+            [],
+        ],
+        ids=["bad_int", "bad_choice", "float_levels", "no_command"],
+    )
+    def test_parse_error_is_one_line(self, argv, capsys):
+        # no usage block: one line, as every other error prints
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_help_still_exits_0(self, capsys):
+        assert main(["compare", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: hourahead compare") and "--levels" in captured.out
+        assert captured.err == ""
 
     def test_missing_config_file(self, capsys):
         assert main(["compare", "--config", "/nonexistent/exp.ini"]) == 2
@@ -528,13 +631,13 @@ class TestValidationExits:
             # one past the offer-count guard: still quick to run without it
             ["compare", "--runs", "1", "--horizon", "4", "--offers", "10001"],
             ["compare", "--runs", "1", "--horizon", "4", "--sweep-offers", "1,10001"],
-            ["compare", "--runs", "1", "--horizon", "4", "--eta", "0"],
-            ["compare", "--runs", "1", "--horizon", "4", "--eta", "nan"],
-            ["compare", "--runs", "1", "--horizon", "4", "--eta", "1e-320"],
-            ["simulate", "--horizon", "4", "--eta", "0"],
-            ["simulate", "--horizon", "4", "--eta", "nan"],
-            ["simulate", "--horizon", "4", "--eta", "1e-320"],
-            ["simulate", "--horizon", "4", "--eta", "1e-9"],
+            ["compare", "--runs", "1", "--horizon", "4", "--levels", "0"],
+            ["compare", "--runs", "1", "--horizon", "4", "--levels", "-1"],
+            ["compare", "--runs", "1", "--horizon", "4", "--levels", "abc"],
+            ["simulate", "--horizon", "4", "--levels", "0"],
+            ["simulate", "--horizon", "4", "--levels", "-1"],
+            ["simulate", "--horizon", "4", "--levels", "abc"],
+            ["simulate", "--horizon", "4", "--levels", "2" + "0" * 10],
             ["adversary", "--horizon", "1", "--capacity", "4", "--levels", "0"],
             # refused before numpy is asked for the arrays
             ["gen-trace", "--horizon", "100000000000", "--out-prefix", "PREFIX"],
@@ -590,8 +693,8 @@ class TestValidationExits:
             ["gen-trace", "--capacity", "5"],
             ["gen-trace", "--charge-rate", "5"],
             ["gen-trace", "--discharge-rate", "5"],
-            ["gen-trace", "--eta", "0.1"],
-            ["adversary", "--horizon", "1", "--capacity", "4", "--eta", "0.1"],
+            ["gen-trace", "--levels", "4"],
+            ["adversary", "--horizon", "1", "--capacity", "4", "--emax", "0.1"],
             ["adversary", "--horizon", "1", "--capacity", "4", "--seed", "3"],
             # --threshold is read by --strategy const only
             ["adversary", "--strategy", "gmin", "--threshold", "999", "--horizon", "2",
@@ -620,14 +723,14 @@ class TestValidationExits:
         assert captured.err.startswith("error: ")
 
     def test_adversary_oracle_guard_names_levels(self, capsys):
-        # adversary has no --eta: the remedy is the level count it does take
+        # the remedy names the level count, which each subcommand with an oracle takes
         argv = ["adversary", "--horizon", "2", "--capacity", "4", "--levels", "1000000000"]
         assert main(argv) == 1
         assert capsys.readouterr().err.endswith("; use fewer storage levels\n")
 
     def test_oracle_work_guard(self, capsys):
         # 2e10 storage levels: refused before any array is allocated
-        assert main(["compare", "--runs", "1", "--horizon", "24", "--eta", "1e-9"]) == 1
+        assert main(["compare", "--runs", "1", "--horizon", "24", "--levels", "2" + "0" * 10]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
@@ -640,9 +743,9 @@ class TestValidationExits:
             ["compare", "--runs", "1", "--horizon", "1000000", "--sweep-offers", "1-2"],
             ["compare", "--runs", "2", "--horizon", "1000000", "--parallel"],
             ["simulate", "--horizon", "1000000"],
-            # 2e301 storage levels: the counts print as powers of ten
-            ["compare", "--runs", "1", "--horizon", "4", "--eta", "1e-300"],
-            ["simulate", "--horizon", "4", "--eta", "1e-300"],
+            # 1e300 storage levels: the counts print as powers of ten
+            ["compare", "--runs", "1", "--horizon", "4", "--levels", "1" + "0" * 300],
+            ["simulate", "--horizon", "4", "--levels", "1" + "0" * 300],
             ["adversary", "--horizon", "2", "--levels", "1" + "0" * 1000],
         ],
     )
