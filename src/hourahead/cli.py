@@ -238,7 +238,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.price_csv or args.wind_csv:
         if not (args.price_csv and args.wind_csv):
             raise ValidationError("--price-csv and --wind-csv must be given together")
-        if args.seed is not None or args.horizon is not None:  # from a config file they may be
+        if args.seed is not None or args.horizon is not None:  # a config file's are compare's
             raise ValidationError("--seed and --horizon are not read with --price-csv/--wind-csv")
         trace, bounds = load_trace(
             args.price_csv, args.wind_csv, cfg.bounds if explicit else None, args.clip_prices

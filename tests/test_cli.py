@@ -50,7 +50,8 @@ def readme_bullets() -> dict[str, list[str]]:
     """README's bullets by their first code span: the code spans that follow it."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
     bullets = re.findall(r"^\* (.*(?:\n  .*)*)", text, flags=re.MULTILINE)
-    return {spans[0]: spans[1:] for spans in map(re.compile(r"`([^`]+)`").findall, bullets) if spans}
+    spans = re.compile(r"`([^`]+)`")
+    return {found[0]: found[1:] for found in map(spans.findall, bullets) if found}
 
 
 def test_readme_lists_the_settings_and_flags():
