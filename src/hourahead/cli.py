@@ -230,6 +230,8 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     values, given = _resolve(args)
     cfg = _experiment_config(values)
+    if args.offers is not None and args.strategy not in ("ocsmb", "mocsmb"):
+        raise ValidationError(f"--offers is read only by ocsmb and mocsmb, not {args.strategy}")
     # bounds count only when a flag or the config file sets them;
     # otherwise the trace's observed range sets them and clips nothing
     explicit = bool({"pmin", "pmax"} & given.keys())
@@ -240,6 +242,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ValidationError("--price-csv and --wind-csv must be given together")
         if args.seed is not None or args.horizon is not None:  # a config file's are compare's
             raise ValidationError("--seed and --horizon are not read with --price-csv/--wind-csv")
+        if args.emax is not None and args.strategy != "mocsmb":  # nothing is drawn from a CSV
+            raise ValidationError("--emax is read with --price-csv/--wind-csv only by mocsmb")
         trace, bounds = load_trace(
             args.price_csv, args.wind_csv, cfg.bounds if explicit else None, args.clip_prices
         )
@@ -282,6 +286,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.sweep_offers:
         if args.parallel:
             raise ValidationError("--parallel is not read by --sweep-offers, which runs serially")
+        if args.offers is not None:  # a config file's is the plain comparison's
+            raise ValidationError("--offers is not read by --sweep-offers, which sets the counts")
         rows = run_offer_sweep(cfg, _parse_list("--sweep-offers", args.sweep_offers, int))
         if args.csv:
             with Path(args.csv).open("w", newline="") as fh:

@@ -182,13 +182,16 @@ def run_experiment(
 ) -> Report:
     """Execute all runs and aggregate.  Deterministic for a given config and
     seed, whether executed serially or with a process pool (by default one
-    worker per core, and never more workers than runs).  The worker count and
-    the oracle's work guard are checked before any run."""
+    worker per CPU this process may run on, never more workers than runs).
+    The worker count and the oracle's work guard are checked before any run."""
     if workers is not None and workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     check_dp_cells(cfg.horizon, cfg.disc)
     if parallel and cfg.runs > 1:
-        with ProcessPoolExecutor(max_workers=min(workers or os.cpu_count() or 1, cfg.runs)) as pool:
+        affinity = getattr(os, "sched_getaffinity", None)  # os.cpu_count() counts the host's CPUs
+        workers = workers or (len(affinity(0)) if affinity else os.cpu_count() or 1)
+        import numpy.random  # numpy loads it lazily; loaded before the fork, no worker imports it
+        with ProcessPoolExecutor(max_workers=min(workers, cfg.runs)) as pool:
             chunks = list(pool.map(_single_run, [cfg] * cfg.runs, range(cfg.runs)))
     else:
         chunks = [_single_run(cfg, run) for run in range(cfg.runs)]

@@ -140,7 +140,7 @@ class OfferBook(tuple):
         """Commitment volume: total volume of offers priced at or below
         `price`, added up in book order from 0.0."""
         total = 0.0
-        for p, v in zip(*self):
+        for p, v in zip(self[0], self[1]):  # zip(*self) would ask the Python __len__ for a hint
             if p <= price:
                 total += v
         return total

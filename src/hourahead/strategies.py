@@ -82,9 +82,9 @@ class Ladder(tuple):
     ``span``, where cum_i = span * (i / rungs) and rung i is priced at
     g(max(top - cum_i, 0)).  Rung prices never fall as i grows, so a
     clearing price commits a prefix of the book: ``settle`` guesses its
-    length from one ``eval_g_inverse``, corrects it at the edge with
-    ``eval_g`` and sums the prefix in book order, bit for bit what settling
-    the materialized book (``prices``, ``volumes``) gives.
+    length k from one ``eval_g_inverse``, corrects it at the edge with
+    ``eval_g`` and sums the prefix in book order (cum_k with no floor), bit
+    for bit what settling the materialized book (``prices``, ``volumes``) gives.
 
     Built as the tuple of its five fields, so it costs what that tuple costs
     plus its checks; ``len`` counts offers, as for ``OfferBook``."""
@@ -136,12 +136,20 @@ class Ladder(tuple):
             level = pol.c_th if price == bounds.p_min else pol.eval_g_inverse(price)
             guess = (top - level) / span * rungs
             k = rungs if guess >= rungs else int(guess) if guess > 0.0 else 0
-        rung_price = self._rung_price
-        while k < rungs and rung_price(k + 1) <= price:
+        eval_g = pol.eval_g  # the edge rungs' prices, written out as in _rung_price
+        while k < rungs:
+            z = top - span * ((k + 1) / rungs)
+            if eval_g(0.0 if z < 0.0 else z) > price:
+                break
             k += 1
-        while k and rung_price(k) > price:
+        while k:
+            z = top - span * (k / rungs)
+            if eval_g(0.0 if z < 0.0 else z) <= price:
+                break
             k -= 1
-        total = floor if floor > 0.0 else 0.0  # 0.0 + floor is floor
+        if not floor > 0.0:  # each cum_i - cum_{i-1} is exact (Sterbenz), so the sum is cum_k
+            return span * (k / rungs) if k else 0.0
+        total = floor
         sold = 0.0
         for i in range(1, k + 1):
             cum = span * (i / rungs)
@@ -187,8 +195,8 @@ def mocsmb_offers(cfg: StrategyConfig, predicted: float, level: float) -> Ladder
 def fixed_threshold_offer(
     threshold: float, spec: StorageSpec, output: float, level: float
 ) -> OfferBook:
-    """Offer all deliverable energy at one fixed price."""
-    available = output + min(level, spec.discharge_rate)
+    """Offer all deliverable energy at one fixed price (min spelled as in play_slot)."""
+    available = output + (spec.discharge_rate if spec.discharge_rate < level else level)
     if available <= 0.0:
         return EMPTY_BOOK
     return OfferBook((threshold,), (available,))

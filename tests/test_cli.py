@@ -254,9 +254,14 @@ class TestGenTraceAndSimulate:
             (["--clip-prices"], True),  # bounds from the observed range: nothing to clip
             (["--clip-prices"], False),
             (["--clip-prices", "--pmin", "10"], False),
+            (["--emax", "0.3"], True),  # the CSV trace is played as it is
+            (["--strategy", "ocsmb", "--emax", "0.3"], True),
+            (["--offers", "2"], True),  # socs makes one offer
+            (["--strategy", "fonline", "--offers", "2"], False),
         ],
         ids=["csv_seed", "csv_horizon", "csv_clip_without_bounds", "synthetic_clip",
-             "synthetic_clip_with_bounds"],  # fmt: skip
+             "synthetic_clip_with_bounds", "csv_emax_socs", "csv_emax_ocsmb", "csv_offers_socs",
+             "synthetic_offers_fonline"],  # fmt: skip
     )
     def test_unread_flag_refused(self, extra, csv, tmp_path, capsys):
         prefix = str(tmp_path / "t")
@@ -286,6 +291,31 @@ class TestGenTraceAndSimulate:
         assert "clipping is off" in capsys.readouterr().err
         assert main(argv + ["--pmin", "20", "--clip-prices"]) == 0
         assert capsys.readouterr().out != derived
+
+    def test_emax_and_offers_read_where_used(self, tmp_path, capsys):
+        # on a CSV trace only mocsmb reads --emax, and on any trace only the
+        # ladders read --offers; a config file's emax and offers, which
+        # compare reads, are not refused
+        prefix = str(tmp_path / "t")
+        assert main(["gen-trace", "--horizon", "24", "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        argv = ["simulate", "--price-csv", f"{prefix}-price.csv", "--wind-csv", f"{prefix}-wind.csv"]
+
+        def output(extra: list[str]) -> str:
+            assert main(argv + extra) == 0
+            return capsys.readouterr().out
+
+        mocsmb = ["--strategy", "mocsmb"]
+        assert output(mocsmb + ["--emax", "0.3"]) != output(mocsmb)
+        assert output(mocsmb + ["--offers", "2"]) != output(mocsmb)
+        ocsmb = ["--strategy", "ocsmb"]
+        assert output(ocsmb + ["--offers", "2"]) != output(ocsmb)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nemax = 0.3\noffers = 2\n")
+        assert output(["--config", str(cfg)]) == output([])
+        synthetic = ["simulate", "--horizon", "24"]
+        assert main(synthetic + ["--emax", "0.3"]) == 0  # every strategy reads it through the draw
+        assert capsys.readouterr().out != output([])
 
 
 class TestCompare:
@@ -345,6 +375,17 @@ class TestCompare:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert [r["offers"] for r in rows] == [1, 2, 3]
+
+    def test_sweep_takes_a_config_files_offers(self, tmp_path, capsys):
+        # the --offers flag is refused with --sweep-offers; a config file's
+        # offers, which the plain comparison reads, is not, and changes nothing
+        argv = ["compare", "--runs", "1", "--horizon", "6", "--sweep-offers", "1-2"]
+        assert main(argv) == 0
+        swept = capsys.readouterr().out
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\noffers = 3\n")
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == swept
 
     def test_defaults_match_the_library(self, capsys):
         assert main(["compare", "--runs", "2", "--horizon", "12", "--seed", "3"]) == 0
@@ -709,7 +750,9 @@ class TestValidationExits:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
-        "sweep", [["1,20000"], ["1-20000"], ["1-2", "--parallel"]], ids=["list", "range", "parallel"]
+        "sweep",
+        [["1,20000"], ["1-20000"], ["1-2", "--parallel"], ["1-2", "--offers", "3"]],
+        ids=["list", "range", "parallel", "offers"],
     )
     def test_sweep_refused_before_any_run(self, sweep, monkeypatch, capsys):
         calls = []

@@ -1,6 +1,12 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +70,87 @@ class TestRunExperiment:
         [(max_workers, processes)] = started
         assert max_workers <= 2 and processes <= 2
         assert parallel.to_json() == run_experiment(cfg).to_json()
+
+    @pytest.mark.parametrize(
+        "affinity, runs, size",
+        [({0}, 4, 1), ({0, 1, 2}, 4, 3), ({0, 1, 2}, 2, 2), (None, 4, 4)],
+        ids=["one_cpu", "three_cpus", "capped_at_runs", "no_affinity_call"],
+    )
+    def test_default_pool_size_is_the_usable_cpus(self, affinity, runs, size, monkeypatch):
+        # the CPUs this process may run on, which taskset can make fewer than
+        # the host's; os.cpu_count() where the platform has no affinity call
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        cfg = small_config(runs=runs, horizon=6, disc_levels=20)
+        report = run_experiment(cfg, parallel=True)
+        assert sizes == [size]
+        assert report.to_json() == run_experiment(cfg).to_json()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="the pool does not fork its workers"
+    )
+    def test_forked_workers_import_nothing(self, tmp_path):
+        # a fresh interpreter: the package import leaves numpy.random unloaded,
+        # and the pool's workers, forked after the parent loads it, import no
+        # module while they run
+        script = textwrap.dedent(
+            """
+            import json, os, sys
+            from pathlib import Path
+            from hourahead import experiment
+            from hourahead.experiment import ExperimentConfig, run_experiment
+
+            out, parent = Path(sys.argv[1]), os.getpid()
+            print(json.dumps("numpy.random" in sys.modules))
+            single_run = experiment._single_run
+
+            def recording_run(cfg, run):
+                before = set(sys.modules)
+                records = single_run(cfg, run)
+                new = sorted(set(sys.modules) - before)
+                (out / f"run{run}.json").write_text(json.dumps([os.getpid() != parent, new]))
+                return records
+
+            experiment._single_run = recording_run
+            cfg = ExperimentConfig(runs=2, horizon=24)
+            report = run_experiment(cfg, parallel=True, workers=2)
+            experiment._single_run = single_run
+            print(json.dumps(report.to_json() == run_experiment(cfg).to_json()))
+            """
+        )
+        src = str(Path(experiment.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded_at_import, same_report = map(json.loads, done.stdout.split())
+        assert (loaded_at_import, same_report) == (False, True)
+        runs = [json.loads((tmp_path / f"run{run}.json").read_text()) for run in range(2)]
+        assert runs == [[True, []], [True, []]]
 
     @pytest.mark.parametrize("workers", [0, -1])
     @pytest.mark.parametrize("parallel", [False, True])

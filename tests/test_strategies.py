@@ -294,6 +294,24 @@ class TestLadderClosedForm:
             trace, spec, penalty, materialized
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        span=st.one_of(
+            st.floats(1e-320, 1e300),
+            st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1062, 996)),
+        ),
+        rungs=st.one_of(st.integers(1, 64), st.integers(1, 10_000)),
+    )
+    def test_unfloored_sum_is_the_last_cum(self, span, rungs):
+        # settle returns span * (k / rungs) for a ladder with no floor: each
+        # cum_i - cum_{i-1} is exact, so the running sum from 0.0 is cum_k
+        total = sold = 0.0
+        for k in range(1, rungs + 1):
+            cum = span * (k / rungs)
+            total += cum - sold
+            sold = cum
+            assert total.hex() == cum.hex(), (span, rungs, k)
+
     def test_checks(self, pol_e2):
         for floor, span, rungs in ((-1.0, 1.0, 2), (1.0, -1.0, 0), (1.0, 0.0, 2), (0.0, 1.0, -1)):
             with pytest.raises(ValidationError):
@@ -361,6 +379,19 @@ class TestBaselines:
 
     def test_fonline_empty(self, spec):
         assert len(fonline_strategy(PriceBounds(10.0, 40.0), spec)(0, 25.0, 0.0, 0.0)) == 0
+
+    @settings(max_examples=400)
+    @given(
+        output=non_negative(30.0),
+        level=non_negative(20.0),
+        rate_d=non_negative(12.0),
+    )
+    def test_fixed_threshold_offer_matches_builtin_min(self, output, level, rate_d):
+        # the conditional picks what the builtin min picks, bit for bit
+        book = fixed_threshold_offer(25.0, StorageSpec(20.0, 10.0, rate_d), output, level)
+        available = output + min(level, rate_d)
+        expected = (available,) if available > 0.0 else ()
+        assert [v.hex() for v in book.volumes] == [v.hex() for v in expected]
 
     def test_fixed_threshold_offer(self, spec):
         book = fixed_threshold_offer(25.0, spec, 2.0, 4.0)
