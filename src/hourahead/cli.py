@@ -307,6 +307,8 @@ def _adversary_strategy(args, values, bounds, spec):
     """The strategy to search and the ratio bound it is known to meet, or None."""
     if args.threshold is not None and args.strategy != "const":
         raise ValidationError(f"--threshold is read only by --strategy const, not {args.strategy}")
+    if args.offers is not None and args.strategy != "ocsmb":  # a config file's is compare's
+        raise ValidationError(f"--offers is read only by --strategy ocsmb, not {args.strategy}")
     if args.strategy in STRATEGIES:
         policy = ThresholdPolicy.build(bounds, spec.capacity)
         cfg = StrategyConfig(policy, spec, offers=values["offers"])

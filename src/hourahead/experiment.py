@@ -25,7 +25,7 @@ from .oracle import (
     check_dp_cells,
     check_profits,
     offline_opt_dp,
-    profit_ratio,
+    profit_ratios,
     ratio_json,
 )
 from .policy import ThresholdPolicy
@@ -146,17 +146,14 @@ def _single_run(cfg: ExperimentConfig, run: int) -> list[RunRecord]:
     trace, predicted = draw_instance(cfg, run)
     opt_profit = offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit
     strat_cfg = strategy_config(cfg)
-
-    records = [RunRecord(run, "offline", opt_profit, 1.0)]
-    ns_profit = nostorage_profit(trace)
-    records.append(RunRecord(run, "nostorage", ns_profit, profit_ratio(opt_profit, ns_profit)))
+    profits = {"nostorage": nostorage_profit(trace)}
     for name in STRATEGIES:
         strategy = STRATEGIES[name](strat_cfg, predicted)
-        result = simulate_run(trace, cfg.spec, cfg.penalty, strategy)
-        records.append(
-            RunRecord(run, name, result.total_profit, profit_ratio(opt_profit, result.total_profit))
-        )
-    return records
+        profits[name] = simulate_run(trace, cfg.spec, cfg.penalty, strategy).total_profit
+    ratios = profit_ratios(opt_profit, np.array(list(profits.values()))).tolist()
+    return [RunRecord(run, "offline", opt_profit, 1.0)] + [
+        RunRecord(run, name, p, r) for (name, p), r in zip(profits.items(), ratios)
+    ]
 
 
 def _aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> Report:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import gt, itemgetter
+from operator import itemgetter, le
 from typing import Callable
 
 from .errors import ValidationError
@@ -110,23 +110,27 @@ class PenaltyParams:
 
 class OfferBook(tuple):
     """Offers for one slot as two equal-length tuples: positive prices in
-    non-decreasing order and non-negative volumes.  An offer commits iff the
-    clearing price reaches its price.  Built as the tuple (prices, volumes),
-    so it costs what that tuple costs plus its checks; ``len`` counts offers."""
+    non-decreasing order and non-negative volumes, none NaN.  An offer
+    commits iff the clearing price reaches its price.  Built as the tuple
+    (prices, volumes), so it costs what that tuple costs plus its checks;
+    ``len`` counts offers."""
 
     __slots__ = ()
     prices, volumes = (property(itemgetter(i)) for i in range(2))
 
     def __new__(cls, prices: tuple[float, ...], volumes: tuple[float, ...]):
         n = len(prices)
+        if n == 1 == len(volumes) and prices[0] > 0.0 and volumes[0] >= 0.0:  # socs, fonline
+            return tuple.__new__(cls, (prices, volumes))  # one offer that passes the checks below
         if n != len(volumes):
             raise ValidationError(f"offer book has {n} prices but {len(volumes)} volumes")
-        if n > 1 and any(map(gt, prices, prices[1:])):  # a later price below an earlier one
+        if n > 1 and not all(map(le, prices, prices[1:])):
             raise ValidationError("offer book prices must be non-decreasing")
-        if n and prices[0] <= 0.0:
+        if n and not prices[0] > 0.0:
             raise ValidationError(f"offer price must be positive, got {prices[0]}")
-        if n and min(volumes) < 0.0:
-            raise ValidationError(f"offer volume must be non-negative, got {min(volumes)}")
+        if n and not all(map((0.0).__le__, volumes)):
+            bad = next(v for v in volumes if not v >= 0.0)
+            raise ValidationError(f"offer volume must be non-negative, got {bad}")
         return tuple.__new__(cls, (prices, volumes))
 
     def __len__(self) -> int:
@@ -139,6 +143,8 @@ class OfferBook(tuple):
     def settle(self, price: float) -> float:
         """Commitment volume: total volume of offers priced at or below
         `price`, added up in book order from 0.0."""
+        if len(self[0]) == 1:  # one offer: 0.0 + v, the bits of the loop below
+            return 0.0 + self[1][0] if self[0][0] <= price else 0.0
         total = 0.0
         for p, v in zip(self[0], self[1]):  # zip(*self) would ask the Python __len__ for a hint
             if p <= price:

@@ -79,7 +79,13 @@ def _units(value: float, eta: float, most: float = math.inf) -> int:
 
 def _quantize(outputs: Sequence[float], spec: StorageSpec, disc: DiscretizationConfig):
     eta, n = disc.quantum(spec.capacity), disc.levels
-    u_units = [_units(u, eta) for u in outputs]
+    # _units per output (all >= 0) as one array expression; tolist() keeps counts past int64 exact
+    with np.errstate(over="ignore"):
+        counts = np.floor(np.asarray(outputs, dtype=float) / eta + 1e-9).tolist()
+    try:
+        u_units = list(map(int, counts))
+    except OverflowError:  # an inf count: _units raises for the first one
+        u_units = [_units(u, eta) for u in outputs]
     # a rate beyond the grid moves no further than the grid: clipping keeps
     # the oracle's window, and its work, O(levels) whatever rate / eta is
     rc = _units(spec.charge_rate, eta, n)

@@ -52,17 +52,21 @@ class ThresholdPolicy:
     l_n: float
     cr_value: float
 
+    def __post_init__(self):
+        # eval_g's and eval_g_inverse's constants, set once as the fields are (a
+        # write to __dict__ would slow every lookup); at theta == 1 (c_th == 0)
+        # no price is invertible, so no call divides by c_th
+        c, c_th, c_l = self.capacity, self.c_th, self.capacity * self.l_n
+        p_hi = self.bounds.p_max * (1.0 + 1e-12) if c_th else self.bounds.p_min
+        values = -1e-12 * c, c * (1.0 + 1e-12), c_l, p_hi, c_l / c_th if c_th else 0.0
+        for name, value in zip(("_z_lo", "_z_hi", "_c_l", "_p_hi", "_slope"), values):
+            object.__setattr__(self, name, value)
+
     @classmethod
     def build(cls, bounds: PriceBounds, capacity: float) -> "ThresholdPolicy":
         cr = theoretical_cr(bounds.theta)
         c_th = c_threshold(capacity, bounds.theta)
-        return cls(
-            bounds=bounds,
-            capacity=capacity,
-            c_th=c_th,
-            l_n=capacity - c_th,
-            cr_value=cr,
-        )
+        return cls(bounds=bounds, capacity=capacity, c_th=c_th, l_n=capacity - c_th, cr_value=cr)
 
     def eval_g(self, z: float) -> float:
         """Threshold price at storage level z.
@@ -70,14 +74,14 @@ class ThresholdPolicy:
         Continuous, non-increasing, ``p_max`` at 0 and ``p_min`` from
         ``c_th`` on.
         """
-        if z < -1e-12 * self.capacity or z > self.capacity * (1.0 + 1e-12):
+        if not self._z_lo <= z <= self._z_hi:  # NaN fails too
             raise ValidationError(f"level {z} outside [0, {self.capacity}]")
         if z < 0.0:  # max(z, 0.0) without the builtin's call cost
             z = 0.0
         p_min = self.bounds.p_min
         if z >= self.c_th:
             return p_min
-        return p_min * math.exp((self.c_th - z) * self.c_th / (self.capacity * self.l_n))
+        return p_min * math.exp((self.c_th - z) * self.c_th / self._c_l)
 
     def eval_g_inverse(self, price: float) -> float:
         """Storage level at which the threshold price equals `price`.
@@ -85,9 +89,9 @@ class ThresholdPolicy:
         Defined for price in (p_min, p_max]; the flat tail makes the inverse
         non-unique at p_min.
         """
-        p_min, p_max = self.bounds.p_min, self.bounds.p_max
-        if price <= p_min or price > p_max * (1.0 + 1e-12):
+        p_min = self.bounds.p_min
+        if not p_min < price <= self._p_hi:  # NaN fails too
             raise ValidationError(
-                f"price {price} outside the invertible range ({p_min}, {p_max}]"
+                f"price {price} outside the invertible range ({p_min}, {self.bounds.p_max}]"
             )
-        return self.c_th - (self.capacity * self.l_n / self.c_th) * math.log(price / p_min)
+        return self.c_th - self._slope * math.log(price / p_min)

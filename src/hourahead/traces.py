@@ -148,8 +148,8 @@ def synthesize(
     prices = []
     # each clip min(max(a, lo), hi) is a conditional that picks the operand
     # the builtins pick (as lo <= hi), without their call cost
-    for step in price_steps:
-        x += PRICE_SIGMA * float(step)
+    for step in price_steps.tolist():
+        x += PRICE_SIGMA * step
         x = hi if hi < x else (lo if x < lo else x)
         price = math.exp(x)
         prices.append(p_max if p_max < price else (p_min if price < p_min else price))
@@ -159,8 +159,8 @@ def synthesize(
     wind_steps = rng.standard_normal(horizon)
     w = mean
     winds = []
-    for step in wind_steps:
-        w = mean + WIND_PHI * (w - mean) + sigma * float(step)
+    for step in wind_steps.tolist():
+        w = mean + WIND_PHI * (w - mean) + sigma * step
         w = wind_capacity if wind_capacity < w else (0.0 if w < 0.0 else w)
         winds.append(w)
     return Trace(prices, winds)
@@ -178,7 +178,7 @@ def realize_outputs(
     if not 0.0 <= error_bound < 0.5:
         raise ValidationError(f"error bound must be in [0, 0.5), got {error_bound}")
     factors = 1.0 + error_bound * rng.uniform(-1.0, 1.0, size=len(predicted))
-    return tuple(float(u * f) for u, f in zip(predicted, factors))
+    return tuple(u * f for u, f in zip(predicted, factors.tolist()))
 
 
 def write_trace_csv(

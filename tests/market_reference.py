@@ -71,3 +71,27 @@ def socs_offer_reference(cfg: StrategyConfig, price: float, output: float, level
     if volume == 0.0:
         return EMPTY_BOOK
     return OfferBook((price,), (volume,))
+
+
+def offer_book_error(prices: tuple[float, ...], volumes: tuple[float, ...]) -> str | None:
+    """The message ``OfferBook(prices, volumes)`` raises, or None: its checks
+    in their order, written plainly, with no path of their own for one offer
+    and each written so that a NaN fails it."""
+    if len(prices) != len(volumes):
+        return f"offer book has {len(prices)} prices but {len(volumes)} volumes"
+    if any(not a <= b for a, b in zip(prices, prices[1:])):
+        return "offer book prices must be non-decreasing"
+    if prices and not prices[0] > 0.0:
+        return f"offer price must be positive, got {prices[0]}"
+    bad = [v for v in volumes if not v >= 0.0]
+    return f"offer volume must be non-negative, got {bad[0]}" if bad else None
+
+
+def settle_reference(book: OfferBook, price: float) -> float:
+    """``OfferBook.settle`` as the loop over every offer: the volumes priced
+    at or below `price`, added up in book order from 0.0."""
+    total = 0.0
+    for p, v in zip(book.prices, book.volumes):
+        if p <= price:
+            total += v
+    return total

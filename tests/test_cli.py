@@ -535,6 +535,32 @@ class TestAdversary:
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("strategy", ["socs", "fonline", "gmin", "const"])
+    def test_offers_read_only_by_ocsmb(self, strategy, tmp_path, capsys):
+        argv = ["adversary", "--strategy", strategy, "--horizon", "3", "--capacity", "4",
+                "--levels", "4"]  # fmt: skip
+        assert main(argv + ["--offers", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: --offers")
+        # a config file's offers, which compare reads, is not refused
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\noffers = 3\n")
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_offers_moves_ocsmb(self, capsys):
+        argv = ["adversary", "--strategy", "ocsmb", "--horizon", "3", "--capacity", "4",
+                "--levels", "4"]  # fmt: skip
+        digests = []
+        for extra in ([], ["--offers", "3"]):
+            assert main(argv + extra) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:8])
+        assert digests == ["910faec6", "3b591b07"]
+
     def test_small_grid(self, capsys):
         code = main(
             [

@@ -13,6 +13,7 @@ import pytest
 from hourahead import ValidationError, theoretical_cr
 from hourahead import experiment
 from hourahead.cli import load_config_file
+from hourahead.oracle import profit_ratio
 from hourahead.market import PriceBounds
 from hourahead.experiment import (
     STRATEGIES,
@@ -190,6 +191,19 @@ class TestRunExperiment:
     def test_validation(self):
         with pytest.raises(ValidationError):
             small_config(runs=0)
+
+
+class TestSingleRun:
+    @pytest.mark.parametrize("run", [0, 1, 2])
+    def test_ratios_are_profit_ratio_of_each_record(self, run):
+        # the five ratios of a run come from one profit_ratios call
+        records = experiment._single_run(small_config(), run)
+        assert [r.strategy for r in records] == ["offline", "nostorage", *STRATEGIES]
+        opt = records[0].profit
+        assert records[0].empirical_cr == 1.0
+        for rec in records[1:]:
+            assert type(rec.empirical_cr) is float
+            assert rec.empirical_cr.hex() == profit_ratio(opt, rec.profit).hex()
 
 
 class TestEmitReport:

@@ -1,7 +1,8 @@
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hourahead import (
     EMPTY_BOOK,
@@ -16,7 +17,17 @@ from hourahead import (
 )
 from hourahead.market import play_slot
 from conftest import non_negative, synthetic_trace
-from market_reference import evolve_storage, over_commitment, play_slot_reference, slot_profit
+from market_reference import (
+    evolve_storage,
+    offer_book_error,
+    over_commitment,
+    play_slot_reference,
+    settle_reference,
+    slot_profit,
+)
+
+
+NAN = float("nan")
 
 
 def book(*pairs):
@@ -336,9 +347,73 @@ class TestValidation:
         with pytest.raises(ValidationError):
             OfferBook(prices, volumes)
 
+    @pytest.mark.parametrize(
+        "prices, volumes",
+        [((NAN,), (1.0,)), ((1.0,), (NAN,)), ((1.0, 2.0), (1.0, NAN)), ((1.0, 2.0), (NAN, 1.0)),
+         ((NAN, 2.0), (1.0, 1.0)), ((1.0, NAN), (1.0, 1.0)), ((1.0, NAN, 3.0), (1.0, 1.0, 1.0)),
+         ((1.0, 2.0, 3.0), (1.0, NAN, 1.0))],
+        ids=["one_price", "one_volume", "last_volume", "first_volume", "first_price",
+             "last_price", "middle_price", "middle_volume"],
+    )  # fmt: skip
+    def test_nan_is_rejected(self, prices, volumes):
+        with pytest.raises(ValidationError):
+            OfferBook(prices, volumes)
+
+    def test_nan_volume_error_names_it(self):
+        with pytest.raises(ValidationError, match="non-negative, got nan"):
+            OfferBook((1.0, 2.0), (1.0, NAN))
+
     def test_offer_book_is_an_immutable_value(self):
         b = book((10.0, 1.0), (20.0, 2.0))
         assert len(b) == 2 and b.prices == (10.0, 20.0) and b.volumes == (1.0, 2.0)
         assert b == book((10.0, 1.0), (20.0, 2.0)) != book((10.0, 1.0), (20.0, 3.0))
         with pytest.raises(AttributeError):
             b.prices = (5.0, 6.0)
+
+
+# offer prices and volumes with the cases a check can get wrong: signed
+# zeros, NaN, infinities, negatives and subnormals
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, NAN, math.inf, -1.0, 5e-324, 10.0]), st.floats(-50.0, 50.0)
+)
+
+
+class TestOneOfferPath:
+    """A one-offer book's build and settle take their own path: both equal
+    the generic checks and loop, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(
+        prices=st.lists(edge_floats, min_size=0, max_size=3).map(tuple),
+        volumes=st.lists(edge_floats, min_size=0, max_size=3).map(tuple),
+    )
+    @example(prices=(10.0,), volumes=(-0.0,))
+    @example(prices=(-0.0,), volumes=(1.0,))
+    @example(prices=(NAN,), volumes=(1.0,))
+    @example(prices=(10.0,), volumes=(NAN,))
+    @example(prices=(10.0,), volumes=(1.0, 2.0))
+    def test_build_equals_generic_checks(self, prices, volumes):
+        expected = offer_book_error(prices, volumes)
+        if expected is None:
+            b = OfferBook(prices, volumes)
+            assert b.prices is prices and b.volumes is volumes
+        else:
+            with pytest.raises(ValidationError) as raised:
+                OfferBook(prices, volumes)
+            assert str(raised.value) == expected
+
+    @settings(max_examples=300)
+    @given(
+        offer_price=st.floats(1e-3, 50.0),
+        volume=non_negative(50.0),
+        price=st.one_of(edge_floats, st.floats(1e-3, 50.0)),
+    )
+    @example(offer_price=10.0, volume=-0.0, price=10.0)
+    @example(offer_price=10.0, volume=-0.0, price=9.0)
+    @example(offer_price=10.0, volume=0.0, price=NAN)
+    def test_settle_equals_generic_loop(self, offer_price, volume, price):
+        b = OfferBook((offer_price,), (volume,))
+        assert settle_reference(b, price).hex() == b.settle(price).hex()
+        # a zero-volume second offer above every price keeps the generic loop's sum
+        two = OfferBook((offer_price, math.inf), (volume, 0.0))
+        assert two.settle(price).hex() == b.settle(price).hex()

@@ -21,7 +21,7 @@ from hourahead.oracle import _quantize, profit_ratio, profit_ratios, ratio_json
 from hourahead.policy import ThresholdPolicy
 from hourahead.strategies import StrategyConfig, socs_strategy
 
-from conftest import synthetic_trace
+from conftest import non_negative, synthetic_trace
 from oracle_reference import empirical_cr, offline_opt_dp_reference, offline_opt_exhaustive
 
 
@@ -71,6 +71,42 @@ class TestDiscretization:
         # 4 levels of the least positive float round down to a quantum of 0.0
         with pytest.raises(ValidationError, match="no quantum"):
             DiscretizationConfig(4).quantum(5e-324)
+
+
+class TestQuantizeMatchesUnits:
+    """_quantize floors every output in one array expression: the ints of
+    _units per output, and _units' error for the first output that overflows."""
+
+    SPEC, DISC = StorageSpec(20.0, 10.0, 10.0), DiscretizationConfig(400)  # eta 0.05
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(
+                non_negative(1e3),
+                st.integers(0, 10**6).map(lambda k: k * 0.05),  # on the grid
+                st.integers(1, 10**6).map(lambda k: math.nextafter(k * 0.05, 0.0)),
+                st.integers(0, 10**6).map(lambda k: math.nextafter(k * 0.05, 1.0)),
+                st.floats(2.0**63 * 0.05, 8e306),  # counts beyond int64, still finite
+            ),
+            max_size=12,
+        )
+    )
+    @example([0.0, -0.0, 0.05, 0.1, 0.15000000000000002, 0.3, 2.0**63 * 0.05, 1e30 * 0.05])
+    def test_counts_equal_per_output_units(self, outputs):
+        eta, counts, *_ = _quantize(outputs, self.SPEC, self.DISC)
+        assert counts == [oracle._units(u, eta) for u in outputs]
+        assert all(type(c) is int for c in counts)
+
+    @pytest.mark.parametrize("outputs", [[1e308], [1.0, 1e308, 1.7e308], [1.7e308, 1e308]])
+    def test_overflow_raises_the_units_error(self, outputs):
+        first = next(u for u in outputs if u / 0.05 == math.inf)
+        with pytest.raises(ValidationError) as expected:
+            oracle._units(first, 0.05)
+        for errstate in (np.errstate(), oracle.overflow_is_an_error()):
+            with pytest.raises(ValidationError) as raised, errstate:
+                _quantize(outputs, self.SPEC, self.DISC)
+            assert str(raised.value) == str(expected.value)
 
 
 class TestOfflineOptimum:
@@ -360,6 +396,10 @@ class TestExhaustiveGuards:
         assert result.total_profit == 0.0
 
 
+# profits at the ratio's branches: nothing earned, the earning threshold and next to it
+PROFIT_EDGES = [0.0, -0.0, 1e-12, math.nextafter(1e-12, 1.0), math.nextafter(1e-12, 0.0), -1e-12]
+
+
 class TestEmpiricalRatio:
     def test_self_replay_is_one(self, bounds, spec, penalty):
         disc = DiscretizationConfig(100)
@@ -408,6 +448,20 @@ class TestEmpiricalRatio:
         assert profit_ratio(1e-12, -0.0) == 1.0
         assert profit_ratio(earning, 0.0) == math.inf
         assert type(profit_ratio(3.0, 2.0)) is float
+
+    @settings(max_examples=300)
+    @given(
+        opt=st.one_of(st.sampled_from(PROFIT_EDGES), st.floats(allow_nan=False, allow_infinity=False)),
+        profits=st.lists(
+            st.one_of(st.sampled_from(PROFIT_EDGES), st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(opt=1e308, profits=[1e-11, -1e308, 1e-12, -0.0])
+    def test_batched_ratios_equal_one_at_a_time(self, opt, profits):
+        batched = profit_ratios(opt, np.array(profits)).tolist()
+        assert [r.hex() for r in batched] == [profit_ratio(opt, p).hex() for p in profits]
 
     def test_overflowing_ratio_is_a_quiet_inf(self):
         with warnings.catch_warnings():

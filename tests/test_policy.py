@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hourahead import (
     PriceBounds,
@@ -156,3 +156,83 @@ def test_identities_across_parameters(capacity, theta, frac):
     price = pol.eval_g(z)
     if price > pol.bounds.p_min:
         assert pol.eval_g(pol.eval_g_inverse(price)) == pytest.approx(price, rel=1e-9)
+
+
+def eval_g_reference(pol: ThresholdPolicy, z: float) -> float:
+    """``eval_g`` with its constants derived from the fields on every call."""
+    if z < -1e-12 * pol.capacity or z > pol.capacity * (1.0 + 1e-12):
+        raise ValidationError(f"level {z} outside [0, {pol.capacity}]")
+    z = max(z, 0.0)
+    if z >= pol.c_th:
+        return pol.bounds.p_min
+    return pol.bounds.p_min * math.exp((pol.c_th - z) * pol.c_th / (pol.capacity * pol.l_n))
+
+
+def eval_g_inverse_reference(pol: ThresholdPolicy, price: float) -> float:
+    """``eval_g_inverse`` with its constants derived from the fields on every call."""
+    p_min, p_max = pol.bounds.p_min, pol.bounds.p_max
+    if price <= p_min or price > p_max * (1.0 + 1e-12):
+        raise ValidationError(f"price {price} outside the invertible range ({p_min}, {p_max}]")
+    return pol.c_th - (pol.capacity * pol.l_n / pol.c_th) * math.log(price / p_min)
+
+
+def outcome(f, *args):
+    """f(*args) as float.hex, or the message of the ValidationError it raises"""
+    try:
+        return f(*args).hex()
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestConstantsComputedOnce:
+    """eval_g and eval_g_inverse read constants computed at construction and
+    give the bits, and the errors, of the expressions derived per call."""
+
+    @settings(max_examples=300)
+    @given(
+        capacity=st.floats(0.01, 1e4),
+        theta=st.one_of(st.just(1.0), st.floats(1.0, 1e3)),
+        frac=st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1e-12, 1.0 + 1e-12, -2e-12, 1.0 + 2e-12]),
+            st.floats(-0.01, 1.01),
+        ),
+    )
+    @example(capacity=20.0, theta=4.0, frac=1e-300)
+    def test_eval_g_matches_per_call_constants(self, capacity, theta, frac):
+        pol = ThresholdPolicy.build(PriceBounds(10.0, 10.0 * theta), capacity)
+        z = frac * capacity
+        assert outcome(pol.eval_g, z) == outcome(eval_g_reference, pol, z)
+
+    @settings(max_examples=300)
+    @given(
+        capacity=st.floats(0.01, 1e4),
+        theta=st.floats(1.0 + 1e-9, 1e3),
+        frac=st.one_of(st.sampled_from([0.0, 1.0, 1.0 + 1e-12, 1.0 + 2e-12]), st.floats(0.0, 1.01)),
+    )
+    def test_eval_g_inverse_matches_per_call_constants(self, capacity, theta, frac):
+        pol = ThresholdPolicy.build(PriceBounds(10.0, 10.0 * theta), capacity)
+        price = 10.0 + frac * (pol.bounds.p_max - 10.0)
+        assert outcome(pol.eval_g_inverse, price) == outcome(eval_g_inverse_reference, pol, price)
+
+    def test_value_fields_alone_compare_and_print(self, pol_e2):
+        again = ThresholdPolicy.build(pol_e2.bounds, pol_e2.capacity)
+        assert again == pol_e2 and repr(again) == repr(pol_e2)
+        assert "_slope" not in repr(pol_e2)
+
+
+class TestNanIsOutOfRange:
+    def test_eval_g(self, pol_e2):
+        with pytest.raises(ValidationError, match="level nan outside"):
+            pol_e2.eval_g(math.nan)
+
+    def test_eval_g_inverse(self, pol_e2):
+        with pytest.raises(ValidationError, match="price nan outside"):
+            pol_e2.eval_g_inverse(math.nan)
+
+    def test_theta_one_inverts_no_price(self):
+        # c_th == 0: the tolerance above p_max once let a price through to a
+        # ZeroDivisionError; the invertible range (p_min, p_max] is empty
+        pol = ThresholdPolicy.build(PriceBounds(10.0, 10.0), 20.0)
+        for price in (10.0, math.nextafter(10.0, 11.0), math.nan):
+            with pytest.raises(ValidationError, match="invertible range"):
+                pol.eval_g_inverse(price)

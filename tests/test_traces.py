@@ -1,10 +1,14 @@
+import hashlib
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hourahead import PriceBounds, TraceParseError, ValidationError
 from hourahead import traces
+from hourahead.experiment import ExperimentConfig, draw_instance
 from hourahead.traces import (
     MAX_HORIZON,
     load_trace,
@@ -200,3 +204,73 @@ class TestRealizeOutputs:
     def test_bad_bound(self):
         with pytest.raises(ValidationError):
             realize_outputs(np.random.default_rng(0), (1.0,), 0.5)
+
+
+def synthesize_reference(rng, horizon, bounds, wind_capacity):
+    """``synthesize`` over numpy scalars, each converted by float() in the
+    loop, with the builtin min and max as its clips."""
+    p_min, p_max = bounds.p_min, bounds.p_max
+    lo, hi = math.log(p_min), math.log(p_max)
+    x = rng.uniform(lo, hi)
+    prices = []
+    for step in rng.standard_normal(horizon):
+        x = min(max(x + traces.PRICE_SIGMA * float(step), lo), hi)
+        prices.append(min(max(math.exp(x), p_min), p_max))
+    mean = traces.WIND_MEAN_FRAC * wind_capacity
+    sigma = traces.WIND_SIGMA_FRAC * wind_capacity
+    w, winds = mean, []
+    for step in rng.standard_normal(horizon):
+        w = min(max(mean + traces.WIND_PHI * (w - mean) + sigma * float(step), 0.0), wind_capacity)
+        winds.append(w)
+    return prices, winds
+
+
+def realize_outputs_reference(rng, predicted, error_bound):
+    """``realize_outputs`` with one numpy-scalar product per output."""
+    factors = 1.0 + error_bound * rng.uniform(-1.0, 1.0, size=len(predicted))
+    return tuple(float(u * f) for u, f in zip(predicted, factors))
+
+
+def hexes(values) -> list[str]:
+    assert all(type(v) is float for v in values)
+    return [v.hex() for v in values]
+
+
+class TestDrawIsBitForBit:
+    """The draw iterates Python floats (``tolist``), not numpy scalars: the
+    same floats, bit for bit."""
+
+    def test_seed_7_runs_0_to_39_match_the_pinned_floats(self):
+        # sha256 of the float.hex of prices, realized and predicted outputs of
+        # the default 360-slot runs, as drawn when the loops read numpy scalars
+        digest = hashlib.sha256()
+        cfg = ExperimentConfig(seed=7)
+        for run in range(40):
+            trace, predicted = draw_instance(cfg, run)
+            for series in (trace.prices, trace.outputs, predicted):
+                digest.update(" ".join(hexes(series)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "9addbfa8808b8bd5ff240cc2a726cb20df2d2cd686a967e1945a158c6b39ecc8"
+        )
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32),
+        horizon=st.integers(1, 60),
+        p_min=st.floats(0.5, 50.0),
+        theta=st.floats(1.0, 20.0),
+        wind_capacity=st.sampled_from([0.0, 1.0, 10.0, 250.0]),
+        error_bound=st.sampled_from([0.0, 0.1, 0.49]),
+    )
+    def test_matches_numpy_scalar_loops(
+        self, seed, horizon, p_min, theta, wind_capacity, error_bound
+    ):
+        bounds = PriceBounds(p_min, p_min * theta)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        trace = synthesize(rng, horizon, bounds, wind_capacity)
+        prices, winds = synthesize_reference(ref_rng, horizon, bounds, wind_capacity)
+        assert hexes(trace.prices) == hexes(prices)
+        assert hexes(trace.outputs) == hexes(winds)
+        assert hexes(realize_outputs(rng, trace.outputs, error_bound)) == hexes(
+            realize_outputs_reference(ref_rng, winds, error_bound)
+        )
