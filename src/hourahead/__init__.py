@@ -33,14 +33,7 @@ from .market import (
 )
 from .oracle import DiscretizationConfig, OptResult, offline_opt_dp
 from .policy import ThresholdPolicy, c_threshold, theoretical_cr
-from .strategies import (
-    Ladder,
-    StrategyConfig,
-    mocsmb_offers,
-    nostorage_profit,
-    ocsmb_offers,
-    socs_offer,
-)
+from .strategies import Ladder, StrategyConfig, nostorage_profit
 
 __all__ = [
     "BudgetExceededError",
@@ -60,12 +53,9 @@ __all__ = [
     "ThresholdPolicy",
     "ValidationError",
     "c_threshold",
-    "mocsmb_offers",
     "nostorage_profit",
-    "ocsmb_offers",
     "offline_opt_dp",
     "settle_offer",
     "simulate_run",
-    "socs_offer",
     "theoretical_cr",
 ]

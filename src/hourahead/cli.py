@@ -32,7 +32,7 @@ from .experiment import (
 )
 from .market import PenaltyParams, PriceBounds, StorageSpec, simulate_run
 from .oracle import check_dp_cells, offline_opt_dp, profit_ratio, ratio_json
-from .policy import ThresholdPolicy, theoretical_cr
+from .policy import theoretical_cr
 from .strategies import (  # the *_strategy factories stay for bench/tracer.py to replace by name
     StrategyConfig,
     fixed_threshold_strategy,
@@ -81,11 +81,13 @@ def load_config_file(path: str | Path) -> dict:
     key (so also [DEFAULT]) or a value of the wrong type is an error."""
     parser = configparser.ConfigParser(default_section="")
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise OSError(f"config file not found: {path}")
         sections = {section: parser.items(section) for section in parser.sections()}
     except configparser.Error as exc:  # a file it cannot parse; the message spans lines
         raise ValidationError(f"config {path}: {' '.join(str(exc).split())}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"config {path}: not UTF-8 text") from None
     values = {}
     for section, items in sections.items():
         if section not in {setting.section for setting in SETTINGS.values()}:
@@ -162,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--levels", type=int, help="storage levels (C_d)")
     adv.set_defaults(**GRID_DEFAULTS)
     adv.add_argument("--budget", type=int, default=MAX_INSTANCES, help="max instances")
-    adv.add_argument("--threshold", type=float, help="const only; default sqrt(pmin*pmax)")
+    adv.add_argument("--threshold", type=float, help="const only; default pmin*sqrt(pmax/pmin)")
 
     crt = sub.add_parser("cr-table", help="worst-case guarantee for a list of theta")
     crt.add_argument(
@@ -310,9 +312,8 @@ def _adversary_strategy(args, values, bounds, spec):
     if args.offers is not None and args.strategy != "ocsmb":  # a config file's is compare's
         raise ValidationError(f"--offers is read only by --strategy ocsmb, not {args.strategy}")
     if args.strategy in STRATEGIES:
-        policy = ThresholdPolicy.build(bounds, spec.capacity)
-        cfg = StrategyConfig(policy, spec, offers=values["offers"])
-        bound = policy.cr_value if args.strategy == "socs" else None
+        cfg = StrategyConfig(bounds, spec, offers=values["offers"])
+        bound = cfg.policy.cr_value if args.strategy == "socs" else None
         return STRATEGIES[args.strategy](cfg, ()), bound
     if args.strategy == "gmin":
         return fixed_threshold_strategy(bounds.p_min, spec), bounds.theta

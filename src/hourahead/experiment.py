@@ -28,7 +28,6 @@ from .oracle import (
     profit_ratios,
     ratio_json,
 )
-from .policy import ThresholdPolicy
 from .strategies import (
     DEFAULT_OFFERS,
     StrategyConfig,
@@ -53,7 +52,7 @@ STRATEGIES: dict[str, Callable[[StrategyConfig, Sequence[float]], OfferStrategy]
     "socs": lambda cfg, predicted: socs_strategy(cfg),
     "ocsmb": lambda cfg, predicted: ocsmb_strategy(cfg),
     "mocsmb": lambda cfg, predicted: mocsmb_strategy(cfg, predicted),
-    "fonline": lambda cfg, predicted: fonline_strategy(cfg.policy.bounds, cfg.spec),
+    "fonline": lambda cfg, predicted: fonline_strategy(cfg.bounds, cfg.spec),
 }
 BENCHMARK_NAMES = ("offline", "nostorage")
 
@@ -137,9 +136,8 @@ def draw_instance(cfg: ExperimentConfig, run: int) -> tuple[Trace, tuple[float, 
 
 
 def strategy_config(cfg: ExperimentConfig) -> StrategyConfig:
-    """The threshold curve, storage and ladder settings every strategy of a run reads"""
-    policy = ThresholdPolicy.build(cfg.bounds, cfg.spec.capacity)
-    return StrategyConfig(policy, cfg.spec, offers=cfg.offers, e_max=cfg.e_max)
+    """The price bounds, storage and ladder settings every strategy of a run reads"""
+    return StrategyConfig(cfg.bounds, cfg.spec, offers=cfg.offers, e_max=cfg.e_max)
 
 
 def _single_run(cfg: ExperimentConfig, run: int) -> list[RunRecord]:

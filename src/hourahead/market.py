@@ -177,9 +177,6 @@ class RunResult:
     def horizon(self) -> int:
         return len(self.profits)
 
-    def min_level(self, initial_level: float) -> float:
-        return min((initial_level,) + self.levels)
-
 
 # A strategy maps (slot index, clearing price, renewable output, storage level)
 # to an offer book (an ``OfferBook`` or a ``strategies.Ladder``).  Strategies

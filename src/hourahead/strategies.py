@@ -1,12 +1,14 @@
 """Offering strategies: threshold-based sellers and the simple baselines.
 
-Three threshold strategies share the same curve:
+Each factory returns the strategy itself: a per-slot callback for
+``simulate_run`` that binds the run's constants once.  The three threshold
+strategies share the same curve:
 
-* ``socs_offer``   - next-slot price and output are both known; submits a
+* ``socs_strategy``   - next-slot price and output are both known; submits a
   single offer at the clearing price.
-* ``ocsmb_offers`` - price unknown; hedges by laddering the sellable energy
+* ``ocsmb_strategy``  - price unknown; hedges by laddering the sellable energy
   over m offers priced along the threshold curve.
-* ``mocsmb_offers`` - output known only within a relative error band; runs
+* ``mocsmb_strategy`` - output known only within a relative error band; runs
   the ladder on the conservative low end of the band so a short output can
   never leave a commitment unfilled.
 
@@ -16,7 +18,7 @@ clairvoyant total (``nostorage_profit``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter, sub
 from typing import Sequence
 
@@ -32,48 +34,21 @@ DEFAULT_OFFERS = 10  # when no offer count is given
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Threshold curve, storage, and the knobs of the laddered strategies."""
+    """Price bounds, storage, and the knobs of the laddered strategies; the
+    threshold curve ``policy`` is built from them, over the storage capacity."""
 
-    policy: ThresholdPolicy
+    bounds: PriceBounds
     spec: StorageSpec
     offers: int = DEFAULT_OFFERS  # max offers per slot (m); 1 means the floor offer only
     e_max: float = 0.0  # output forecast error bound, < 0.5
+    policy: ThresholdPolicy = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.offers <= MAX_OFFERS:
             raise ValidationError(f"offer count must be in [1, {MAX_OFFERS}], got {self.offers}")
         if not 0.0 <= self.e_max < 0.5:
             raise ValidationError(f"e_max must be in [0, 0.5), got {self.e_max}")
-
-
-def socs_offer(cfg: StrategyConfig, price: float, output: float, level: float) -> OfferBook:
-    """Single offer for the known-price, known-output setting.
-
-    The candidate price is the threshold at the post-charge level
-    min(level + output, capacity).  If the market beats it, sell down to the
-    level where the threshold matches the clearing price (never retaining
-    more than the storage can hold after charging); otherwise sell only the
-    surplus that cannot be charged.  The volume is capped at what is
-    physically deliverable, so the commitment can always be met.
-    """
-    pol, spec = cfg.policy, cfg.spec
-    # each min and max is a conditional that picks the operand the builtin
-    # picks, signed zeros included, as in market.play_slot
-    capacity, rate_c, rate_d = pol.capacity, spec.charge_rate, spec.discharge_rate
-    stock = level + output
-    if pol.eval_g(capacity if capacity < stock else stock) > price:
-        volume = output - rate_c
-    else:
-        # the level kept: the threshold level of the price, at most level + r_c
-        kept = pol.c_th if price <= pol.bounds.p_min else pol.eval_g_inverse(price)
-        reach = level + rate_c
-        volume = stock - (reach if reach < kept else kept)
-    deliverable = output + (rate_d if rate_d < level else level)
-    volume = deliverable if deliverable < volume else volume
-    volume = 0.0 if volume < 0.0 else volume
-    if volume == 0.0:
-        return EMPTY_BOOK
-    return OfferBook((price,), (volume,))
+        object.__setattr__(self, "policy", ThresholdPolicy.build(self.bounds, self.spec.capacity))
 
 
 class Ladder(tuple):
@@ -158,7 +133,42 @@ class Ladder(tuple):
         return total
 
 
-def ocsmb_offers(cfg: StrategyConfig, output: float, level: float) -> Ladder:
+def socs_strategy(cfg: StrategyConfig) -> OfferStrategy:
+    """Single offer for the known-price, known-output setting.
+
+    The candidate price is the threshold at the post-charge level
+    min(level + output, capacity).  If the market beats it, sell down to the
+    level where the threshold matches the clearing price (never retaining
+    more than the storage can hold after charging); otherwise sell only the
+    surplus that cannot be charged.  The volume is capped at what is
+    physically deliverable, so the commitment can always be met.
+    """
+    pol, spec = cfg.policy, cfg.spec
+    eval_g, eval_g_inverse, c_th, p_min = pol.eval_g, pol.eval_g_inverse, pol.c_th, cfg.bounds.p_min
+    capacity, rate_c, rate_d = spec.capacity, spec.charge_rate, spec.discharge_rate
+
+    def socs(t: int, price: float, output: float, level: float) -> OfferBook:
+        # each min and max is a conditional that picks the operand the builtin
+        # picks, signed zeros included, as in market.play_slot
+        stock = level + output
+        if eval_g(capacity if capacity < stock else stock) > price:
+            volume = output - rate_c
+        else:
+            # the level kept: the threshold level of the price, at most level + r_c
+            kept = c_th if price <= p_min else eval_g_inverse(price)
+            reach = level + rate_c
+            volume = stock - (reach if reach < kept else kept)
+        deliverable = output + (rate_d if rate_d < level else level)
+        volume = deliverable if deliverable < volume else volume
+        volume = 0.0 if volume < 0.0 else volume
+        if volume == 0.0:
+            return EMPTY_BOOK
+        return OfferBook((price,), (volume,))
+
+    return socs
+
+
+def ocsmb_strategy(cfg: StrategyConfig) -> OfferStrategy:
     """Offer ladder for the unknown-price setting.
 
     Energy that should be sold at any price goes into one offer at p_min:
@@ -167,68 +177,57 @@ def ocsmb_offers(cfg: StrategyConfig, output: float, level: float) -> Ladder:
     deliverable energy is split into m-1 equal slices priced along the
     threshold curve, so higher clearing prices unlock deeper slices.  The
     book never exceeds deliverable energy, hence an exact-output run never
-    over-commits.
+    over-commits.  The clearing price is ignored: the book is fixed before
+    settlement.
     """
-    pol, spec = cfg.policy, cfg.spec
+    pol, spec, rungs = cfg.policy, cfg.spec, cfg.offers - 1
     c_th, rate_c, rate_d = pol.c_th, spec.charge_rate, spec.discharge_rate
-    # each min and max written out as in market.play_slot
-    deliverable = output + (rate_d if rate_d < level else level)
-    if (rate_c if rate_c < output else output) + level > c_th:
-        floor_volume = output + level - c_th
-        floor_volume = deliverable if deliverable < floor_volume else floor_volume
-        span = output + rate_d if output + rate_d < c_th else c_th
-        span = deliverable - floor_volume if deliverable - floor_volume < span else span
-        top = c_th
-    else:
-        floor_volume = 0.0 if output < rate_c else output - rate_c
-        span = deliverable - floor_volume
-        top = level + output - floor_volume
-    return Ladder(pol, floor_volume, span, top, cfg.offers - 1 if span > 0.0 else 0)
+
+    def ocsmb(t: int, price: float, output: float, level: float) -> Ladder:
+        # each min and max written out as in market.play_slot
+        deliverable = output + (rate_d if rate_d < level else level)
+        if (rate_c if rate_c < output else output) + level > c_th:
+            floor_volume = output + level - c_th
+            floor_volume = deliverable if deliverable < floor_volume else floor_volume
+            span = output + rate_d if output + rate_d < c_th else c_th
+            span = deliverable - floor_volume if deliverable - floor_volume < span else span
+            top = c_th
+        else:
+            floor_volume = 0.0 if output < rate_c else output - rate_c
+            span = deliverable - floor_volume
+            top = level + output - floor_volume
+        return Ladder(pol, floor_volume, span, top, rungs if span > 0.0 else 0)
+
+    return ocsmb
 
 
-def mocsmb_offers(cfg: StrategyConfig, predicted: float, level: float) -> Ladder:
-    """Offer ladder fed with the low end (1 - e_max) * predicted of the
-    output forecast band."""
-    return ocsmb_offers(cfg, (1.0 - cfg.e_max) * predicted, level)
+def mocsmb_strategy(cfg: StrategyConfig, predicted: Sequence[float]) -> OfferStrategy:
+    """The ocsmb ladder fed with the low end (1 - e_max) * predicted[t] of the
+    output forecast band; it never sees the realized output."""
+    ocsmb = ocsmb_strategy(cfg)
+    low = [(1.0 - cfg.e_max) * u for u in predicted]
+    return lambda t, price, output, level: ocsmb(t, price, low[t], level)
 
 
-def fixed_threshold_offer(
-    threshold: float, spec: StorageSpec, output: float, level: float
-) -> OfferBook:
+def fonline_strategy(bounds: PriceBounds, spec: StorageSpec) -> OfferStrategy:
+    # storage-level-oblivious baseline: everything at the geometric mean of the
+    # bounds, written p_min * sqrt(theta) so that no product under- or overflows
+    return fixed_threshold_strategy(bounds.p_min * math.sqrt(bounds.theta), spec)
+
+
+def fixed_threshold_strategy(threshold: float, spec: StorageSpec) -> OfferStrategy:
     """Offer all deliverable energy at one fixed price (min spelled as in play_slot)."""
-    available = output + (spec.discharge_rate if spec.discharge_rate < level else level)
-    if available <= 0.0:
-        return EMPTY_BOOK
-    return OfferBook((threshold,), (available,))
+    rate_d = spec.discharge_rate
+
+    def fixed_threshold(t: int, price: float, output: float, level: float) -> OfferBook:
+        available = output + (rate_d if rate_d < level else level)
+        if available <= 0.0:
+            return EMPTY_BOOK
+        return OfferBook((threshold,), (available,))
+
+    return fixed_threshold
 
 
 def nostorage_profit(trace: Trace) -> float:
     """Clairvoyant optimum without storage: sell the full output every slot."""
     return sum(p * u for p, u in zip(trace.prices, trace.outputs))
-
-
-# ---------------------------------------------------------------------------
-# per-slot callbacks for simulate_run
-
-
-def socs_strategy(cfg: StrategyConfig) -> OfferStrategy:
-    return lambda t, price, output, level: socs_offer(cfg, price, output, level)
-
-
-def ocsmb_strategy(cfg: StrategyConfig) -> OfferStrategy:
-    # ignores the clearing price: the book is fixed before settlement
-    return lambda t, price, output, level: ocsmb_offers(cfg, output, level)
-
-
-def mocsmb_strategy(cfg: StrategyConfig, predicted: Sequence[float]) -> OfferStrategy:
-    # sees only the predicted output series, never the realized output
-    return lambda t, price, output, level: mocsmb_offers(cfg, predicted[t], level)
-
-
-def fonline_strategy(bounds: PriceBounds, spec: StorageSpec) -> OfferStrategy:
-    # storage-level-oblivious baseline: everything at sqrt(p_min * p_max)
-    return fixed_threshold_strategy(math.sqrt(bounds.p_min * bounds.p_max), spec)
-
-
-def fixed_threshold_strategy(threshold: float, spec: StorageSpec) -> OfferStrategy:
-    return lambda t, price, output, level: fixed_threshold_offer(threshold, spec, output, level)

@@ -10,10 +10,11 @@ File formats (hourly, aligned timestamps):
 from __future__ import annotations
 
 import csv
+import io
 import math
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,43 +26,54 @@ from .market import PriceBounds, Trace
 _SIGNS = {"price": (lambda v: v > 0.0, "positive"), "wind_mw": (lambda v: v >= 0.0, "non-negative")}
 
 
+def _csv_rows(path: Path) -> Iterator[list[str]]:
+    """The rows of a UTF-8 CSV file; a byte that is not UTF-8, or a row the
+    csv module refuses (a field over its size limit, say), is a TraceParseError."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TraceParseError(f"{path}:{line}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise TraceParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _read_series(path: str | Path, value_column: str) -> list[tuple[int, str, float]]:
     """The (line number, timestamp, value) of each data row; blank lines are skipped."""
     path = Path(path)
     has_sign, sign = _SIGNS[value_column]
     rows: list[tuple[int, str, float]] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["timestamp", value_column]:
+    reader = _csv_rows(path)
+    header = next(reader, None)
+    if header != ["timestamp", value_column]:
+        raise TraceParseError(f"{path}:1: expected header 'timestamp,{value_column}', got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise TraceParseError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+        stamp, raw = row
+        try:
+            datetime.fromisoformat(stamp)
+        except ValueError:
             raise TraceParseError(
-                f"{path}:1: expected header 'timestamp,{value_column}', got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise TraceParseError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            stamp, raw = row
-            try:
-                datetime.fromisoformat(stamp)
-            except ValueError:
-                raise TraceParseError(
-                    f"{path}:{lineno}: invalid ISO-8601 timestamp {stamp!r}"
-                ) from None
-            try:
-                value = float(raw)
-            except ValueError:
-                raise TraceParseError(
-                    f"{path}:{lineno}: invalid {value_column} value {raw!r}"
-                ) from None
-            if math.isnan(value) or math.isinf(value):
-                raise TraceParseError(f"{path}:{lineno}: non-finite {value_column} value")
-            if not has_sign(value):
-                raise ValidationError(
-                    f"{path}:{lineno}: {value_column} must be {sign}, got {value}"
-                )
-            rows.append((lineno, stamp, value))
+                f"{path}:{lineno}: invalid ISO-8601 timestamp {stamp!r}"
+            ) from None
+        try:
+            value = float(raw)
+        except ValueError:
+            raise TraceParseError(
+                f"{path}:{lineno}: invalid {value_column} value {raw!r}"
+            ) from None
+        if math.isnan(value) or math.isinf(value):
+            raise TraceParseError(f"{path}:{lineno}: non-finite {value_column} value")
+        if not has_sign(value):
+            raise ValidationError(f"{path}:{lineno}: {value_column} must be {sign}, got {value}")
+        rows.append((lineno, stamp, value))
     if not rows:
         raise TraceParseError(f"{path}: no data rows")
     return rows

@@ -1,7 +1,7 @@
 """Test-only reference for one market slot: the settlement, over-commitment,
 storage step and profit as separate helpers, ``market.play_slot`` as their
-composition, and ``strategies.socs_offer``, all written with the builtin
-``min`` and ``max``."""
+composition, and the ``strategies.socs_strategy`` callback, all written with
+the builtin ``min`` and ``max``."""
 from __future__ import annotations
 
 from hourahead import EMPTY_BOOK, OfferBook, PenaltyParams, StorageSpec, StrategyConfig
@@ -53,7 +53,7 @@ def play_slot_reference(
 
 
 def socs_offer_reference(cfg: StrategyConfig, price: float, output: float, level: float) -> OfferBook:
-    """``strategies.socs_offer``: sell down to the threshold level of the
+    """``strategies.socs_strategy(cfg)``: sell down to the threshold level of the
     price, or only the surplus beyond the charge rate when the threshold at
     the post-charge level beats the price, capped at what is deliverable."""
     pol, spec = cfg.policy, cfg.spec

@@ -37,7 +37,6 @@ from oracle_reference import empirical_cr, offline_opt_exhaustive
 SUITE_BOUNDS = PriceBounds(10.0, 40.0)
 SUITE_SPEC = StorageSpec(20.0, 10.0, 10.0)
 SUITE_PENALTY = PenaltyParams()
-SUITE_POLICY = ThresholdPolicy.build(SUITE_BOUNDS, SUITE_SPEC.capacity)
 
 
 def suite_instance(seed, horizon=48, e_max=0.0):
@@ -100,7 +99,7 @@ def test_criterion_3_no_over_commitment(capsys):
     checked = 0
     for run in range(runs):
         _, trace = suite_instance(run, horizon)
-        cfg = StrategyConfig(SUITE_POLICY, SUITE_SPEC)
+        cfg = StrategyConfig(SUITE_BOUNDS, SUITE_SPEC)
         result = simulate_run(trace, SUITE_SPEC, SUITE_PENALTY, socs_strategy(cfg))
         assert all(y == 0.0 for y in result.over_commitments)
         checked += result.horizon
@@ -108,7 +107,7 @@ def test_criterion_3_no_over_commitment(capsys):
     for e_max in (0.1, 0.3, 0.49):
         for run in range(runs):
             forecast, trace = suite_instance(run + 1000, horizon, e_max)
-            cfg = StrategyConfig(SUITE_POLICY, SUITE_SPEC, offers=10, e_max=e_max)
+            cfg = StrategyConfig(SUITE_BOUNDS, SUITE_SPEC, offers=10, e_max=e_max)
             result = simulate_run(
                 trace, SUITE_SPEC, SUITE_PENALTY, mocsmb_strategy(cfg, forecast.outputs)
             )
@@ -150,7 +149,7 @@ def test_criterion_4_oracle_soundness(capsys):
     horizon = 120
     disc = DiscretizationConfig(100)
     slack = SUITE_BOUNDS.p_max * disc.quantum(SUITE_SPEC.capacity) * horizon
-    cfg = StrategyConfig(SUITE_POLICY, SUITE_SPEC, offers=10, e_max=0.1)
+    cfg = StrategyConfig(SUITE_BOUNDS, SUITE_SPEC, offers=10, e_max=0.1)
     for run in range(200):
         forecast, trace = suite_instance(run, horizon, e_max=0.1)
         opt = offline_opt_dp(trace, SUITE_SPEC, disc).total_profit
@@ -176,11 +175,12 @@ def test_criterion_5_worst_case_certification(capsys):
         bounds = PriceBounds(10.0, 10.0 * theta)
         # rate-unconstrained storage, starting full: the analyzed regime
         spec = StorageSpec(capacity, capacity, capacity)
-        pol = ThresholdPolicy.build(bounds, capacity)
+        cfg = StrategyConfig(bounds, spec)
+        pol = cfg.policy
         grid = AdversaryGrid.geometric(
             bounds, capacity, horizon=4, price_count=4, supply_count=3, levels=4
         )
-        rep = adversarial_search(grid, socs_strategy(StrategyConfig(pol, spec)), spec)
+        rep = adversarial_search(grid, socs_strategy(cfg), spec)
         assert rep.max_ratio < math.inf
         assert rep.max_ratio <= pol.cr_value * 1.05
         assert max(rep.bucket_ratios.values()) == rep.max_ratio
@@ -220,10 +220,10 @@ def test_criterion_6_multi_offer_bound(capsys):
         _, trace = suite_instance(run, horizon)
         opt = offline_opt_dp(trace, SUITE_SPEC, disc).total_profit
         socs_total += simulate_run(
-            trace, SUITE_SPEC, SUITE_PENALTY, socs_strategy(StrategyConfig(SUITE_POLICY, SUITE_SPEC))
+            trace, SUITE_SPEC, SUITE_PENALTY, socs_strategy(StrategyConfig(SUITE_BOUNDS, SUITE_SPEC))
         ).total_profit
         for m in counts:
-            cfg = StrategyConfig(SUITE_POLICY, SUITE_SPEC, offers=m)
+            cfg = StrategyConfig(SUITE_BOUNDS, SUITE_SPEC, offers=m)
             profit = simulate_run(
                 trace, SUITE_SPEC, SUITE_PENALTY, ocsmb_strategy(cfg)
             ).total_profit
@@ -245,7 +245,7 @@ def test_criterion_7_forecast_error_bound(capsys):
     start = time.time()
     horizon = 48
     for e_max in (0.1, 0.2, 0.4):
-        cfg = StrategyConfig(SUITE_POLICY, SUITE_SPEC, offers=10, e_max=e_max)
+        cfg = StrategyConfig(SUITE_BOUNDS, SUITE_SPEC, offers=10, e_max=e_max)
         for run in range(500):
             forecast, trace = suite_instance(run, horizon, e_max)
             exact = simulate_run(trace, SUITE_SPEC, SUITE_PENALTY, ocsmb_strategy(cfg))
@@ -255,14 +255,13 @@ def test_criterion_7_forecast_error_bound(capsys):
             assert hedged.total_profit >= (1.0 - 2.0 * e_max) * exact.total_profit - 1e-9
 
     # zero error: bit-identical offer books across a state sweep
-    from hourahead.strategies import mocsmb_offers, ocsmb_offers
-
-    cfg = StrategyConfig(SUITE_POLICY, SUITE_SPEC, offers=10, e_max=0.2)
+    cfg = StrategyConfig(SUITE_BOUNDS, SUITE_SPEC, offers=10, e_max=0.2)
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        u = float(rng.uniform(0.0, 10.0))
-        z = float(rng.uniform(0.0, 20.0))
-        assert mocsmb_offers(replace(cfg, e_max=0.0), u, z) == ocsmb_offers(cfg, u, z)
+    states = [(float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 20.0))) for _ in range(200)]
+    hedged = mocsmb_strategy(replace(cfg, e_max=0.0), [u for u, _z in states])
+    exact = ocsmb_strategy(cfg)
+    for t, (u, z) in enumerate(states):
+        assert hedged(t, 25.0, u, z) == exact(t, 25.0, u, z)
     elapsed = time.time() - start
     with capsys.disabled():
         report(7, "hedged ladder beats the (1 - 2 e_max) floor on every instance; "

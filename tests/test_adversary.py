@@ -146,7 +146,7 @@ class TestAdversarialSearch:
         spec = full_storage_spec(4.0)
         pol = ThresholdPolicy.build(bounds, spec.capacity)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=3, levels=4)
-        report = adversarial_search(grid, socs_strategy(StrategyConfig(pol, spec)), spec)
+        report = adversarial_search(grid, socs_strategy(StrategyConfig(bounds, spec)), spec)
         assert report.instances == grid.instance_count
         assert report.max_ratio < math.inf
         assert report.max_ratio <= pol.cr_value * 1.05
@@ -154,17 +154,15 @@ class TestAdversarialSearch:
     def test_flat_price_grid_ratio_is_one(self):
         bounds = PriceBounds(10.0, 10.0)
         spec = full_storage_spec(4.0)
-        pol = ThresholdPolicy.build(bounds, spec.capacity)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=2, levels=4)
-        report = adversarial_search(grid, socs_strategy(StrategyConfig(pol, spec)), spec)
+        report = adversarial_search(grid, socs_strategy(StrategyConfig(bounds, spec)), spec)
         assert report.max_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_bucket_max_equals_global_max(self):
         bounds = PriceBounds(10.0, 40.0)
         spec = full_storage_spec(4.0)
-        pol = ThresholdPolicy.build(bounds, spec.capacity)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=3, levels=4)
-        report = adversarial_search(grid, socs_strategy(StrategyConfig(pol, spec)), spec)
+        report = adversarial_search(grid, socs_strategy(StrategyConfig(bounds, spec)), spec)
         assert max(report.bucket_ratios.values()) == report.max_ratio
 
     def test_always_sell_policy_bounded_by_theta(self):
@@ -241,8 +239,7 @@ def adversary_strategy(name, bounds, spec):
     """The CLI's adversary strategies: the registry's socs, ocsmb and fonline,
     the always-sell floor policy and const at its default threshold, fonline's."""
     if name in STRATEGIES:
-        cfg = StrategyConfig(ThresholdPolicy.build(bounds, spec.capacity), spec)
-        return STRATEGIES[name](cfg, ())
+        return STRATEGIES[name](StrategyConfig(bounds, spec), ())
     if name == "gmin":
         return fixed_threshold_strategy(bounds.p_min, spec)
     return fonline_strategy(bounds, spec)
@@ -455,10 +452,9 @@ def test_ocsmb_converges_to_socs_bound():
         bounds, spec.capacity, horizon=4, price_count=6, supply_count=3, levels=4
     )
     assert grid.instance_count == 104976
-    policy = ThresholdPolicy.build(bounds, spec.capacity)
     offers = (1, 2, 3, 4, 6, 8, 12, 16)
     worst = [
-        adversarial_search(grid, STRATEGIES["ocsmb"](StrategyConfig(policy, spec, m), ()), spec)
+        adversarial_search(grid, STRATEGIES["ocsmb"](StrategyConfig(bounds, spec, m), ()), spec)
         .max_ratio
         for m in offers
     ]

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hourahead import DiscretizationConfig, StorageSpec, offline_opt_dp
 from hourahead import cli, experiment
@@ -462,6 +463,14 @@ class TestCompare:
             reports.append(json.loads(capsys.readouterr().out)["strategies"])
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("pmin, pmax", [("1e-300", "1e-299"), ("1e300", "1e301")])
+    def test_fonline_sells_at_extreme_bounds(self, pmin, pmax, capsys):
+        # its threshold, the geometric mean of the bounds, neither underflows nor overflows
+        argv = ["compare", "--runs", "1", "--horizon", "5", "--pmin", pmin, "--pmax", pmax]
+        assert main(argv) == 0
+        strategies = json.loads(capsys.readouterr().out)["strategies"]
+        assert strategies["fonline"]["total_profit"] > 0.0
+
 
 # a value other than the default for each setting that compare, simulate or
 # gen-trace takes as a flag; small enough runs, horizon and level count to be quick
@@ -586,6 +595,12 @@ class TestAdversary:
         assert main(argv + ["--levels", "4"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["instances"] == 144
+
+    @pytest.mark.parametrize("pmin, pmax", [("1e-300", "1e-299"), ("1e300", "1e301")])
+    def test_fonline_at_extreme_bounds(self, pmin, pmax, capsys):
+        argv = ["adversary", "--strategy", "fonline", "--horizon", "2", "--capacity", "4"]
+        assert main(argv + ["--levels", "4", "--pmin", pmin, "--pmax", pmax]) == 0
+        assert json.loads(capsys.readouterr().out)["instances"] == 144
 
     def test_budget_exceeded(self, capsys):
         code = main(
@@ -870,3 +885,82 @@ class TestValidationExits:
             "error: an output of 1e+308 MWh is no finite count of 0.05 MWh quanta\n"
         )
 
+
+
+def one_error_line(captured) -> None:
+    """stderr holds one ``error:`` line and no traceback"""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+class TestMalformedFiles:
+    @pytest.fixture
+    def trace_files(self, tmp_path, capsys):
+        prefix = tmp_path / "t"
+        assert main(["gen-trace", "--horizon", "3", "--out-prefix", str(prefix)]) == 0
+        capsys.readouterr()
+        return Path(f"{prefix}-price.csv"), Path(f"{prefix}-wind.csv")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes(b"[experiment]\n# caf\xe9\nruns = 1\n")
+        assert main(["compare", "--horizon", "4", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config {cfg}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("series", [0, 1], ids=["price", "wind"])
+    @pytest.mark.parametrize(
+        "field, message",
+        [(b"\xff", "not UTF-8 text"), (b"1" * 200_000, "field larger than field limit")],
+        ids=["not_utf8", "long_field"],
+    )
+    def test_csv_row_names_file_and_line(self, series, field, message, trace_files, capsys):
+        path = trace_files[series]
+        lines = path.read_bytes().splitlines()
+        lines[2] = lines[2].split(b",")[0] + b"," + field
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        argv = ["simulate", "--price-csv", str(trace_files[0]), "--wind-csv", str(trace_files[1])]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:3: {message}")
+        one_error_line(captured)
+
+    # arbitrary bytes, or bytes after the opening of a well-formed file, so that
+    # the parse gets past the first line
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])  # fmt: skip
+    @given(
+        opening=st.sampled_from([b"", b"[experiment]\n", b"[storage]\ncapacity = "]),
+        data=st.binary(max_size=64),
+    )
+    def test_any_config_bytes(self, opening, data, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes(opening + data)
+        argv = ["adversary", "--horizon", "2", "--capacity", "4", "--levels", "4"]
+        code = main(argv + ["--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        if code:
+            one_error_line(captured)
+        else:
+            assert captured.err == ""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])  # fmt: skip
+    @given(
+        opening=st.sampled_from([b"", b"timestamp,price\n", b"timestamp,price\n2015-01-01T00:00,"]),
+        data=st.binary(max_size=64),
+    )
+    def test_any_price_csv_bytes(self, opening, data, trace_files, capsys):
+        price, wind = trace_files
+        price.write_bytes(opening + data)
+        argv = ["simulate", "--price-csv", str(price), "--wind-csv", str(wind), "--levels", "8"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        if code:
+            one_error_line(captured)
+        else:
+            assert captured.err == ""

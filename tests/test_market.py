@@ -281,22 +281,6 @@ class TestRunColumns:
             z = level
         assert sum(result.profits) == result.total_profit
 
-    def test_min_level(self, penalty):
-        # sell 4 MWh, then 2 MWh from storage, then charge 5 MWh
-        trace = Trace([10.0, 10.0, 10.0], [0.0, 0.0, 5.0])
-        spec = StorageSpec(10.0, 10.0, 10.0, 6.0)
-        plan = (4.0, 2.0, 0.0)
-        result = simulate_run(
-            trace, spec, penalty, lambda t, price, output, level: book((price, plan[t]))
-        )
-        assert result.levels == (2.0, 0.0, 5.0)
-        assert result.min_level(spec.initial_level) == 0.0
-        # the starting level counts when the run never goes below it
-        charging = simulate_run(trace, spec, penalty, offer_nothing)
-        assert charging.levels == (6.0, 6.0, 10.0)
-        assert charging.min_level(spec.initial_level) == 6.0
-        assert charging.min_level(1.0) == 1.0
-
 
 class TestValidation:
     def test_price_bounds(self):

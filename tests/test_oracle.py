@@ -18,7 +18,6 @@ from hourahead import oracle
 from hourahead.experiment import ExperimentConfig, draw_instance
 from hourahead.market import EMPTY_BOOK, OfferBook
 from hourahead.oracle import _quantize, profit_ratio, profit_ratios, ratio_json
-from hourahead.policy import ThresholdPolicy
 from hourahead.strategies import StrategyConfig, socs_strategy
 
 from conftest import non_negative, synthetic_trace
@@ -198,13 +197,12 @@ class TestOfflineOptimum:
         assert fine.total_profit - coarse.total_profit < gap_bound
 
     def test_dominates_strategies(self, bounds, spec, penalty):
-        pol = ThresholdPolicy.build(bounds, spec.capacity)
         disc = DiscretizationConfig(100)
         for seed in range(10):
             trace = synthetic_trace(seed, 60, bounds)
             opt = offline_opt_dp(trace, spec, disc).total_profit
             strat = simulate_run(
-                trace, spec, penalty, socs_strategy(StrategyConfig(pol, spec))
+                trace, spec, penalty, socs_strategy(StrategyConfig(bounds, spec))
             ).total_profit
             assert opt + bounds.p_max * disc.quantum(spec.capacity) * trace.horizon >= strat
 
@@ -415,15 +413,14 @@ class TestEmpiricalRatio:
 
     def test_ratio_floor(self, bounds, spec, penalty):
         # the clairvoyant plan can lose at most one quantum per slot
-        pol = ThresholdPolicy.build(bounds, spec.capacity)
         disc = DiscretizationConfig(100)
         for seed in range(6):
             trace = synthetic_trace(seed, 48, bounds)
             ratio = empirical_cr(
-                trace, spec, penalty, socs_strategy(StrategyConfig(pol, spec)), disc
+                trace, spec, penalty, socs_strategy(StrategyConfig(bounds, spec)), disc
             )
             profit = simulate_run(
-                trace, spec, penalty, socs_strategy(StrategyConfig(pol, spec))
+                trace, spec, penalty, socs_strategy(StrategyConfig(bounds, spec))
             ).total_profit
             eps = bounds.p_max * disc.quantum(spec.capacity) * trace.horizon / profit
             assert ratio >= 1.0 - eps

@@ -14,15 +14,12 @@ from hourahead import (
     ThresholdPolicy,
     Trace,
     ValidationError,
-    mocsmb_offers,
     nostorage_profit,
-    ocsmb_offers,
     settle_offer,
     simulate_run,
-    socs_offer,
 )
 from hourahead.strategies import (
-    fixed_threshold_offer,
+    fixed_threshold_strategy,
     fonline_strategy,
     mocsmb_strategy,
     ocsmb_strategy,
@@ -33,14 +30,18 @@ from conftest import forecast_and_realized, non_negative, synthetic_trace
 from market_reference import socs_offer_reference
 
 
-@pytest.fixture
-def pol_e2():
-    return ThresholdPolicy.build(PriceBounds(10.0, 10.0 * math.e**2), 20.0)
+E2 = PriceBounds(10.0, 10.0 * math.e**2)
+ANY_PRICE = 25.0  # the clearing price a ladder ignores
 
 
 @pytest.fixture
-def cfg_e2(pol_e2):
-    return StrategyConfig(pol_e2, StorageSpec(20.0, 10.0, 10.0), offers=5)
+def cfg_e2():
+    return StrategyConfig(E2, StorageSpec(20.0, 10.0, 10.0), offers=5)
+
+
+@pytest.fixture
+def pol_e2(cfg_e2):
+    return cfg_e2.policy
 
 
 def bisect_inverse(pol, price, tol=1e-12):
@@ -72,9 +73,9 @@ class TestSocsOffer:
         # the conditionals pick what the builtin min and max pick, bit for bit
         bounds = PriceBounds(10.0, 10.0 * theta)
         price = bounds.p_min + price_frac * (bounds.p_max - bounds.p_min)
-        cfg = StrategyConfig(ThresholdPolicy.build(bounds, capacity), StorageSpec(capacity, rc, rd))
+        cfg = StrategyConfig(bounds, StorageSpec(capacity, rc, rd))
         level = level_frac * capacity
-        book = socs_offer(cfg, price, output, level)
+        book = socs_strategy(cfg)(0, price, output, level)
         ref = socs_offer_reference(cfg, price, output, level)
         assert [x.hex() for x in book.prices + book.volumes] == [
             x.hex() for x in ref.prices + ref.volumes
@@ -82,7 +83,7 @@ class TestSocsOffer:
 
     def test_market_beats_candidate(self, pol_e2, cfg_e2):
         # z=10, u=2, p=20: sell down to the level whose threshold equals 20
-        book = socs_offer(cfg_e2, 20.0, 2.0, 10.0)
+        book = socs_strategy(cfg_e2)(0, 20.0, 2.0, 10.0)
         assert len(book) == 1
         assert book.prices == (20.0,)
         expected = 12.0 - bisect_inverse(pol_e2, 20.0)
@@ -91,51 +92,48 @@ class TestSocsOffer:
 
     def test_floor_price_drains_to_threshold(self, cfg_e2):
         # z=15, u=1, p=p_min: sell 16 - min(c_th, 25)
-        book = socs_offer(cfg_e2, 10.0, 1.0, 15.0)
+        book = socs_strategy(cfg_e2)(0, 10.0, 1.0, 15.0)
         assert book.volumes[0] == pytest.approx(1.359, abs=5e-4)
 
     def test_candidate_above_market_offers_surplus_only(self, cfg_e2):
         # u=3 fits within the charge rate: nothing to offer
-        assert len(socs_offer(cfg_e2, 10.0, 3.0, 0.0)) == 0
+        assert len(socs_strategy(cfg_e2)(0, 10.0, 3.0, 0.0)) == 0
         # u beyond the charge rate must be sold even at a bad price
-        big_u = StrategyConfig(cfg_e2.policy, StorageSpec(20.0, 2.0, 10.0))
-        book = socs_offer(big_u, 10.0, 5.0, 0.0)
+        big_u = StrategyConfig(E2, StorageSpec(20.0, 2.0, 10.0))
+        book = socs_strategy(big_u)(0, 10.0, 5.0, 0.0)
         assert book.volumes[0] == pytest.approx(3.0)
 
-    def test_volume_capped_at_deliverable(self, pol_e2):
-        tight = StrategyConfig(pol_e2, StorageSpec(20.0, 10.0, 2.0))
-        book = socs_offer(tight, pol_e2.bounds.p_max, 1.0, 18.0)
+    def test_volume_capped_at_deliverable(self):
+        tight = StrategyConfig(E2, StorageSpec(20.0, 10.0, 2.0))
+        book = socs_strategy(tight)(0, E2.p_max, 1.0, 18.0)
         assert book.volumes[0] <= 1.0 + 2.0
 
     def test_never_overcommits(self, bounds, spec, penalty):
-        pol = ThresholdPolicy.build(bounds, spec.capacity)
         for seed in range(8):
             trace = synthetic_trace(seed, 100, bounds)
             result = simulate_run(
-                trace, spec, penalty, socs_strategy(StrategyConfig(pol, spec))
+                trace, spec, penalty, socs_strategy(StrategyConfig(bounds, spec))
             )
             assert all(y == 0.0 for y in result.over_commitments)
 
     def test_never_overcommits_tight_rates(self, bounds, penalty):
         tight = StorageSpec(20.0, 3.0, 2.0, 20.0)
-        pol = ThresholdPolicy.build(bounds, tight.capacity)
         for seed in range(8):
             trace = synthetic_trace(100 + seed, 100, bounds)
             result = simulate_run(
-                trace, tight, penalty, socs_strategy(StrategyConfig(pol, tight))
+                trace, tight, penalty, socs_strategy(StrategyConfig(bounds, tight))
             )
             assert all(y == 0.0 for y in result.over_commitments)
 
     def test_never_sells_below_the_threshold_floor(self, bounds, spec, penalty):
         # a sale at price p never drains the level below the point where the
         # threshold curve reaches p (or below the sell-at-any-price level)
-        pol = ThresholdPolicy.build(bounds, spec.capacity)
+        cfg = StrategyConfig(bounds, spec)
+        pol = cfg.policy
         for seed in range(6):
             trace = synthetic_trace(seed, 100, bounds)
             level = spec.initial_level
-            result = simulate_run(
-                trace, spec, penalty, socs_strategy(StrategyConfig(pol, spec))
-            )
+            result = simulate_run(trace, spec, penalty, socs_strategy(cfg))
             for price, level_after in zip(trace.prices, result.levels):
                 floor = pol.c_th if price <= bounds.p_min else pol.eval_g_inverse(price)
                 assert level_after >= min(floor, level) - 1e-9
@@ -145,7 +143,7 @@ class TestSocsOffer:
 class TestOcsmbOffers:
     def test_ladder_below_threshold(self, pol_e2, cfg_e2):
         # z=0, u=4, m=5: four unit rungs priced at g(3), g(2), g(1), g(0)
-        book = ocsmb_offers(cfg_e2, 4.0, 0.0)
+        book = ocsmb_strategy(cfg_e2)(0, ANY_PRICE, 4.0, 0.0)
         assert len(book) == 4
         volumes = list(book.volumes)
         prices = list(book.prices)
@@ -157,8 +155,8 @@ class TestOcsmbOffers:
     def test_above_threshold_floor_offer_and_capped_ladder(self, pol_e2):
         # z=18, u=2, m=3: floor offer drains to c_th; the ladder splits the
         # remaining deliverable energy, not more than the storage can emit
-        cfg = StrategyConfig(pol_e2, StorageSpec(20.0, 10.0, 10.0), offers=3)
-        book = ocsmb_offers(cfg, 2.0, 18.0)
+        cfg = StrategyConfig(E2, StorageSpec(20.0, 10.0, 10.0), offers=3)
+        book = ocsmb_strategy(cfg)(0, ANY_PRICE, 2.0, 18.0)
         deliverable = 2.0 + 10.0
         assert book.prices[0] == pol_e2.bounds.p_min
         assert book.volumes[0] == pytest.approx(20.0 - pol_e2.c_th, rel=1e-12)
@@ -169,48 +167,46 @@ class TestOcsmbOffers:
         assert book.total_volume == pytest.approx(deliverable, abs=1e-12)
 
     def test_nothing_to_offer(self, cfg_e2):
-        assert len(ocsmb_offers(cfg_e2, 0.0, 0.0)) == 0
+        assert len(ocsmb_strategy(cfg_e2)(0, ANY_PRICE, 0.0, 0.0)) == 0
 
     def test_single_offer_mode(self, pol_e2):
-        cfg = StrategyConfig(pol_e2, StorageSpec(20.0, 10.0, 10.0), offers=1)
-        book = ocsmb_offers(cfg, 2.0, 18.0)
+        cfg = StrategyConfig(E2, StorageSpec(20.0, 10.0, 10.0), offers=1)
+        book = ocsmb_strategy(cfg)(0, ANY_PRICE, 2.0, 18.0)
         assert len(book) == 1
         assert book.prices[0] == pol_e2.bounds.p_min
 
-    def test_book_never_exceeds_deliverable(self, pol_e2):
+    def test_book_never_exceeds_deliverable(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
             spec = StorageSpec(
                 20.0, float(rng.uniform(0, 12)), float(rng.uniform(0, 12)), 0.0
             )
-            cfg = StrategyConfig(pol_e2, spec, offers=int(rng.integers(1, 12)))
+            cfg = StrategyConfig(E2, spec, offers=int(rng.integers(1, 12)))
             u = float(rng.uniform(0, 15))
             z = float(rng.uniform(0, 20))
-            book = ocsmb_offers(cfg, u, z)
+            book = ocsmb_strategy(cfg)(0, ANY_PRICE, u, z)
             deliverable = u + min(z, spec.discharge_rate)
             assert book.total_volume <= deliverable + 1e-9
 
     def test_no_overcommit_with_exact_output(self, bounds, spec, penalty):
-        pol = ThresholdPolicy.build(bounds, spec.capacity)
         for seed in range(8):
             trace = synthetic_trace(seed, 100, bounds)
             result = simulate_run(
-                trace, spec, penalty, ocsmb_strategy(StrategyConfig(pol, spec))
+                trace, spec, penalty, ocsmb_strategy(StrategyConfig(bounds, spec))
             )
             assert all(y <= 1e-12 for y in result.over_commitments)
 
     def test_converges_to_known_price_strategy(self, bounds, spec, penalty):
-        pol = ThresholdPolicy.build(bounds, spec.capacity)
         gaps = []
         for m in (2, 5, 10, 50):
             gap = 0.0
             for seed in range(12):
                 trace = synthetic_trace(seed, 48, bounds)
                 known = simulate_run(
-                    trace, spec, penalty, socs_strategy(StrategyConfig(pol, spec))
+                    trace, spec, penalty, socs_strategy(StrategyConfig(bounds, spec))
                 ).total_profit
                 laddered = simulate_run(
-                    trace, spec, penalty, ocsmb_strategy(StrategyConfig(pol, spec, offers=m))
+                    trace, spec, penalty, ocsmb_strategy(StrategyConfig(bounds, spec, offers=m))
                 ).total_profit
                 gap += abs(known - laddered)
             gaps.append(gap / 12)
@@ -222,7 +218,8 @@ def _bits(x):
 
 
 def ocsmb_fields_reference(cfg, output, level):
-    """floor_volume, span and top of ``ocsmb_offers``, with the builtin min and max."""
+    """floor_volume, span and top of an ``ocsmb_strategy`` ladder, with the
+    builtin min and max."""
     pol, spec = cfg.policy, cfg.spec
     deliverable = output + min(level, spec.discharge_rate)
     if min(output, spec.charge_rate) + level > pol.c_th:
@@ -251,8 +248,8 @@ class TestLadderClosedForm:
     ):
         bounds = PriceBounds(10.0, 10.0 * theta)
         spec = StorageSpec(capacity, charge, discharge)
-        cfg = StrategyConfig(ThresholdPolicy.build(bounds, capacity), spec, offers=offers)
-        ladder = ocsmb_offers(cfg, u, z_frac * capacity)
+        cfg = StrategyConfig(bounds, spec, offers=offers)
+        ladder = ocsmb_strategy(cfg)(0, ANY_PRICE, u, z_frac * capacity)
         book = OfferBook(ladder.prices, ladder.volumes)  # checks the price order
         assert len(ladder) == len(book)
         assert _bits(ladder.total_volume) == _bits(book.total_volume)
@@ -274,15 +271,14 @@ class TestLadderClosedForm:
     def test_fields_match_builtin_min_max(self, theta, u, z_frac, charge, discharge, capacity):
         bounds = PriceBounds(10.0, 10.0 * theta)
         spec = StorageSpec(capacity, charge, discharge)
-        cfg = StrategyConfig(ThresholdPolicy.build(bounds, capacity), spec)
-        ladder = ocsmb_offers(cfg, u, z_frac * capacity)
+        cfg = StrategyConfig(bounds, spec)
+        ladder = ocsmb_strategy(cfg)(0, ANY_PRICE, u, z_frac * capacity)
         fields = (ladder.floor_volume, ladder.span, ladder.top)
         reference = ocsmb_fields_reference(cfg, u, z_frac * capacity)
         assert list(map(_bits, fields)) == list(map(_bits, reference))
 
     def test_run_matches_materialized_books(self, bounds, spec, penalty):
-        cfg = StrategyConfig(ThresholdPolicy.build(bounds, spec.capacity), spec)
-        strategy = ocsmb_strategy(cfg)
+        strategy = ocsmb_strategy(StrategyConfig(bounds, spec))
         assert isinstance(strategy(0, 20.0, 5.0, 10.0), Ladder)
 
         def materialized(t, price, output, level):
@@ -330,19 +326,23 @@ class TestLadderClosedForm:
 
 
 class TestMocsmbOffers:
-    def test_zero_error_is_identical(self, pol_e2):
-        cfg = StrategyConfig(pol_e2, StorageSpec(20.0, 10.0, 10.0), offers=5, e_max=0.2)
-        for u, z in ((4.0, 0.0), (2.0, 18.0), (7.5, 11.0)):
-            assert mocsmb_offers(replace(cfg, e_max=0.0), u, z) == ocsmb_offers(cfg, u, z)
+    def test_zero_error_is_identical(self):
+        cfg = StrategyConfig(E2, StorageSpec(20.0, 10.0, 10.0), offers=5, e_max=0.2)
+        states = ((4.0, 0.0), (2.0, 18.0), (7.5, 11.0))
+        hedged = mocsmb_strategy(replace(cfg, e_max=0.0), [u for u, _z in states])
+        exact = ocsmb_strategy(cfg)
+        for t, (u, z) in enumerate(states):
+            assert hedged(t, ANY_PRICE, u, z) == exact(t, ANY_PRICE, u, z)
 
-    def test_scales_prediction_down(self, pol_e2):
-        cfg = StrategyConfig(pol_e2, StorageSpec(20.0, 10.0, 10.0), offers=5, e_max=0.1)
-        assert mocsmb_offers(cfg, 10.0, 5.0) == ocsmb_offers(cfg, 9.0, 5.0)
+    def test_scales_prediction_down(self):
+        # the predicted output, scaled to the band's low end; the realized one is unread
+        cfg = StrategyConfig(E2, StorageSpec(20.0, 10.0, 10.0), offers=5, e_max=0.1)
+        hedged = mocsmb_strategy(cfg, [10.0])(0, ANY_PRICE, 3.0, 5.0)
+        assert hedged == ocsmb_strategy(cfg)(0, ANY_PRICE, 9.0, 5.0)
 
     def test_never_overcommits_within_band(self, bounds, spec, penalty):
-        pol = ThresholdPolicy.build(bounds, spec.capacity)
         for e_max in (0.1, 0.3, 0.49):
-            cfg = StrategyConfig(pol, spec, offers=10, e_max=e_max)
+            cfg = StrategyConfig(bounds, spec, offers=10, e_max=e_max)
             for seed in range(4):
                 forecast, realized = forecast_and_realized(seed, 80, bounds, e_max)
                 result = simulate_run(
@@ -353,9 +353,8 @@ class TestMocsmbOffers:
     def test_commitment_floor_vs_exact_output(self, bounds, spec, penalty):
         # the conservative ladder commits at least (1 - 2 e_max) of what the
         # exact-output ladder commits, in total, on every suite instance
-        pol = ThresholdPolicy.build(bounds, spec.capacity)
         for e_max in (0.1, 0.3):
-            cfg = StrategyConfig(pol, spec, offers=10, e_max=e_max)
+            cfg = StrategyConfig(bounds, spec, offers=10, e_max=e_max)
             for seed in range(6):
                 forecast, realized = forecast_and_realized(seed, 80, bounds, e_max)
                 exact = simulate_run(realized, spec, penalty, ocsmb_strategy(cfg))
@@ -380,6 +379,13 @@ class TestBaselines:
     def test_fonline_empty(self, spec):
         assert len(fonline_strategy(PriceBounds(10.0, 40.0), spec)(0, 25.0, 0.0, 0.0)) == 0
 
+    @pytest.mark.parametrize("p_min, p_max", [(1e-300, 1e-299), (1e300, 1e301)])
+    def test_fonline_threshold_at_extreme_bounds(self, spec, p_min, p_max):
+        # sqrt(p_min * p_max) would underflow to 0.0 or overflow to inf here
+        book = fonline_strategy(PriceBounds(p_min, p_max), spec)(0, p_max, 1.0, 5.0)
+        assert p_min < book.prices[0] < p_max
+        assert book.prices[0] == pytest.approx(p_min * math.sqrt(10.0), rel=1e-15)
+
     @settings(max_examples=400)
     @given(
         output=non_negative(30.0),
@@ -388,13 +394,14 @@ class TestBaselines:
     )
     def test_fixed_threshold_offer_matches_builtin_min(self, output, level, rate_d):
         # the conditional picks what the builtin min picks, bit for bit
-        book = fixed_threshold_offer(25.0, StorageSpec(20.0, 10.0, rate_d), output, level)
+        strategy = fixed_threshold_strategy(25.0, StorageSpec(20.0, 10.0, rate_d))
+        book = strategy(0, 10.0, output, level)
         available = output + min(level, rate_d)
         expected = (available,) if available > 0.0 else ()
         assert [v.hex() for v in book.volumes] == [v.hex() for v in expected]
 
     def test_fixed_threshold_offer(self, spec):
-        book = fixed_threshold_offer(25.0, spec, 2.0, 4.0)
+        book = fixed_threshold_strategy(25.0, spec)(0, 10.0, 2.0, 4.0)
         assert book.prices == (25.0,)
         assert book.volumes == (6.0,)
 
@@ -405,10 +412,18 @@ class TestBaselines:
 
 
 class TestConfigValidation:
-    def test_offer_count(self, pol_e2, spec):
+    def test_offer_count(self, spec):
         with pytest.raises(ValidationError):
-            StrategyConfig(pol_e2, spec, offers=0)
+            StrategyConfig(E2, spec, offers=0)
 
-    def test_error_bound(self, pol_e2, spec):
+    def test_error_bound(self, spec):
         with pytest.raises(ValidationError):
-            StrategyConfig(pol_e2, spec, e_max=0.5)
+            StrategyConfig(E2, spec, e_max=0.5)
+
+    def test_policy_is_built_from_the_storage_capacity(self, bounds, spec):
+        cfg = StrategyConfig(bounds, spec)
+        assert cfg.policy == ThresholdPolicy.build(bounds, spec.capacity)
+        smaller = replace(cfg, spec=StorageSpec(10.0, 10.0, 10.0))
+        assert smaller.policy == ThresholdPolicy.build(bounds, 10.0)
+        with pytest.raises(TypeError):
+            StrategyConfig(bounds, spec, policy=cfg.policy)

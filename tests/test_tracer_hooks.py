@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from hourahead import StrategyConfig, ThresholdPolicy, cli, simulate_run
-from hourahead.experiment import STRATEGIES, ExperimentConfig, draw_instance
+from hourahead import cli, simulate_run
+from hourahead.experiment import STRATEGIES, ExperimentConfig, draw_instance, strategy_config
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -38,10 +38,8 @@ def test_every_traced_attribute_is_callable(tracer):
 @pytest.mark.parametrize("name", list(STRATEGIES))
 def test_traced_callback_runs_like_untraced(name, tracer, tmp_path):
     cfg = ExperimentConfig(horizon=48, seed=7)
-    policy = ThresholdPolicy.build(cfg.bounds, cfg.spec.capacity)
-    strat_cfg = StrategyConfig(policy, cfg.spec, offers=cfg.offers, e_max=cfg.e_max)
     trace, predicted = draw_instance(cfg, 0)
-    callback = STRATEGIES[name](strat_cfg, predicted)
+    callback = STRATEGIES[name](strategy_config(cfg), predicted)
     recorder = tracer.Tracer(tmp_path)
     traced = simulate_run(trace, cfg.spec, cfg.penalty, recorder.wrap_callback(name, callback))
     assert traced == simulate_run(trace, cfg.spec, cfg.penalty, callback)
