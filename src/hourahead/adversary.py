@@ -14,8 +14,11 @@ grid DP per instance would, and as ``offline_opt_dp`` up to rounding:
 * The strategy walks the tree of slot-choice prefixes in
   ``itertools.product`` order.  A prefix's state is its storage level, its
   running profit and its running minimum level, and the storage level takes
-  few distinct values per slot, so the strategy and ``market.play_slot`` run
-  once per (distinct level, slot choice) and numpy gathers the children.
+  few distinct values per slot, so each slot steps the numpy columns of its
+  (distinct level, slot choice) states once: the strategy's column form
+  (``strategies.socs_columns``, or ``market.scalar_columns`` of a callback)
+  gives their commitments and ``market.play_columns`` their profits and next
+  levels, and numpy gathers the children.
 * The oracle's values from slot s on depend only on the slot choices from s
   on, so ``oracle.grid_step`` builds them once per suffix of slot choices:
   a table walked back from v_T = 0, each slot tiling the rows once per slot
@@ -24,9 +27,12 @@ grid DP per instance would, and as ``offline_opt_dp`` up to rounding:
   length that share their choices in the leading slots s-1 ... 0, and a
   chunk is as many whole blocks as fit in CHUNK_CELLS cells: the table,
   tiled once, steps through slots s-1 ... 1 with one choice column per
-  block, and through slot 0 at the initial level only.  The ratios, the
-  min-level buckets (by grid index) and the first argmax are reduced per
-  chunk, so no array spans the whole grid times the storage levels.
+  block, and through slot 0 at the initial level only.  A chunk's
+  instances read their prefixes' running profits and minimum-level indices
+  and the last slot's rows from the slice of prefixes that covers them.
+  The ratios, the min-level buckets (by grid index) and the first argmax are
+  reduced per chunk, so no array spans the whole grid times the storage
+  levels.
 """
 from __future__ import annotations
 
@@ -37,12 +43,12 @@ import numpy as np
 
 from .errors import BudgetExceededError, InstanceTooLargeError, ValidationError
 from .market import (  # simulate_run stays for bench/tracer.py to replace by name
-    OfferStrategy,
+    ColumnStrategy,
     PenaltyParams,
     PriceBounds,
     StorageSpec,
     Trace,
-    play_slot,
+    play_columns,
     simulate_run,
 )
 from .oracle import (  # offline_opt_dp stays for bench/tracer.py to replace by name
@@ -251,45 +257,45 @@ class WorstCaseReport:
     instances: int
 
 
-def _slot_table(strategy, spec, penalty, choices, t: int, level: np.ndarray):
-    """One ``play_slot`` per (distinct level, slot choice) of slot t.
-
-    Levels are grouped by their exact bits, so -0.0 and 0.0 stay apart.
-    Returns each level's group index and the net profit and next level per
-    (group, slot choice).
-    """
-    _bits, first, group = np.unique(level.view(np.int64), return_index=True, return_inverse=True)
-    step = np.array(
-        [
-            [play_slot(strategy, spec, penalty, t, p, u, z)[4:] for p, u in choices]
-            for z in level[first].tolist()
-        ],
-        dtype=float,
-    )
-    return group, step[..., 0], step[..., 1]
+def _slot_table(strategy: ColumnStrategy, spec, penalty, prices, supplies, t: int, levels):
+    """Slot t from each of the distinct ``levels`` times the slot choices
+    (``prices``, ``supplies``): the net profit and next level per (level,
+    slot choice)."""
+    z = levels[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # quiet, as play_slot's floats are
+        x = strategy(t, prices, supplies, z)
+        *_, profit, after = play_columns(x, spec, penalty, prices, supplies, z)
+    return profit, after
 
 
-def _prefix_states(strategy: OfferStrategy, spec: StorageSpec, choices: list, horizon: int):
+def _prefix_states(strategy: ColumnStrategy, spec: StorageSpec, prices, supplies, horizon: int):
     """The strategy over every prefix of slot choices, in product order.
 
-    Returns the running profit and running minimum level of each of the
-    S**(T-1) prefixes of T-1 slots, and the last slot's ``_slot_table``.
+    A slot's prefixes reach few distinct levels, grouped by their exact bits
+    (so -0.0 and 0.0 stay apart) in bit order.  Returns the running profit,
+    the running minimum level and the level's group of each of the S**(T-1)
+    prefixes of T-1 slots, and the last slot's ``_slot_table`` per group.
     """
-    penalty = PenaltyParams()
-    level = np.array([spec.initial_level], dtype=float)
+    penalty, width = PenaltyParams(), len(prices)
+    levels = np.array([spec.initial_level], dtype=float)
+    group = np.zeros(1, dtype=np.intp)
     total = np.zeros(1)
-    low = level
+    low = levels
     for t in range(horizon - 1):
-        group, profit, after = _slot_table(strategy, spec, penalty, choices, t, level)
-        total = np.repeat(total, len(choices)) + profit[group].ravel()
-        level = after[group].ravel()
-        low = np.minimum(np.repeat(low, len(choices)), level)
-    return (total, low, *_slot_table(strategy, spec, penalty, choices, horizon - 1, level))
+        profit, after = _slot_table(strategy, spec, penalty, prices, supplies, t, levels)
+        total = np.repeat(total, width) + profit[group].ravel()
+        low = np.minimum(np.repeat(low, width), after[group].ravel())
+        # every (group, choice) is reached, so the table holds the next distinct levels
+        bits, inverse = np.unique(after.ravel().view(np.int64), return_inverse=True)
+        levels = bits.view(np.float64)
+        group = inverse.reshape(-1, width)[group].ravel()
+    last = _slot_table(strategy, spec, penalty, prices, supplies, horizon - 1, levels)
+    return (total, low, group, *last)
 
 
 @overflow_is_an_error()
 def adversarial_search(
-    grid: AdversaryGrid, strategy: OfferStrategy, spec: StorageSpec
+    grid: AdversaryGrid, strategy: ColumnStrategy, spec: StorageSpec
 ) -> WorstCaseReport:
     """Measure the profit ratio on every instance of the grid.
 
@@ -297,20 +303,29 @@ def adversarial_search(
     ``itertools.product`` order, and the per-bucket maxima keyed by the
     minimum storage level the strategy reached (grid units, rounded), with
     the oracle on the grid's storage quantization and the default penalty.
-    `strategy` must be a pure function of its arguments (see
-    ``market.OfferStrategy``): it is called once per distinct state.  The
-    grid checked its size and the oracle's work when it was built.
+    `strategy` is a strategy's column form (``strategies.socs_columns``, or
+    ``market.scalar_columns`` of a callback) and must be a pure function of
+    its arguments (see ``market.ColumnStrategy``): it is called once per slot,
+    over the slot's distinct states.  The grid checked its size and the
+    oracle's work when it was built.
     """
     eta, u_units, rc, rd, k0 = _quantize(grid.supply_levels, spec, grid.disc)
     n, horizon = grid.disc.levels, grid.horizon
 
-    # slot choices in itertools.product order of (price, supply)
-    choices = [(float(p), float(u)) for p in grid.price_levels for u in grid.supply_levels]
-    width = len(choices)
-    total, low, group, last_profit, last_level = _prefix_states(strategy, spec, choices, horizon)
+    # the slot choices' columns, in itertools.product order of (price, supply)
+    price_col = np.repeat(np.array(grid.price_levels, dtype=float), len(grid.supply_levels))
+    supply_col = np.tile(np.array(grid.supply_levels, dtype=float), len(grid.price_levels))
+    width = len(price_col)
+    total, low, group, last_profit, last_level = _prefix_states(
+        strategy, spec, price_col, supply_col, horizon
+    )
+    # the grid index of a level, rounded as Python rounds: half to even; a
+    # level lies in [0, C], so the index lies in [0, n].  Rounding is
+    # monotone, so an instance's minimum level has the smaller of the indices
+    # of its prefix's minimum and of its last level
+    low, last_low = (np.rint(level / eta).astype(np.intp) for level in (low, last_level))
     # the oracle's columns per slot choice
     choice_units = u_units * len(grid.price_levels)
-    price_col = np.array([p for p, _u in choices])
     unit_col = np.array(choice_units, dtype=float)
     # clipped as Python ints, so a huge supply cannot make the array uint64 or object
     cap_col = np.array([min(rc, u) for u in choice_units])
@@ -344,29 +359,28 @@ def adversarial_search(
         for t in reversed(range(s)):
             c = (b // width ** (s - 1 - t) % width)[:, None, None]
             v, _best = (step if t else at_k0)(v, price_col[c], unit_col[c], cap_col[c])
-        idx = np.arange(b0 * len(table), (b0 + len(b)) * len(table))
-        parent, last = np.divmod(idx, width)
-        g = group[parent]
-        lowest = np.minimum(low[parent], last_level[g, last])
-        ratio = profit_ratios(v.ravel(), total[parent] + last_profit[g, last])
-
-        # the minimum level's grid index, rounded as Python rounds: half to
-        # even; a level lies in [0, C], so the index lies in [0, n]
-        i = np.rint(lowest / eta).astype(np.intp)
+        # instance i is prefix i // width's last slot choice i % width, so the
+        # chunk's instances [i0, i1) are cut from its prefixes' rows
+        i0, i1 = b0 * len(table), (b0 + len(b)) * len(table)
+        p0, p1 = i0 // width, -(-i1 // width)
+        cut = slice(i0 - p0 * width, i1 - p0 * width)
+        g = group[p0:p1]
+        ratio = profit_ratios(v.ravel(), (total[p0:p1, None] + last_profit[g]).ravel()[cut])
+        i = np.minimum(low[p0:p1, None], last_low[g]).ravel()[cut]  # the minimum level's index
         np.maximum.at(peaks, i, ratio)
-        np.minimum.at(first, i, idx)
+        np.minimum.at(first, i, np.arange(i0, i1))
         top = int(ratio.argmax())
         if ratio[top] > best:
             best = ratio[top].item()
-            argmax = b0 * len(table) + top
+            argmax = i0 + top
 
     # the buckets reached, by first appearance; no key j * eta is -0.0
     reached = np.argsort(first)[: np.count_nonzero(first < grid.instance_count)]
     buckets = {j * eta: peaks[j].item() for j in reached.tolist()}
-    combo = [choices[argmax // stride % width] for stride in strides]
+    combo = [argmax // stride % width for stride in strides]
     return WorstCaseReport(
         max_ratio=best,
-        argmax_instance=Trace(*zip(*combo)),
+        argmax_instance=Trace(price_col[combo].tolist(), supply_col[combo].tolist()),
         bucket_ratios=buckets,
         instances=grid.instance_count,
     )

@@ -30,7 +30,7 @@ from .experiment import (
     run_offer_sweep,
     strategy_config,
 )
-from .market import PenaltyParams, PriceBounds, StorageSpec, simulate_run
+from .market import PenaltyParams, PriceBounds, StorageSpec, scalar_columns, simulate_run
 from .oracle import check_dp_cells, offline_opt_dp, profit_ratio, ratio_json
 from .policy import theoretical_cr
 from .strategies import (  # the *_strategy factories stay for bench/tracer.py to replace by name
@@ -39,6 +39,7 @@ from .strategies import (  # the *_strategy factories stay for bench/tracer.py t
     fonline_strategy,
     mocsmb_strategy,
     ocsmb_strategy,
+    socs_columns,
     socs_strategy,
 )
 from .traces import load_trace, write_trace_csv
@@ -306,22 +307,24 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _adversary_strategy(args, values, bounds, spec):
-    """The strategy to search and the ratio bound it is known to meet, or None."""
+    """The column form of the strategy to search and the ratio bound it is
+    known to meet, or None."""
     if args.threshold is not None and args.strategy != "const":
         raise ValidationError(f"--threshold is read only by --strategy const, not {args.strategy}")
     if args.offers is not None and args.strategy != "ocsmb":  # a config file's is compare's
         raise ValidationError(f"--offers is read only by --strategy ocsmb, not {args.strategy}")
     if args.strategy in STRATEGIES:
         cfg = StrategyConfig(bounds, spec, offers=values["offers"])
-        bound = cfg.policy.cr_value if args.strategy == "socs" else None
-        return STRATEGIES[args.strategy](cfg, ()), bound
+        if args.strategy == "socs":
+            return socs_columns(cfg), cfg.policy.cr_value
+        return scalar_columns(STRATEGIES[args.strategy](cfg, ())), None
     if args.strategy == "gmin":
-        return fixed_threshold_strategy(bounds.p_min, spec), bounds.theta
+        return scalar_columns(fixed_threshold_strategy(bounds.p_min, spec)), bounds.theta
     if args.threshold is None:
-        return fonline_strategy(bounds, spec), None
+        return scalar_columns(fonline_strategy(bounds, spec)), None
     if not bounds.p_min < args.threshold <= bounds.p_max:
         raise ValidationError(f"const threshold {args.threshold} must lie in (p_min, p_max]")
-    return fixed_threshold_strategy(args.threshold, spec), None
+    return scalar_columns(fixed_threshold_strategy(args.threshold, spec)), None
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from operator import itemgetter, le
 from typing import Callable
 
+import numpy as np
+
 from .errors import ValidationError
 
 
@@ -182,9 +184,14 @@ class RunResult:
 # to an offer book (an ``OfferBook`` or a ``strategies.Ladder``).  Strategies
 # that must act before the price is revealed simply ignore the price argument.
 # A callback must be a pure function of those four arguments: the adversary
-# calls it once per distinct (slot, price, output, level) and reuses the book
-# for every instance that reaches that state.
+# calls it only through ``scalar_columns``, once per distinct (slot, price,
+# output, level), and reuses the commitment for every instance that reaches
+# that state.
 OfferStrategy = Callable[[int, float, float, float], OfferBook]
+# A strategy's column form maps (slot index, prices, outputs, levels), numpy
+# columns that broadcast together, to the commitment of each state: what the
+# callback's book settles to at the state's price.
+ColumnStrategy = Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def settle_offer(book: OfferBook, clearing_price: float) -> float:
@@ -230,6 +237,40 @@ def play_slot(
     next_level = capacity if capacity < next_level else next_level
     profit = price * x - (penalty.alpha1 * price + penalty.alpha2) * over
     return x, over, charge, discharge, profit, next_level
+
+
+def scalar_columns(strategy: OfferStrategy) -> ColumnStrategy:
+    """The column form of a callback: one call and one ``settle`` per state,
+    in row-major order of the broadcast columns, as ``play_slot`` settles."""
+
+    def columns(t: int, prices, outputs, levels) -> np.ndarray:
+        cols = np.broadcast_arrays(prices, outputs, levels)
+        p, u, z = (col.ravel().tolist() for col in cols)
+        x = [strategy(t, *state).settle(state[0]) for state in zip(p, u, z)]
+        return np.array(x, dtype=float).reshape(cols[0].shape)
+
+    return columns
+
+
+def play_columns(x, spec: StorageSpec, penalty: PenaltyParams, prices, u, level) -> tuple:
+    """``play_slot`` over numpy columns of commitments, prices, outputs and
+    levels that broadcast together: returns the (over-commitment, charge,
+    discharge, net profit, next level) columns, bit for bit, each conditional
+    an ``np.where`` that picks the operand ``play_slot`` picks."""
+    rate_d, rate_c, capacity = spec.discharge_rate, spec.charge_rate, spec.capacity
+    deliverable = u + np.where(rate_d < level, rate_d, level)
+    over = np.where(x < deliverable, 0.0, x - deliverable)
+    delivered = np.where(deliverable < x, deliverable, x)
+    charge = np.where(u < delivered, 0.0, u - delivered)
+    charge = np.where(charge < rate_c, charge, rate_c)
+    discharge = np.where(delivered < u, 0.0, delivered - u)
+    discharge = np.where(discharge < rate_d, discharge, rate_d)
+    discharge = np.where(level < discharge, level, discharge)
+    next_level = level + charge - discharge
+    next_level = np.where(next_level < 0.0, 0.0, next_level)
+    next_level = np.where(capacity < next_level, capacity, next_level)
+    profit = prices * x - (penalty.alpha1 * prices + penalty.alpha2) * over
+    return over, charge, discharge, profit, next_level
 
 
 def simulate_run(

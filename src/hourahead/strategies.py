@@ -1,8 +1,9 @@
 """Offering strategies: threshold-based sellers and the simple baselines.
 
 Each factory returns the strategy itself: a per-slot callback for
-``simulate_run`` that binds the run's constants once.  The three threshold
-strategies share the same curve:
+``simulate_run`` that binds the run's constants once (``socs_columns`` is
+socs over numpy columns of states, for the worst-case search).  The three
+threshold strategies share the same curve:
 
 * ``socs_strategy``   - next-slot price and output are both known; submits a
   single offer at the clearing price.
@@ -22,8 +23,18 @@ from dataclasses import dataclass, field
 from operator import itemgetter, sub
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ValidationError
-from .market import EMPTY_BOOK, OfferBook, OfferStrategy, PriceBounds, StorageSpec, Trace
+from .market import (
+    EMPTY_BOOK,
+    ColumnStrategy,
+    OfferBook,
+    OfferStrategy,
+    PriceBounds,
+    StorageSpec,
+    Trace,
+)
 from .policy import ThresholdPolicy
 
 
@@ -164,6 +175,44 @@ def socs_strategy(cfg: StrategyConfig) -> OfferStrategy:
         if volume == 0.0:
             return EMPTY_BOOK
         return OfferBook((price,), (volume,))
+
+    return socs
+
+
+def _at_distinct(f, values: np.ndarray) -> np.ndarray:
+    """f of each element, called once per distinct bit pattern in order of
+    first appearance, so a raise is the one an element-wise loop meets first."""
+    flat = values.ravel()
+    _bits, first, inverse = np.unique(flat.view(np.int64), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    out = np.empty(len(first))
+    out[order] = [f(v) for v in flat[first[order]].tolist()]
+    return out[inverse].reshape(values.shape)
+
+
+def socs_columns(cfg: StrategyConfig) -> ColumnStrategy:
+    """``socs_strategy(cfg)`` followed by ``settle(price)`` over numpy columns,
+    bit for bit: the callback's expressions with each conditional an
+    ``np.where``, and ``eval_g`` and ``eval_g_inverse`` called once per
+    distinct argument and only where the callback calls them (numpy's exp and
+    log differ from ``math``'s in the last bits)."""
+    pol, spec = cfg.policy, cfg.spec
+    c_th, p_min = pol.c_th, cfg.bounds.p_min
+    capacity, rate_c, rate_d = spec.capacity, spec.charge_rate, spec.discharge_rate
+
+    def threshold_level(price: float) -> float:
+        return c_th if price <= p_min else pol.eval_g_inverse(price)
+
+    def socs(t: int, prices, outputs, levels) -> np.ndarray:
+        stock = levels + outputs
+        hold = _at_distinct(pol.eval_g, np.where(capacity < stock, capacity, stock)) > prices
+        # a holding state does not invert its price: p_min stands in, for c_th
+        kept = _at_distinct(threshold_level, np.where(hold, p_min, prices))
+        reach = levels + rate_c
+        volume = np.where(hold, outputs - rate_c, stock - np.where(reach < kept, reach, kept))
+        deliverable = outputs + np.where(rate_d < levels, rate_d, levels)
+        volume = np.where(deliverable < volume, deliverable, volume)
+        return np.where(volume > 0.0, volume, 0.0)  # an empty book settles to 0.0
 
     return socs
 

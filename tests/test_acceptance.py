@@ -24,10 +24,12 @@ from hourahead import (
 )
 from hourahead.adversary import AdversaryGrid, StepFunction, adversarial_search, local_cr_closed_form
 from hourahead.cli import main
+from hourahead.market import scalar_columns
 from hourahead.strategies import (
     fixed_threshold_strategy,
     mocsmb_strategy,
     ocsmb_strategy,
+    socs_columns,
     socs_strategy,
 )
 from hourahead.traces import realize_outputs, synthesize
@@ -180,7 +182,7 @@ def test_criterion_5_worst_case_certification(capsys):
         grid = AdversaryGrid.geometric(
             bounds, capacity, horizon=4, price_count=4, supply_count=3, levels=4
         )
-        rep = adversarial_search(grid, socs_strategy(cfg), spec)
+        rep = adversarial_search(grid, socs_columns(cfg), spec)
         assert rep.max_ratio < math.inf
         assert rep.max_ratio <= pol.cr_value * 1.05
         assert max(rep.bucket_ratios.values()) == rep.max_ratio
@@ -198,7 +200,8 @@ def test_criterion_5_worst_case_certification(capsys):
     # always-sell floor policy: never worse than theta
     bounds = PriceBounds(10.0, 40.0)
     grid = AdversaryGrid.geometric(bounds, capacity, horizon=4, levels=4)
-    rep = adversarial_search(grid, fixed_threshold_strategy(bounds.p_min, spec), spec)
+    always_sell = scalar_columns(fixed_threshold_strategy(bounds.p_min, spec))
+    rep = adversarial_search(grid, always_sell, spec)
     assert rep.max_ratio <= bounds.theta + 1e-9
 
     elapsed = time.time() - start

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -25,7 +26,8 @@ from hourahead.adversary import (
     step_lengths_from_equalization,
 )
 from hourahead.experiment import STRATEGIES
-from hourahead.strategies import fixed_threshold_strategy, fonline_strategy, socs_strategy
+from hourahead.market import scalar_columns
+from hourahead.strategies import fixed_threshold_strategy, fonline_strategy, socs_columns
 
 from oracle_reference import adversarial_search_reference, empirical_cr
 
@@ -146,7 +148,7 @@ class TestAdversarialSearch:
         spec = full_storage_spec(4.0)
         pol = ThresholdPolicy.build(bounds, spec.capacity)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=3, levels=4)
-        report = adversarial_search(grid, socs_strategy(StrategyConfig(bounds, spec)), spec)
+        report = adversarial_search(grid, socs_columns(StrategyConfig(bounds, spec)), spec)
         assert report.instances == grid.instance_count
         assert report.max_ratio < math.inf
         assert report.max_ratio <= pol.cr_value * 1.05
@@ -155,21 +157,22 @@ class TestAdversarialSearch:
         bounds = PriceBounds(10.0, 10.0)
         spec = full_storage_spec(4.0)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=2, levels=4)
-        report = adversarial_search(grid, socs_strategy(StrategyConfig(bounds, spec)), spec)
+        report = adversarial_search(grid, socs_columns(StrategyConfig(bounds, spec)), spec)
         assert report.max_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_bucket_max_equals_global_max(self):
         bounds = PriceBounds(10.0, 40.0)
         spec = full_storage_spec(4.0)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=3, levels=4)
-        report = adversarial_search(grid, socs_strategy(StrategyConfig(bounds, spec)), spec)
+        report = adversarial_search(grid, socs_columns(StrategyConfig(bounds, spec)), spec)
         assert max(report.bucket_ratios.values()) == report.max_ratio
 
     def test_always_sell_policy_bounded_by_theta(self):
         bounds = PriceBounds(10.0, 40.0)
         spec = full_storage_spec(4.0)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=3, levels=4)
-        report = adversarial_search(grid, fixed_threshold_strategy(bounds.p_min, spec), spec)
+        always_sell = scalar_columns(fixed_threshold_strategy(bounds.p_min, spec))
+        report = adversarial_search(grid, always_sell, spec)
         assert report.max_ratio <= bounds.theta + 1e-9
 
     def test_stubborn_threshold_unbounded_on_low_prices(self, penalty):
@@ -186,7 +189,7 @@ class TestAdversarialSearch:
         bounds = PriceBounds(10.0, 40.0)
         spec = full_storage_spec(4.0)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=2, levels=4)
-        report = adversarial_search(grid, fixed_threshold_strategy(20.0, spec), spec)
+        report = adversarial_search(grid, scalar_columns(fixed_threshold_strategy(20.0, spec)), spec)
         assert report.max_ratio == math.inf
         low = report.bucket_ratios[min(report.bucket_ratios)]
         assert low == math.inf or low >= 1.0
@@ -236,13 +239,18 @@ class TestGridValidation:
 
 
 def adversary_strategy(name, bounds, spec):
-    """The CLI's adversary strategies: the registry's socs, ocsmb and fonline,
-    the always-sell floor policy and const at its default threshold, fonline's."""
+    """The CLI's adversary strategies as (column form, callback): the
+    registry's socs, ocsmb and fonline, the always-sell floor policy and const
+    at its default threshold, fonline's.  The search takes the column form,
+    the reference search the callback."""
+    cfg = StrategyConfig(bounds, spec)
     if name in STRATEGIES:
-        return STRATEGIES[name](StrategyConfig(bounds, spec), ())
-    if name == "gmin":
-        return fixed_threshold_strategy(bounds.p_min, spec)
-    return fonline_strategy(bounds, spec)
+        callback = STRATEGIES[name](cfg, ())
+    elif name == "gmin":
+        callback = fixed_threshold_strategy(bounds.p_min, spec)
+    else:
+        callback = fonline_strategy(bounds, spec)
+    return socs_columns(cfg) if name == "socs" else scalar_columns(callback), callback
 
 
 ADVERSARY_NAMES = ("socs", "ocsmb", "fonline", "gmin", "const")
@@ -303,9 +311,9 @@ class TestBatchedSearchIsExact:
         )
         # supplies in units of the storage quantum, on and off the grid
         grid = replace(grid, supply_levels=tuple(u * grid.disc.quantum(capacity) for u in supplies))
-        strategy = adversary_strategy(name, bounds, spec)
+        columns, strategy = adversary_strategy(name, bounds, spec)
         assert_same_report(
-            adversarial_search(grid, strategy, spec),
+            adversarial_search(grid, columns, spec),
             adversarial_search_reference(grid, strategy, spec),
         )
 
@@ -315,9 +323,9 @@ class TestBatchedSearchIsExact:
         grid = AdversaryGrid.geometric(
             bounds, spec.capacity, horizon=3, price_count=6, supply_count=3, levels=16
         )
-        strategy = adversary_strategy("const", bounds, spec)
+        columns, strategy = adversary_strategy("const", bounds, spec)
         chunks = spy_on_chunks(monkeypatch)
-        report = adversarial_search(grid, strategy, spec)
+        report = adversarial_search(grid, columns, spec)
         assert len(chunks) > 5
         assert_same_report(report, adversarial_search_reference(grid, strategy, spec))
         assert math.inf in report.bucket_ratios.values()
@@ -331,9 +339,9 @@ class TestBatchedSearchIsExact:
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=2, levels=4)
         eta = grid.disc.quantum(spec.capacity)
         grid = replace(grid, supply_levels=(0.0, eta, 1e30 * eta))
-        strategy = adversary_strategy(name, bounds, spec)
+        columns, strategy = adversary_strategy(name, bounds, spec)
         assert_same_report(
-            adversarial_search(grid, strategy, spec),
+            adversarial_search(grid, columns, spec),
             adversarial_search_reference(grid, strategy, spec),
         )
 
@@ -359,9 +367,9 @@ class TestBatchedSearchIsExact:
         grid = AdversaryGrid.geometric(
             bounds, spec.capacity, horizon=horizon, price_count=price_count, levels=4
         )
-        strategy = adversary_strategy(name, bounds, spec)
+        columns, strategy = adversary_strategy(name, bounds, spec)
         assert_same_report(
-            adversarial_search(grid, strategy, spec),
+            adversarial_search(grid, columns, spec),
             adversarial_search_reference(grid, strategy, spec),
         )
 
@@ -386,11 +394,25 @@ class TestBatchedSearchIsExact:
         grid = AdversaryGrid.geometric(
             bounds, spec.capacity, horizon=horizon, price_count=price_count, levels=4
         )
-        strategy = adversary_strategy(name, bounds, spec)
+        columns, strategy = adversary_strategy(name, bounds, spec)
         chunks = spy_on_chunks(monkeypatch)
-        report = adversarial_search(grid, strategy, spec)
+        report = adversarial_search(grid, columns, spec)
         assert chunks[0][0] == 5 and 0 < chunks[-1][0] < 5
         assert_same_report(report, adversarial_search_reference(grid, strategy, spec))
+
+    def test_socs_refuses_a_grid_price_above_p_max(self):
+        # a selling state's price above p_max has no threshold level: the
+        # search raises the callback's error, at the first such price met
+        bounds = PriceBounds(10.0, 40.0)
+        spec = full_storage_spec(4.0)
+        grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=2, levels=4)
+        grid = replace(grid, price_levels=(10.0, 60.0, 20.0, 50.0))
+        columns, strategy = adversary_strategy("socs", bounds, spec)
+        message = "price 60.0 outside the invertible range (10.0, 40.0]"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            adversarial_search_reference(grid, strategy, spec)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            adversarial_search(grid, columns, spec)
 
     @pytest.mark.parametrize(
         "name, horizon, initial, keys",
@@ -410,8 +432,8 @@ class TestBatchedSearchIsExact:
         bounds = PriceBounds(10.0, 40.0)
         spec = StorageSpec(4.0, 1.0, 1.0, initial)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=horizon, levels=4)
-        strategy = adversary_strategy(name, bounds, spec)
-        report = adversarial_search(grid, strategy, spec)
+        columns, strategy = adversary_strategy(name, bounds, spec)
+        report = adversarial_search(grid, columns, spec)
         assert set(report.bucket_ratios) == keys
         assert_same_report(report, adversarial_search_reference(grid, strategy, spec))
 
@@ -420,10 +442,10 @@ class TestBatchedSearchIsExact:
         bounds = PriceBounds(10.0, 40.0)
         spec = full_storage_spec(4.0)
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=5, levels=4)
-        strategy = adversary_strategy("socs", bounds, spec)
+        columns, _callback = adversary_strategy("socs", bounds, spec)
         tracemalloc.start()
         try:
-            report = adversarial_search(grid, strategy, spec)
+            report = adversarial_search(grid, columns, spec)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -437,7 +459,7 @@ def test_socs_certified_at_horizon_five(theta):
     bounds = PriceBounds(10.0, 10.0 * theta)
     spec = full_storage_spec(4.0)
     grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=5, levels=4)
-    report = adversarial_search(grid, adversary_strategy("socs", bounds, spec), spec)
+    report = adversarial_search(grid, adversary_strategy("socs", bounds, spec)[0], spec)
     assert report.instances == 248832
     assert report.max_ratio <= theoretical_cr(theta) * 1.05
     assert max(report.bucket_ratios.values()) == report.max_ratio
@@ -454,7 +476,9 @@ def test_ocsmb_converges_to_socs_bound():
     assert grid.instance_count == 104976
     offers = (1, 2, 3, 4, 6, 8, 12, 16)
     worst = [
-        adversarial_search(grid, STRATEGIES["ocsmb"](StrategyConfig(bounds, spec, m), ()), spec)
+        adversarial_search(
+            grid, scalar_columns(STRATEGIES["ocsmb"](StrategyConfig(bounds, spec, m), ())), spec
+        )
         .max_ratio
         for m in offers
     ]

@@ -1,6 +1,9 @@
 import itertools
 import math
+import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,7 +18,7 @@ from hourahead import (
     settle_offer,
     simulate_run,
 )
-from hourahead.market import play_slot
+from hourahead.market import play_columns, play_slot
 from conftest import non_negative, synthetic_trace
 from market_reference import (
     evolve_storage,
@@ -152,6 +155,45 @@ class TestPlaySlot:
         assert x - over <= deliverable + 1e-12 * max(x, 1.0)
         assert 0.0 <= charge <= rc
         assert 0.0 <= discharge <= min(level, rd)
+
+
+def committing(x):
+    """A strategy whose book settles to x at every price."""
+    book = SimpleNamespace(settle=lambda price: x)
+    return lambda t, price, output, level: book
+
+
+class TestPlayColumns:
+    @settings(max_examples=300)
+    @given(
+        # commitments up to 40 against outputs up to 15: often over-committed
+        choices=st.lists(
+            st.tuples(non_negative(40.0), st.floats(1.0, 50.0), non_negative(15.0)),
+            min_size=1,
+            max_size=6,
+        ),
+        level_fracs=st.lists(
+            st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=5
+        ),
+        capacity=st.floats(0.5, 30.0),
+        rates=st.tuples(*[st.sampled_from([0.0, 1e300, sys.float_info.max]) | non_negative(12.0)] * 2),
+        alpha1=non_negative(3.0),
+        alpha2=non_negative(20.0),
+    )
+    def test_matches_play_slot(self, choices, level_fracs, capacity, rates, alpha1, alpha2):
+        # levels as a column against the choices as rows, as the adversary
+        # steps a slot; -0.0 and 1.0 times the capacity are -0.0 and C exactly
+        spec = StorageSpec(capacity, *rates)
+        penalty = PenaltyParams(alpha1, alpha2)
+        x, prices, outputs = (np.array(col) for col in zip(*choices))
+        levels = np.array(level_fracs)[:, None] * capacity
+        columns = play_columns(x, spec, penalty, prices, outputs, levels)
+        got = [[_bits(state) for state in row] for row in np.stack(columns, -1).tolist()]
+        want = [
+            [_bits(play_slot(committing(xi), spec, penalty, 0, p, u, z)[1:]) for xi, p, u in choices]
+            for z in levels.ravel().tolist()
+        ]
+        assert got == want
 
 
 def sell_all(t, price, output, level):

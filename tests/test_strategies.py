@@ -23,6 +23,7 @@ from hourahead.strategies import (
     fonline_strategy,
     mocsmb_strategy,
     ocsmb_strategy,
+    socs_columns,
     socs_strategy,
 )
 
@@ -138,6 +139,52 @@ class TestSocsOffer:
                 floor = pol.c_th if price <= bounds.p_min else pol.eval_g_inverse(price)
                 assert level_after >= min(floor, level) - 1e-9
                 level = level_after
+
+
+# x, and one ulp below and above it
+ULP_EITHER_SIDE = (lambda x: math.nextafter(x, 0.0), float, lambda x: math.nextafter(x, math.inf))
+
+
+class TestSocsColumns:
+    @settings(max_examples=300)
+    @given(
+        theta=st.sampled_from([1.0, 1.5, 4.0, math.e**2, 50.0]),
+        capacity=st.floats(0.5, 30.0),
+        rates=st.tuples(*[st.sampled_from([0.0, 1e300]) | non_negative(12.0)] * 2),
+        level_fracs=st.lists(
+            st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=5
+        ),
+        data=st.data(),
+    )
+    def test_matches_the_callback(self, theta, capacity, rates, level_fracs, data):
+        # levels as a column against the (price, output) choices as rows, as
+        # the adversary steps a slot.  Prices at p_min and p_max and one ulp
+        # either side: at theta 1 a price above p_min has no inverse, and the
+        # column form raises what the callback raises first.  Prices on the
+        # curve at a state's post-charge level: the tie of holding and selling.
+        bounds = PriceBounds(10.0, 10.0 * theta)
+        cfg = StrategyConfig(bounds, StorageSpec(capacity, *rates))
+        levels = np.array(level_fracs)[:, None] * capacity
+        edges = [f(p) for p in (bounds.p_min, bounds.p_max) for f in ULP_EITHER_SIDE]
+        choices = []
+        for u in data.draw(st.lists(non_negative(30.0), min_size=1, max_size=6)):
+            on_curve = [cfg.policy.eval_g(min(capacity, z + u)) for z in levels.ravel().tolist()]
+            price = st.sampled_from(edges + on_curve) | st.floats(bounds.p_min, bounds.p_max)
+            choices.append((data.draw(price), u))
+        prices, outputs = (np.array(col) for col in zip(*choices))
+        socs = socs_strategy(cfg)
+        try:
+            want = [
+                [socs(0, p, u, z).settle(p).hex() for p, u in choices]
+                for z in levels.ravel().tolist()
+            ]
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                socs_columns(cfg)(0, prices, outputs, levels)
+            assert str(raised.value) == str(exc)
+            return
+        got = socs_columns(cfg)(0, prices, outputs, levels).tolist()
+        assert [[x.hex() for x in row] for row in got] == want
 
 
 class TestOcsmbOffers:
