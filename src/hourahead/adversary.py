@@ -262,7 +262,7 @@ def _slot_table(strategy: ColumnStrategy, spec, penalty, prices, supplies, t: in
     (``prices``, ``supplies``): the net profit and next level per (level,
     slot choice)."""
     z = levels[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # quiet, as play_slot's floats are
+    with np.errstate(over="ignore", invalid="ignore"):  # quiet, as simulate_run's floats are
         x = strategy(t, prices, supplies, z)
         *_, profit, after = play_columns(x, spec, penalty, prices, supplies, z)
     return profit, after

@@ -199,49 +199,9 @@ def settle_offer(book: OfferBook, clearing_price: float) -> float:
     return book.settle(clearing_price)
 
 
-def play_slot(
-    strategy: OfferStrategy,
-    spec: StorageSpec,
-    penalty: PenaltyParams,
-    t: int,
-    price: float,
-    u: float,
-    level: float,
-) -> tuple[float, float, float, float, float, float]:
-    """Play slot t from storage level `level`: obtain the offer book, settle
-    it against the clearing price, compute the over-commitment, cap
-    physically delivered energy at output plus dischargeable storage, and
-    evolve the storage on the delivered energy.
-
-    Returns (commitment, over-commitment, charge, discharge, net profit,
-    next level), one row of ``RunResult``'s columns.
-    """
-    x = strategy(t, price, u, level).settle(price)
-    # each min and max is written out as a conditional that picks the operand
-    # the builtin picks, signed zeros included, without the builtin's call
-    # cost: min(a, b) is b if b < a else a, and max(a - b, 0.0) is
-    # 0.0 if a < b else a - b
-    rate_d, rate_c, capacity = spec.discharge_rate, spec.charge_rate, spec.capacity
-    deliverable = u + (rate_d if rate_d < level else level)
-    over = 0.0 if x < deliverable else x - deliverable
-    delivered = deliverable if deliverable < x else x
-    # surplus output charges up to the charge rate; a deficit discharges up
-    # to the discharge rate and the level; charge beyond capacity is spilled
-    charge = 0.0 if u < delivered else u - delivered
-    charge = charge if charge < rate_c else rate_c
-    discharge = 0.0 if delivered < u else delivered - u
-    discharge = discharge if discharge < rate_d else rate_d
-    discharge = level if level < discharge else discharge
-    next_level = level + charge - discharge
-    next_level = 0.0 if next_level < 0.0 else next_level
-    next_level = capacity if capacity < next_level else next_level
-    profit = price * x - (penalty.alpha1 * price + penalty.alpha2) * over
-    return x, over, charge, discharge, profit, next_level
-
-
 def scalar_columns(strategy: OfferStrategy) -> ColumnStrategy:
     """The column form of a callback: one call and one ``settle`` per state,
-    in row-major order of the broadcast columns, as ``play_slot`` settles."""
+    in row-major order of the broadcast columns, as ``simulate_run`` settles."""
 
     def columns(t: int, prices, outputs, levels) -> np.ndarray:
         cols = np.broadcast_arrays(prices, outputs, levels)
@@ -253,10 +213,11 @@ def scalar_columns(strategy: OfferStrategy) -> ColumnStrategy:
 
 
 def play_columns(x, spec: StorageSpec, penalty: PenaltyParams, prices, u, level) -> tuple:
-    """``play_slot`` over numpy columns of commitments, prices, outputs and
-    levels that broadcast together: returns the (over-commitment, charge,
-    discharge, net profit, next level) columns, bit for bit, each conditional
-    an ``np.where`` that picks the operand ``play_slot`` picks."""
+    """The slot rule of ``simulate_run`` over numpy columns of commitments,
+    prices, outputs and levels that broadcast together: returns the
+    (over-commitment, charge, discharge, net profit, next level) columns, bit
+    for bit, each conditional an ``np.where`` that picks the operand
+    ``simulate_run`` picks."""
     rate_d, rate_c, capacity = spec.discharge_rate, spec.charge_rate, spec.capacity
     deliverable = u + np.where(rate_d < level, rate_d, level)
     over = np.where(x < deliverable, 0.0, x - deliverable)
@@ -279,16 +240,36 @@ def simulate_run(
     penalty: PenaltyParams,
     strategy: OfferStrategy,
 ) -> RunResult:
-    """Drive a strategy over a trace, playing every slot with ``play_slot``
-    and accumulating the net profit.  Pure: identical inputs give identical
-    results.
-    """
+    """Drive a strategy over a trace and accumulate the net profit.  Each slot
+    settles the book offered at the level the slot before left, delivers at
+    most output plus dischargeable storage, and evolves the storage on the
+    delivered energy.  Pure: identical inputs give identical results."""
+    rate_d, rate_c, capacity = spec.discharge_rate, spec.charge_rate, spec.capacity
+    alpha1, alpha2 = penalty.alpha1, penalty.alpha2
     level = spec.initial_level
     rows = []
     total = 0.0
     for t, (price, u) in enumerate(zip(trace.prices, trace.outputs)):
-        row = play_slot(strategy, spec, penalty, t, price, u, level)
-        total += row[4]
-        level = row[5]
-        rows.append(row)
+        x = strategy(t, price, u, level).settle(price)
+        # each min and max is written out as a conditional that picks the
+        # operand the builtin picks, signed zeros included, without the
+        # builtin's call cost: min(a, b) is b if b < a else a, and
+        # max(a - b, 0.0) is 0.0 if a < b else a - b
+        deliverable = u + (rate_d if rate_d < level else level)
+        over = 0.0 if x < deliverable else x - deliverable
+        delivered = deliverable if deliverable < x else x
+        # surplus output charges up to the charge rate; a deficit discharges up
+        # to the discharge rate and the level; charge beyond capacity is spilled
+        charge = 0.0 if u < delivered else u - delivered
+        charge = charge if charge < rate_c else rate_c
+        discharge = 0.0 if delivered < u else delivered - u
+        discharge = discharge if discharge < rate_d else rate_d
+        discharge = level if level < discharge else discharge
+        next_level = level + charge - discharge
+        next_level = 0.0 if next_level < 0.0 else next_level
+        next_level = capacity if capacity < next_level else next_level
+        profit = price * x - (alpha1 * price + alpha2) * over
+        total += profit
+        rows.append((x, over, charge, discharge, profit, next_level))
+        level = next_level
     return RunResult(*zip(*rows), total)

@@ -199,7 +199,7 @@ def offline_opt_dp(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig) 
     """
     check_dp_cells(trace.horizon, disc)
     eta, u_units, rc, rd, k0 = _quantize(trace.outputs, spec, disc)
-    caps = [u if u < rc else rc for u in u_units]  # min and max as conditionals: see play_slot
+    caps = [u if u < rc else rc for u in u_units]  # min and max as conditionals: see simulate_run
     # v_{t+1} from level 0 up: lengths[i] levels of slope -neg[i] * eta each;
     # neg rises, so bisect counts the pieces of slope >= p
     lengths, neg, argmaxes = [disc.levels], [-0.0], []

@@ -9,6 +9,7 @@ form in the price fluctuation ratio theta.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -56,10 +57,18 @@ class ThresholdPolicy:
         # eval_g's and eval_g_inverse's constants, set once as the fields are (a
         # write to __dict__ would slow every lookup); at theta == 1 (c_th == 0)
         # no price is invertible, so no call divides by c_th
-        c, c_th, c_l = self.capacity, self.c_th, self.capacity * self.l_n
-        p_hi = self.bounds.p_max * (1.0 + 1e-12) if c_th else self.bounds.p_min
-        values = -1e-12 * c, c * (1.0 + 1e-12), c_l, p_hi, c_l / c_th if c_th else 0.0
-        for name, value in zip(("_z_lo", "_z_hi", "_c_l", "_p_hi", "_slope"), values):
+        c, c_th, c_l, bounds = self.capacity, self.c_th, self.capacity * self.l_n, self.bounds
+        if not (math.isfinite(c * c) and c_l >= sys.float_info.min):  # NaN fails too
+            raise ValidationError(f"capacity {c} is too large or too small for the threshold curve")
+        p_hi = bounds.p_max * (1.0 + 1e-12) if c_th else bounds.p_min
+        slope = c_l / c_th if c_th else 0.0
+        # _z_tol: 10^6 times the few eps * (C + slope * (ln theta + 2)) by which
+        # rounding can move a threshold level; inf where a subnormal p_min
+        # rounds p_min * exp(a) to a coarse absolute grid
+        normal = bounds.p_min >= sys.float_info.min
+        z_tol = 1e-9 * (c + slope * (3.0 * math.log(bounds.theta) + 4.0)) if normal else math.inf
+        values = -1e-12 * c, c * (1.0 + 1e-12), c_l, p_hi, slope, z_tol
+        for name, value in zip(("_z_lo", "_z_hi", "_c_l", "_p_hi", "_slope", "_z_tol"), values):
             object.__setattr__(self, name, value)
 
     @classmethod

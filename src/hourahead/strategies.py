@@ -68,9 +68,10 @@ class Ladder(tuple):
     ``span``, where cum_i = span * (i / rungs) and rung i is priced at
     g(max(top - cum_i, 0)).  Rung prices never fall as i grows, so a
     clearing price commits a prefix of the book: ``settle`` guesses its
-    length k from one ``eval_g_inverse``, corrects it at the edge with
-    ``eval_g`` and sums the prefix in book order (cum_k with no floor), bit
-    for bit what settling the materialized book (``prices``, ``volumes``) gives.
+    length k from one ``eval_g_inverse``, prices the edge rungs with ``eval_g``
+    only where rounding could move k (see the policy's ``_z_tol``), and sums
+    the prefix in book order (cum_k with no floor), bit for bit what settling
+    the materialized book (``prices``, ``volumes``) gives.
 
     Built as the tuple of its five fields, so it costs what that tuple costs
     plus its checks; ``len`` counts offers, as for ``OfferBook``."""
@@ -90,7 +91,7 @@ class Ladder(tuple):
     def _rung_price(self, i: int) -> float:
         pol, _floor, span, top, rungs = self
         z = top - span * (i / rungs)
-        return pol.eval_g(0.0 if z < 0.0 else z)  # max(z, 0.0), as in market.play_slot
+        return pol.eval_g(0.0 if z < 0.0 else z)  # max(z, 0.0), as in market.simulate_run
 
     @property
     def prices(self) -> tuple[float, ...]:
@@ -118,21 +119,29 @@ class Ladder(tuple):
         if price < bounds.p_min:
             return 0.0
         k = rungs
+        certified = False
         if rungs and price <= bounds.p_max:  # rung i commits iff top - cum_i >= g^-1(price)
             level = pol.c_th if price == bounds.p_min else pol.eval_g_inverse(price)
             guess = (top - level) / span * rungs
             k = rungs if guess >= rungs else int(guess) if guess > 0.0 else 0
-        eval_g = pol.eval_g  # the edge rungs' prices, written out as in _rung_price
-        while k < rungs:
-            z = top - span * ((k + 1) / rungs)
-            if eval_g(0.0 if z < 0.0 else z) > price:
-                break
-            k += 1
-        while k:
-            z = top - span * (k / rungs)
-            if eval_g(0.0 if z < 0.0 else z) <= price:
-                break
-            k -= 1
+            # rounding moves no rung across g^-1(price) from further than _z_tol
+            tol = pol._z_tol
+            margin = tol / span * rungs
+            certified = (level > tol and 0.0 <= top <= pol.capacity
+                         and (not k or guess - k > margin)
+                         and (k == rungs or k + 1 - guess > margin))  # fmt: skip
+        if not certified:  # price the edge rungs, written out as in _rung_price
+            eval_g = pol.eval_g
+            while k < rungs:
+                z = top - span * ((k + 1) / rungs)
+                if eval_g(0.0 if z < 0.0 else z) > price:
+                    break
+                k += 1
+            while k:
+                z = top - span * (k / rungs)
+                if eval_g(0.0 if z < 0.0 else z) <= price:
+                    break
+                k -= 1
         if not floor > 0.0:  # each cum_i - cum_{i-1} is exact (Sterbenz), so the sum is cum_k
             return span * (k / rungs) if k else 0.0
         total = floor
@@ -160,7 +169,7 @@ def socs_strategy(cfg: StrategyConfig) -> OfferStrategy:
 
     def socs(t: int, price: float, output: float, level: float) -> OfferBook:
         # each min and max is a conditional that picks the operand the builtin
-        # picks, signed zeros included, as in market.play_slot
+        # picks, signed zeros included, as in market.simulate_run
         stock = level + output
         if eval_g(capacity if capacity < stock else stock) > price:
             volume = output - rate_c
@@ -233,7 +242,7 @@ def ocsmb_strategy(cfg: StrategyConfig) -> OfferStrategy:
     c_th, rate_c, rate_d = pol.c_th, spec.charge_rate, spec.discharge_rate
 
     def ocsmb(t: int, price: float, output: float, level: float) -> Ladder:
-        # each min and max written out as in market.play_slot
+        # each min and max written out as in market.simulate_run
         deliverable = output + (rate_d if rate_d < level else level)
         if (rate_c if rate_c < output else output) + level > c_th:
             floor_volume = output + level - c_th
@@ -265,7 +274,7 @@ def fonline_strategy(bounds: PriceBounds, spec: StorageSpec) -> OfferStrategy:
 
 
 def fixed_threshold_strategy(threshold: float, spec: StorageSpec) -> OfferStrategy:
-    """Offer all deliverable energy at one fixed price (min spelled as in play_slot)."""
+    """Offer all deliverable energy at one fixed price (min spelled as in simulate_run)."""
     rate_d = spec.discharge_rate
 
     def fixed_threshold(t: int, price: float, output: float, level: float) -> OfferBook:

@@ -1,7 +1,8 @@
 """Test-only reference for one market slot: the settlement, over-commitment,
-storage step and profit as separate helpers, ``market.play_slot`` as their
-composition, and the ``strategies.socs_strategy`` callback, all written with
-the builtin ``min`` and ``max``."""
+storage step and profit as separate helpers, the slot rule of
+``market.simulate_run`` as their composition, and the
+``strategies.socs_strategy`` callback, all written with the builtin ``min``
+and ``max``."""
 from __future__ import annotations
 
 from hourahead import EMPTY_BOOK, OfferBook, PenaltyParams, StorageSpec, StrategyConfig
@@ -42,7 +43,8 @@ def play_slot_reference(
     u: float,
     level: float,
 ) -> tuple[float, float, float, float, float, float]:
-    """``market.play_slot`` as the composition of the helpers above: settle
+    """One slot of ``market.simulate_run`` as the composition of the helpers
+    above, returning the slot's row of ``RunResult``'s columns: settle
     the book, compute the over-commitment, cap delivery at output plus
     dischargeable storage, and step the storage on the delivered energy."""
     x = strategy(t, price, u, level).settle(price)

@@ -424,6 +424,23 @@ class TestCompare:
         assert main(argv + extra) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ([], "c733c002bf2619a3a6fbb91f6ab53a6070dbb6496273bd15280ec8d7734ffe09"),
+            (
+                ["--sweep-offers", "1-15"],
+                "009f65f31a5913034ff75d9f5dcd45ac00643375fdfa6008b872517c993c3106",
+            ),
+        ],
+        ids=["compare", "sweep"],
+    )
+    def test_full_comparison_digests(self, extra, digest, capsys):
+        # the paper's comparison at full size: 100 runs of 360 slots, seed 7
+        argv = ["compare", "--runs", "100", "--horizon", "360", "--seed", "7"]
+        assert main(argv + extra) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_unbounded_ratio_reported(self, tmp_path, capsys):
         # fonline earns nothing on some 2-slot runs with a positive optimum
         csv_path = tmp_path / "runs.csv"
@@ -735,6 +752,12 @@ class TestValidationExits:
             ["simulate", "--horizon", "4", "--pmin", "1e307", "--pmax", "1e308"],
             ["adversary", "--horizon", "2", "--pmin", "1e307", "--pmax", "1e308",
              "--capacity", "100"],  # fmt: skip
+            # capacities whose C * C overflows or whose C * l_n underflows: the
+            # threshold curve would price at NaN, or divide by zero
+            ["compare", "--runs", "1", "--horizon", "24", "--capacity", "1e200",
+             "--charge-rate", "10", "--discharge-rate", "10"],  # fmt: skip
+            ["compare", "--runs", "1", "--horizon", "24", "--capacity", "1e-160"],
+            ["adversary", "--strategy", "socs", "--horizon", "2", "--capacity", "1e-300"],
         ],
     )
     def test_bad_number(self, argv, tmp_path, capsys):

@@ -18,7 +18,7 @@ from hourahead import (
     settle_offer,
     simulate_run,
 )
-from hourahead.market import play_columns, play_slot
+from hourahead.market import play_columns
 from conftest import non_negative, synthetic_trace
 from market_reference import (
     evolve_storage,
@@ -126,6 +126,14 @@ def offer_books(draw):
     return OfferBook(tuple(prices), tuple(volumes))
 
 
+ROW_COLUMNS = ("commitments", "over_commitments", "charges", "discharges", "profits", "levels")
+
+
+def _rows(result):
+    """A run's slots as rows of the six per-slot columns, in slot order."""
+    return list(zip(*(getattr(result, col) for col in ROW_COLUMNS)))
+
+
 class TestPlaySlot:
     @settings(max_examples=400)
     @given(
@@ -142,11 +150,12 @@ class TestPlaySlot:
     def test_matches_reference_composition(
         self, book, price, u, capacity, level_frac, rc, rd, alpha1, alpha2
     ):
+        # the one slot of a one-slot run from `level`
         level = level_frac * capacity
         spec = StorageSpec(capacity, rc, rd, level)
         penalty = PenaltyParams(alpha1, alpha2)
         strategy = lambda t, p, out, z: book  # noqa: E731
-        row = play_slot(strategy, spec, penalty, 0, price, u, level)
+        [row] = _rows(simulate_run(Trace((price,), (u,)), spec, penalty, strategy))
         assert _bits(row) == _bits(play_slot_reference(strategy, spec, penalty, 0, price, u, level))
         x, over, charge, discharge, _profit, next_level = row
         assert 0.0 <= next_level <= capacity
@@ -155,6 +164,40 @@ class TestPlaySlot:
         assert x - over <= deliverable + 1e-12 * max(x, 1.0)
         assert 0.0 <= charge <= rc
         assert 0.0 <= discharge <= min(level, rd)
+
+    @settings(max_examples=200)
+    @given(
+        slots=st.lists(
+            st.tuples(offer_books(), st.floats(1.0, 50.0), non_negative(15.0), non_negative(2.0)),
+            min_size=2,
+            max_size=8,
+        ),
+        capacity=st.floats(0.5, 30.0),
+        level_frac=st.one_of(st.just(-0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        rates=st.tuples(*[st.sampled_from([0.0, 1e300]) | non_negative(12.0)] * 2),
+        alpha1=non_negative(3.0),
+        alpha2=non_negative(20.0),
+    )
+    def test_rows_match_reference_slot_by_slot(
+        self, slots, capacity, level_frac, rates, alpha1, alpha2
+    ):
+        # each slot's book adds a multiple of the level to its volumes, so a
+        # level carried wrongly from the slot before moves the commitment
+        books, prices, outputs, fracs = zip(*slots)
+        spec = StorageSpec(capacity, *rates, level_frac * capacity)
+        penalty = PenaltyParams(alpha1, alpha2)
+
+        def strategy(t, price, output, level):
+            return OfferBook(books[t].prices, tuple(v + fracs[t] * level for v in books[t].volumes))
+
+        result = simulate_run(Trace(prices, outputs), spec, penalty, strategy)
+        level, total = spec.initial_level, 0.0
+        for t, row in enumerate(_rows(result)):
+            want = play_slot_reference(strategy, spec, penalty, t, prices[t], outputs[t], level)
+            assert _bits(row) == _bits(want), t
+            total += want[4]
+            level = want[5]
+        assert _bits((result.total_profit,)) == _bits((total,))
 
 
 def committing(x):
@@ -181,8 +224,9 @@ class TestPlayColumns:
         alpha2=non_negative(20.0),
     )
     def test_matches_play_slot(self, choices, level_fracs, capacity, rates, alpha1, alpha2):
-        # levels as a column against the choices as rows, as the adversary
-        # steps a slot; -0.0 and 1.0 times the capacity are -0.0 and C exactly
+        # each state against the reference slot rule; levels as a column against
+        # the choices as rows, as the adversary steps a slot; -0.0 and 1.0 times
+        # the capacity are -0.0 and C exactly
         spec = StorageSpec(capacity, *rates)
         penalty = PenaltyParams(alpha1, alpha2)
         x, prices, outputs = (np.array(col) for col in zip(*choices))
@@ -190,7 +234,8 @@ class TestPlayColumns:
         columns = play_columns(x, spec, penalty, prices, outputs, levels)
         got = [[_bits(state) for state in row] for row in np.stack(columns, -1).tolist()]
         want = [
-            [_bits(play_slot(committing(xi), spec, penalty, 0, p, u, z)[1:]) for xi, p, u in choices]
+            [_bits(play_slot_reference(committing(xi), spec, penalty, 0, p, u, z)[1:])
+             for xi, p, u in choices]  # fmt: skip
             for z in levels.ravel().tolist()
         ]
         assert got == want

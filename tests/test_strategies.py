@@ -1,4 +1,6 @@
+import bisect
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +20,7 @@ from hourahead import (
     settle_offer,
     simulate_run,
 )
+from hourahead.experiment import ExperimentConfig, run_offer_sweep
 from hourahead.strategies import (
     fixed_threshold_strategy,
     fonline_strategy,
@@ -278,33 +281,88 @@ def ocsmb_fields_reference(cfg, output, level):
 
 
 
+def _powers_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def ladder_markets(draw):
+    """Price bounds from p_min = 1e-300 (or a subnormal p_min) and theta up to
+    1e300, a capacity from 1e-140 to 1e140, and rates and an output up to 1e12
+    times it."""
+    theta = draw(st.just(1.0) | st.floats(1.0, 200.0) | _powers_of_ten(0.0, 300.0))
+    subnormal = st.floats(5e-324, sys.float_info.min, exclude_max=True)
+    p_min = draw(
+        st.just(10.0) | _powers_of_ten(-300.0, 300.0 - math.log10(theta)) | subnormal
+    )
+    capacity = draw(st.floats(0.1, 50.0) | _powers_of_ten(-140.0, 140.0))
+    scale = st.floats(0.0, 1.5) | _powers_of_ten(-3.0, 12.0)
+    rates, u = draw(st.tuples(scale, scale)), draw(scale)
+    spec = StorageSpec(capacity, capacity * rates[0], capacity * rates[1])
+    return PriceBounds(p_min, p_min * theta), spec, capacity * u
+
+
+def _ulps_around(x, n):
+    """x and the n floats on either side of it."""
+    out = [x]
+    for direction in (0.0, math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
 class TestLadderClosedForm:
     @settings(max_examples=300, deadline=None)
     @given(
-        theta=st.one_of(st.just(1.0), st.floats(1.0, 200.0)),
-        offers=st.integers(1, 64),
-        u=st.floats(0.0, 30.0),
+        market=ladder_markets(),
+        offers=st.integers(1, 64) | _powers_of_ten(0.0, 4.0).map(round),
         z_frac=st.floats(0.0, 1.0),
-        charge=st.floats(0.0, 15.0),
-        discharge=st.floats(0.0, 15.0),
-        capacity=st.floats(0.1, 50.0),
         draws=st.lists(st.floats(0.0, 1.0), max_size=4),
     )
-    def test_settles_like_the_materialized_book(
-        self, theta, offers, u, z_frac, charge, discharge, capacity, draws
-    ):
-        bounds = PriceBounds(10.0, 10.0 * theta)
-        spec = StorageSpec(capacity, charge, discharge)
+    def test_settles_like_the_materialized_book(self, market, offers, z_frac, draws):
+        bounds, spec, u = market
         cfg = StrategyConfig(bounds, spec, offers=offers)
-        ladder = ocsmb_strategy(cfg)(0, ANY_PRICE, u, z_frac * capacity)
+        ladder = ocsmb_strategy(cfg)(0, ANY_PRICE, u, z_frac * spec.capacity)
+        if ladder.rungs > 64 and ladder.floor_volume > 0.0:
+            # a floored settle adds its k rungs one by one; the floor does not
+            # move k, so a long ladder is checked at every rung without it
+            ladder = Ladder(cfg.policy, 0.0, ladder.span, ladder.top, ladder.rungs)
         book = OfferBook(ladder.prices, ladder.volumes)  # checks the price order
         assert len(ladder) == len(book)
         assert _bits(ladder.total_volume) == _bits(book.total_volume)
-        prices = {bounds.p_min, bounds.p_max, *book.prices}
-        prices |= {math.nextafter(p, d) for p in prices for d in (0.0, math.inf)}
-        prices |= {bounds.p_min + d * (bounds.p_max - bounds.p_min) for d in draws}
-        for p in sorted(prices):
+        edges = {bounds.p_min, bounds.p_max, *book.prices}
+        prices = {p for edge in edges for p in _ulps_around(edge, 2)}
+        drawn = {bounds.p_min + d * (bounds.p_max - bounds.p_min) for d in draws}
+        # the book's prices never fall, so it commits a prefix of its offers and
+        # settles to the running sum of that prefix, as settle_offer adds it up
+        running = [0.0]
+        for v in book.volumes:
+            running.append(running[-1] + v)
+        for p in sorted(prices | drawn):
+            want = running[bisect.bisect_right(book.prices, p)]
+            assert _bits(ladder.settle(p)) == _bits(want), p
+        for p in drawn | {bounds.p_min, bounds.p_max}:
             assert _bits(ladder.settle(p)) == _bits(settle_offer(book, p)), p
+
+    def test_most_settles_price_no_edge_rung(self, monkeypatch):
+        # the certified guess skips the edge loops on the seed-7 offer sweep's
+        # settles (ocsmb with 1 to 15 offers over 360 slots) but near a rung
+        eval_g, settle = ThresholdPolicy.eval_g, Ladder.settle
+        calls, counts = [], []
+        monkeypatch.setattr(ThresholdPolicy, "eval_g", lambda pol, z: calls.append(z) or eval_g(pol, z))
+
+        def counted(ladder, price):
+            before = len(calls)
+            result = settle(ladder, price)
+            counts.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(Ladder, "settle", counted)
+        run_offer_sweep(ExperimentConfig(runs=1, horizon=360, seed=7), range(1, 16))
+        assert len(counts) == 15 * 360
+        assert counts.count(0) >= 0.85 * len(counts)
 
     @settings(max_examples=300, deadline=None)
     @given(
