@@ -95,13 +95,6 @@ class StepFunction:
     def capacity(self) -> float:
         return sum(self.lengths)
 
-    def boundaries(self) -> tuple[float, ...]:
-        total, out = 0.0, []
-        for l in self.lengths:
-            total += l
-            out.append(total)
-        return tuple(out)
-
     @classmethod
     def from_policy(cls, policy: ThresholdPolicy, interior_steps: int = 200) -> "StepFunction":
         """Discretize a threshold curve into equal steps below the threshold
@@ -300,14 +293,15 @@ def adversarial_search(
     """Measure the profit ratio on every instance of the grid.
 
     Returns the maximum ratio, the first maximizing trace in
-    ``itertools.product`` order, and the per-bucket maxima keyed by the
-    minimum storage level the strategy reached (grid units, rounded), with
-    the oracle on the grid's storage quantization and the default penalty.
-    `strategy` is a strategy's column form (``strategies.socs_columns``, or
-    ``market.scalar_columns`` of a callback) and must be a pure function of
-    its arguments (see ``market.ColumnStrategy``): it is called once per slot,
-    over the slot's distinct states.  The grid checked its size and the
-    oracle's work when it was built.
+    ``itertools.product`` order, and the per-bucket maxima keyed, in level
+    order, by the minimum storage level the strategy reached (grid units,
+    rounded), with the oracle on the grid's storage quantization and the
+    default penalty.  `strategy` is a strategy's column form
+    (``strategies.socs_columns``, or ``market.scalar_columns`` of a callback)
+    and must be a pure function of its arguments (see
+    ``market.ColumnStrategy``): it is called once per slot, over the slot's
+    distinct states.  The grid checked its size and the oracle's work when it
+    was built.
     """
     eta, u_units, rc, rd, k0 = _quantize(grid.supply_levels, spec, grid.disc)
     n, horizon = grid.disc.levels, grid.horizon
@@ -343,9 +337,8 @@ def adversarial_search(
 
     best = -math.inf
     argmax = 0
-    # per grid index of the minimum level: the peak ratio and the first instance reaching it
+    # per grid index of the minimum level: the peak ratio, -inf where none is reached
     peaks = np.full(n + 1, -math.inf)
-    first = np.full(n + 1, grid.instance_count)
     # instance b*len(table) + r has the suffix row r and block b's choices
     # in its leading slots s-1 ... 0; a chunk is whole blocks
     blocks = width**s
@@ -368,15 +361,13 @@ def adversarial_search(
         ratio = profit_ratios(v.ravel(), (total[p0:p1, None] + last_profit[g]).ravel()[cut])
         i = np.minimum(low[p0:p1, None], last_low[g]).ravel()[cut]  # the minimum level's index
         np.maximum.at(peaks, i, ratio)
-        np.minimum.at(first, i, np.arange(i0, i1))
         top = int(ratio.argmax())
         if ratio[top] > best:
             best = ratio[top].item()
             argmax = i0 + top
 
-    # the buckets reached, by first appearance; no key j * eta is -0.0
-    reached = np.argsort(first)[: np.count_nonzero(first < grid.instance_count)]
-    buckets = {j * eta: peaks[j].item() for j in reached.tolist()}
+    # the buckets reached, in level order; no key j * eta is -0.0
+    buckets = {j * eta: peaks[j].item() for j in np.flatnonzero(peaks > -math.inf).tolist()}
     combo = [argmax // stride % width for stride in strides]
     return WorstCaseReport(
         max_ratio=best,

@@ -360,8 +360,9 @@ def _worst_case_json(report, bound: float | None) -> dict:
         "instances": report.instances,
         "max_ratio": ratio_json(report.max_ratio),
         "theoretical_bound": bound,
-        "bucket_ratios": {
-            f"{level:g}": ratio_json(r) for level, r in sorted(report.bucket_ratios.items())
+        "bucket_ratios": {  # as %g where that reads back as the level
+            (f"{z:g}" if float(f"{z:g}") == z else repr(z)): ratio_json(r)
+            for z, r in report.bucket_ratios.items()
         },
         "argmax_instance": {
             "prices": list(report.argmax_instance.prices),

@@ -239,12 +239,12 @@ def check_profits(*profits: float | np.ndarray) -> None:
 def profit_ratios(opt_profit: np.ndarray, strategy_profit: np.ndarray) -> np.ndarray:
     """Optimum over strategy profit, elementwise: 1.0 where both earn nothing,
     math.inf where only the optimum does, and ValidationError where a profit
-    is not finite."""
+    is not finite.  Earning is relative: above 1e-12 of a positive optimum."""
     check_profits(opt_profit, strategy_profit)
-    earns = strategy_profit > 1e-12
+    earns = strategy_profit > 1e-12 * np.maximum(opt_profit, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # quiet, as Python floats are
         ratio = opt_profit / np.where(earns, strategy_profit, 1.0)
-    return np.where(earns, ratio, np.where(opt_profit <= 1e-12, 1.0, math.inf))
+    return np.where(earns, ratio, np.where(opt_profit <= 0.0, 1.0, math.inf))
 
 
 def profit_ratio(opt_profit: float, strategy_profit: float) -> float:

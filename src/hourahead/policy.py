@@ -56,11 +56,11 @@ class ThresholdPolicy:
     def __post_init__(self):
         # eval_g's and eval_g_inverse's constants, set once as the fields are (a
         # write to __dict__ would slow every lookup); at theta == 1 (c_th == 0)
-        # no price is invertible, so no call divides by c_th
+        # the slope is 0.0, so every price in range inverts to c_th
         c, c_th, c_l, bounds = self.capacity, self.c_th, self.capacity * self.l_n, self.bounds
         if not (math.isfinite(c * c) and c_l >= sys.float_info.min):  # NaN fails too
             raise ValidationError(f"capacity {c} is too large or too small for the threshold curve")
-        p_hi = bounds.p_max * (1.0 + 1e-12) if c_th else bounds.p_min
+        p_hi = bounds.p_max * (1.0 + 1e-12)
         slope = c_l / c_th if c_th else 0.0
         # _z_tol: 10^6 times the few eps * (C + slope * (ln theta + 2)) by which
         # rounding can move a threshold level; inf where a subnormal p_min
@@ -95,12 +95,10 @@ class ThresholdPolicy:
     def eval_g_inverse(self, price: float) -> float:
         """Storage level at which the threshold price equals `price`.
 
-        Defined for price in (p_min, p_max]; the flat tail makes the inverse
-        non-unique at p_min.
+        Defined for price in [p_min, p_max]; p_min, where the flat tail
+        starts, inverts to its least level c_th.
         """
         p_min = self.bounds.p_min
-        if not p_min < price <= self._p_hi:  # NaN fails too
-            raise ValidationError(
-                f"price {price} outside the invertible range ({p_min}, {self.bounds.p_max}]"
-            )
+        if not p_min <= price <= self._p_hi:  # NaN fails too
+            raise ValidationError(f"price {price} outside g's range [{p_min}, {self.bounds.p_max}]")
         return self.c_th - self._slope * math.log(price / p_min)

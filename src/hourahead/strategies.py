@@ -121,7 +121,7 @@ class Ladder(tuple):
         k = rungs
         certified = False
         if rungs and price <= bounds.p_max:  # rung i commits iff top - cum_i >= g^-1(price)
-            level = pol.c_th if price == bounds.p_min else pol.eval_g_inverse(price)
+            level = pol.eval_g_inverse(price)
             guess = (top - level) / span * rungs
             k = rungs if guess >= rungs else int(guess) if guess > 0.0 else 0
             # rounding moves no rung across g^-1(price) from further than _z_tol
@@ -164,7 +164,7 @@ def socs_strategy(cfg: StrategyConfig) -> OfferStrategy:
     physically deliverable, so the commitment can always be met.
     """
     pol, spec = cfg.policy, cfg.spec
-    eval_g, eval_g_inverse, c_th, p_min = pol.eval_g, pol.eval_g_inverse, pol.c_th, cfg.bounds.p_min
+    eval_g, eval_g_inverse = pol.eval_g, pol.eval_g_inverse
     capacity, rate_c, rate_d = spec.capacity, spec.charge_rate, spec.discharge_rate
 
     def socs(t: int, price: float, output: float, level: float) -> OfferBook:
@@ -175,7 +175,7 @@ def socs_strategy(cfg: StrategyConfig) -> OfferStrategy:
             volume = output - rate_c
         else:
             # the level kept: the threshold level of the price, at most level + r_c
-            kept = c_th if price <= p_min else eval_g_inverse(price)
+            kept = eval_g_inverse(price)
             reach = level + rate_c
             volume = stock - (reach if reach < kept else kept)
         deliverable = output + (rate_d if rate_d < level else level)
@@ -203,20 +203,17 @@ def socs_columns(cfg: StrategyConfig) -> ColumnStrategy:
     """``socs_strategy(cfg)`` followed by ``settle(price)`` over numpy columns,
     bit for bit: the callback's expressions with each conditional an
     ``np.where``, and ``eval_g`` and ``eval_g_inverse`` called once per
-    distinct argument and only where the callback calls them (numpy's exp and
+    distinct argument, raising where the callback would (numpy's exp and
     log differ from ``math``'s in the last bits)."""
     pol, spec = cfg.policy, cfg.spec
-    c_th, p_min = pol.c_th, cfg.bounds.p_min
+    p_min = cfg.bounds.p_min
     capacity, rate_c, rate_d = spec.capacity, spec.charge_rate, spec.discharge_rate
-
-    def threshold_level(price: float) -> float:
-        return c_th if price <= p_min else pol.eval_g_inverse(price)
 
     def socs(t: int, prices, outputs, levels) -> np.ndarray:
         stock = levels + outputs
         hold = _at_distinct(pol.eval_g, np.where(capacity < stock, capacity, stock)) > prices
-        # a holding state does not invert its price: p_min stands in, for c_th
-        kept = _at_distinct(threshold_level, np.where(hold, p_min, prices))
+        # a holding state inverts p_min, which never raises, in place of its price
+        kept = _at_distinct(pol.eval_g_inverse, np.where(hold, p_min, prices))
         reach = levels + rate_c
         volume = np.where(hold, outputs - rate_c, stock - np.where(reach < kept, reach, kept))
         deliverable = outputs + np.where(rate_d < levels, rate_d, levels)

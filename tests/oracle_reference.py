@@ -236,6 +236,6 @@ def adversarial_search_reference(
     return WorstCaseReport(
         max_ratio=best,
         argmax_instance=argmax,
-        bucket_ratios=buckets,
+        bucket_ratios=dict(sorted(buckets.items())),  # in level order
         instances=count,
     )

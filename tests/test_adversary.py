@@ -33,11 +33,10 @@ from oracle_reference import adversarial_search_reference, empirical_cr
 
 
 class TestStepFunction:
-    def test_boundaries_and_capacity(self):
+    def test_steps_and_capacity(self):
         sf = StepFunction((40.0, 20.0, 10.0), (1.0, 4.0, 5.0))
         assert sf.n == 3
         assert sf.capacity == 10.0
-        assert sf.boundaries() == (1.0, 5.0, 10.0)
 
     def test_rejects_increasing_prices(self):
         with pytest.raises(ValidationError):
@@ -408,7 +407,7 @@ class TestBatchedSearchIsExact:
         grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=2, levels=4)
         grid = replace(grid, price_levels=(10.0, 60.0, 20.0, 50.0))
         columns, strategy = adversary_strategy("socs", bounds, spec)
-        message = "price 60.0 outside the invertible range (10.0, 40.0]"
+        message = "price 60.0 outside g's range [10.0, 40.0]"
         with pytest.raises(ValidationError, match=re.escape(message)):
             adversarial_search_reference(grid, strategy, spec)
         with pytest.raises(ValidationError, match=re.escape(message)):
@@ -436,6 +435,35 @@ class TestBatchedSearchIsExact:
         report = adversarial_search(grid, columns, spec)
         assert set(report.bucket_ratios) == keys
         assert_same_report(report, adversarial_search_reference(grid, strategy, spec))
+
+    @pytest.mark.parametrize("name", ("socs", "ocsmb", "fonline"))
+    def test_buckets_come_out_in_level_order(self, name):
+        # from a full store the first instances keep the level high, so the
+        # buckets first appear from the top down
+        bounds = PriceBounds(10.0, 40.0)
+        spec = StorageSpec(4.0, 1.0, 1.0, 4.0)
+        grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=3, levels=4)
+        report = adversarial_search(grid, adversary_strategy(name, bounds, spec)[0], spec)
+        keys = list(report.bucket_ratios)
+        assert len(keys) >= 3 and keys == sorted(keys)
+
+    @pytest.mark.parametrize("name", ADVERSARY_NAMES)
+    def test_ratios_do_not_depend_on_the_price_scale(self, name):
+        # earning is relative to the optimum, so bounds [1e-300, 4e-300] and
+        # [1e300, 4e300] certify what [10, 40] does
+        spec = full_storage_spec(4.0)
+        reports = []
+        for p_min in (10.0, 1e-300, 1e300):
+            bounds = PriceBounds(p_min, 4.0 * p_min)
+            grid = AdversaryGrid.geometric(bounds, spec.capacity, horizon=3, levels=4)
+            columns = adversary_strategy(name, bounds, spec)[0]
+            reports.append(adversarial_search(grid, columns, spec))
+        at_ten = reports[0]
+        for report in reports[1:]:
+            assert report.max_ratio == pytest.approx(at_ten.max_ratio, rel=1e-12)
+            assert list(report.bucket_ratios) == list(at_ten.bucket_ratios)
+            for level, ratio in report.bucket_ratios.items():
+                assert ratio == pytest.approx(at_ten.bucket_ratios[level], rel=1e-12)
 
     def test_horizon_five_peaks_at_a_few_megabytes(self):
         # chunked: no array spans the 248832 instances times the levels

@@ -619,6 +619,19 @@ class TestAdversary:
         assert main(argv + ["--levels", "4", "--pmin", pmin, "--pmax", pmax]) == 0
         assert json.loads(capsys.readouterr().out)["instances"] == 144
 
+    def test_every_bucket_key_reads_back_as_its_level(self, tmp_path, capsys):
+        # at 200000 levels the buckets 1.050006 and 1.050012 both print as
+        # 1.05001 under %g, and 1.000002 as 1
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[storage]\ninitial_level = 1.1\n")
+        argv = ["adversary", "--strategy", "const", "--threshold", "20", "--horizon", "2",
+                "--levels", "200000", "--capacity", "1.2", "--charge-rate", "0.05",
+                "--discharge-rate", "0.05", "--price-count", "3", "--supply-count", "3",
+                "--config", str(cfg)]  # fmt: skip
+        assert main(argv) == 0
+        keys = list(json.loads(capsys.readouterr().out)["bucket_ratios"])
+        assert keys == ["1.000002", "1.05", "1.050006", "1.050012", "1.099998"]
+
     def test_budget_exceeded(self, capsys):
         code = main(
             ["adversary", "--horizon", "4", "--levels", "4", "--capacity", "4", "--budget", "10"]

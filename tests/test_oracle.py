@@ -394,8 +394,11 @@ class TestExhaustiveGuards:
         assert result.total_profit == 0.0
 
 
-# profits at the ratio's branches: nothing earned, the earning threshold and next to it
-PROFIT_EDGES = [0.0, -0.0, 1e-12, math.nextafter(1e-12, 1.0), math.nextafter(1e-12, 0.0), -1e-12]
+# profits at the ratio's branches: nothing earned, the least positive and
+# negative floats, and an optimum of 3.0 with its earning threshold 1e-12 * 3.0
+# and the floats next to it
+PROFIT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 3.0, 3e-12]
+PROFIT_EDGES += [math.nextafter(3e-12, 1.0), math.nextafter(3e-12, 0.0), -3e-12]
 
 
 class TestEmpiricalRatio:
@@ -439,11 +442,17 @@ class TestEmpiricalRatio:
         assert profit_ratio(0.0, 0.0) == 1.0
 
     def test_branches_at_the_earning_threshold(self):
-        earning = math.nextafter(1e-12, 1.0)
-        assert profit_ratio(3.0, earning) == 3.0 / earning
-        assert profit_ratio(3.0, 1e-12) == math.inf
-        assert profit_ratio(1e-12, -0.0) == 1.0
-        assert profit_ratio(earning, 0.0) == math.inf
+        # a strategy earns above 1e-12 of a positive optimum, at any scale
+        for opt in (3.0, 3e-300, 3e300):
+            threshold = 1e-12 * opt
+            earning = math.nextafter(threshold, math.inf)
+            assert profit_ratio(opt, earning) == opt / earning
+            assert profit_ratio(opt, threshold) == math.inf
+            assert profit_ratio(opt, 0.0) == math.inf
+        # a least positive optimum is something to earn; none or less is nothing
+        assert profit_ratio(5e-324, 0.0) == math.inf
+        assert profit_ratio(0.0, -0.0) == profit_ratio(-1.0, 0.0) == 1.0
+        assert profit_ratio(0.0, 5e-324) == 0.0  # any profit earns against none
         assert type(profit_ratio(3.0, 2.0)) is float
 
     @settings(max_examples=300)
@@ -455,7 +464,8 @@ class TestEmpiricalRatio:
             max_size=6,
         ),
     )
-    @example(opt=1e308, profits=[1e-11, -1e308, 1e-12, -0.0])
+    @example(opt=1e308, profits=[1e-11, -1e308, 1e296, math.nextafter(1e296, 1e300), -0.0])
+    @example(opt=-1.0, profits=[0.0, -0.0, 5e-324, -5e-324, -1.0])
     def test_batched_ratios_equal_one_at_a_time(self, opt, profits):
         batched = profit_ratios(opt, np.array(profits)).tolist()
         assert [r.hex() for r in batched] == [profit_ratio(opt, p).hex() for p in profits]

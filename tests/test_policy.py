@@ -132,12 +132,31 @@ class TestInverse:
             assert back == pytest.approx(z, rel=1e-9, abs=1e-9)
 
     def test_domain(self, pol_e2):
+        # p_min inverts to the least level of the flat tail
+        assert pol_e2.eval_g_inverse(10.0) == pol_e2.c_th
         with pytest.raises(ValidationError):
-            pol_e2.eval_g_inverse(10.0)  # flat segment, not unique
+            pol_e2.eval_g_inverse(math.nextafter(10.0, 0.0))
         with pytest.raises(ValidationError):
             pol_e2.eval_g_inverse(9.0)
         with pytest.raises(ValidationError):
             pol_e2.eval_g_inverse(pol_e2.bounds.p_max * 1.01)
+
+
+def _powers_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300)
+@given(
+    theta=st.just(1.0) | st.floats(1.0, 200.0) | _powers_of_ten(0.0, 300.0),
+    p_min=_powers_of_ten(-300.0, 0.0),  # so that p_min * theta stays finite
+    capacity=st.floats(0.1, 50.0) | _powers_of_ten(-140.0, 140.0),
+)
+def test_p_min_inverts_to_c_th(theta, p_min, capacity):
+    # the formula's own value at p_min: ln 1 is 0.0 and the slope is finite
+    pol = ThresholdPolicy.build(PriceBounds(p_min, p_min * theta), capacity)
+    assert pol.eval_g_inverse(p_min).hex() == pol.c_th.hex()
+    assert pol.eval_g(pol.c_th) == p_min
 
 
 @settings(max_examples=60)
@@ -169,10 +188,14 @@ def eval_g_reference(pol: ThresholdPolicy, z: float) -> float:
 
 
 def eval_g_inverse_reference(pol: ThresholdPolicy, price: float) -> float:
-    """``eval_g_inverse`` with its constants derived from the fields on every call."""
+    """``eval_g_inverse`` with its constants derived from the fields on every
+    call, and c_th written out where the curve reaches p_min: at p_min, and on
+    the flat curve of theta == 1."""
     p_min, p_max = pol.bounds.p_min, pol.bounds.p_max
-    if price <= p_min or price > p_max * (1.0 + 1e-12):
-        raise ValidationError(f"price {price} outside the invertible range ({p_min}, {p_max}]")
+    if not p_min <= price <= p_max * (1.0 + 1e-12):
+        raise ValidationError(f"price {price} outside g's range [{p_min}, {p_max}]")
+    if price == p_min or pol.c_th == 0.0:
+        return pol.c_th
     return pol.c_th - (pol.capacity * pol.l_n / pol.c_th) * math.log(price / p_min)
 
 
@@ -206,8 +229,10 @@ class TestConstantsComputedOnce:
     @settings(max_examples=300)
     @given(
         capacity=st.floats(0.01, 1e4),
-        theta=st.floats(1.0 + 1e-9, 1e3),
-        frac=st.one_of(st.sampled_from([0.0, 1.0, 1.0 + 1e-12, 1.0 + 2e-12]), st.floats(0.0, 1.01)),
+        theta=st.one_of(st.just(1.0), st.floats(1.0, 1e3)),
+        frac=st.one_of(
+            st.sampled_from([0.0, -1e-9, 1.0, 1.0 + 1e-12, 1.0 + 2e-12]), st.floats(-0.01, 1.01)
+        ),
     )
     def test_eval_g_inverse_matches_per_call_constants(self, capacity, theta, frac):
         pol = ThresholdPolicy.build(PriceBounds(10.0, 10.0 * theta), capacity)
@@ -229,10 +254,13 @@ class TestNanIsOutOfRange:
         with pytest.raises(ValidationError, match="price nan outside"):
             pol_e2.eval_g_inverse(math.nan)
 
-    def test_theta_one_inverts_no_price(self):
-        # c_th == 0: the tolerance above p_max once let a price through to a
-        # ZeroDivisionError; the invertible range (p_min, p_max] is empty
+    def test_theta_one_inverts_to_zero(self):
+        # c_th == 0 and the slope is 0.0: every price in range, the tolerance
+        # above p_max included, inverts to 0.0 without a division, and no
+        # other price is let through
         pol = ThresholdPolicy.build(PriceBounds(10.0, 10.0), 20.0)
-        for price in (10.0, math.nextafter(10.0, 11.0), math.nan):
-            with pytest.raises(ValidationError, match="invertible range"):
+        for price in (10.0, math.nextafter(10.0, 11.0)):
+            assert pol.eval_g_inverse(price).hex() == "0x0.0p+0"
+        for price in (math.nextafter(10.0, 0.0), 10.0 * (1.0 + 2e-12), math.nan):
+            with pytest.raises(ValidationError, match="g's range"):
                 pol.eval_g_inverse(price)
