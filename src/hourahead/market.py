@@ -113,17 +113,15 @@ class PenaltyParams:
 class OfferBook(tuple):
     """Offers for one slot as two equal-length tuples: positive prices in
     non-decreasing order and non-negative volumes, none NaN.  An offer
-    commits iff the clearing price reaches its price.  Built as the tuple
-    (prices, volumes), so it costs what that tuple costs plus its checks;
-    ``len`` counts offers."""
+    commits iff the clearing price reaches its price.  The tuple (prices,
+    volumes); socs and fonline build a one-offer book that passes the checks
+    below with ``tuple.__new__``, skipping this frame; ``len`` counts offers."""
 
     __slots__ = ()
     prices, volumes = (property(itemgetter(i)) for i in range(2))
 
     def __new__(cls, prices: tuple[float, ...], volumes: tuple[float, ...]):
         n = len(prices)
-        if n == 1 == len(volumes) and prices[0] > 0.0 and volumes[0] >= 0.0:  # socs, fonline
-            return tuple.__new__(cls, (prices, volumes))  # one offer that passes the checks below
         if n != len(volumes):
             raise ValidationError(f"offer book has {n} prices but {len(volumes)} volumes")
         if n > 1 and not all(map(le, prices, prices[1:])):

@@ -54,21 +54,23 @@ class ThresholdPolicy:
     cr_value: float
 
     def __post_init__(self):
-        # eval_g's and eval_g_inverse's constants, set once as the fields are (a
-        # write to __dict__ would slow every lookup); at theta == 1 (c_th == 0)
-        # the slope is 0.0, so every price in range inverts to c_th
+        # eval_g's and eval_g_inverse's constants, and in _ladder those
+        # Ladder.settle reads in one lookup, set once as the fields are (a write
+        # to __dict__ would slow every lookup); at theta == 1 (c_th == 0) the
+        # slope is 0.0, so every price in range inverts to c_th
         c, c_th, c_l, bounds = self.capacity, self.c_th, self.capacity * self.l_n, self.bounds
         if not (math.isfinite(c * c) and c_l >= sys.float_info.min):  # NaN fails too
             raise ValidationError(f"capacity {c} is too large or too small for the threshold curve")
         p_hi = bounds.p_max * (1.0 + 1e-12)
         slope = c_l / c_th if c_th else 0.0
-        # _z_tol: 10^6 times the few eps * (C + slope * (ln theta + 2)) by which
-        # rounding can move a threshold level; inf where a subnormal p_min
-        # rounds p_min * exp(a) to a coarse absolute grid
+        # z_tol, Ladder.settle's tolerance: 10^6 times the few eps * (C + slope *
+        # (ln theta + 2)) by which rounding can move a threshold level; inf where
+        # a subnormal p_min rounds p_min * exp(a) to a coarse absolute grid
         normal = bounds.p_min >= sys.float_info.min
         z_tol = 1e-9 * (c + slope * (3.0 * math.log(bounds.theta) + 4.0)) if normal else math.inf
-        values = -1e-12 * c, c * (1.0 + 1e-12), c_l, p_hi, slope, z_tol
-        for name, value in zip(("_z_lo", "_z_hi", "_c_l", "_p_hi", "_slope", "_z_tol"), values):
+        ladder = bounds.p_min, bounds.p_max, c_th, slope, z_tol, c
+        values = -1e-12 * c, c * (1.0 + 1e-12), c_l, p_hi, slope, ladder
+        for name, value in zip(("_z_lo", "_z_hi", "_c_l", "_p_hi", "_slope", "_ladder"), values):
             object.__setattr__(self, name, value)
 
     @classmethod

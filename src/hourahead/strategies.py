@@ -68,13 +68,13 @@ class Ladder(tuple):
     ``span``, where cum_i = span * (i / rungs) and rung i is priced at
     g(max(top - cum_i, 0)).  Rung prices never fall as i grows, so a
     clearing price commits a prefix of the book: ``settle`` guesses its
-    length k from one ``eval_g_inverse``, prices the edge rungs with ``eval_g``
-    only where rounding could move k (see the policy's ``_z_tol``), and sums
-    the prefix in book order (cum_k with no floor), bit for bit what settling
-    the materialized book (``prices``, ``volumes``) gives.
+    length k from ``eval_g_inverse``'s formula, inlined, prices the edge rungs
+    with ``eval_g`` only where rounding could move k (see the policy's
+    ``z_tol``), and sums the prefix in book order (cum_k with no floor), bit
+    for bit what settling the materialized book (``prices``, ``volumes``) gives.
 
-    Built as the tuple of its five fields, so it costs what that tuple costs
-    plus its checks; ``len`` counts offers, as for ``OfferBook``."""
+    The tuple of its five fields; ``ocsmb_strategy`` skips the checking ``__new__``
+    where floor and span are >= 0, all its config leaves open; ``len`` counts offers."""
 
     __slots__ = ()
     policy, floor_volume, span, top, rungs = (property(itemgetter(i)) for i in range(5))
@@ -115,19 +115,18 @@ class Ladder(tuple):
         """Commitment volume: the floor and the rungs priced at or below
         `price`, added up in book order from 0.0 as ``OfferBook.settle`` does."""
         pol, floor, span, top, rungs = self
-        bounds = pol.bounds
-        if price < bounds.p_min:
+        p_min, p_max, c_th, slope, tol, capacity = pol._ladder
+        if price < p_min:
             return 0.0
         k = rungs
         certified = False
-        if rungs and price <= bounds.p_max:  # rung i commits iff top - cum_i >= g^-1(price)
-            level = pol.eval_g_inverse(price)
+        if rungs and price <= p_max:  # rung i commits iff top - cum_i >= g^-1(price)
+            level = c_th - slope * math.log(price / p_min)  # eval_g_inverse(price), in its range
             guess = (top - level) / span * rungs
             k = rungs if guess >= rungs else int(guess) if guess > 0.0 else 0
-            # rounding moves no rung across g^-1(price) from further than _z_tol
-            tol = pol._z_tol
+            # rounding moves no rung across g^-1(price) from further than tol
             margin = tol / span * rungs
-            certified = (level > tol and 0.0 <= top <= pol.capacity
+            certified = (level > tol and 0.0 <= top <= capacity
                          and (not k or guess - k > margin)
                          and (k == rungs or k + 1 - guess > margin))  # fmt: skip
         if not certified:  # price the edge rungs, written out as in _rung_price
@@ -166,6 +165,7 @@ def socs_strategy(cfg: StrategyConfig) -> OfferStrategy:
     pol, spec = cfg.policy, cfg.spec
     eval_g, eval_g_inverse = pol.eval_g, pol.eval_g_inverse
     capacity, rate_c, rate_d = spec.capacity, spec.charge_rate, spec.discharge_rate
+    new = tuple.__new__
 
     def socs(t: int, price: float, output: float, level: float) -> OfferBook:
         # each min and max is a conditional that picks the operand the builtin
@@ -183,7 +183,9 @@ def socs_strategy(cfg: StrategyConfig) -> OfferStrategy:
         volume = 0.0 if volume < 0.0 else volume
         if volume == 0.0:
             return EMPTY_BOOK
-        return OfferBook((price,), (volume,))
+        if price > 0.0 and volume >= 0.0:  # passes OfferBook's checks, without its frame
+            return new(OfferBook, ((price,), (volume,)))
+        return OfferBook((price,), (volume,))  # raises
 
     return socs
 
@@ -237,6 +239,7 @@ def ocsmb_strategy(cfg: StrategyConfig) -> OfferStrategy:
     """
     pol, spec, rungs = cfg.policy, cfg.spec, cfg.offers - 1
     c_th, rate_c, rate_d = pol.c_th, spec.charge_rate, spec.discharge_rate
+    new = tuple.__new__
 
     def ocsmb(t: int, price: float, output: float, level: float) -> Ladder:
         # each min and max written out as in market.simulate_run
@@ -251,7 +254,9 @@ def ocsmb_strategy(cfg: StrategyConfig) -> OfferStrategy:
             floor_volume = 0.0 if output < rate_c else output - rate_c
             span = deliverable - floor_volume
             top = level + output - floor_volume
-        return Ladder(pol, floor_volume, span, top, rungs if span > 0.0 else 0)
+        if floor_volume >= 0.0 and span >= 0.0:  # Ladder's checks that cfg does not settle
+            return new(Ladder, (pol, floor_volume, span, top, rungs if span > 0.0 else 0))
+        return Ladder(pol, floor_volume, span, top, rungs if span > 0.0 else 0)  # raises
 
     return ocsmb
 
@@ -272,13 +277,15 @@ def fonline_strategy(bounds: PriceBounds, spec: StorageSpec) -> OfferStrategy:
 
 def fixed_threshold_strategy(threshold: float, spec: StorageSpec) -> OfferStrategy:
     """Offer all deliverable energy at one fixed price (min spelled as in simulate_run)."""
-    rate_d = spec.discharge_rate
+    rate_d, new = spec.discharge_rate, tuple.__new__
 
     def fixed_threshold(t: int, price: float, output: float, level: float) -> OfferBook:
         available = output + (rate_d if rate_d < level else level)
         if available <= 0.0:
             return EMPTY_BOOK
-        return OfferBook((threshold,), (available,))
+        if threshold > 0.0 and available >= 0.0:  # passes OfferBook's checks, without its frame
+            return new(OfferBook, ((threshold,), (available,)))
+        return OfferBook((threshold,), (available,))  # raises
 
     return fixed_threshold
 

@@ -1,6 +1,8 @@
 import bisect
 import math
+import re
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,13 @@ from hourahead import (
     settle_offer,
     simulate_run,
 )
-from hourahead.experiment import ExperimentConfig, run_offer_sweep
+from hourahead.experiment import (
+    STRATEGIES,
+    ExperimentConfig,
+    draw_instance,
+    run_offer_sweep,
+    strategy_config,
+)
 from hourahead.strategies import (
     fixed_threshold_strategy,
     fonline_strategy,
@@ -428,6 +436,88 @@ class TestLadderClosedForm:
         assert ladder != Ladder(pol_e2, 1.0, 2.0, 5.0, 4)
         with pytest.raises(AttributeError):
             ladder.span = 3.0
+
+
+LADDER_ERROR = "ladder needs floor volume and span >= 0 and 0 to 10000 rungs over a positive span"
+
+
+def _book_bits(book):
+    """A book's type and its fields, each float by its bits."""
+    leaves = list(book) if isinstance(book, Ladder) else [len(book), *book.prices, *book.volumes]
+    return type(book), [_bits(x) if isinstance(x, float) else (type(x), x) for x in leaves]
+
+
+def _frame_counts(run):
+    """Python frames opened by run(), counted by code name."""
+    counts = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            counts[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+class TestBooksWithoutNew:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        market=ladder_markets(),
+        offers=st.integers(1, 64),
+        e_max=st.floats(0.0, 0.5, exclude_max=True),
+        level=st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0),
+        no_output=st.booleans(),
+        price_frac=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    )
+    def test_shortcut_equals_checked_construction(
+        self, market, offers, e_max, level, no_output, price_frac
+    ):
+        # level is a fraction of C (-0.0 stays -0.0); every book a callback
+        # returns is the one its public constructor builds from its fields
+        bounds, spec, u = market
+        u = 0.0 if no_output else u
+        cfg = StrategyConfig(bounds, spec, offers=offers, e_max=e_max)
+        price = min(bounds.p_min + price_frac * (bounds.p_max - bounds.p_min), bounds.p_max)
+        callbacks = (ocsmb_strategy(cfg), mocsmb_strategy(cfg, [u]), socs_strategy(cfg),
+                     fonline_strategy(bounds, spec))  # fmt: skip
+        for callback in callbacks:
+            book = callback(0, price, u, level * spec.capacity)
+            checked = Ladder(*book) if isinstance(book, Ladder) else OfferBook(*book)
+            assert _book_bits(book) == _book_bits(checked), callback
+
+    @pytest.mark.parametrize(
+        "name, state, message",
+        [
+            ("ocsmb", (25.0, math.nan, 5.0), f"{LADDER_ERROR}, got nan, nan, 0"),
+            ("ocsmb", (25.0, -30.0, 5.0), f"{LADDER_ERROR}, got 0.0, -25.0, 0"),
+            ("mocsmb", (25.0, math.nan, 5.0), f"{LADDER_ERROR}, got nan, nan, 0"),
+            ("socs", (-1.0, 15.0, 5.0), "offer price must be positive, got -1.0"),
+            ("fonline", (25.0, math.nan, 5.0), "offer volume must be non-negative, got nan"),
+        ],
+    )
+    def test_refusals_are_the_constructors(self, bounds, spec, name, state, message):
+        # a book the shortcut cannot take goes to its constructor, which raises
+        callback = STRATEGIES[name](StrategyConfig(bounds, spec), [state[1]])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            callback(0, *state)
+
+    @pytest.mark.parametrize("name", list(STRATEGIES))
+    def test_a_slot_opens_no_constructor_frame(self, name):
+        # a count of Python frames, so it repeats exactly: each ladder slot
+        # opens its callback and Ladder.settle, and no socs or fonline slot
+        # opens OfferBook.__new__
+        cfg = ExperimentConfig(runs=1, horizon=360, seed=7)
+        trace, predicted = draw_instance(cfg, 0)
+        callback = STRATEGIES[name](strategy_config(cfg), predicted)
+        counts = _frame_counts(lambda: simulate_run(trace, cfg.spec, cfg.penalty, callback))
+        assert counts["__new__"] == 0
+        if name in ("ocsmb", "mocsmb"):
+            assert cfg.offers == 10
+            assert (counts["ocsmb"], counts["settle"], counts["eval_g_inverse"]) == (360, 360, 0)
 
 
 class TestMocsmbOffers:
