@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter, le
 from typing import Callable
 
@@ -157,25 +158,26 @@ EMPTY_BOOK = OfferBook((), ())
 
 @dataclass(frozen=True)
 class RunResult:
-    """Per-slot columns of a full simulation plus the accumulated profit.
+    """The per-slot rows of a full simulation plus the accumulated profit.
 
-    Slot t committed ``commitments[t]``, of which ``over_commitments[t]``
-    could not be delivered, charged ``charges[t]``, discharged
-    ``discharges[t]``, earned ``profits[t]`` and left the storage at
-    ``levels[t]``.
+    Row t is slot t's columns: it committed ``commitments[t]``, of which
+    ``over_commitments[t]`` could not be delivered, charged ``charges[t]``,
+    discharged ``discharges[t]``, earned ``profits[t]`` and left the storage
+    at ``levels[t]``; each column is read from the rows on first use.
     """
 
-    commitments: tuple[float, ...]
-    over_commitments: tuple[float, ...]
-    charges: tuple[float, ...]
-    discharges: tuple[float, ...]
-    profits: tuple[float, ...]
-    levels: tuple[float, ...]
+    rows: tuple[tuple[float, float, float, float, float, float], ...]
     total_profit: float
+
+    def _column(i: int) -> cached_property:
+        return cached_property(lambda self: tuple(row[i] for row in self.rows))
+
+    commitments, over_commitments, charges, discharges, profits, levels = map(_column, range(6))
+    del _column
 
     @property
     def horizon(self) -> int:
-        return len(self.profits)
+        return len(self.rows)
 
 
 # A strategy maps (slot index, clearing price, renewable output, storage level)
@@ -225,10 +227,11 @@ def play_columns(x, spec: StorageSpec, penalty: PenaltyParams, prices, u, level)
     discharge = np.where(delivered < u, 0.0, delivered - u)
     discharge = np.where(discharge < rate_d, discharge, rate_d)
     discharge = np.where(level < discharge, level, discharge)
+    # at most the level discharges, so only the capacity clips the next level
     next_level = level + charge - discharge
-    next_level = np.where(next_level < 0.0, 0.0, next_level)
     next_level = np.where(capacity < next_level, capacity, next_level)
-    profit = prices * x - (penalty.alpha1 * prices + penalty.alpha2) * over
+    revenue, rate = prices * x, penalty.alpha1 * prices + penalty.alpha2
+    profit = np.where(over > 0.0, revenue - rate * over, revenue)
     return over, charge, discharge, profit, next_level
 
 
@@ -244,6 +247,9 @@ def simulate_run(
     delivered energy.  Pure: identical inputs give identical results."""
     rate_d, rate_c, capacity = spec.discharge_rate, spec.charge_rate, spec.capacity
     alpha1, alpha2 = penalty.alpha1, penalty.alpha2
+    # the zero a surplus discharges and a deficit charges: min(rate, 0.0)
+    zero_d = 0.0 if 0.0 < rate_d else rate_d
+    zero_c = 0.0 if 0.0 < rate_c else rate_c
     level = spec.initial_level
     rows = []
     total = 0.0
@@ -252,22 +258,36 @@ def simulate_run(
         # each min and max is written out as a conditional that picks the
         # operand the builtin picks, signed zeros included, without the
         # builtin's call cost: min(a, b) is b if b < a else a, and
-        # max(a - b, 0.0) is 0.0 if a < b else a - b
+        # max(a - b, 0.0) is 0.0 if a < b else a - b; each branch below
+        # computes only what its regime leaves non-trivial
         deliverable = u + (rate_d if rate_d < level else level)
-        over = 0.0 if x < deliverable else x - deliverable
-        delivered = deliverable if deliverable < x else x
-        # surplus output charges up to the charge rate; a deficit discharges up
-        # to the discharge rate and the level; charge beyond capacity is spilled
-        charge = 0.0 if u < delivered else u - delivered
-        charge = charge if charge < rate_c else rate_c
-        discharge = 0.0 if delivered < u else delivered - u
-        discharge = discharge if discharge < rate_d else rate_d
-        discharge = level if level < discharge else discharge
-        next_level = level + charge - discharge
-        next_level = 0.0 if next_level < 0.0 else next_level
-        next_level = capacity if capacity < next_level else next_level
-        profit = price * x - (alpha1 * price + alpha2) * over
+        if x < deliverable:  # no over-commitment
+            over, delivered, profit = 0.0, x, price * x
+        else:  # a penalty only on what is undelivered: an infinite rate times 0.0 is NaN
+            over = x - deliverable
+            delivered = deliverable if deliverable < x else x
+            profit = price * x - (alpha1 * price + alpha2) * over if over > 0.0 else price * x
+        if delivered < u:  # surplus output charges up to the charge rate, spills beyond capacity
+            charge = u - delivered
+            charge = charge if charge < rate_c else rate_c
+            discharge = zero_d
+            next_level = level + charge - discharge
+            next_level = capacity if capacity < next_level else next_level
+        elif u < delivered:  # a deficit discharges up to the discharge rate and the level
+            charge = zero_c
+            discharge = delivered - u
+            discharge = discharge if discharge < rate_d else rate_d
+            discharge = level if level < discharge else discharge
+            next_level = level + charge - discharge  # within [0, level]
+        else:  # delivered == u, or NaN: the general rule, less what cannot fire
+            charge = u - delivered
+            charge = charge if charge < rate_c else rate_c
+            discharge = delivered - u
+            discharge = discharge if discharge < rate_d else rate_d
+            discharge = level if level < discharge else discharge
+            next_level = level + charge - discharge
+            next_level = capacity if capacity < next_level else next_level
         total += profit
         rows.append((x, over, charge, discharge, profit, next_level))
         level = next_level
-    return RunResult(*zip(*rows), total)
+    return RunResult(tuple(rows), total)

@@ -54,10 +54,10 @@ class ThresholdPolicy:
     cr_value: float
 
     def __post_init__(self):
-        # eval_g's and eval_g_inverse's constants, and in _ladder those
-        # Ladder.settle reads in one lookup, set once as the fields are (a write
-        # to __dict__ would slow every lookup); at theta == 1 (c_th == 0) the
-        # slope is 0.0, so every price in range inverts to c_th
+        # eval_g's and eval_g_inverse's constants (which Ladder.settle and the
+        # socs callback also read, those of _ladder in one lookup), set once as
+        # the fields are (a write to __dict__ would slow every lookup); at
+        # theta == 1 (c_th == 0) the slope is 0.0, so every price in range inverts to c_th
         c, c_th, c_l, bounds = self.capacity, self.c_th, self.capacity * self.l_n, self.bounds
         if not (math.isfinite(c * c) and c_l >= sys.float_info.min):  # NaN fails too
             raise ValidationError(f"capacity {c} is too large or too small for the threshold curve")

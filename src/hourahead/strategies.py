@@ -141,8 +141,10 @@ class Ladder(tuple):
                 if eval_g(0.0 if z < 0.0 else z) <= price:
                     break
                 k -= 1
+        if not k:  # no rung commits
+            return floor if floor > 0.0 else 0.0
         if not floor > 0.0:  # each cum_i - cum_{i-1} is exact (Sterbenz), so the sum is cum_k
-            return span * (k / rungs) if k else 0.0
+            return span * (k / rungs)
         total = floor
         sold = 0.0
         for i in range(1, k + 1):
@@ -163,19 +165,28 @@ def socs_strategy(cfg: StrategyConfig) -> OfferStrategy:
     physically deliverable, so the commitment can always be met.
     """
     pol, spec = cfg.policy, cfg.spec
-    eval_g, eval_g_inverse = pol.eval_g, pol.eval_g_inverse
-    capacity, rate_c, rate_d = spec.capacity, spec.charge_rate, spec.discharge_rate
-    new = tuple.__new__
+    p_min, _p_max, c_th, slope, _tol, capacity = pol._ladder
+    z_lo, z_hi, c_l, p_hi = pol._z_lo, pol._z_hi, pol._c_l, pol._p_hi
+    rate_c, rate_d = spec.charge_rate, spec.discharge_rate
+    exp, log, new = math.exp, math.log, tuple.__new__
 
     def socs(t: int, price: float, output: float, level: float) -> OfferBook:
         # each min and max is a conditional that picks the operand the builtin
-        # picks, signed zeros included, as in market.simulate_run
+        # picks, signed zeros included, as in market.simulate_run; eval_g and
+        # eval_g_inverse are written out behind their range checks, and are
+        # called only to raise their errors
         stock = level + output
-        if eval_g(capacity if capacity < stock else stock) > price:
+        z = capacity if capacity < stock else stock
+        if not z_lo <= z <= z_hi:  # NaN fails too
+            pol.eval_g(z)  # raises
+        z = 0.0 if z < 0.0 else z
+        if (p_min if z >= c_th else p_min * exp((c_th - z) * c_th / c_l)) > price:
             volume = output - rate_c
         else:
             # the level kept: the threshold level of the price, at most level + r_c
-            kept = eval_g_inverse(price)
+            if not p_min <= price <= p_hi:  # NaN fails too
+                pol.eval_g_inverse(price)  # raises
+            kept = c_th - slope * log(price / p_min)
             reach = level + rate_c
             volume = stock - (reach if reach < kept else kept)
         deliverable = output + (rate_d if rate_d < level else level)

@@ -15,8 +15,11 @@ def over_commitment(x: float, u: float, z: float, discharge_rate: float) -> floa
 
 
 def slot_profit(price: float, x: float, y: float, penalty: PenaltyParams) -> float:
-    """Net profit of one slot: sale revenue minus over-commitment penalty."""
-    return price * x - (penalty.alpha1 * price + penalty.alpha2) * y
+    """Net profit of one slot: sale revenue minus over-commitment penalty,
+    charged only where y > 0.0 (an infinite rate times 0.0 is NaN)."""
+    if y > 0.0:
+        return price * x - (penalty.alpha1 * price + penalty.alpha2) * y
+    return price * x
 
 
 def evolve_storage(

@@ -9,10 +9,16 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hourahead import DiscretizationConfig, StorageSpec, offline_opt_dp
+from hourahead import DiscretizationConfig, OfferBook, StorageSpec, offline_opt_dp, simulate_run
 from hourahead import cli, experiment
 from hourahead.cli import ADVERSARY_STRATEGIES, SETTINGS, build_parser, main
-from hourahead.experiment import STRATEGIES, ExperimentConfig, draw_instance, run_experiment
+from hourahead.experiment import (
+    STRATEGIES,
+    ExperimentConfig,
+    draw_instance,
+    run_experiment,
+    strategy_config,
+)
 
 
 def subcommands(parser: argparse.ArgumentParser | None = None) -> dict:
@@ -168,6 +174,21 @@ class TestGenTraceAndSimulate:
         assert main(argv) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "c5c317a501e53c37294359880753c40dcdaa34d7927753663b065ff5056cd25a"
+
+    @pytest.mark.parametrize(
+        "strategy, digest",
+        [
+            ("socs", "dd055a66eda30f11ebb19c5c0c379099af83cc5b00a714bbe370ef7b24c375d1"),
+            ("ocsmb", "fa69c928023a1d71905c857b00a53e1eea9accc91c41015d17cd7428a9e35ff5"),
+            ("mocsmb", "715c3fb0d35fb89eb9c70f9e54305ac7418c5fd4951c67311aa9e663ff9dc6a5"),
+            ("fonline", "0c533f0d87f428604569d26cf9031ab2e91ff96adb35148abf9aa76cc441efb3"),
+        ],
+    )
+    def test_slot_report_digests(self, strategy, digest, capsys):
+        # the six per-slot columns of a seed-7, 360-slot run, each float by its repr
+        argv = ["simulate", "--strategy", strategy, "--horizon", "360", "--seed", "7", "--slots"]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_synthetic_simulate_is_compare_run_0(self, strategy, tmp_path, capsys):
@@ -479,6 +500,40 @@ class TestCompare:
             assert main(["compare", "--runs", "1", "--horizon", "4", "--charge-rate", rate]) == 0
             reports.append(json.loads(capsys.readouterr().out)["strategies"])
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_infinite_penalty_rate(self, strategy, tmp_path, capsys):
+        # alpha1 * p overflows to inf: a run that delivers every commitment
+        # earns a finite profit (inf * 0.0 was NaN); one that over-commits a
+        # slot, by as little as one rounding, loses inf: a one-line error
+        cfg = ExperimentConfig(horizon=5)
+        trace, predicted = draw_instance(cfg, 0)
+        callback = STRATEGIES[strategy](strategy_config(cfg), predicted)
+        result = simulate_run(trace, cfg.spec, cfg.penalty, callback)
+        over_commits = any(y > 0.0 for y in result.over_commitments)
+        path = tmp_path / "pen.ini"
+        path.write_text("[penalty]\nalpha1 = 1e308\n")
+        code = main(["simulate", "--strategy", strategy, "--horizon", "5", "--config", str(path)])
+        captured = capsys.readouterr()
+        if over_commits:
+            assert (code, captured.out) == (1, "")
+            assert captured.err == "error: a profit is not finite: prices times outputs overflow float64\n"
+        else:
+            assert code == 0
+            assert json.loads(captured.out)["profit"] == result.total_profit
+
+    def test_infinite_penalty_on_an_over_commitment(self, tmp_path, monkeypatch, capsys):
+        # a strategy that commits beyond what it can deliver loses an infinite profit
+        def over_committing(bounds, spec):
+            return lambda t, price, output, level: OfferBook((price,), (output + 2.0 * spec.capacity,))
+
+        monkeypatch.setattr(experiment, "fonline_strategy", over_committing)
+        cfg = tmp_path / "pen.ini"
+        cfg.write_text("[penalty]\nalpha1 = 1e308\n")
+        assert main(["compare", "--runs", "1", "--horizon", "5", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a profit is not finite: prices times outputs overflow float64\n"
 
     @pytest.mark.parametrize("pmin, pmax", [("1e-300", "1e-299"), ("1e300", "1e301")])
     def test_fonline_sells_at_extreme_bounds(self, pmin, pmax, capsys):

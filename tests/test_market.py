@@ -134,7 +134,28 @@ def _rows(result):
     return list(zip(*(getattr(result, col) for col in ROW_COLUMNS)))
 
 
+def _example(volume=None, u=3.0, level_frac=0.5, rc=2.0, rd=2.0, alpha1=1.2):
+    """An ``@example`` of test_matches_reference_composition: a one-offer book
+    of `volume` (none when None) at 10.0, settled at 20.0, capacity 10.0."""
+    book = EMPTY_BOOK if volume is None else OfferBook((10.0,), (volume,))
+    return example(book=book, price=20.0, u=u, capacity=10.0, level_frac=level_frac,
+                   rc=rc, rd=rd, alpha1=alpha1, alpha2=0.0)  # fmt: skip
+
+
 class TestPlaySlot:
+    # the slot rule's regime boundaries, which random draws seldom hit
+    @_example(5.0)  # x == deliverable = 3 + min(5, 2), a deficit
+    @_example(3.0, rd=0.0)  # x == deliverable == u
+    @_example(3.0)  # delivered == u, below what is deliverable
+    @_example(1.0, level_frac=-0.0, rc=-0.0, rd=-0.0)  # surplus: charge and discharge -0.0
+    @_example(1.0, level_frac=-0.0, rc=0.0, rd=-0.0)
+    @_example(4.0, level_frac=-0.0, rc=-0.0, rd=0.0)  # a deficit from level -0.0
+    @_example(4.0, level_frac=-0.0, rc=-0.0, rd=-0.0)
+    @_example(None, u=-0.0, level_frac=-0.0, rc=-0.0, rd=-0.0)  # x 0.0 against u -0.0
+    @_example(None, u=-0.0, rc=-0.0, rd=0.0)
+    @_example(9.0)  # over-committed in a deficit
+    @_example(9.0, rd=-0.0)  # over-committed, delivered == u
+    @_example(9.0, level_frac=-0.0, rc=-0.0, alpha1=0.0)
     @settings(max_examples=400)
     @given(
         book=offer_books(),
@@ -324,6 +345,21 @@ class TestSimulateRun:
         # delivered energy, not the commitment, drives the storage
         assert result.levels == (0.0,)
         assert result.total_profit == 10.0 * 5.0 - (penalty.alpha1 * 10.0 + penalty.alpha2) * 4.0
+
+
+    def test_an_infinite_penalty_rate_charges_only_what_is_undelivered(self):
+        # alpha1 * p overflows to inf: a slot that delivers its commitment
+        # earns its revenue (inf * 0.0 would be NaN), and one that cannot loses inf
+        trace = Trace([20.0, 20.0], [3.0, 3.0])
+        spec = StorageSpec(10.0, 5.0, 5.0, 0.0)
+        penalty = PenaltyParams(1e308)
+        assert simulate_run(trace, spec, penalty, committing(2.0)).profits == (40.0, 40.0)
+        result = simulate_run(trace, spec, penalty, committing(4.0))
+        assert result.over_commitments == (1.0, 1.0)
+        assert result.profits == (-math.inf, -math.inf)
+        with np.errstate(invalid="ignore"):  # inf * 0.0 where nothing is undelivered
+            profits = play_columns(np.array([2.0, 4.0]), spec, penalty, 20.0, 3.0, 0.0)[3]
+        assert profits.tolist() == [40.0, -math.inf]
 
 
 @st.composite

@@ -93,6 +93,23 @@ class TestSocsOffer:
             x.hex() for x in ref.prices + ref.volumes
         ]
 
+    @pytest.mark.parametrize(
+        "state, refused",
+        [
+            ((25.0, 0.0, math.nan), ("eval_g", math.nan)),
+            ((25.0, 0.0, -1.0), ("eval_g", -1.0)),
+            ((math.nan, 0.0, 20.0), ("eval_g_inverse", math.nan)),
+            ((80.0, 0.0, 20.0), ("eval_g_inverse", 80.0)),
+        ],
+    )
+    def test_refuses_as_the_policy_does(self, pol_e2, cfg_e2, state, refused):
+        # the inlined range checks raise the messages of eval_g and eval_g_inverse
+        name, arg = refused
+        with pytest.raises(ValidationError) as policy_error:
+            getattr(pol_e2, name)(arg)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(policy_error.value))}$"):
+            socs_strategy(cfg_e2)(0, *state)
+
     def test_market_beats_candidate(self, pol_e2, cfg_e2):
         # z=10, u=2, p=20: sell down to the level whose threshold equals 20
         book = socs_strategy(cfg_e2)(0, 20.0, 2.0, 10.0)
@@ -508,8 +525,8 @@ class TestBooksWithoutNew:
     @pytest.mark.parametrize("name", list(STRATEGIES))
     def test_a_slot_opens_no_constructor_frame(self, name):
         # a count of Python frames, so it repeats exactly: each ladder slot
-        # opens its callback and Ladder.settle, and no socs or fonline slot
-        # opens OfferBook.__new__
+        # opens its callback and Ladder.settle, no socs or fonline slot
+        # opens OfferBook.__new__, and no socs slot a method of the policy
         cfg = ExperimentConfig(runs=1, horizon=360, seed=7)
         trace, predicted = draw_instance(cfg, 0)
         callback = STRATEGIES[name](strategy_config(cfg), predicted)
@@ -518,6 +535,8 @@ class TestBooksWithoutNew:
         if name in ("ocsmb", "mocsmb"):
             assert cfg.offers == 10
             assert (counts["ocsmb"], counts["settle"], counts["eval_g_inverse"]) == (360, 360, 0)
+        if name == "socs":  # the candidate is priced and the price inverted inline
+            assert (counts["socs"], counts["eval_g"], counts["eval_g_inverse"]) == (360, 0, 0)
 
 
 class TestMocsmbOffers:
