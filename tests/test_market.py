@@ -346,7 +346,6 @@ class TestSimulateRun:
         assert result.levels == (0.0,)
         assert result.total_profit == 10.0 * 5.0 - (penalty.alpha1 * 10.0 + penalty.alpha2) * 4.0
 
-
     def test_an_infinite_penalty_rate_charges_only_what_is_undelivered(self):
         # alpha1 * p overflows to inf: a slot that delivers its commitment
         # earns its revenue (inf * 0.0 would be NaN), and one that cannot loses inf
