@@ -267,24 +267,18 @@ def simulate_run(
             over = x - deliverable
             delivered = deliverable if deliverable < x else x
             profit = price * x - (alpha1 * price + alpha2) * over if over > 0.0 else price * x
-        if delivered < u:  # surplus output charges up to the charge rate, spills beyond capacity
-            charge = u - delivered
-            charge = charge if charge < rate_c else rate_c
-            discharge = zero_d
-            next_level = level + charge - discharge
-            next_level = capacity if capacity < next_level else next_level
-        elif u < delivered:  # a deficit discharges up to the discharge rate and the level
+        if u < delivered:  # a deficit discharges up to the discharge rate and the level
             charge = zero_c
             discharge = delivered - u
             discharge = discharge if discharge < rate_d else rate_d
             discharge = level if level < discharge else discharge
             next_level = level + charge - discharge  # within [0, level]
-        else:  # delivered == u, or NaN: the general rule, less what cannot fire
+        else:  # surplus output charges up to the charge rate, spills beyond capacity
+            # delivered == u falls here too: delivered - u is then +0.0, whose
+            # min with the rates is zero_d, since no settle returns -0.0 or NaN
             charge = u - delivered
             charge = charge if charge < rate_c else rate_c
-            discharge = delivered - u
-            discharge = discharge if discharge < rate_d else rate_d
-            discharge = level if level < discharge else discharge
+            discharge = zero_d
             next_level = level + charge - discharge
             next_level = capacity if capacity < next_level else next_level
         total += profit

@@ -54,24 +54,23 @@ class ThresholdPolicy:
     cr_value: float
 
     def __post_init__(self):
-        # eval_g's and eval_g_inverse's constants (which Ladder.settle and the
-        # socs callback also read, those of _ladder in one lookup), set once as
-        # the fields are (a write to __dict__ would slow every lookup); at
-        # theta == 1 (c_th == 0) the slope is 0.0, so every price in range inverts to c_th
+        # the curve's constants in one tuple, read by eval_g, eval_g_inverse
+        # and their inlined copies in Ladder.settle and the socs callback, set
+        # once as the fields are (a write to __dict__ would slow every lookup);
+        # at theta == 1 (c_th == 0) the slope is 0.0, so every price in range inverts to c_th
         c, c_th, c_l, bounds = self.capacity, self.c_th, self.capacity * self.l_n, self.bounds
         if not (math.isfinite(c * c) and c_l >= sys.float_info.min):  # NaN fails too
             raise ValidationError(f"capacity {c} is too large or too small for the threshold curve")
-        p_hi = bounds.p_max * (1.0 + 1e-12)
         slope = c_l / c_th if c_th else 0.0
         # z_tol, Ladder.settle's tolerance: 10^6 times the few eps * (C + slope *
         # (ln theta + 2)) by which rounding can move a threshold level; inf where
         # a subnormal p_min rounds p_min * exp(a) to a coarse absolute grid
         normal = bounds.p_min >= sys.float_info.min
         z_tol = 1e-9 * (c + slope * (3.0 * math.log(bounds.theta) + 4.0)) if normal else math.inf
-        ladder = bounds.p_min, bounds.p_max, c_th, slope, z_tol, c
-        values = -1e-12 * c, c * (1.0 + 1e-12), c_l, p_hi, slope, ladder
-        for name, value in zip(("_z_lo", "_z_hi", "_c_l", "_p_hi", "_slope", "_ladder"), values):
-            object.__setattr__(self, name, value)
+        # z and price ranges: [0, C] and [p_min, p_max], each widened by 1e-12 for rounding
+        z_lo, z_hi, p_hi = -1e-12 * c, c * (1.0 + 1e-12), bounds.p_max * (1.0 + 1e-12)
+        curve = bounds.p_min, bounds.p_max, c_th, slope, z_tol, c, z_lo, z_hi, c_l, p_hi
+        object.__setattr__(self, "_curve", curve)
 
     @classmethod
     def build(cls, bounds: PriceBounds, capacity: float) -> "ThresholdPolicy":
@@ -83,24 +82,27 @@ class ThresholdPolicy:
         """Threshold price at storage level z.
 
         Continuous, non-increasing, ``p_max`` at 0 and ``p_min`` from
-        ``c_th`` on.
+        ``c_th`` on.  The socs callback inlines the range check and the
+        formula; its reference test pins the copy to this method.
         """
-        if not self._z_lo <= z <= self._z_hi:  # NaN fails too
-            raise ValidationError(f"level {z} outside [0, {self.capacity}]")
+        p_min, _p_max, c_th, _slope, _tol, capacity, z_lo, z_hi, c_l, _p_hi = self._curve
+        if not z_lo <= z <= z_hi:  # NaN fails too
+            raise ValidationError(f"level {z} outside [0, {capacity}]")
         if z < 0.0:  # max(z, 0.0) without the builtin's call cost
             z = 0.0
-        p_min = self.bounds.p_min
-        if z >= self.c_th:
+        if z >= c_th:
             return p_min
-        return p_min * math.exp((self.c_th - z) * self.c_th / self._c_l)
+        return p_min * math.exp((c_th - z) * c_th / c_l)
 
     def eval_g_inverse(self, price: float) -> float:
         """Storage level at which the threshold price equals `price`.
 
         Defined for price in [p_min, p_max]; p_min, where the flat tail
-        starts, inverts to its least level c_th.
+        starts, inverts to its least level c_th.  ``Ladder.settle`` inlines
+        the formula and the socs callback the range check too; their
+        reference tests pin the copies to this method.
         """
-        p_min = self.bounds.p_min
-        if not p_min <= price <= self._p_hi:  # NaN fails too
-            raise ValidationError(f"price {price} outside g's range [{p_min}, {self.bounds.p_max}]")
-        return self.c_th - self._slope * math.log(price / p_min)
+        p_min, p_max, c_th, slope, _tol, _c, _z_lo, _z_hi, _c_l, p_hi = self._curve
+        if not p_min <= price <= p_hi:  # NaN fails too
+            raise ValidationError(f"price {price} outside g's range [{p_min}, {p_max}]")
+        return c_th - slope * math.log(price / p_min)

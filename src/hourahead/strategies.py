@@ -115,7 +115,7 @@ class Ladder(tuple):
         """Commitment volume: the floor and the rungs priced at or below
         `price`, added up in book order from 0.0 as ``OfferBook.settle`` does."""
         pol, floor, span, top, rungs = self
-        p_min, p_max, c_th, slope, tol, capacity = pol._ladder
+        p_min, p_max, c_th, slope, tol, capacity, _z_lo, _z_hi, _c_l, _p_hi = pol._curve
         if price < p_min:
             return 0.0
         k = rungs
@@ -165,8 +165,7 @@ def socs_strategy(cfg: StrategyConfig) -> OfferStrategy:
     physically deliverable, so the commitment can always be met.
     """
     pol, spec = cfg.policy, cfg.spec
-    p_min, _p_max, c_th, slope, _tol, capacity = pol._ladder
-    z_lo, z_hi, c_l, p_hi = pol._z_lo, pol._z_hi, pol._c_l, pol._p_hi
+    p_min, _p_max, c_th, slope, _tol, capacity, z_lo, z_hi, c_l, p_hi = pol._curve
     rate_c, rate_d = spec.charge_rate, spec.discharge_rate
     exp, log, new = math.exp, math.log, tuple.__new__
 

@@ -9,10 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from hourahead import (
     EMPTY_BOOK,
+    Ladder,
     OfferBook,
     PenaltyParams,
     PriceBounds,
     StorageSpec,
+    ThresholdPolicy,
     Trace,
     ValidationError,
     settle_offer,
@@ -54,6 +56,21 @@ class TestSettleOffer:
 
     def test_empty_book(self):
         assert settle_offer(EMPTY_BOOK, 25.0) == 0.0
+
+    @pytest.mark.parametrize("price", [5.0, 10.0, 30.0, 40.0, 50.0])
+    def test_no_book_settles_to_negative_zero(self, price):
+        # simulate_run's slot rule takes delivered == u as a surplus, which is
+        # the general rule bit for bit only while no settle returns -0.0
+        pol = ThresholdPolicy.build(PriceBounds(10.0, 40.0), 4.0)
+        books = [
+            EMPTY_BOOK,
+            book((30.0, -0.0)),
+            book((10.0, -0.0), (30.0, -0.0)),
+            Ladder(pol, -0.0, 0.0, 4.0, 0),
+            Ladder(pol, -0.0, 5e-324, 4.0, 3),
+            Ladder(pol, 0.0, 5e-324, 0.0, 3),
+        ]
+        assert [math.copysign(1.0, b.settle(price)) for b in books] == [1.0] * len(books)
 
 
 class TestEvolveStorage:

@@ -242,7 +242,7 @@ class TestConstantsComputedOnce:
     def test_value_fields_alone_compare_and_print(self, pol_e2):
         again = ThresholdPolicy.build(pol_e2.bounds, pol_e2.capacity)
         assert again == pol_e2 and repr(again) == repr(pol_e2)
-        assert "_slope" not in repr(pol_e2)
+        assert "_curve" not in repr(pol_e2)
 
 
 class TestNanIsOutOfRange:
