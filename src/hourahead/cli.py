@@ -31,7 +31,7 @@ from .experiment import (
     strategy_config,
 )
 from .market import PenaltyParams, PriceBounds, StorageSpec, scalar_columns, simulate_run
-from .oracle import check_dp_cells, offline_opt_dp, profit_ratio, ratio_json
+from .oracle import check_dp_cells, offline_opt_dp, profit_ratios, ratio_json
 from .policy import theoretical_cr
 from .strategies import (  # the *_strategy factories stay for bench/tracer.py to replace by name
     StrategyConfig,
@@ -261,7 +261,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     opt = offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit
     strategy = STRATEGIES[args.strategy](strategy_config(cfg), predicted)
     result = simulate_run(trace, cfg.spec, cfg.penalty, strategy)
-    ratio = profit_ratio(opt, result.total_profit)
+    ratio = float(profit_ratios(opt, result.total_profit))
     out = {
         "strategy": args.strategy,
         "horizon": trace.horizon,

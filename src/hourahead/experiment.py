@@ -26,6 +26,7 @@ from .oracle import (
     check_profits,
     offline_opt_dp,
     profit_ratios,
+    profit_sum,
     ratio_json,
 )
 from .strategies import (
@@ -158,7 +159,7 @@ def _aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> Report:
     strategies: dict[str, dict[str, Any]] = {}
     for name in BENCHMARK_NAMES + tuple(STRATEGIES):
         rows = [r for r in records if r.strategy == name]
-        total = sum(r.profit for r in rows)
+        total = profit_sum(r.profit for r in rows)
         check_profits(total)
         ratios = [r.empirical_cr for r in rows]
         strategies[name] = {
@@ -166,7 +167,7 @@ def _aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> Report:
             "mean_profit": total / len(rows),
             # one inf ratio makes both the max and the mean inf
             "empirical_cr_max": ratio_json(max(ratios)),
-            "empirical_cr_mean": ratio_json(sum(ratios) / len(ratios)),
+            "empirical_cr_mean": ratio_json(profit_sum(ratios) / len(ratios)),
         }
     meta = {"tool": "hourahead", "version": __version__, "seed": cfg.seed}
     return Report(meta=meta, config=cfg.to_dict(), strategies=strategies, records=records)
@@ -205,17 +206,17 @@ def run_offer_sweep(cfg: ExperimentConfig, offer_counts: Sequence[int]) -> list[
     check_dp_cells(cfg.horizon, cfg.disc)
     base_cfg = strategy_config(cfg)
     ladder_cfgs = {m: replace(base_cfg, offers=m) for m in offer_counts}
-    opt_tot = 0.0
-    socs_tot = 0.0
-    ladder_tot = dict.fromkeys(ladder_cfgs, 0.0)
+    opt, socs, ladder = [], [], {m: [] for m in ladder_cfgs}  # each run's profits
     for run in range(cfg.runs):
         trace, _predicted = draw_instance(cfg, run)
-        opt_tot += offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit
-        socs_tot += simulate_run(trace, cfg.spec, cfg.penalty, socs_strategy(base_cfg)).total_profit
+        opt += [offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit]
+        socs += [simulate_run(trace, cfg.spec, cfg.penalty, socs_strategy(base_cfg)).total_profit]
         for m, m_cfg in ladder_cfgs.items():
-            ladder_tot[m] += simulate_run(
-                trace, cfg.spec, cfg.penalty, ocsmb_strategy(m_cfg)
-            ).total_profit
+            ladder[m] += [
+                simulate_run(trace, cfg.spec, cfg.penalty, ocsmb_strategy(m_cfg)).total_profit
+            ]
+    opt_tot, socs_tot = profit_sum(opt), profit_sum(socs)
+    ladder_tot = {m: profit_sum(profits) for m, profits in ladder.items()}
     check_profits(opt_tot, socs_tot, *ladder_tot.values())
     return [
         {

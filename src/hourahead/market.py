@@ -139,18 +139,17 @@ class OfferBook(tuple):
 
     @property
     def total_volume(self) -> float:
-        return sum(self[1], 0.0)
+        return self.settle(math.inf)
 
     def settle(self, price: float) -> float:
-        """Commitment volume: total volume of offers priced at or below
-        `price`, added up in book order from 0.0."""
-        if len(self[0]) == 1:  # one offer: 0.0 + v, the bits of the loop below
+        """Commitment volume: ``math.fsum``, the correctly rounded sum, of the
+        volumes of the offers priced at or below `price`."""
+        if len(self[0]) == 1:  # one offer: 0.0 + v is fsum([v]), -0.0 giving 0.0 too
             return 0.0 + self[1][0] if self[0][0] <= price else 0.0
-        total = 0.0
-        for p, v in zip(self[0], self[1]):  # zip(*self) would ask the Python __len__ for a hint
-            if p <= price:
-                total += v
-        return total
+        try:  # zip(*self) would ask the Python __len__ for a hint
+            return math.fsum([v for p, v in zip(self[0], self[1]) if p <= price])
+        except OverflowError:  # fsum's intermediate overflow: volumes are >= 0, so the sum is inf
+            return math.inf
 
 
 EMPTY_BOOK = OfferBook((), ())

@@ -236,6 +236,15 @@ def check_profits(*profits: float | np.ndarray) -> None:
         raise ValidationError(_PROFIT_OVERFLOW)
 
 
+def profit_sum(terms) -> float:
+    """A report total: ``math.fsum`` of the terms, correctly rounded on every
+    Python version; ValidationError on fsum's intermediate overflow or inf - inf."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        raise ValidationError(_PROFIT_OVERFLOW) from None
+
+
 def profit_ratios(opt_profit: np.ndarray, strategy_profit: np.ndarray) -> np.ndarray:
     """Optimum over strategy profit, elementwise: 1.0 where both earn nothing,
     math.inf where only the optimum does, and ValidationError where a profit
@@ -245,8 +254,3 @@ def profit_ratios(opt_profit: np.ndarray, strategy_profit: np.ndarray) -> np.nda
     with np.errstate(over="ignore", invalid="ignore"):  # quiet, as Python floats are
         ratio = opt_profit / np.where(earns, strategy_profit, 1.0)
     return np.where(earns, ratio, np.where(opt_profit <= 0.0, 1.0, math.inf))
-
-
-def profit_ratio(opt_profit: float, strategy_profit: float) -> float:
-    """``profit_ratios`` for one run."""
-    return float(profit_ratios(np.float64(opt_profit), np.float64(strategy_profit)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from .market import (
     StorageSpec,
     Trace,
 )
+from .oracle import profit_sum
 from .policy import ThresholdPolicy
 
 
@@ -70,8 +71,9 @@ class Ladder(tuple):
     clearing price commits a prefix of the book: ``settle`` guesses its
     length k from ``eval_g_inverse``'s formula, inlined, prices the edge rungs
     with ``eval_g`` only where rounding could move k (see the policy's
-    ``z_tol``), and sums the prefix in book order (cum_k with no floor), bit
-    for bit what settling the materialized book (``prices``, ``volumes``) gives.
+    ``z_tol``), and returns floor + cum_k: every rung is exact (Sterbenz), so
+    that is the correctly rounded sum of the prefix, bit for bit what settling
+    the materialized book (``prices``, ``volumes``) gives.
 
     The tuple of its five fields; ``ocsmb_strategy`` skips the checking ``__new__``
     where floor and span are >= 0, all its config leaves open; ``len`` counts offers."""
@@ -109,11 +111,11 @@ class Ladder(tuple):
 
     @property
     def total_volume(self) -> float:
-        return sum(self.volumes, 0.0)
+        return self.settle(math.inf)  # every rung commits
 
     def settle(self, price: float) -> float:
-        """Commitment volume: the floor and the rungs priced at or below
-        `price`, added up in book order from 0.0 as ``OfferBook.settle`` does."""
+        """Commitment volume: the correctly rounded sum of the floor and the
+        rungs priced at or below `price`, as ``OfferBook.settle`` adds them."""
         pol, floor, span, top, rungs = self
         p_min, p_max, c_th, slope, tol, capacity, _z_lo, _z_hi, _c_l, _p_hi = pol._curve
         if price < p_min:
@@ -141,17 +143,8 @@ class Ladder(tuple):
                 if eval_g(0.0 if z < 0.0 else z) <= price:
                     break
                 k -= 1
-        if not k:  # no rung commits
-            return floor if floor > 0.0 else 0.0
-        if not floor > 0.0:  # each cum_i - cum_{i-1} is exact (Sterbenz), so the sum is cum_k
-            return span * (k / rungs)
-        total = floor
-        sold = 0.0
-        for i in range(1, k + 1):
-            cum = span * (i / rungs)
-            total += cum - sold
-            sold = cum
-        return total
+        # the rungs cum_i - cum_{i-1} add up to cum_k exactly; + 0.0 turns a -0.0 floor into 0.0
+        return floor + (span * (k / rungs) if k else 0.0)
 
 
 def socs_strategy(cfg: StrategyConfig) -> OfferStrategy:
@@ -264,6 +257,8 @@ def ocsmb_strategy(cfg: StrategyConfig) -> OfferStrategy:
             floor_volume = 0.0 if output < rate_c else output - rate_c
             span = deliverable - floor_volume
             top = level + output - floor_volume
+        if floor_volume + span > deliverable:  # span = fl(d - f) > d - f: one float down is not
+            span = math.nextafter(span, 0.0)
         if floor_volume >= 0.0 and span >= 0.0:  # Ladder's checks that cfg does not settle
             return new(Ladder, (pol, floor_volume, span, top, rungs if span > 0.0 else 0))
         return Ladder(pol, floor_volume, span, top, rungs if span > 0.0 else 0)  # raises
@@ -302,4 +297,4 @@ def fixed_threshold_strategy(threshold: float, spec: StorageSpec) -> OfferStrate
 
 def nostorage_profit(trace: Trace) -> float:
     """Clairvoyant optimum without storage: sell the full output every slot."""
-    return sum(p * u for p, u in zip(trace.prices, trace.outputs))
+    return profit_sum(map(mul, trace.prices, trace.outputs))

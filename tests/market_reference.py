@@ -2,8 +2,11 @@
 storage step and profit as separate helpers, the slot rule of
 ``market.simulate_run`` as their composition, and the
 ``strategies.socs_strategy`` callback, all written with the builtin ``min``
-and ``max``."""
+and ``max``, and the settlement of an offer book as an exact sum."""
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from hourahead import EMPTY_BOOK, OfferBook, PenaltyParams, StorageSpec, StrategyConfig
 from hourahead.market import OfferStrategy
@@ -92,11 +95,16 @@ def offer_book_error(prices: tuple[float, ...], volumes: tuple[float, ...]) -> s
     return f"offer volume must be non-negative, got {bad[0]}" if bad else None
 
 
+def rounded(exact: Fraction) -> float:
+    """An exact sum rounded once to the nearest float, an infinity past the largest."""
+    try:
+        return float(exact)  # int / int, correctly rounded
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 def settle_reference(book: OfferBook, price: float) -> float:
-    """``OfferBook.settle`` as the loop over every offer: the volumes priced
-    at or below `price`, added up in book order from 0.0."""
-    total = 0.0
-    for p, v in zip(book.prices, book.volumes):
-        if p <= price:
-            total += v
-    return total
+    """``OfferBook.settle`` as the exact ``Fraction`` sum of the volumes priced
+    at or below `price`, rounded once; inf where one of them is inf."""
+    committed = [v for p, v in zip(book.prices, book.volumes) if p <= price]
+    return math.inf if math.inf in committed else rounded(sum(map(Fraction, committed), Fraction()))

@@ -11,6 +11,8 @@
   takes, so the search matches it bit for bit; ``offline_opt_dp`` finds the
   exact argmax, and on exact ties (repeated prices) may take another equally
   optimal plan whose total differs in the last bit.
+* ``profit_ratio`` is ``oracle.profit_ratios`` for one run, as ``simulate``
+  calls it.
 * ``empirical_cr`` is the profit ratio of one strategy on one instance.
 * ``adversarial_search_reference`` is the worst-case search as one
   ``offline_opt_grid`` and one ``simulate_run`` per instance.
@@ -42,7 +44,7 @@ from hourahead.oracle import (
     check_profits,
     grid_step,
     overflow_is_an_error,
-    profit_ratio,
+    profit_ratios,
 )
 
 def _step(k: int, j: int, uq: int, rc: int, n: int) -> int:
@@ -181,6 +183,11 @@ def offline_opt_grid(trace: Trace, spec: StorageSpec, disc: DiscretizationConfig
         k = m
         levels.append(k * eta)
     return OptResult(total, tuple(commitments), tuple(levels))
+
+
+def profit_ratio(opt_profit: float, strategy_profit: float) -> float:
+    """``profit_ratios`` of one run's two floats, as ``simulate`` calls it."""
+    return float(profit_ratios(opt_profit, strategy_profit))
 
 
 def empirical_cr(

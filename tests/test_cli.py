@@ -179,8 +179,8 @@ class TestGenTraceAndSimulate:
         "strategy, digest",
         [
             ("socs", "dd055a66eda30f11ebb19c5c0c379099af83cc5b00a714bbe370ef7b24c375d1"),
-            ("ocsmb", "fa69c928023a1d71905c857b00a53e1eea9accc91c41015d17cd7428a9e35ff5"),
-            ("mocsmb", "715c3fb0d35fb89eb9c70f9e54305ac7418c5fd4951c67311aa9e663ff9dc6a5"),
+            ("ocsmb", "11abf7cf5d374c606c3e2c6dbf330f250cf5fb79922a95e7c2ea164a7f9c6d0b"),
+            ("mocsmb", "de96db2f473f535d738454ce706b56fe3aea0dcd341cb69f1146f1f35821adc0"),
             ("fonline", "0c533f0d87f428604569d26cf9031ab2e91ff96adb35148abf9aa76cc441efb3"),
         ],
     )
@@ -420,11 +420,11 @@ class TestCompare:
             ([], "069b7abe7fb5a568400444e0044f24bbe7a8fe2c1171e54d9f9038018a430672"),
             (
                 ["--sweep-offers", "1-15"],
-                "ac9f8f0599f276abda581ec15f5e2558e941cb31162f04db2ef0d4233ef38e71",
+                "7ad518e314e29969537c424c771bfac978eac3e287d648737aa9f37e79b43ad0",
             ),
             (
                 ["--runs", "2", "--horizon", "24", "--seed", "3", "--levels", "40"],
-                "5132f3c3928b75754c9fc0c5efa54ef85830701145775ddc5caf03a11703eb6d",
+                "983a20ba9ca4700631be025f814b0c459e7bcb02f6788168fdaf750ac48a46db",
             ),
             (
                 ["--runs", "2", "--horizon", "24", "--seed", "3", "--levels", "40",
@@ -434,9 +434,10 @@ class TestCompare:
         ],
     )
     def test_reference_digests(self, extra, digest, capsys):
-        # the seed-7 `compare` and `sweep` batch reports of bench/README.md; a later flag
-        # overrides an earlier one, and the --levels 40 reports are those that 20 MWh over
-        # 40 levels of 0.5 MWh gave when the grid was set by --eta 0.5
+        # the seed-7 `compare` and `sweep` batch reports of bench/README.md (its sweep row
+        # predates ladders settled to the correctly rounded sum); a later flag overrides an
+        # earlier one, and the --levels 40 reports are those that 20 MWh over 40 levels of
+        # 0.5 MWh gave when the grid was set by --eta 0.5
         argv = [
             "compare", "--runs", "1", "--horizon", "360", "--seed", "7",
             "--pmin", "10.0", "--pmax", "40.0", "--capacity", "20.0",
@@ -448,10 +449,10 @@ class TestCompare:
     @pytest.mark.parametrize(
         "extra, digest",
         [
-            ([], "c733c002bf2619a3a6fbb91f6ab53a6070dbb6496273bd15280ec8d7734ffe09"),
+            ([], "c9c76737620b4f35aedb13939737b7aec3830a82f8096d7a4934315a93c60917"),
             (
                 ["--sweep-offers", "1-15"],
-                "009f65f31a5913034ff75d9f5dcd45ac00643375fdfa6008b872517c993c3106",
+                "828113db99ae55b1c7eb1d17ef12480ecd6cf0c4f5f0a8221fdb96124d7ab66c",
             ),
         ],
         ids=["compare", "sweep"],
@@ -503,24 +504,20 @@ class TestCompare:
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_infinite_penalty_rate(self, strategy, tmp_path, capsys):
-        # alpha1 * p overflows to inf: a run that delivers every commitment
-        # earns a finite profit (inf * 0.0 was NaN); one that over-commits a
-        # slot, by as little as one rounding, loses inf: a one-line error
+        # alpha1 * p overflows to inf, and no strategy commits more than it can
+        # deliver (ocsmb once did by one rounding, here in slot 0): every run
+        # earns a finite profit (inf * 0.0 was NaN)
         cfg = ExperimentConfig(horizon=5)
         trace, predicted = draw_instance(cfg, 0)
         callback = STRATEGIES[strategy](strategy_config(cfg), predicted)
         result = simulate_run(trace, cfg.spec, cfg.penalty, callback)
-        over_commits = any(y > 0.0 for y in result.over_commitments)
+        assert result.over_commitments == (0.0,) * 5
         path = tmp_path / "pen.ini"
         path.write_text("[penalty]\nalpha1 = 1e308\n")
         code = main(["simulate", "--strategy", strategy, "--horizon", "5", "--config", str(path)])
-        captured = capsys.readouterr()
-        if over_commits:
-            assert (code, captured.out) == (1, "")
-            assert captured.err == "error: a profit is not finite: prices times outputs overflow float64\n"
-        else:
-            assert code == 0
-            assert json.loads(captured.out)["profit"] == result.total_profit
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["profit"] == result.total_profit
+        assert main(["compare", "--runs", "1", "--horizon", "5", "--config", str(path)]) == 0
 
     def test_infinite_penalty_on_an_over_commitment(self, tmp_path, monkeypatch, capsys):
         # a strategy that commits beyond what it can deliver loses an infinite profit
@@ -531,6 +528,19 @@ class TestCompare:
         cfg = tmp_path / "pen.ini"
         cfg.write_text("[penalty]\nalpha1 = 1e308\n")
         assert main(["compare", "--runs", "1", "--horizon", "5", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a profit is not finite: prices times outputs overflow float64\n"
+
+    def test_nostorage_overflow_is_one_line(self, tmp_path, capsys):
+        # each price times output is finite, their sum is not, and fsum raises
+        # OverflowError there; an empty store on one 100 MWh level leaves the
+        # oracle nothing to sell, so the nostorage total is the first to overflow
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text("[storage]\ninitial_level = 0\n")
+        argv = ["compare", "--runs", "1", "--horizon", "24", "--pmin", "4e306", "--pmax", "4e306",
+                "--capacity", "100", "--levels", "1", "--config", str(cfg)]  # fmt: skip
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: a profit is not finite: prices times outputs overflow float64\n"

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -6,22 +7,28 @@ import sys
 import textwrap
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hourahead import ValidationError, theoretical_cr
+from hourahead import ValidationError, offline_opt_dp, simulate_run, theoretical_cr
 from hourahead import experiment
 from hourahead.cli import load_config_file
-from hourahead.oracle import profit_ratio
 from hourahead.market import PriceBounds
 from hourahead.experiment import (
     STRATEGIES,
     ExperimentConfig,
+    draw_instance,
     emit_report,
     run_experiment,
     run_offer_sweep,
+    strategy_config,
 )
+from hourahead.strategies import ocsmb_strategy, socs_strategy
+
+from market_reference import rounded
+from oracle_reference import profit_ratio
 
 
 def small_config(**overrides):
@@ -43,6 +50,21 @@ class TestRunExperiment:
                 "empirical_cr_max",
                 "empirical_cr_mean",
             }
+
+    def test_totals_are_rounded_exact_sums(self):
+        # every total and mean is the exact sum of its runs' numbers rounded
+        # once, as math.fsum gives it on any Python version
+        cfg = small_config(runs=12)
+        report = run_experiment(cfg)
+        for name, entry in report.strategies.items():
+            rows = [r for r in report.records if r.strategy == name]
+            total = rounded(sum(Fraction(r.profit) for r in rows))
+            assert (entry["total_profit"], entry["mean_profit"]) == (total, total / cfg.runs)
+            ratios = [r.empirical_cr for r in rows]
+            if math.inf in ratios:  # one unbounded run makes the mean unbounded
+                assert entry["empirical_cr_mean"] == "unbounded"
+            else:
+                assert entry["empirical_cr_mean"] == rounded(sum(map(Fraction, ratios))) / cfg.runs
 
     def test_deterministic(self):
         a = run_experiment(small_config())
@@ -229,6 +251,24 @@ class TestOfferSweep:
         assert [r["offers"] for r in rows] == [1, 2, 3, 5]
         for row in rows:
             assert row["ocsmb_mean_profit"] <= row["offline_mean_profit"] + 1e-9
+
+    def test_means_are_rounded_exact_sums(self):
+        cfg = small_config(runs=12)  # where adding in run order rounds three totals otherwise
+        counts = [1, 4]
+        strat_cfg = strategy_config(cfg)
+        exact = dict.fromkeys(["offline", "socs", *counts], Fraction())
+        for run in range(cfg.runs):
+            trace, _predicted = draw_instance(cfg, run)
+            exact["offline"] += Fraction(offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit)
+            strategies = {"socs": socs_strategy(strat_cfg)}
+            strategies.update((m, ocsmb_strategy(replace(strat_cfg, offers=m))) for m in counts)
+            for key, strategy in strategies.items():
+                result = simulate_run(trace, cfg.spec, cfg.penalty, strategy)
+                exact[key] += Fraction(result.total_profit)
+        for row in run_offer_sweep(cfg, counts):
+            means = (row["offline_mean_profit"], row["socs_mean_profit"], row["ocsmb_mean_profit"])
+            keys = ("offline", "socs", row["offers"])
+            assert means == tuple(rounded(exact[key]) / cfg.runs for key in keys)
 
     def test_repeated_count_one_row(self):
         cfg = small_config(runs=2, horizon=12, disc_levels=40)

@@ -57,6 +57,26 @@ class TestSettleOffer:
     def test_empty_book(self):
         assert settle_offer(EMPTY_BOOK, 25.0) == 0.0
 
+    @settings(max_examples=300)
+    @given(
+        offers=st.lists(
+            st.tuples(st.floats(1e-3, 50.0), non_negative(50.0) | st.floats(0.0, 1e308)),
+            max_size=6,
+        ),
+        price=st.floats(0.0, 60.0),
+    )
+    @example(offers=[(1.0, 1e16), (2.0, 1.0), (3.0, 1.0)], price=5.0)  # adding in order gives 1e16
+    def test_settles_to_the_rounded_exact_sum(self, offers, price):
+        b = book(*sorted(offers))
+        assert b.settle(price).hex() == settle_reference(b, price).hex()
+        assert b.total_volume.hex() == settle_reference(b, math.inf).hex()
+
+    def test_overflowing_volumes_settle_to_inf(self):
+        # fsum raises on an intermediate overflow; volumes are >= 0, so the sum is inf
+        b = book((10.0, 1e308), (20.0, 1e308))
+        assert settle_offer(b, 15.0) == 1e308
+        assert settle_offer(b, 25.0) == b.total_volume == math.inf
+
     @pytest.mark.parametrize("price", [5.0, 10.0, 30.0, 40.0, 50.0])
     def test_no_book_settles_to_negative_zero(self, price):
         # simulate_run's slot rule takes delivered == u as a surplus, which is
@@ -503,7 +523,7 @@ edge_floats = st.one_of(
 
 class TestOneOfferPath:
     """A one-offer book's build and settle take their own path: both equal
-    the generic checks and loop, bit for bit."""
+    the generic checks and the exact sum, bit for bit."""
 
     @settings(max_examples=300)
     @given(
@@ -537,6 +557,6 @@ class TestOneOfferPath:
     def test_settle_equals_generic_loop(self, offer_price, volume, price):
         b = OfferBook((offer_price,), (volume,))
         assert settle_reference(b, price).hex() == b.settle(price).hex()
-        # a zero-volume second offer above every price keeps the generic loop's sum
+        # a zero-volume second offer above every price keeps the generic sum
         two = OfferBook((offer_price, math.inf), (volume, 0.0))
         assert two.settle(price).hex() == b.settle(price).hex()

@@ -17,11 +17,16 @@ from hourahead import (
 from hourahead import oracle
 from hourahead.experiment import ExperimentConfig, draw_instance
 from hourahead.market import EMPTY_BOOK, OfferBook
-from hourahead.oracle import _quantize, profit_ratio, profit_ratios, ratio_json
+from hourahead.oracle import _quantize, profit_ratios, ratio_json
 from hourahead.strategies import StrategyConfig, socs_strategy
 
 from conftest import non_negative, synthetic_trace
-from oracle_reference import empirical_cr, offline_opt_dp_reference, offline_opt_exhaustive
+from oracle_reference import (
+    empirical_cr,
+    offline_opt_dp_reference,
+    offline_opt_exhaustive,
+    profit_ratio,
+)
 
 
 def random_tiny_instance(rng):

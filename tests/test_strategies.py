@@ -1,13 +1,15 @@
 import bisect
+import itertools
 import math
 import re
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hourahead import (
     Ladder,
@@ -39,7 +41,7 @@ from hourahead.strategies import (
 )
 
 from conftest import forecast_and_realized, non_negative, synthetic_trace
-from market_reference import socs_offer_reference
+from market_reference import rounded, settle_reference, socs_offer_reference
 
 
 E2 = PriceBounds(10.0, 10.0 * math.e**2)
@@ -269,7 +271,7 @@ class TestOcsmbOffers:
             result = simulate_run(
                 trace, spec, penalty, ocsmb_strategy(StrategyConfig(bounds, spec))
             )
-            assert all(y <= 1e-12 for y in result.over_commitments)
+            assert all(y == 0.0 for y in result.over_commitments)
 
     def test_converges_to_known_price_strategy(self, bounds, spec, penalty):
         gaps = []
@@ -294,15 +296,21 @@ def _bits(x):
 
 def ocsmb_fields_reference(cfg, output, level):
     """floor_volume, span and top of an ``ocsmb_strategy`` ladder, with the
-    builtin min and max."""
+    builtin min and max, and the span one float lower where floor plus span
+    rounds past what is deliverable."""
     pol, spec = cfg.policy, cfg.spec
     deliverable = output + min(level, spec.discharge_rate)
     if min(output, spec.charge_rate) + level > pol.c_th:
         floor_volume = min(output + level - pol.c_th, deliverable)
         span = min(pol.c_th, output + spec.discharge_rate, deliverable - floor_volume)
-        return floor_volume, span, pol.c_th
-    floor_volume = max(output - spec.charge_rate, 0.0)
-    return floor_volume, deliverable - floor_volume, level + output - floor_volume
+        top = pol.c_th
+    else:
+        floor_volume = max(output - spec.charge_rate, 0.0)
+        span = deliverable - floor_volume
+        top = level + output - floor_volume
+    if floor_volume + span > deliverable:
+        span = math.nextafter(span, 0.0)
+    return floor_volume, span, top
 
 
 
@@ -338,6 +346,16 @@ def _ulps_around(x, n):
     return out
 
 
+SPEC_20 = StorageSpec(20.0, 10.0, 10.0)
+# a state whose floor plus span, deliverable - floor rounded up, passes deliverable
+STEPPED_MARKET = (
+    PriceBounds(10.0, 40.0),
+    StorageSpec(20.0, 5.932633974376405, 6.001641723812561),
+    10.125769259336625,
+)
+STEPPED_Z_FRAC = 2.675816605891852 / 20.0
+
+
 class TestLadderClosedForm:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -346,14 +364,13 @@ class TestLadderClosedForm:
         z_frac=st.floats(0.0, 1.0),
         draws=st.lists(st.floats(0.0, 1.0), max_size=4),
     )
+    @example(  # a floored ladder of 9,999 rungs
+        market=(PriceBounds(10.0, 40.0), SPEC_20, 5.0), offers=10_000, z_frac=1.0, draws=[0.5]
+    )
     def test_settles_like_the_materialized_book(self, market, offers, z_frac, draws):
         bounds, spec, u = market
         cfg = StrategyConfig(bounds, spec, offers=offers)
         ladder = ocsmb_strategy(cfg)(0, ANY_PRICE, u, z_frac * spec.capacity)
-        if ladder.rungs > 64 and ladder.floor_volume > 0.0:
-            # a floored settle adds its k rungs one by one; the floor does not
-            # move k, so a long ladder is checked at every rung without it
-            ladder = Ladder(cfg.policy, 0.0, ladder.span, ladder.top, ladder.rungs)
         book = OfferBook(ladder.prices, ladder.volumes)  # checks the price order
         assert len(ladder) == len(book)
         assert _bits(ladder.total_volume) == _bits(book.total_volume)
@@ -361,15 +378,34 @@ class TestLadderClosedForm:
         prices = {p for edge in edges for p in _ulps_around(edge, 2)}
         drawn = {bounds.p_min + d * (bounds.p_max - bounds.p_min) for d in draws}
         # the book's prices never fall, so it commits a prefix of its offers and
-        # settles to the running sum of that prefix, as settle_offer adds it up
-        running = [0.0]
-        for v in book.volumes:
-            running.append(running[-1] + v)
+        # settles to the exact sum of that prefix rounded once, settle_reference's
+        # rule, here over exact prefix sums computed once
+        exact = list(itertools.accumulate(map(Fraction, book.volumes), initial=Fraction()))
         for p in sorted(prices | drawn):
-            want = running[bisect.bisect_right(book.prices, p)]
+            want = rounded(exact[bisect.bisect_right(book.prices, p)])
             assert _bits(ladder.settle(p)) == _bits(want), p
         for p in drawn | {bounds.p_min, bounds.p_max}:
-            assert _bits(ladder.settle(p)) == _bits(settle_offer(book, p)), p
+            want = settle_reference(book, p)
+            assert _bits(ladder.settle(p)) == _bits(settle_offer(book, p)) == _bits(want), p
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        market=ladder_markets(),
+        offers=st.integers(1, 64),
+        z_frac=st.sampled_from([-0.0, 1.0]) | st.floats(0.0, 1.0),
+        price_frac=st.floats(0.0, 1.0),
+    )
+    # a full store, whose rungs added one by one passed what is deliverable
+    @example(market=(PriceBounds(10.0, 40.0), SPEC_20, 2.0), offers=10, z_frac=1.0, price_frac=1.0)
+    @example(market=STEPPED_MARKET, offers=10, z_frac=STEPPED_Z_FRAC, price_frac=1.0)
+    def test_commits_no_more_than_deliverable(self, market, offers, z_frac, price_frac):
+        bounds, spec, u = market
+        level = z_frac * spec.capacity
+        ladder = ocsmb_strategy(StrategyConfig(bounds, spec, offers=offers))(0, ANY_PRICE, u, level)
+        deliverable = u + min(level, spec.discharge_rate)
+        price = bounds.p_min + price_frac * (bounds.p_max - bounds.p_min)
+        for p in (price, bounds.p_max, math.inf):
+            assert ladder.settle(p) <= deliverable, p
 
     def test_most_settles_price_no_edge_rung(self, monkeypatch):
         # the certified guess skips the edge loops on the seed-7 offer sweep's
@@ -397,6 +433,14 @@ class TestLadderClosedForm:
         charge=non_negative(15.0),
         discharge=non_negative(15.0),
         capacity=st.floats(0.1, 50.0),
+    )
+    @example(  # STEPPED_MARKET: the span steps down
+        theta=4.0,
+        u=STEPPED_MARKET[2],
+        z_frac=STEPPED_Z_FRAC,
+        charge=STEPPED_MARKET[1].charge_rate,
+        discharge=STEPPED_MARKET[1].discharge_rate,
+        capacity=20.0,
     )
     def test_fields_match_builtin_min_max(self, theta, u, z_frac, charge, discharge, capacity):
         bounds = PriceBounds(10.0, 10.0 * theta)
@@ -429,14 +473,28 @@ class TestLadderClosedForm:
         rungs=st.one_of(st.integers(1, 64), st.integers(1, 10_000)),
     )
     def test_unfloored_sum_is_the_last_cum(self, span, rungs):
-        # settle returns span * (k / rungs) for a ladder with no floor: each
-        # cum_i - cum_{i-1} is exact, so the running sum from 0.0 is cum_k
+        # settle returns floor + span * (k / rungs): each cum_i - cum_{i-1} is
+        # exact, so the rungs add up to cum_k, here as a running sum from 0.0
         total = sold = 0.0
         for k in range(1, rungs + 1):
             cum = span * (k / rungs)
             total += cum - sold
             sold = cum
             assert total.hex() == cum.hex(), (span, rungs, k)
+
+    def test_a_floored_settle_costs_the_same_at_any_rung_count(self, pol_e2):
+        # line events in settle, a count that repeats exactly: a floored ladder
+        # committing half its rungs at a certified price settles in as many
+        # lines at 9,999 rungs as at 10, with no loop over the committed rungs
+        counts = []
+        for rungs in (10, 9_999):
+            c_th, k = pol_e2.c_th, rungs // 2
+            ladder = Ladder(pol_e2, 1.0, c_th, c_th, rungs)
+            price = pol_e2.eval_g(c_th - c_th * ((k + 0.5) / rungs))  # halfway to rung k + 1
+            lines = _line_events(lambda: ladder.settle(price), Ladder.settle.__code__)
+            assert ladder.settle(price) == 1.0 + c_th * (k / rungs)
+            counts.append(lines)
+        assert counts[0] == counts[1]
 
     def test_checks(self, pol_e2):
         for floor, span, rungs in ((-1.0, 1.0, 2), (1.0, -1.0, 0), (1.0, 0.0, 2), (0.0, 1.0, -1)):
@@ -478,6 +536,23 @@ def _frame_counts(run):
     finally:
         sys.setprofile(None)
     return counts
+
+
+def _line_events(run, code):
+    """Line events that run() traces in frames of `code`."""
+    count = 0
+
+    def local(_frame, event, _arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    sys.settrace(lambda frame, _event, _arg: local if frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return count
 
 
 class TestBooksWithoutNew:
@@ -623,6 +698,10 @@ class TestBaselines:
         assert nostorage_profit(Trace([10.0, 20.0], [1.0, 2.0])) == 50.0
         assert nostorage_profit(Trace([15.0, 25.0], [0.0, 0.0])) == 0.0
         assert nostorage_profit(Trace([30.0], [4.0])) == 120.0
+        # the exact sum rounded once: adding in order would drop both 1.0s
+        assert nostorage_profit(Trace([1.0] * 3, [1e16, 1.0, 1.0])) == 1e16 + 2.0
+        with pytest.raises(ValidationError, match="not finite"):  # fsum's OverflowError
+            nostorage_profit(Trace([1e308, 1e308], [1.0, 1.0]))
 
 
 class TestConfigValidation:
