@@ -6,7 +6,7 @@ Library layout:
 * ``policy``     - adaptive price threshold over the storage level
 * ``strategies`` - the online strategies and the fixed-threshold baselines
 * ``oracle``     - clairvoyant optimum over a quantized storage grid
-* ``adversary``  - worst-case search and step-function ratio numerics
+* ``adversary``  - exhaustive worst-case search over small instance grids
 * ``traces``     - CSV ingestion and seeded synthetic generation
 * ``experiment`` - multi-run orchestration and report emission
 * ``cli``        - the ``hourahead`` command-line interface

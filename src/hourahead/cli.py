@@ -82,7 +82,7 @@ def load_config_file(path: str | Path) -> dict:
     key (so also [DEFAULT]) or a value of the wrong type is an error."""
     parser = configparser.ConfigParser(default_section="")
     try:
-        if not parser.read(path, encoding="utf-8"):
+        if not parser.read(path, encoding="utf-8-sig"):
             raise OSError(f"config file not found: {path}")
         sections = {section: parser.items(section) for section in parser.sections()}
     except configparser.Error as exc:  # a file it cannot parse; the message spans lines

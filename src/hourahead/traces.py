@@ -2,8 +2,8 @@
 
 File formats (hourly, aligned timestamps):
 
-* price CSV: header ``timestamp,price``; ISO-8601 timestamps, price in
-  currency/MWh.
+* price CSV: header ``timestamp,price``; ISO-8601 timestamps, each later
+  than the one before, price in currency/MWh.
 * wind CSV:  header ``timestamp,wind_mw``; same timestamp grid, decimal MW
   (slot energy in MWh equals MW x 1 h).
 """
@@ -27,13 +27,13 @@ _SIGNS = {"price": (lambda v: v > 0.0, "positive"), "wind_mw": (lambda v: v >= 0
 
 
 def _csv_rows(path: Path) -> Iterator[list[str]]:
-    """The rows of a UTF-8 CSV file; a byte that is not UTF-8, or a row the
-    csv module refuses (a field over its size limit, say), is a TraceParseError."""
-    data = path.read_bytes()
+    """The rows of a UTF-8 CSV file, after a byte-order mark if it has one; a
+    byte that is not UTF-8, or a row the csv module refuses (a field over its
+    size limit, say), is a TraceParseError."""
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the bytes after the mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise TraceParseError(f"{path}:{line}: not UTF-8 text") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -42,11 +42,12 @@ def _csv_rows(path: Path) -> Iterator[list[str]]:
         raise TraceParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _read_series(path: str | Path, value_column: str) -> list[tuple[int, str, float]]:
-    """The (line number, timestamp, value) of each data row; blank lines are skipped."""
+def _read_series(path: str | Path, value_column: str) -> list[tuple[int, str, datetime, float]]:
+    """The (line number, timestamp text, parsed timestamp, value) of each data
+    row; blank lines are skipped."""
     path = Path(path)
     has_sign, sign = _SIGNS[value_column]
-    rows: list[tuple[int, str, float]] = []
+    rows: list[tuple[int, str, datetime, float]] = []
     reader = _csv_rows(path)
     header = next(reader, None)
     if header != ["timestamp", value_column]:
@@ -58,7 +59,7 @@ def _read_series(path: str | Path, value_column: str) -> list[tuple[int, str, fl
             raise TraceParseError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
         stamp, raw = row
         try:
-            datetime.fromisoformat(stamp)
+            when = datetime.fromisoformat(stamp)
         except ValueError:
             raise TraceParseError(
                 f"{path}:{lineno}: invalid ISO-8601 timestamp {stamp!r}"
@@ -73,7 +74,7 @@ def _read_series(path: str | Path, value_column: str) -> list[tuple[int, str, fl
             raise TraceParseError(f"{path}:{lineno}: non-finite {value_column} value")
         if not has_sign(value):
             raise ValidationError(f"{path}:{lineno}: {value_column} must be {sign}, got {value}")
-        rows.append((lineno, stamp, value))
+        rows.append((lineno, stamp, when, value))
     if not rows:
         raise TraceParseError(f"{path}: no data rows")
     return rows
@@ -98,19 +99,27 @@ def load_trace(
             f"misaligned series: {len(price_rows)} price rows vs {len(wind_rows)} wind rows"
         )
     check_bounds = bounds is not None and not clip
-    for (line, stamp, p), (wind_line, wind_stamp, _) in zip(price_rows, wind_rows):
+    previous = None
+    for (line, stamp, when, p), (wind_line, wind_stamp, *_) in zip(price_rows, wind_rows):
         if stamp != wind_stamp:
             raise TraceParseError(
                 f"{wind_path}:{wind_line}: timestamp {wind_stamp!r} does not match "
                 f"{price_path}:{line}, which has {stamp!r}"
             )
+        # the storage level couples each slot to the one before, so rows must
+        # be in time order; a naive and an offset timestamp do not compare
+        if previous and (when.tzinfo is None) != (previous.tzinfo is None):
+            raise TraceParseError(f"{price_path}:{line}: {stamp!r} mixes naive and offset times")
+        if previous and when <= previous:
+            raise TraceParseError(f"{price_path}:{line}: {stamp!r} is not after the row before")
+        previous = when
         if check_bounds and not bounds.p_min <= p <= bounds.p_max:
             raise ValidationError(
                 f"{price_path}:{line}: price {p} outside bounds "
                 f"[{bounds.p_min}, {bounds.p_max}] and clipping is off"
             )
-    prices = [p for _, _, p in price_rows]
-    winds = [w for _, _, w in wind_rows]
+    prices = [p for *_, p in price_rows]
+    winds = [w for *_, w in wind_rows]
     if bounds is None:
         bounds = PriceBounds(min(prices), max(prices))
     elif clip:

@@ -22,7 +22,7 @@ from hourahead import (
     simulate_run,
     theoretical_cr,
 )
-from hourahead.adversary import AdversaryGrid, StepFunction, adversarial_search, local_cr_closed_form
+from hourahead.adversary import AdversaryGrid, adversarial_search
 from hourahead.cli import main
 from hourahead.market import scalar_columns
 from hourahead.strategies import (
@@ -35,6 +35,7 @@ from hourahead.strategies import (
 from hourahead.traces import realize_outputs, synthesize
 
 from oracle_reference import empirical_cr, offline_opt_exhaustive
+from policy_reference import StepFunction, local_cr_closed_form
 
 SUITE_BOUNDS = PriceBounds(10.0, 40.0)
 SUITE_SPEC = StorageSpec(20.0, 10.0, 10.0)

@@ -18,18 +18,13 @@ from hourahead import (
     theoretical_cr,
 )
 from hourahead import adversary
-from hourahead.adversary import (
-    AdversaryGrid,
-    StepFunction,
-    adversarial_search,
-    local_cr_closed_form,
-    step_lengths_from_equalization,
-)
+from hourahead.adversary import AdversaryGrid, adversarial_search
 from hourahead.experiment import STRATEGIES
 from hourahead.market import scalar_columns
 from hourahead.strategies import fixed_threshold_strategy, fonline_strategy, socs_columns
 
 from oracle_reference import adversarial_search_reference, empirical_cr
+from policy_reference import StepFunction, local_cr_closed_form, step_lengths_from_equalization
 
 
 class TestStepFunction:

@@ -1010,6 +1010,35 @@ class TestMalformedFiles:
         assert captured.out == ""
         assert captured.err == f"error: config {cfg}: not UTF-8 text\n"
 
+    def test_rows_out_of_time_order(self, trace_files, capsys):
+        # both files read 02:00, 00:00, 00:00: not three consecutive hours
+        for path in trace_files:
+            lines = path.read_bytes().splitlines()
+            stamps = [b"2015-01-01T02:00", b"2015-01-01T00:00", b"2015-01-01T00:00"]
+            lines[1:] = [stamp + line[line.index(b","):] for stamp, line in zip(stamps, lines[1:])]
+            path.write_bytes(b"\n".join(lines) + b"\n")
+        argv = ["simulate", "--price-csv", str(trace_files[0]), "--wind-csv", str(trace_files[1])]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {trace_files[0]}:3: '2015-01-01T00:00' is not after the row before\n"
+        )
+
+    def test_byte_order_marks_give_the_same_report(self, trace_files, tmp_path, capsys):
+        # a UTF-8 byte-order mark on the CSVs and on the config file, as
+        # spreadsheet exports write it, changes nothing
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nlevels = 40\noffers = 4\n[storage]\ncapacity = 16\n")
+        argv = ["simulate", "--price-csv", str(trace_files[0]), "--wind-csv", str(trace_files[1]),
+                "--strategy", "ocsmb", "--config", str(cfg)]  # fmt: skip
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        for path in (*trace_files, cfg):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(argv) == 0
+        assert capsys.readouterr() == plain and plain.err == ""
+
     @pytest.mark.parametrize("series", [0, 1], ids=["price", "wind"])
     @pytest.mark.parametrize(
         "field, message",

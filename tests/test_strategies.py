@@ -614,6 +614,40 @@ class TestBooksWithoutNew:
             assert (counts["socs"], counts["eval_g"], counts["eval_g_inverse"]) == (360, 0, 0)
 
 
+def _clearing_prices(bounds):
+    """A clearing price in the bounds, or any positive float."""
+    in_bounds = st.floats(0.0, 1.0).map(
+        lambda f: min(bounds.p_min + f * (bounds.p_max - bounds.p_min), bounds.p_max)
+    )
+    return in_bounds | st.floats(5e-324, math.inf, exclude_max=True)
+
+
+class TestNonAnticipation:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        market=ladder_markets(),
+        offers=st.integers(1, 64),
+        e_max=st.floats(0.0, 0.5, exclude_max=True),
+        level=st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0),
+        realized=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1e300)),
+        data=st.data(),
+    )
+    def test_books_ignore_the_clearing_price(self, market, offers, e_max, level, realized, data):
+        # the paper's unknown-price setting: ocsmb, mocsmb and fonline fix their
+        # books before the market clears, so two clearing prices give books of
+        # the same bits; mocsmb reads only the forecast, so two realized outputs
+        # do too
+        bounds, spec, u = market
+        cfg = StrategyConfig(bounds, spec, offers=offers, e_max=e_max)
+        p1, p2 = (data.draw(_clearing_prices(bounds)) for _ in range(2))
+        z = level * spec.capacity
+        mocsmb = mocsmb_strategy(cfg, [u])
+        for callback in (ocsmb_strategy(cfg), mocsmb, fonline_strategy(bounds, spec)):
+            assert _book_bits(callback(0, p1, u, z)) == _book_bits(callback(0, p2, u, z)), callback
+        u1, u2 = realized[0] * u, realized[1]
+        assert _book_bits(mocsmb(0, p1, u1, z)) == _book_bits(mocsmb(0, p2, u2, z))
+
+
 class TestMocsmbOffers:
     def test_zero_error_is_identical(self):
         cfg = StrategyConfig(E2, StorageSpec(20.0, 10.0, 10.0), offers=5, e_max=0.2)

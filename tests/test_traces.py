@@ -34,6 +34,13 @@ def blank_lines_after_header(text: str) -> str:
     return f"{header}\n\n\n{rows}"
 
 
+def stamped_files(tmp_path, stamps):
+    """A price and a wind file whose rows carry `stamps`, prices 10, 20, 40."""
+    price = "timestamp,price\n" + "".join(f"{s},{v}\n" for s, v in zip(stamps, (10, 20, 40)))
+    wind = "timestamp,wind_mw\n" + "".join(f"{s},1.0\n" for s in stamps)
+    return write(tmp_path / "p.csv", price), write(tmp_path / "w.csv", wind)
+
+
 PRICE_3 = "timestamp,price\n2015-01-01T00:00,10.5\n2015-01-01T01:00,22.0\n2015-01-01T02:00,41.3\n"
 WIND_3 = "timestamp,wind_mw\n2015-01-01T00:00,1.5\n2015-01-01T01:00,0.0\n2015-01-01T02:00,9.9\n"
 
@@ -134,6 +141,49 @@ class TestLoadTrace:
         w = write(tmp_path / "w.csv", blank_lines_after_header(WIND_3.replace("T02:00", "T05:00")))
         message = f"{w}:6: timestamp '2015-01-01T05:00' does not match {p}:4, which has "
         with pytest.raises(TraceParseError, match="^" + re.escape(message + "'2015-01-01T02:00'")):
+            load_trace(p, w)
+
+    @pytest.mark.parametrize(
+        "stamps, line, message",
+        [
+            (("T02:00", "T00:00", "T00:00"), 3, "'2015-01-01T00:00' is not after the row before"),
+            (("T00:00", "T01:00", "T01:00"), 4, "'2015-01-01T01:00' is not after the row before"),
+            (("T00:00", "T01:00+00:00", "T02:00+00:00"), 3,
+             "'2015-01-01T01:00+00:00' mixes naive and offset times"),
+            (("T00:00+01:00", "T01:00", "T02:00"), 3, "'2015-01-01T01:00' mixes naive and offset times"),
+        ],
+        ids=["backwards", "repeated", "offset_after_naive", "naive_after_offset"],
+    )  # fmt: skip
+    def test_rows_out_of_time_order(self, stamps, line, message, tmp_path):
+        # the storage level couples each slot to the one before, so a row that
+        # is not later than the one before is refused, not played as the next hour
+        p, w = stamped_files(tmp_path, [f"2015-01-01{stamp}" for stamp in stamps])
+        with pytest.raises(TraceParseError, match="^" + re.escape(f"{p}:{line}: {message}") + "$"):
+            load_trace(p, w)
+
+    def test_gaps_and_offsets_in_time_order_load(self, tmp_path):
+        # no spacing is required: a gap, or offsets that differ, load as long
+        # as each instant is later than the one before
+        stamps = ("2015-01-01T00:00+00:00", "2015-01-01T06:00+01:00", "2015-01-02T00:00+00:00")
+        trace, _ = load_trace(*stamped_files(tmp_path, stamps))
+        assert trace.prices == (10.0, 20.0, 40.0)
+
+    def test_byte_order_mark(self, tmp_path):
+        # a UTF-8 byte-order mark, as spreadsheet exports write, is read past
+        p = write(tmp_path / "p.csv", PRICE_3)
+        w = write(tmp_path / "w.csv", WIND_3)
+        marked = [tmp_path / "pm.csv", tmp_path / "wm.csv"]
+        for path, text in zip(marked, (PRICE_3, WIND_3)):
+            path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_trace(*marked) == load_trace(p, w)
+
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path):
+        # a byte that is not UTF-8 at the start of line 2 is named on line 2,
+        # although the mark's three bytes precede it
+        p = tmp_path / "p.csv"
+        p.write_bytes(b"\xef\xbb\xbftimestamp,price\n\xff2015-01-01T00:00,10.5\n")
+        w = write(tmp_path / "w.csv", WIND_3)
+        with pytest.raises(TraceParseError, match="^" + re.escape(f"{p}:2: not UTF-8 text") + "$"):
             load_trace(p, w)
 
     def test_write_then_load(self, tmp_path, bounds):
