@@ -270,15 +270,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "empirical_cr": ratio_json(ratio),
     }
     if args.slots:
-        columns = {
-            "commitment": result.commitments,
-            "over_commitment": result.over_commitments,
-            "charge": result.charges,
-            "discharge": result.discharges,
-            "net_profit": result.profits,
-            "storage_after": result.levels,
-        }
-        out["slots"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        keys = (
+            "commitment", "over_commitment", "charge", "discharge", "net_profit", "storage_after"
+        )
+        out["slots"] = [dict(zip(keys, row)) for row in result.rows]
     _emit(json.dumps(out, indent=2), args.out)
     return EXIT_OK
 

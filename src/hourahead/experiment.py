@@ -120,11 +120,9 @@ class Report:
     strategies: dict[str, dict[str, Any]]
     records: list[RunRecord]
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"meta": self.meta, "config": self.config, "strategies": self.strategies}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        summary = {"meta": self.meta, "config": self.config, "strategies": self.strategies}
+        return json.dumps(summary, indent=2) + "\n"
 
 
 def draw_instance(cfg: ExperimentConfig, run: int) -> tuple[Trace, tuple[float, ...]]:

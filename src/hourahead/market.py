@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter, le
 from typing import Callable
 
@@ -159,24 +158,13 @@ EMPTY_BOOK = OfferBook((), ())
 class RunResult:
     """The per-slot rows of a full simulation plus the accumulated profit.
 
-    Row t is slot t's columns: it committed ``commitments[t]``, of which
-    ``over_commitments[t]`` could not be delivered, charged ``charges[t]``,
-    discharged ``discharges[t]``, earned ``profits[t]`` and left the storage
-    at ``levels[t]``; each column is read from the rows on first use.
+    Row t is slot t's (commitment, over-commitment, charge, discharge, net
+    profit, storage level after the slot); the over-commitment is the part of
+    the commitment that could not be delivered.
     """
 
     rows: tuple[tuple[float, float, float, float, float, float], ...]
     total_profit: float
-
-    def _column(i: int) -> cached_property:
-        return cached_property(lambda self: tuple(row[i] for row in self.rows))
-
-    commitments, over_commitments, charges, discharges, profits, levels = map(_column, range(6))
-    del _column
-
-    @property
-    def horizon(self) -> int:
-        return len(self.rows)
 
 
 # A strategy maps (slot index, clearing price, renewable output, storage level)

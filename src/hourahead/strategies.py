@@ -131,17 +131,10 @@ class Ladder(tuple):
             certified = (level > tol and 0.0 <= top <= capacity
                          and (not k or guess - k > margin)
                          and (k == rungs or k + 1 - guess > margin))  # fmt: skip
-        if not certified:  # price the edge rungs, written out as in _rung_price
-            eval_g = pol.eval_g
-            while k < rungs:
-                z = top - span * ((k + 1) / rungs)
-                if eval_g(0.0 if z < 0.0 else z) > price:
-                    break
+        if not certified:  # price the edge rungs
+            while k < rungs and self._rung_price(k + 1) <= price:
                 k += 1
-            while k:
-                z = top - span * (k / rungs)
-                if eval_g(0.0 if z < 0.0 else z) <= price:
-                    break
+            while k and self._rung_price(k) > price:
                 k -= 1
         # the rungs cum_i - cum_{i-1} add up to cum_k exactly; + 0.0 turns a -0.0 floor into 0.0
         return floor + (span * (k / rungs) if k else 0.0)

@@ -202,16 +202,12 @@ def realize_outputs(
     return tuple(u * f for u, f in zip(predicted, factors.tolist()))
 
 
-def write_trace_csv(
-    trace: Trace,
-    price_path: str | Path,
-    wind_path: str | Path,
-    start: str = "2015-01-01T00:00",
-) -> None:
-    """Write a trace as the pair of hourly CSV files load_trace accepts."""
+def write_trace_csv(trace: Trace, price_path: str | Path, wind_path: str | Path) -> None:
+    """Write a trace as the pair of hourly CSV files load_trace accepts, the
+    first slot stamped 2015-01-01T00:00."""
+    start = datetime(2015, 1, 1)
     stamps = [
-        (datetime.fromisoformat(start) + timedelta(hours=i)).isoformat(timespec="minutes")
-        for i in range(trace.horizon)
+        (start + timedelta(hours=i)).isoformat(timespec="minutes") for i in range(trace.horizon)
     ]
     for path, column, values in (
         (price_path, "price", trace.prices), (wind_path, "wind_mw", trace.outputs)

@@ -50,7 +50,7 @@ def play_slot_reference(
     level: float,
 ) -> tuple[float, float, float, float, float, float]:
     """One slot of ``market.simulate_run`` as the composition of the helpers
-    above, returning the slot's row of ``RunResult``'s columns: settle
+    above, returning the slot's row of ``RunResult.rows``: settle
     the book, compute the over-commitment, cap delivery at output plus
     dischargeable storage, and step the storage on the delivered energy."""
     x = strategy(t, price, u, level).settle(price)

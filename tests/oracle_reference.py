@@ -233,7 +233,8 @@ def adversarial_search_reference(
         run = simulate_run(trace, spec, penalty, strategy)
         ratio = profit_ratio(opt, run.total_profit)
         count += 1
-        bucket = round(min((spec.initial_level,) + run.levels) / eta) * eta
+        *_, levels = zip(*run.rows)
+        bucket = round(min((spec.initial_level,) + levels) / eta) * eta
         # strict: the first instance in enumeration order keeps a tie
         if ratio > buckets.get(bucket, -math.inf):
             buckets[bucket] = ratio

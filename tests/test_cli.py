@@ -511,7 +511,8 @@ class TestCompare:
         trace, predicted = draw_instance(cfg, 0)
         callback = STRATEGIES[strategy](strategy_config(cfg), predicted)
         result = simulate_run(trace, cfg.spec, cfg.penalty, callback)
-        assert result.over_commitments == (0.0,) * 5
+        _x, over_commitments, *_ = zip(*result.rows)
+        assert over_commitments == (0.0,) * 5
         path = tmp_path / "pen.ini"
         path.write_text("[penalty]\nalpha1 = 1e308\n")
         code = main(["simulate", "--strategy", strategy, "--horizon", "5", "--config", str(path)])

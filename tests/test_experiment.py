@@ -40,7 +40,7 @@ def small_config(**overrides):
 class TestRunExperiment:
     def test_report_structure(self):
         report = run_experiment(small_config())
-        data = report.to_json_dict()
+        data = json.loads(report.to_json())
         assert set(data) == {"meta", "config", "strategies"}
         for name in ("offline", "nostorage", "socs", "ocsmb", "mocsmb", "fonline"):
             entry = data["strategies"][name]
@@ -233,7 +233,7 @@ class TestEmitReport:
         report = run_experiment(small_config())
         path = tmp_path / "report.json"
         emit_report(report, json_path=path)
-        assert json.loads(path.read_text()) == report.to_json_dict()
+        assert json.loads(path.read_text()) == json.loads(report.to_json())
 
     def test_csv_row_count(self, tmp_path):
         cfg = small_config()

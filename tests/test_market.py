@@ -14,12 +14,14 @@ from hourahead import (
     PenaltyParams,
     PriceBounds,
     StorageSpec,
+    StrategyConfig,
     ThresholdPolicy,
     Trace,
     ValidationError,
     settle_offer,
     simulate_run,
 )
+from hourahead.experiment import STRATEGIES
 from hourahead.market import play_columns
 from conftest import non_negative, synthetic_trace
 from market_reference import (
@@ -163,14 +165,6 @@ def offer_books(draw):
     return OfferBook(tuple(prices), tuple(volumes))
 
 
-ROW_COLUMNS = ("commitments", "over_commitments", "charges", "discharges", "profits", "levels")
-
-
-def _rows(result):
-    """A run's slots as rows of the six per-slot columns, in slot order."""
-    return list(zip(*(getattr(result, col) for col in ROW_COLUMNS)))
-
-
 def _example(volume=None, u=3.0, level_frac=0.5, rc=2.0, rd=2.0, alpha1=1.2):
     """An ``@example`` of test_matches_reference_composition: a one-offer book
     of `volume` (none when None) at 10.0, settled at 20.0, capacity 10.0."""
@@ -213,7 +207,7 @@ class TestPlaySlot:
         spec = StorageSpec(capacity, rc, rd, level)
         penalty = PenaltyParams(alpha1, alpha2)
         strategy = lambda t, p, out, z: book  # noqa: E731
-        [row] = _rows(simulate_run(Trace((price,), (u,)), spec, penalty, strategy))
+        [row] = simulate_run(Trace((price,), (u,)), spec, penalty, strategy).rows
         assert _bits(row) == _bits(play_slot_reference(strategy, spec, penalty, 0, price, u, level))
         x, over, charge, discharge, _profit, next_level = row
         assert 0.0 <= next_level <= capacity
@@ -250,7 +244,7 @@ class TestPlaySlot:
 
         result = simulate_run(Trace(prices, outputs), spec, penalty, strategy)
         level, total = spec.initial_level, 0.0
-        for t, row in enumerate(_rows(result)):
+        for t, row in enumerate(result.rows):
             want = play_slot_reference(strategy, spec, penalty, t, prices[t], outputs[t], level)
             assert _bits(row) == _bits(want), t
             total += want[4]
@@ -319,7 +313,8 @@ class TestSimulateRun:
         trace = synthetic_trace(3, 50, bounds)
         result = simulate_run(trace, spec, penalty, offer_nothing)
         assert result.total_profit == 0.0
-        assert all(x == 0.0 for x in result.commitments)
+        commitments, *_ = zip(*result.rows)
+        assert all(x == 0.0 for x in commitments)
 
     def test_two_slot_optimum_by_enumeration(self, penalty):
         # C=1, unit rates, z1=0: charging the first MWh and selling it at 20
@@ -357,13 +352,14 @@ class TestSimulateRun:
     def test_profit_is_sum_of_slots(self, bounds, spec, penalty):
         trace = synthetic_trace(5, 60, bounds)
         result = simulate_run(trace, spec, penalty, sell_all)
-        assert result.total_profit == sum(result.profits)
+        *_, profits, _levels = zip(*result.rows)
+        assert result.total_profit == sum(profits)
 
     def test_level_and_rate_invariants(self, bounds, penalty):
         spec = StorageSpec(20.0, 4.0, 3.0, 12.0)
         trace = synthetic_trace(9, 120, bounds)
         result = simulate_run(trace, spec, penalty, sell_all)
-        for level, charge, discharge in zip(result.levels, result.charges, result.discharges):
+        for _x, _over, charge, discharge, _profit, level in result.rows:
             assert 0.0 <= level <= spec.capacity
             assert charge <= spec.charge_rate
             assert discharge <= spec.discharge_rate
@@ -377,10 +373,11 @@ class TestSimulateRun:
             return OfferBook((price,), (5.0,))
 
         result = simulate_run(trace, spec, penalty, greedy)
-        assert result.commitments == (5.0,)
-        assert result.over_commitments == (4.0,)
+        commitments, over_commitments, *_, levels = zip(*result.rows)
+        assert commitments == (5.0,)
+        assert over_commitments == (4.0,)
         # delivered energy, not the commitment, drives the storage
-        assert result.levels == (0.0,)
+        assert levels == (0.0,)
         assert result.total_profit == 10.0 * 5.0 - (penalty.alpha1 * 10.0 + penalty.alpha2) * 4.0
 
     def test_an_infinite_penalty_rate_charges_only_what_is_undelivered(self):
@@ -389,10 +386,12 @@ class TestSimulateRun:
         trace = Trace([20.0, 20.0], [3.0, 3.0])
         spec = StorageSpec(10.0, 5.0, 5.0, 0.0)
         penalty = PenaltyParams(1e308)
-        assert simulate_run(trace, spec, penalty, committing(2.0)).profits == (40.0, 40.0)
+        *_, profits, _levels = zip(*simulate_run(trace, spec, penalty, committing(2.0)).rows)
+        assert profits == (40.0, 40.0)
         result = simulate_run(trace, spec, penalty, committing(4.0))
-        assert result.over_commitments == (1.0, 1.0)
-        assert result.profits == (-math.inf, -math.inf)
+        _x, over_commitments, *_, profits, _levels = zip(*result.rows)
+        assert over_commitments == (1.0, 1.0)
+        assert profits == (-math.inf, -math.inf)
         with np.errstate(invalid="ignore"):  # inf * 0.0 where nothing is undelivered
             profits = play_columns(np.array([2.0, 4.0]), spec, penalty, 20.0, 3.0, 0.0)[3]
         assert profits.tolist() == [40.0, -math.inf]
@@ -419,26 +418,37 @@ def threshold_runs(draw):
 class TestRunColumns:
     @given(threshold_runs())
     def test_physical_invariants(self, case):
+        # the fixed book, then each online strategy on the same run: the
+        # trace's prices lie in [1, 50], and mocsmb's forecast is exact
         trace, spec, threshold, volumes = case
         penalty = PenaltyParams()
+        cfg = StrategyConfig(PriceBounds(1.0, 50.0), spec, offers=3)
+        eps = sys.float_info.epsilon
 
         def fixed_book(t, price, output, level):
             return OfferBook((threshold,), (volumes[t],))
 
-        result = simulate_run(trace, spec, penalty, fixed_book)
-        assert result.horizon == trace.horizon
-        z = spec.initial_level
-        for t, u in enumerate(trace.outputs):
-            x, charge, discharge = result.commitments[t], result.charges[t], result.discharges[t]
-            level = result.levels[t]
-            assert 0.0 <= level <= spec.capacity
-            assert 0.0 <= charge <= spec.charge_rate
-            assert 0.0 <= discharge <= min(spec.discharge_rate, z)
-            assert charge == 0.0 or discharge == 0.0
-            assert result.over_commitments[t] == max(x - (u + min(z, spec.discharge_rate)), 0.0)
-            assert level <= z + charge - discharge
-            z = level
-        assert sum(result.profits) == result.total_profit
+        for strategy in [fixed_book, *(make(cfg, trace.outputs) for make in STRATEGIES.values())]:
+            result = simulate_run(trace, spec, penalty, strategy)
+            assert len(result.rows) == trace.horizon
+            z = spec.initial_level
+            for u, (x, over, charge, discharge, _profit, level) in zip(trace.outputs, result.rows):
+                assert 0.0 <= level <= spec.capacity
+                assert 0.0 <= charge <= spec.charge_rate
+                assert 0.0 <= discharge <= min(spec.discharge_rate, z)
+                assert charge == 0.0 or discharge == 0.0
+                assert over == max(x - (u + min(z, spec.discharge_rate)), 0.0)
+                assert level <= z + charge - discharge
+                # energy balance: the storage spills only at capacity, and the
+                # output left after delivery and charging (curtailed) is >= 0,
+                # up to the rounding of delivered = x - over
+                spill = z + charge - discharge - level
+                assert spill >= 0.0 and (spill == 0.0 or level == spec.capacity)
+                curtailed = u + discharge - (x - over) - charge
+                assert curtailed >= -2 * eps * max(u, x, z, spec.capacity)
+                z = level
+            *_, profits, _levels = zip(*result.rows)
+            assert sum(profits) == result.total_profit
 
 
 class TestValidation:

@@ -165,7 +165,7 @@ class TestOfflineOptimum:
                 return OfferBook((price,), (x,)) if x > 0 else EMPTY_BOOK
 
             run = simulate_run(trace, spec, penalty, replay)
-            assert all(y == 0.0 for y in run.over_commitments)
+            assert all(over == 0.0 for _x, over, *_ in run.rows)
             assert run.total_profit == pytest.approx(result.total_profit, rel=1e-9, abs=1e-9)
 
     def test_monotone_in_resources(self):

@@ -145,7 +145,7 @@ class TestSocsOffer:
             result = simulate_run(
                 trace, spec, penalty, socs_strategy(StrategyConfig(bounds, spec))
             )
-            assert all(y == 0.0 for y in result.over_commitments)
+            assert all(over == 0.0 for _x, over, *_ in result.rows)
 
     def test_never_overcommits_tight_rates(self, bounds, penalty):
         tight = StorageSpec(20.0, 3.0, 2.0, 20.0)
@@ -154,7 +154,7 @@ class TestSocsOffer:
             result = simulate_run(
                 trace, tight, penalty, socs_strategy(StrategyConfig(bounds, tight))
             )
-            assert all(y == 0.0 for y in result.over_commitments)
+            assert all(over == 0.0 for _x, over, *_ in result.rows)
 
     def test_never_sells_below_the_threshold_floor(self, bounds, spec, penalty):
         # a sale at price p never drains the level below the point where the
@@ -165,7 +165,7 @@ class TestSocsOffer:
             trace = synthetic_trace(seed, 100, bounds)
             level = spec.initial_level
             result = simulate_run(trace, spec, penalty, socs_strategy(cfg))
-            for price, level_after in zip(trace.prices, result.levels):
+            for price, (*_, level_after) in zip(trace.prices, result.rows):
                 floor = pol.c_th if price <= bounds.p_min else pol.eval_g_inverse(price)
                 assert level_after >= min(floor, level) - 1e-9
                 level = level_after
@@ -271,7 +271,7 @@ class TestOcsmbOffers:
             result = simulate_run(
                 trace, spec, penalty, ocsmb_strategy(StrategyConfig(bounds, spec))
             )
-            assert all(y == 0.0 for y in result.over_commitments)
+            assert all(over == 0.0 for _x, over, *_ in result.rows)
 
     def test_converges_to_known_price_strategy(self, bounds, spec, penalty):
         gaps = []
@@ -671,7 +671,7 @@ class TestMocsmbOffers:
                 result = simulate_run(
                     realized, spec, penalty, mocsmb_strategy(cfg, forecast.outputs)
                 )
-                assert all(y == 0.0 for y in result.over_commitments)
+                assert all(over == 0.0 for _x, over, *_ in result.rows)
 
     def test_commitment_floor_vs_exact_output(self, bounds, spec, penalty):
         # the conservative ladder commits at least (1 - 2 e_max) of what the
@@ -684,9 +684,8 @@ class TestMocsmbOffers:
                 hedged = simulate_run(
                     realized, spec, penalty, mocsmb_strategy(cfg, forecast.outputs)
                 )
-                assert sum(hedged.commitments) >= (1 - 2 * e_max) * sum(
-                    exact.commitments
-                ) - 1e-9
+                (hedged_x, *_), (exact_x, *_) = zip(*hedged.rows), zip(*exact.rows)
+                assert sum(hedged_x) >= (1 - 2 * e_max) * sum(exact_x) - 1e-9
 
 
 class TestBaselines:
