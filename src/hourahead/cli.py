@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(cmp_, *shared, "runs", "horizon", "offers", "emax")
     cmp_.add_argument("--out", help="output path (JSON report)")
     cmp_.add_argument("--csv", help="per-run CSV table path")
-    cmp_.add_argument("--parallel", action="store_true", help="run with a process pool")
+    cmp_.add_argument("--parallel", action="store_true", help="split the runs over the usable CPUs")
     cmp_.add_argument(
         "--sweep-offers",
         help="offer-count sweep, e.g. '1-15' or '2,3,5,10'; emits one row per count",

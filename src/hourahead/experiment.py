@@ -171,25 +171,35 @@ def _aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> Report:
     return Report(meta=meta, config=cfg.to_dict(), strategies=strategies, records=records)
 
 
+def _run_share(cfg: ExperimentConfig, runs: range) -> list[RunRecord]:
+    return [rec for run in runs for rec in _single_run(cfg, run)]
+
+
 def run_experiment(
     cfg: ExperimentConfig, parallel: bool = False, workers: int | None = None
 ) -> Report:
     """Execute all runs and aggregate.  Deterministic for a given config and
-    seed, whether executed serially or with a process pool (by default one
-    worker per CPU this process may run on, never more workers than runs).
+    seed, whether executed serially or in parallel.  In parallel the runs are
+    split into one contiguous share per process (by default one per CPU this
+    process may run on, never more than runs): this process computes the
+    first share, and a pool worker each of the others, as one task.
     The worker count and the oracle's work guard are checked before any run."""
     if workers is not None and workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     check_dp_cells(cfg.horizon, cfg.disc)
-    if parallel and cfg.runs > 1:
+    w = 1
+    if parallel:
         affinity = getattr(os, "sched_getaffinity", None)  # os.cpu_count() counts the host's CPUs
-        workers = workers or (len(affinity(0)) if affinity else os.cpu_count() or 1)
-        import numpy.random  # numpy loads it lazily; loaded before the fork, no worker imports it
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.runs)) as pool:
-            chunks = list(pool.map(_single_run, [cfg] * cfg.runs, range(cfg.runs)))
-    else:
-        chunks = [_single_run(cfg, run) for run in range(cfg.runs)]
-    records = [rec for chunk in chunks for rec in chunk]
+        w = min(workers or (len(affinity(0)) if affinity else os.cpu_count() or 1), cfg.runs)
+    shares = [range(cfg.runs * k // w, cfg.runs * (k + 1) // w) for k in range(w)]
+    if w == 1:
+        return _aggregate(cfg, _run_share(cfg, shares[0]))
+    import numpy.random  # numpy loads it lazily; loaded before the fork, no worker imports it
+    with ProcessPoolExecutor(max_workers=w - 1) as pool:
+        futures = [pool.submit(_run_share, cfg, share) for share in shares[1:]]
+        records = _run_share(cfg, shares[0])
+        for future in futures:
+            records += future.result()
     return _aggregate(cfg, records)
 
 

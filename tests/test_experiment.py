@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +14,7 @@ import pytest
 
 from hourahead import ValidationError, offline_opt_dp, simulate_run, theoretical_cr
 from hourahead import experiment
-from hourahead.cli import load_config_file
+from hourahead.cli import load_config_file, main
 from hourahead.market import PriceBounds
 from hourahead.experiment import (
     STRATEGIES,
@@ -79,7 +79,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [None, 6])
     def test_pool_never_outnumbers_the_runs(self, workers, monkeypatch):
-        # the pool forks its workers at the first submit, wanted or not
+        # the pool forks its workers at the first submit, wanted or not; the
+        # parent computes a share too, so parent + workers <= runs
         started = []
 
         class CountingPool(ProcessPoolExecutor):
@@ -88,24 +89,29 @@ class TestRunExperiment:
                 super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
         cfg = small_config(runs=2)
         parallel = run_experiment(cfg, parallel=True, workers=workers)
         [(max_workers, processes)] = started
-        assert max_workers <= 2 and processes <= 2
+        assert 1 + max_workers == 1 + processes == cfg.runs
         assert parallel.to_json() == run_experiment(cfg).to_json()
 
     @pytest.mark.parametrize(
         "affinity, runs, size",
-        [({0}, 4, 1), ({0, 1, 2}, 4, 3), ({0, 1, 2}, 2, 2), (None, 4, 4)],
+        [({0}, 4, None), ({0, 1, 2}, 4, 2), ({0, 1, 2}, 2, 1), (None, 4, 3)],
         ids=["one_cpu", "three_cpus", "capped_at_runs", "no_affinity_call"],
     )
     def test_default_pool_size_is_the_usable_cpus(self, affinity, runs, size, monkeypatch):
         # the CPUs this process may run on, which taskset can make fewer than
-        # the host's; os.cpu_count() where the platform has no affinity call
+        # the host's; os.cpu_count() where the platform has no affinity call.
+        # The parent is one of them, so the pool holds the others, at most
+        # runs - 1; with one CPU (size None) no pool is built
         sizes = []
 
         class RecordingPool:
             def __init__(self, max_workers):
+                if size is None:
+                    pytest.fail(f"a pool of {max_workers} was built for one process")
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -114,8 +120,10 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -125,16 +133,17 @@ class TestRunExperiment:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         cfg = small_config(runs=runs, horizon=6, disc_levels=20)
         report = run_experiment(cfg, parallel=True)
-        assert sizes == [size]
-        assert report.to_json() == run_experiment(cfg).to_json()
+        assert sizes == ([] if size is None else [size])
+        serial = run_experiment(cfg)
+        assert (report.to_json(), report.records) == (serial.to_json(), serial.records)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork", reason="the pool does not fork its workers"
     )
     def test_forked_workers_import_nothing(self, tmp_path):
-        # a fresh interpreter: the package import leaves numpy.random unloaded,
-        # and the pool's workers, forked after the parent loads it, import no
-        # module while they run
+        # a fresh interpreter: the package import leaves numpy.random unloaded;
+        # the parent loads it before the pool forks, then computes run 0 while
+        # the pool's one worker computes run 1, and neither imports a module
         script = textwrap.dedent(
             """
             import json, os, sys
@@ -173,7 +182,64 @@ class TestRunExperiment:
         loaded_at_import, same_report = map(json.loads, done.stdout.split())
         assert (loaded_at_import, same_report) == (False, True)
         runs = [json.loads((tmp_path / f"run{run}.json").read_text()) for run in range(2)]
-        assert runs == [[True, []], [True, []]]
+        assert runs == [[False, []], [True, []]]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="the pool does not fork its workers"
+    )
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("runs", range(1, 8))
+    def test_one_share_per_process(self, runs, workers, monkeypatch):
+        # min(workers, runs) contiguous shares: the parent computes the first
+        # and the pool gets one task per other share, never one per run
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.submits = 0
+                pools.append(self)
+
+            def submit(self, fn, /, *args, **kwargs):
+                self.submits += 1
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        cfg = small_config(runs=runs, horizon=6, disc_levels=20)
+        parallel = run_experiment(cfg, parallel=True, workers=workers)
+        assert multiprocessing.active_children() == []
+        serial = run_experiment(cfg)
+        assert (parallel.to_json(), parallel.records) == (serial.to_json(), serial.records)
+        shares = min(workers, runs)
+        assert [(pool._max_workers, pool.submits) for pool in pools] == (
+            [(shares - 1, shares - 1)] if shares > 1 else []
+        )
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="the pool does not fork its workers"
+    )
+    @pytest.mark.parametrize("failing", [0, 3], ids=["parent_share", "worker_share"])
+    def test_a_failed_share_reaches_the_caller(self, failing, monkeypatch, capsys):
+        # run 0 is in the parent's share and run 3, the last, in the worker's;
+        # either error reaches the caller as itself, and no child outlives it
+        single_run = experiment._single_run
+
+        def failing_run(cfg, run):
+            if run == failing:
+                raise ValidationError(f"run {run} cannot be drawn")
+            return single_run(cfg, run)
+
+        monkeypatch.setattr(experiment, "_single_run", failing_run)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = small_config(runs=4, horizon=6, disc_levels=20)
+        with pytest.raises(ValidationError, match=f"^run {failing} cannot be drawn$"):
+            run_experiment(cfg, parallel=True, workers=2)
+        assert multiprocessing.active_children() == []
+        argv = ["compare", "--runs", "4", "--horizon", "6", "--levels", "20", "--parallel"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: run {failing} cannot be drawn\n")
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [0, -1])
     @pytest.mark.parametrize("parallel", [False, True])
