@@ -16,7 +16,6 @@ import functools
 import json
 import sys
 from collections import namedtuple
-from dataclasses import replace
 from pathlib import Path
 
 from .adversary import GRID_DEFAULTS, MAX_INSTANCES, AdversaryGrid, adversarial_search
@@ -28,7 +27,6 @@ from .experiment import (
     emit_report,
     run_experiment,
     run_offer_sweep,
-    strategy_config,
 )
 from .market import PenaltyParams, PriceBounds, StorageSpec, scalar_columns, simulate_run
 from .oracle import check_dp_cells, offline_opt_dp, profit_ratios, ratio_json
@@ -232,7 +230,6 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     values, given = _resolve(args)
-    cfg = _experiment_config(values)
     if args.offers is not None and args.strategy not in ("ocsmb", "mocsmb"):
         raise ValidationError(f"--offers is read only by ocsmb and mocsmb, not {args.strategy}")
     # bounds count only when a flag or the config file sets them;
@@ -247,19 +244,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ValidationError("--seed and --horizon are not read with --price-csv/--wind-csv")
         if args.emax is not None and args.strategy != "mocsmb":  # nothing is drawn from a CSV
             raise ValidationError("--emax is read with --price-csv/--wind-csv only by mocsmb")
-        trace, bounds = load_trace(
-            args.price_csv, args.wind_csv, cfg.bounds if explicit else None, args.clip_prices
-        )
-        cfg, predicted = replace(cfg, bounds=bounds), trace.outputs
+        bounds = PriceBounds(values["pmin"], values["pmax"]) if explicit else None
+        trace, bounds = load_trace(args.price_csv, args.wind_csv, bounds, args.clip_prices)
+        # the threshold curve is checked over the bounds the trace is played in
+        cfg = _experiment_config(values | {"pmin": bounds.p_min, "pmax": bounds.p_max})
+        predicted = trace.outputs
     else:
         # run 0 of compare with the same settings: the forecast and its
         # realization, drawn once the oracle's work guard lets it run
+        cfg = _experiment_config(values)
         check_dp_cells(cfg.horizon, cfg.disc)
         trace, predicted = draw_instance(cfg, 0)
 
     # the oracle first, so that its guard fires before the strategy runs
     opt = offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit
-    strategy = STRATEGIES[args.strategy](strategy_config(cfg), predicted)
+    strategy = STRATEGIES[args.strategy](cfg.strategy, predicted)
     result = simulate_run(trace, cfg.spec, cfg.penalty, strategy)
     ratio = float(profit_ratios(opt, result.total_profit))
     out = {

@@ -70,6 +70,9 @@ class ExperimentConfig:
     e_max: float = 0.1
     disc_levels: int = 400
     wind_capacity: float = DEFAULT_WIND_CAPACITY
+    # built once from the settings above: the strategies' config and the oracle's grid
+    strategy: StrategyConfig = field(init=False, repr=False, compare=False)
+    disc: DiscretizationConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.runs < 1:
@@ -78,11 +81,9 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         check_wind_capacity(self.wind_capacity)
-
-    @property
-    def disc(self) -> DiscretizationConfig:
-        """The oracle's grid: disc_levels levels of capacity / disc_levels"""
-        return DiscretizationConfig(self.disc_levels)
+        strategy = StrategyConfig(self.bounds, self.spec, offers=self.offers, e_max=self.e_max)
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "disc", DiscretizationConfig(self.disc_levels))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -134,18 +135,12 @@ def draw_instance(cfg: ExperimentConfig, run: int) -> tuple[Trace, tuple[float, 
     return Trace(forecast.prices, realized), forecast.outputs
 
 
-def strategy_config(cfg: ExperimentConfig) -> StrategyConfig:
-    """The price bounds, storage and ladder settings every strategy of a run reads"""
-    return StrategyConfig(cfg.bounds, cfg.spec, offers=cfg.offers, e_max=cfg.e_max)
-
-
 def _single_run(cfg: ExperimentConfig, run: int) -> list[RunRecord]:
     trace, predicted = draw_instance(cfg, run)
     opt_profit = offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit
-    strat_cfg = strategy_config(cfg)
     profits = {"nostorage": nostorage_profit(trace)}
     for name in STRATEGIES:
-        strategy = STRATEGIES[name](strat_cfg, predicted)
+        strategy = STRATEGIES[name](cfg.strategy, predicted)
         profits[name] = simulate_run(trace, cfg.spec, cfg.penalty, strategy).total_profit
     ratios = profit_ratios(opt_profit, np.array(list(profits.values()))).tolist()
     return [RunRecord(run, "offline", opt_profit, 1.0)] + [
@@ -158,7 +153,6 @@ def _aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> Report:
     for name in BENCHMARK_NAMES + tuple(STRATEGIES):
         rows = [r for r in records if r.strategy == name]
         total = profit_sum(r.profit for r in rows)
-        check_profits(total)
         ratios = [r.empirical_cr for r in rows]
         strategies[name] = {
             "total_profit": total,
@@ -212,13 +206,14 @@ def run_offer_sweep(cfg: ExperimentConfig, offer_counts: Sequence[int]) -> list[
     repeated count gives one row.
     """
     check_dp_cells(cfg.horizon, cfg.disc)
-    base_cfg = strategy_config(cfg)
-    ladder_cfgs = {m: replace(base_cfg, offers=m) for m in offer_counts}
+    ladder_cfgs = {m: replace(cfg.strategy, offers=m) for m in offer_counts}
     opt, socs, ladder = [], [], {m: [] for m in ladder_cfgs}  # each run's profits
     for run in range(cfg.runs):
         trace, _predicted = draw_instance(cfg, run)
         opt += [offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit]
-        socs += [simulate_run(trace, cfg.spec, cfg.penalty, socs_strategy(base_cfg)).total_profit]
+        socs += [
+            simulate_run(trace, cfg.spec, cfg.penalty, socs_strategy(cfg.strategy)).total_profit
+        ]
         for m, m_cfg in ladder_cfgs.items():
             ladder[m] += [
                 simulate_run(trace, cfg.spec, cfg.penalty, ocsmb_strategy(m_cfg)).total_profit

@@ -2,8 +2,8 @@
 
 File formats (hourly, aligned timestamps):
 
-* price CSV: header ``timestamp,price``; ISO-8601 timestamps, each later
-  than the one before, price in currency/MWh.
+* price CSV: header ``timestamp,price``; ISO-8601 timestamps, each one
+  hour after the one before, price in currency/MWh.
 * wind CSV:  header ``timestamp,wind_mw``; same timestamp grid, decimal MW
   (slot energy in MWh equals MW x 1 h).
 """
@@ -106,12 +106,14 @@ def load_trace(
                 f"{wind_path}:{wind_line}: timestamp {wind_stamp!r} does not match "
                 f"{price_path}:{line}, which has {stamp!r}"
             )
-        # the storage level couples each slot to the one before, so rows must
-        # be in time order; a naive and an offset timestamp do not compare
+        # each row is played as the next one-hour slot, so rows must be one
+        # hour apart; a naive and an offset timestamp do not subtract
         if previous and (when.tzinfo is None) != (previous.tzinfo is None):
             raise TraceParseError(f"{price_path}:{line}: {stamp!r} mixes naive and offset times")
-        if previous and when <= previous:
-            raise TraceParseError(f"{price_path}:{line}: {stamp!r} is not after the row before")
+        if previous and when - previous != timedelta(hours=1):
+            raise TraceParseError(
+                f"{price_path}:{line}: {stamp!r} is not one hour after the row before"
+            )
         previous = when
         if check_bounds and not bounds.p_min <= p <= bounds.p_max:
             raise ValidationError(

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import re
 import time
 from pathlib import Path
@@ -17,7 +18,6 @@ from hourahead.experiment import (
     ExperimentConfig,
     draw_instance,
     run_experiment,
-    strategy_config,
 )
 
 
@@ -258,6 +258,23 @@ class TestGenTraceAndSimulate:
         cfg.write_text("[market]\npmin = 10\npmax = 40\n")
         assert main(argv + ["--config", str(cfg)]) == 1
         assert "outside bounds" in capsys.readouterr().err
+
+    def test_curve_checked_over_the_trace_bounds(self, tmp_path, capsys):
+        # over a flat price (theta 1) a capacity of 1.5e-154 leaves the curve a
+        # normal C * l_n; over the default [10, 40] it would not, so the config
+        # of a CSV trace without --pmin/--pmax is checked over the trace's bounds
+        stamps = [f"2015-01-01T0{hour}:00" for hour in range(3)]
+        price, wind = tmp_path / "p.csv", tmp_path / "w.csv"
+        price.write_text("timestamp,price\n" + "".join(f"{s},20\n" for s in stamps))
+        wind.write_text("timestamp,wind_mw\n" + "".join(f"{s},1e-155\n" for s in stamps))
+        argv = ["simulate", "--price-csv", str(price), "--wind-csv", str(wind), "--capacity",
+                "1.5e-154", "--charge-rate", "1e-154", "--discharge-rate", "1e-154"]  # fmt: skip
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["horizon"] == 3
+        assert main([*argv, "--pmin", "10", "--pmax", "40"]) == 1
+        assert capsys.readouterr().err == (
+            "error: capacity 1.5e-154 is too large or too small for the threshold curve\n"
+        )
 
     def test_missing_csv_is_io_error(self, tmp_path, capsys):
         code = main(
@@ -509,7 +526,7 @@ class TestCompare:
         # earns a finite profit (inf * 0.0 was NaN)
         cfg = ExperimentConfig(horizon=5)
         trace, predicted = draw_instance(cfg, 0)
-        callback = STRATEGIES[strategy](strategy_config(cfg), predicted)
+        callback = STRATEGIES[strategy](cfg.strategy, predicted)
         result = simulate_run(trace, cfg.spec, cfg.penalty, callback)
         _x, over_commitments, *_ = zip(*result.rows)
         assert over_commitments == (0.0,) * 5
@@ -909,6 +926,60 @@ class TestValidationExits:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "setting, value, message",
+        [
+            ("offers", "0", "offer count must be in [1, 10000], got 0"),
+            ("offers", "10001", "offer count must be in [1, 10000], got 10001"),
+            ("emax", "0.5", "e_max must be in [0, 0.5), got 0.5"),
+            ("levels", "0", "level count must be >= 1, got 0"),
+            ("capacity", "1e200",
+             "capacity 1e+200 is too large or too small for the threshold curve"),
+            ("capacity", "1e-160",
+             "capacity 1e-160 is too large or too small for the threshold curve"),
+        ],
+        ids=["offers_0", "offers_10001", "emax", "levels", "capacity_large", "capacity_small"],
+    )  # fmt: skip
+    @pytest.mark.parametrize(
+        "command",
+        [["compare", "--runs", "2"], ["compare", "--runs", "2", "--parallel"],
+         ["compare", "--runs", "2", "--sweep-offers", "1-2"], ["simulate", "--strategy", "mocsmb"],
+         ["gen-trace"]],
+        ids=["compare", "parallel", "sweep", "simulate", "gen_trace"],
+    )  # fmt: skip
+    def test_bad_setting_refused_before_any_draw(
+        self, command, setting, value, message, tmp_path, monkeypatch, capsys
+    ):
+        # the strategies' settings and the oracle's grid are checked when the
+        # experiment's config is built, so nothing is drawn and no pool is built
+        # (two usable CPUs, so that --parallel would build one); gen-trace has
+        # no flag for these, so its config file sets them
+        calls = []
+        draw, pool = experiment.draw_instance, experiment.ProcessPoolExecutor
+
+        def spy(*args):
+            calls.append("draw")
+            return draw(*args)
+
+        def spy_pool(*args, **kwargs):
+            calls.append("pool")
+            return pool(*args, **kwargs)
+
+        for module in (experiment, cli):
+            monkeypatch.setattr(module, "draw_instance", spy)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", spy_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        if command == ["gen-trace"]:
+            cfg = tmp_path / "exp.ini"
+            cfg.write_text(f"[{SETTINGS[setting].section}]\n{setting} = {value}\n")
+            argv = ["gen-trace", "--config", str(cfg), "--out-prefix", str(tmp_path / "t")]
+        else:
+            argv = [*command, "--horizon", "24", flag(setting), value]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, calls) == ("", f"error: {message}\n", [])
+        assert list(tmp_path.glob("t-*")) == []
+
     def test_adversary_oracle_guard_names_levels(self, capsys):
         # the remedy names the level count, which each subcommand with an oracle takes
         argv = ["adversary", "--horizon", "2", "--capacity", "4", "--levels", "1000000000"]
@@ -1023,7 +1094,7 @@ class TestMalformedFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: {trace_files[0]}:3: '2015-01-01T00:00' is not after the row before\n"
+            f"error: {trace_files[0]}:3: '2015-01-01T00:00' is not one hour after the row before\n"
         )
 
     def test_byte_order_marks_give_the_same_report(self, trace_files, tmp_path, capsys):

@@ -2,6 +2,8 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +17,9 @@ import pytest
 from hourahead import ValidationError, offline_opt_dp, simulate_run, theoretical_cr
 from hourahead import experiment
 from hourahead.cli import load_config_file, main
-from hourahead.market import PriceBounds
+from hourahead.market import PriceBounds, StorageSpec
+from hourahead.oracle import DiscretizationConfig
+from hourahead.policy import ThresholdPolicy
 from hourahead.experiment import (
     STRATEGIES,
     ExperimentConfig,
@@ -23,9 +27,8 @@ from hourahead.experiment import (
     emit_report,
     run_experiment,
     run_offer_sweep,
-    strategy_config,
 )
-from hourahead.strategies import ocsmb_strategy, socs_strategy
+from hourahead.strategies import StrategyConfig, ocsmb_strategy, socs_strategy
 
 from market_reference import rounded
 from oracle_reference import profit_ratio
@@ -281,6 +284,57 @@ class TestRunExperiment:
             small_config(runs=0)
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(offers=0), "offer count must be in [1, 10000], got 0"),
+            (dict(offers=10001), "offer count must be in [1, 10000], got 10001"),
+            (dict(e_max=0.5), "e_max must be in [0, 0.5), got 0.5"),
+            (dict(disc_levels=0), "level count must be >= 1, got 0"),
+            (dict(spec=StorageSpec(1e200, 10.0, 10.0)),
+             "capacity 1e+200 is too large or too small for the threshold curve"),
+            (dict(spec=StorageSpec(1e-160, 10.0, 10.0)),
+             "capacity 1e-160 is too large or too small for the threshold curve"),
+        ],
+        ids=["offers_0", "offers_10001", "emax", "levels", "capacity_large", "capacity_small"],
+    )  # fmt: skip
+    def test_every_setting_checked_when_built(self, overrides, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            small_config(**overrides)
+
+    def test_derived_fields(self):
+        # the strategies' config and the oracle's grid, built once from the settings
+        cfg = small_config(offers=4, e_max=0.2)
+        assert cfg.strategy == StrategyConfig(cfg.bounds, cfg.spec, offers=4, e_max=0.2)
+        assert cfg.strategy.policy == ThresholdPolicy.build(cfg.bounds, cfg.spec.capacity)
+        assert cfg.disc == DiscretizationConfig(80)
+
+    def test_eq_hash_and_repr_ignore_derived_fields(self):
+        cfg, other = small_config(), small_config()
+        for name in ("strategy", "disc"):
+            object.__setattr__(other, name, None)
+        assert cfg == other and hash(cfg) == hash(other)
+        assert repr(cfg) == repr(other)
+        assert "strategy=" not in repr(cfg) and "disc=" not in repr(cfg)
+
+    def test_pickle_keeps_derived_fields(self):
+        # what a pool worker gets: the built fields travel with the settings
+        cfg = small_config(offers=3)
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg
+        assert (back.strategy, back.disc) == (cfg.strategy, cfg.disc)
+        assert back.strategy.policy._curve == cfg.strategy.policy._curve
+
+    def test_replace_rebuilds_derived_fields(self):
+        cfg = small_config()
+        assert replace(cfg, offers=3).strategy.offers == 3
+        assert replace(cfg, e_max=0.3).strategy.e_max == 0.3
+        assert replace(cfg, disc_levels=40).disc.levels == 40
+        bounds = PriceBounds(5.0, 50.0)
+        assert replace(cfg, bounds=bounds).strategy.policy.bounds == bounds
+
+
 class TestSingleRun:
     @pytest.mark.parametrize("run", [0, 1, 2])
     def test_ratios_are_profit_ratio_of_each_record(self, run):
@@ -321,13 +375,12 @@ class TestOfferSweep:
     def test_means_are_rounded_exact_sums(self):
         cfg = small_config(runs=12)  # where adding in run order rounds three totals otherwise
         counts = [1, 4]
-        strat_cfg = strategy_config(cfg)
         exact = dict.fromkeys(["offline", "socs", *counts], Fraction())
         for run in range(cfg.runs):
             trace, _predicted = draw_instance(cfg, run)
             exact["offline"] += Fraction(offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit)
-            strategies = {"socs": socs_strategy(strat_cfg)}
-            strategies.update((m, ocsmb_strategy(replace(strat_cfg, offers=m))) for m in counts)
+            strategies = {"socs": socs_strategy(cfg.strategy)}
+            strategies.update((m, ocsmb_strategy(replace(cfg.strategy, offers=m))) for m in counts)
             for key, strategy in strategies.items():
                 result = simulate_run(trace, cfg.spec, cfg.penalty, strategy)
                 exact[key] += Fraction(result.total_profit)

@@ -29,7 +29,6 @@ from hourahead.experiment import (
     ExperimentConfig,
     draw_instance,
     run_offer_sweep,
-    strategy_config,
 )
 from hourahead.strategies import (
     fixed_threshold_strategy,
@@ -604,7 +603,7 @@ class TestBooksWithoutNew:
         # opens OfferBook.__new__, and no socs slot a method of the policy
         cfg = ExperimentConfig(runs=1, horizon=360, seed=7)
         trace, predicted = draw_instance(cfg, 0)
-        callback = STRATEGIES[name](strategy_config(cfg), predicted)
+        callback = STRATEGIES[name](cfg.strategy, predicted)
         counts = _frame_counts(lambda: simulate_run(trace, cfg.spec, cfg.penalty, callback))
         assert counts["__new__"] == 0
         if name in ("ocsmb", "mocsmb"):

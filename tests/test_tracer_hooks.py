@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from hourahead import cli, simulate_run
-from hourahead.experiment import STRATEGIES, ExperimentConfig, draw_instance, strategy_config
+from hourahead.experiment import STRATEGIES, ExperimentConfig, draw_instance
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -39,7 +39,7 @@ def test_every_traced_attribute_is_callable(tracer):
 def test_traced_callback_runs_like_untraced(name, tracer, tmp_path):
     cfg = ExperimentConfig(horizon=48, seed=7)
     trace, predicted = draw_instance(cfg, 0)
-    callback = STRATEGIES[name](strategy_config(cfg), predicted)
+    callback = STRATEGIES[name](cfg.strategy, predicted)
     recorder = tracer.Tracer(tmp_path)
     traced = simulate_run(trace, cfg.spec, cfg.penalty, recorder.wrap_callback(name, callback))
     assert traced == simulate_run(trace, cfg.spec, cfg.penalty, callback)

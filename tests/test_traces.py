@@ -146,25 +146,41 @@ class TestLoadTrace:
     @pytest.mark.parametrize(
         "stamps, line, message",
         [
-            (("T02:00", "T00:00", "T00:00"), 3, "'2015-01-01T00:00' is not after the row before"),
-            (("T00:00", "T01:00", "T01:00"), 4, "'2015-01-01T01:00' is not after the row before"),
+            (("T02:00", "T00:00", "T00:00"), 3,
+             "'2015-01-01T00:00' is not one hour after the row before"),
+            (("T00:00", "T01:00", "T01:00"), 4,
+             "'2015-01-01T01:00' is not one hour after the row before"),
+            (("T00:00", "T01:00", "T06:00"), 4,
+             "'2015-01-01T06:00' is not one hour after the row before"),
+            (("T00:00", "T00:30", "T01:30"), 3,
+             "'2015-01-01T00:30' is not one hour after the row before"),
             (("T00:00", "T01:00+00:00", "T02:00+00:00"), 3,
              "'2015-01-01T01:00+00:00' mixes naive and offset times"),
             (("T00:00+01:00", "T01:00", "T02:00"), 3, "'2015-01-01T01:00' mixes naive and offset times"),
         ],
-        ids=["backwards", "repeated", "offset_after_naive", "naive_after_offset"],
+        ids=["backwards", "repeated", "gap", "half_hour", "offset_after_naive",
+             "naive_after_offset"],
     )  # fmt: skip
     def test_rows_out_of_time_order(self, stamps, line, message, tmp_path):
-        # the storage level couples each slot to the one before, so a row that
-        # is not later than the one before is refused, not played as the next hour
+        # each row is played as the next one-hour slot, whose storage level
+        # follows the slot before, so a row that is not one hour after the row
+        # before is refused, not played as the next hour
         p, w = stamped_files(tmp_path, [f"2015-01-01{stamp}" for stamp in stamps])
         with pytest.raises(TraceParseError, match="^" + re.escape(f"{p}:{line}: {message}") + "$"):
             load_trace(p, w)
 
-    def test_gaps_and_offsets_in_time_order_load(self, tmp_path):
-        # no spacing is required: a gap, or offsets that differ, load as long
-        # as each instant is later than the one before
+    def test_gap_across_offsets_is_refused(self, tmp_path):
+        # 00:00+00:00 to 06:00+01:00 is five hours, although the offsets differ
         stamps = ("2015-01-01T00:00+00:00", "2015-01-01T06:00+01:00", "2015-01-02T00:00+00:00")
+        p, w = stamped_files(tmp_path, stamps)
+        message = f"{p}:3: '2015-01-01T06:00+01:00' is not one hour after the row before"
+        with pytest.raises(TraceParseError, match="^" + re.escape(message) + "$"):
+            load_trace(p, w)
+
+    def test_hourly_rows_across_an_offset_change_load(self, tmp_path):
+        # a daylight-saving change: 01:00+01:00 then 01:00+00:00 is one hour
+        # (00:00 then 01:00 UTC), as is 01:00+00:00 then 03:00+01:00
+        stamps = ("2015-10-25T01:00+01:00", "2015-10-25T01:00+00:00", "2015-10-25T03:00+01:00")
         trace, _ = load_trace(*stamped_files(tmp_path, stamps))
         assert trace.prices == (10.0, 20.0, 40.0)
 
