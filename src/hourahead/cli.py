@@ -281,11 +281,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     values, _given = _resolve(args)
     cfg = _experiment_config(values)
     if args.sweep_offers:
-        if args.parallel:
-            raise ValidationError("--parallel is not read by --sweep-offers, which runs serially")
         if args.offers is not None:  # a config file's is the plain comparison's
             raise ValidationError("--offers is not read by --sweep-offers, which sets the counts")
-        rows = run_offer_sweep(cfg, _parse_list("--sweep-offers", args.sweep_offers, int))
+        counts = _parse_list("--sweep-offers", args.sweep_offers, int)
+        rows = run_offer_sweep(cfg, counts, parallel=args.parallel)
         if args.csv:
             with Path(args.csv).open("w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

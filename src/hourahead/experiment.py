@@ -1,9 +1,9 @@
 """Experiment orchestration: seeded runs, aggregation, and report emission.
 
-Each run draws a synthetic trace from seed XOR run-index, simulates every
-registered strategy against the clairvoyant benchmarks, and the harness
-aggregates profits and empirical profit ratios.  Runs are independent, so
-serial and parallel execution produce identical reports.
+Each run draws a synthetic trace from seed XOR run-index and plays its
+players (every registered strategy, or socs and one ocsmb per offer count of
+a sweep) against the clairvoyant benchmarks.  Runs are independent, so
+serial and parallel execution produce identical reports and sweep rows.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .market import OfferStrategy, PenaltyParams, PriceBounds, StorageSpec, Trac
 from .oracle import (
     DiscretizationConfig,
     check_dp_cells,
-    check_profits,
     offline_opt_dp,
     profit_ratios,
     profit_sum,
@@ -55,7 +54,7 @@ STRATEGIES: dict[str, Callable[[StrategyConfig, Sequence[float]], OfferStrategy]
     "mocsmb": lambda cfg, predicted: mocsmb_strategy(cfg, predicted),
     "fonline": lambda cfg, predicted: fonline_strategy(cfg.bounds, cfg.spec),
 }
-BENCHMARK_NAMES = ("offline", "nostorage")
+Player = tuple[str, str, StrategyConfig]  # label, STRATEGIES name, config: pool tasks pickle it
 
 
 @dataclass(frozen=True)
@@ -135,13 +134,13 @@ def draw_instance(cfg: ExperimentConfig, run: int) -> tuple[Trace, tuple[float, 
     return Trace(forecast.prices, realized), forecast.outputs
 
 
-def _single_run(cfg: ExperimentConfig, run: int) -> list[RunRecord]:
+def _single_run(cfg: ExperimentConfig, players: Sequence[Player], run: int) -> list[RunRecord]:
     trace, predicted = draw_instance(cfg, run)
     opt_profit = offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit
     profits = {"nostorage": nostorage_profit(trace)}
-    for name in STRATEGIES:
-        strategy = STRATEGIES[name](cfg.strategy, predicted)
-        profits[name] = simulate_run(trace, cfg.spec, cfg.penalty, strategy).total_profit
+    for label, name, strategy_cfg in players:
+        strategy = STRATEGIES[name](strategy_cfg, predicted)
+        profits[label] = simulate_run(trace, cfg.spec, cfg.penalty, strategy).total_profit
     ratios = profit_ratios(opt_profit, np.array(list(profits.values()))).tolist()
     return [RunRecord(run, "offline", opt_profit, 1.0)] + [
         RunRecord(run, name, p, r) for (name, p), r in zip(profits.items(), ratios)
@@ -150,7 +149,7 @@ def _single_run(cfg: ExperimentConfig, run: int) -> list[RunRecord]:
 
 def _aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> Report:
     strategies: dict[str, dict[str, Any]] = {}
-    for name in BENCHMARK_NAMES + tuple(STRATEGIES):
+    for name in dict.fromkeys(r.strategy for r in records):  # offline, nostorage, the players
         rows = [r for r in records if r.strategy == name]
         total = profit_sum(r.profit for r in rows)
         ratios = [r.empirical_cr for r in rows]
@@ -165,19 +164,18 @@ def _aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> Report:
     return Report(meta=meta, config=cfg.to_dict(), strategies=strategies, records=records)
 
 
-def _run_share(cfg: ExperimentConfig, runs: range) -> list[RunRecord]:
-    return [rec for run in runs for rec in _single_run(cfg, run)]
+def _run_share(cfg: ExperimentConfig, players: Sequence[Player], runs: range) -> list[RunRecord]:
+    return [rec for run in runs for rec in _single_run(cfg, players, run)]
 
 
-def run_experiment(
-    cfg: ExperimentConfig, parallel: bool = False, workers: int | None = None
-) -> Report:
-    """Execute all runs and aggregate.  Deterministic for a given config and
-    seed, whether executed serially or in parallel.  In parallel the runs are
-    split into one contiguous share per process (by default one per CPU this
-    process may run on, never more than runs): this process computes the
-    first share, and a pool worker each of the others, as one task.
-    The worker count and the oracle's work guard are checked before any run."""
+def _play(
+    cfg: ExperimentConfig, players: Sequence[Player], parallel: bool, workers: int | None
+) -> list[RunRecord]:
+    """Every run's records in run order, the same serially or in parallel.
+    In parallel the runs are split into one contiguous share per process (by
+    default one per usable CPU, never more than runs): this process computes
+    the first share, and a pool worker each of the others, as one task.  The
+    worker count and the oracle's work guard are checked before any run."""
     if workers is not None and workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     check_dp_cells(cfg.horizon, cfg.disc)
@@ -187,48 +185,46 @@ def run_experiment(
         w = min(workers or (len(affinity(0)) if affinity else os.cpu_count() or 1), cfg.runs)
     shares = [range(cfg.runs * k // w, cfg.runs * (k + 1) // w) for k in range(w)]
     if w == 1:
-        return _aggregate(cfg, _run_share(cfg, shares[0]))
+        return _run_share(cfg, players, shares[0])
     import numpy.random  # numpy loads it lazily; loaded before the fork, no worker imports it
     with ProcessPoolExecutor(max_workers=w - 1) as pool:
-        futures = [pool.submit(_run_share, cfg, share) for share in shares[1:]]
-        records = _run_share(cfg, shares[0])
+        futures = [pool.submit(_run_share, cfg, players, share) for share in shares[1:]]
+        records = _run_share(cfg, players, shares[0])
         for future in futures:
             records += future.result()
-    return _aggregate(cfg, records)
+    return records
 
 
-def run_offer_sweep(cfg: ExperimentConfig, offer_counts: Sequence[int]) -> list[dict[str, Any]]:
+def run_experiment(
+    cfg: ExperimentConfig, parallel: bool = False, workers: int | None = None
+) -> Report:
+    """Play every registered strategy in all runs (see ``_play``) and aggregate."""
+    players = [(name, name, cfg.strategy) for name in STRATEGIES]
+    return _aggregate(cfg, _play(cfg, players, parallel, workers))
+
+
+def run_offer_sweep(
+    cfg: ExperimentConfig,
+    offer_counts: Sequence[int],
+    parallel: bool = False,
+    workers: int | None = None,
+) -> list[dict[str, Any]]:
     """Mean profits of the laddered strategy for each offer count.
 
-    The traces, the clairvoyant optimum, and the known-price reference are
-    computed once per run and reused across the sweep.  Every offer count and
-    the oracle's work guard are checked before the first run is drawn; a
-    repeated count gives one row.
+    Each run plays socs and one ocsmb per distinct count against the same
+    trace and clairvoyant optimum, serially or in parallel as
+    ``run_experiment`` does.  Every offer count is checked before the first
+    run is drawn; a repeated count gives one row.
     """
-    check_dp_cells(cfg.horizon, cfg.disc)
-    ladder_cfgs = {m: replace(cfg.strategy, offers=m) for m in offer_counts}
-    opt, socs, ladder = [], [], {m: [] for m in ladder_cfgs}  # each run's profits
-    for run in range(cfg.runs):
-        trace, _predicted = draw_instance(cfg, run)
-        opt += [offline_opt_dp(trace, cfg.spec, cfg.disc).total_profit]
-        socs += [
-            simulate_run(trace, cfg.spec, cfg.penalty, socs_strategy(cfg.strategy)).total_profit
-        ]
-        for m, m_cfg in ladder_cfgs.items():
-            ladder[m] += [
-                simulate_run(trace, cfg.spec, cfg.penalty, ocsmb_strategy(m_cfg)).total_profit
-            ]
-    opt_tot, socs_tot = profit_sum(opt), profit_sum(socs)
-    ladder_tot = {m: profit_sum(profits) for m, profits in ladder.items()}
-    check_profits(opt_tot, socs_tot, *ladder_tot.values())
+    ladders = {m: replace(cfg.strategy, offers=m) for m in offer_counts}
+    players = [("socs", "socs", cfg.strategy)]
+    players += [(f"ocsmb{m}", "ocsmb", m_cfg) for m, m_cfg in ladders.items()]
+    records = _play(cfg, players, parallel, workers)
+    mean = {label: s["mean_profit"] for label, s in _aggregate(cfg, records).strategies.items()}
     return [
-        {
-            "offers": m,
-            "ocsmb_mean_profit": ladder_tot[m] / cfg.runs,
-            "socs_mean_profit": socs_tot / cfg.runs,
-            "offline_mean_profit": opt_tot / cfg.runs,
-        }
-        for m in ladder_tot
+        {"offers": m, "ocsmb_mean_profit": mean[f"ocsmb{m}"], "socs_mean_profit": mean["socs"],
+         "offline_mean_profit": mean["offline"]}  # fmt: skip
+        for m in ladders
     ]
 
 

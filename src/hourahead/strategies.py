@@ -37,6 +37,7 @@ from .market import (
 )
 from .oracle import profit_sum
 from .policy import ThresholdPolicy
+from .traces import check_error_bound
 
 
 # work guard: offers per slot, each a rung the laddered strategies build
@@ -58,8 +59,7 @@ class StrategyConfig:
     def __post_init__(self):
         if not 1 <= self.offers <= MAX_OFFERS:
             raise ValidationError(f"offer count must be in [1, {MAX_OFFERS}], got {self.offers}")
-        if not 0.0 <= self.e_max < 0.5:
-            raise ValidationError(f"e_max must be in [0, 0.5), got {self.e_max}")
+        check_error_bound(self.e_max)
         object.__setattr__(self, "policy", ThresholdPolicy.build(self.bounds, self.spec.capacity))
 
 

@@ -144,6 +144,11 @@ def check_horizon(horizon: int) -> None:
         raise ValidationError(f"horizon must be in [1, {MAX_HORIZON}], got {horizon}")
 
 
+def check_error_bound(e_max: float) -> None:
+    if not 0.0 <= e_max < 0.5:
+        raise ValidationError(f"e_max must be in [0, 0.5), got {e_max}")
+
+
 def check_wind_capacity(wind_capacity: float) -> None:
     if not 0.0 <= wind_capacity < math.inf:
         raise ValidationError(f"wind capacity must be non-negative and finite, got {wind_capacity}")
@@ -198,8 +203,7 @@ def realize_outputs(
     zero bound reproduces the prediction exactly while consuming the same
     number of draws, so changing the bound never shifts the stream.
     """
-    if not 0.0 <= error_bound < 0.5:
-        raise ValidationError(f"error bound must be in [0, 0.5), got {error_bound}")
+    check_error_bound(error_bound)
     factors = 1.0 + error_bound * rng.uniform(-1.0, 1.0, size=len(predicted))
     return tuple(u * f for u, f in zip(predicted, factors.tolist()))
 

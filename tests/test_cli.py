@@ -471,11 +471,16 @@ class TestCompare:
                 ["--sweep-offers", "1-15"],
                 "828113db99ae55b1c7eb1d17ef12480ecd6cf0c4f5f0a8221fdb96124d7ab66c",
             ),
+            (
+                ["--sweep-offers", "1-15", "--parallel"],
+                "828113db99ae55b1c7eb1d17ef12480ecd6cf0c4f5f0a8221fdb96124d7ab66c",
+            ),
         ],
-        ids=["compare", "sweep"],
+        ids=["compare", "sweep", "sweep_parallel"],
     )
     def test_full_comparison_digests(self, extra, digest, capsys):
-        # the paper's comparison at full size: 100 runs of 360 slots, seed 7
+        # the paper's comparison at full size: 100 runs of 360 slots, seed 7;
+        # the sweep prints the same rows whether its runs are split or not
         argv = ["compare", "--runs", "100", "--horizon", "360", "--seed", "7"]
         assert main(argv + extra) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -911,8 +916,8 @@ class TestValidationExits:
 
     @pytest.mark.parametrize(
         "sweep",
-        [["1,20000"], ["1-20000"], ["1-2", "--parallel"], ["1-2", "--offers", "3"]],
-        ids=["list", "range", "parallel", "offers"],
+        [["1,20000"], ["1-20000"], ["1-2", "--offers", "3"]],
+        ids=["list", "range", "offers"],
     )
     def test_sweep_refused_before_any_run(self, sweep, monkeypatch, capsys):
         calls = []
@@ -943,9 +948,10 @@ class TestValidationExits:
     @pytest.mark.parametrize(
         "command",
         [["compare", "--runs", "2"], ["compare", "--runs", "2", "--parallel"],
-         ["compare", "--runs", "2", "--sweep-offers", "1-2"], ["simulate", "--strategy", "mocsmb"],
-         ["gen-trace"]],
-        ids=["compare", "parallel", "sweep", "simulate", "gen_trace"],
+         ["compare", "--runs", "2", "--sweep-offers", "1-2"],
+         ["compare", "--runs", "2", "--sweep-offers", "1-2", "--parallel"],
+         ["simulate", "--strategy", "mocsmb"], ["gen-trace"]],
+        ids=["compare", "parallel", "sweep", "sweep_parallel", "simulate", "gen_trace"],
     )  # fmt: skip
     def test_bad_setting_refused_before_any_draw(
         self, command, setting, value, message, tmp_path, monkeypatch, capsys
@@ -1000,6 +1006,8 @@ class TestValidationExits:
             ["compare", "--runs", "1", "--horizon", "1000000"],
             ["compare", "--runs", "1", "--horizon", "1000000", "--sweep-offers", "1-2"],
             ["compare", "--runs", "2", "--horizon", "1000000", "--parallel"],
+            ["compare", "--runs", "2", "--horizon", "1000000", "--sweep-offers", "1-2",
+             "--parallel"],  # fmt: skip
             ["simulate", "--horizon", "1000000"],
             # 1e300 storage levels: the counts print as powers of ten
             ["compare", "--runs", "1", "--horizon", "4", "--levels", "1" + "0" * 300],

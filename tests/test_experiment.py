@@ -158,9 +158,9 @@ class TestRunExperiment:
             print(json.dumps("numpy.random" in sys.modules))
             single_run = experiment._single_run
 
-            def recording_run(cfg, run):
+            def recording_run(cfg, players, run):
                 before = set(sys.modules)
-                records = single_run(cfg, run)
+                records = single_run(cfg, players, run)
                 new = sorted(set(sys.modules) - before)
                 (out / f"run{run}.json").write_text(json.dumps([os.getpid() != parent, new]))
                 return records
@@ -224,25 +224,31 @@ class TestRunExperiment:
     @pytest.mark.parametrize("failing", [0, 3], ids=["parent_share", "worker_share"])
     def test_a_failed_share_reaches_the_caller(self, failing, monkeypatch, capsys):
         # run 0 is in the parent's share and run 3, the last, in the worker's;
-        # either error reaches the caller as itself, and no child outlives it
+        # either error reaches the caller as itself, and no child outlives it,
+        # in a comparison and in an offer sweep alike
         single_run = experiment._single_run
 
-        def failing_run(cfg, run):
+        def failing_run(cfg, players, run):
             if run == failing:
                 raise ValidationError(f"run {run} cannot be drawn")
-            return single_run(cfg, run)
+            return single_run(cfg, players, run)
 
         monkeypatch.setattr(experiment, "_single_run", failing_run)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = small_config(runs=4, horizon=6, disc_levels=20)
-        with pytest.raises(ValidationError, match=f"^run {failing} cannot be drawn$"):
-            run_experiment(cfg, parallel=True, workers=2)
-        assert multiprocessing.active_children() == []
         argv = ["compare", "--runs", "4", "--horizon", "6", "--levels", "20", "--parallel"]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: run {failing} cannot be drawn\n")
-        assert multiprocessing.active_children() == []
+        sweep = ["--sweep-offers", "1-2"]
+        for run_all, extra in (
+            (lambda: run_experiment(cfg, parallel=True, workers=2), []),
+            (lambda: run_offer_sweep(cfg, [1, 2], parallel=True, workers=2), sweep),
+        ):
+            with pytest.raises(ValidationError, match=f"^run {failing} cannot be drawn$"):
+                run_all()
+            assert multiprocessing.active_children() == []
+            assert main(argv + extra) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: run {failing} cannot be drawn\n")
+            assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [0, -1])
     @pytest.mark.parametrize("parallel", [False, True])
@@ -339,7 +345,8 @@ class TestSingleRun:
     @pytest.mark.parametrize("run", [0, 1, 2])
     def test_ratios_are_profit_ratio_of_each_record(self, run):
         # the five ratios of a run come from one profit_ratios call
-        records = experiment._single_run(small_config(), run)
+        cfg = small_config()
+        records = experiment._single_run(cfg, [(n, n, cfg.strategy) for n in STRATEGIES], run)
         assert [r.strategy for r in records] == ["offline", "nostorage", *STRATEGIES]
         opt = records[0].profit
         assert records[0].empirical_cr == 1.0
@@ -388,6 +395,22 @@ class TestOfferSweep:
             means = (row["offline_mean_profit"], row["socs_mean_profit"], row["ocsmb_mean_profit"])
             keys = ("offline", "socs", row["offers"])
             assert means == tuple(rounded(exact[key]) / cfg.runs for key in keys)
+
+    @pytest.mark.parametrize("runs", range(1, 6))
+    def test_parallel_rows_equal_serial(self, runs):
+        # two shares where there are two runs or more: the rows do not depend on the split
+        cfg = small_config(runs=runs, horizon=12, disc_levels=40)
+        counts = [1, 3, 3, 10]
+        parallel = run_offer_sweep(cfg, counts, parallel=True, workers=2)
+        assert multiprocessing.active_children() == []
+        assert parallel == run_offer_sweep(cfg, counts)
+
+    def test_counts_checked_before_the_oracle_guard(self, monkeypatch):
+        # as a comparison checks its config's offer count before the guard
+        monkeypatch.setattr(experiment, "draw_instance", None)  # never reached
+        cfg = small_config(runs=1, horizon=10**6, disc_levels=10**6)
+        with pytest.raises(ValidationError, match=r"^offer count must be in \[1, 10000\], got 0$"):
+            run_offer_sweep(cfg, [1, 0])
 
     def test_repeated_count_one_row(self):
         cfg = small_config(runs=2, horizon=12, disc_levels=40)

@@ -67,8 +67,10 @@ def test_traced_compare_counts(tracer, tmp_path):
 
 
 def test_traced_sweep_counts(tracer, tmp_path):
+    # one oracle call and socs plus three ladders, each through a traced name
     m = traced_metrics(tracer, tmp_path, COMPARE + ["--sweep-offers", "1-3"])
-    assert m["strategies.ocsmb.books"] == 3 * 24
+    assert (m["oracle.calls"], m["market.calls"]) == (1, 4)
+    assert (m["strategies.socs.books"], m["strategies.ocsmb.books"]) == (24, 3 * 24)
 
 
 def test_traced_adversary_counts(tracer, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hourahead import PriceBounds, TraceParseError, ValidationError
+from hourahead import PriceBounds, StorageSpec, StrategyConfig, TraceParseError, ValidationError
 from hourahead import traces
 from hourahead.experiment import ExperimentConfig, draw_instance
 from hourahead.traces import (
@@ -270,6 +270,15 @@ class TestRealizeOutputs:
     def test_bad_bound(self):
         with pytest.raises(ValidationError):
             realize_outputs(np.random.default_rng(0), (1.0,), 0.5)
+
+    @pytest.mark.parametrize("bound", [-0.1, 0.5, math.nan])
+    def test_bound_refused_as_the_strategy_config_refuses_it(self, bound):
+        # one check, one message: the draw and the strategies' config
+        message = "^" + re.escape(f"e_max must be in [0, 0.5), got {bound}") + "$"
+        with pytest.raises(ValidationError, match=message):
+            realize_outputs(np.random.default_rng(0), (1.0,), bound)
+        with pytest.raises(ValidationError, match=message):
+            StrategyConfig(PriceBounds(10.0, 40.0), StorageSpec(20.0, 10.0, 10.0), e_max=bound)
 
 
 def synthesize_reference(rng, horizon, bounds, wind_capacity):
