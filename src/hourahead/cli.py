@@ -5,7 +5,7 @@ strategy), ``compare`` (full multi-run comparison), ``adversary``
 (worst-case grid search), ``cr-table`` (guarantee formula over a theta
 list), and ``gen-trace`` (the trace of compare's run 0 to CSV).
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 budget exceeded.
+Exit codes: 0 success, 1 validation error, 2 I/O error or dead pool worker, 3 budget exceeded.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import functools
 import json
 import sys
 from collections import namedtuple
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .adversary import GRID_DEFAULTS, MAX_INSTANCES, AdversaryGrid, adversarial_search
@@ -408,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
+    except (OSError, BrokenExecutor) as exc:  # a parallel run's worker that died
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

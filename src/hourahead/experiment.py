@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -168,6 +169,16 @@ def _run_share(cfg: ExperimentConfig, players: Sequence[Player], runs: range) ->
     return [rec for run in runs for rec in _single_run(cfg, players, run)]
 
 
+def _init_worker(started: Any) -> None:
+    global _started  # the pool's semaphore: inherited, as a task argument cannot carry it
+    _started = started
+
+
+def _worker_share(cfg: ExperimentConfig, players: Sequence[Player], runs: range) -> list[RunRecord]:
+    _started.release()  # the task has arrived: the parent may start its own share
+    return _run_share(cfg, players, runs)
+
+
 def _play(
     cfg: ExperimentConfig, players: Sequence[Player], parallel: bool, workers: int | None
 ) -> list[RunRecord]:
@@ -175,7 +186,8 @@ def _play(
     In parallel the runs are split into one contiguous share per process (by
     default one per usable CPU, never more than runs): this process computes
     the first share, and a pool worker each of the others, as one task.  The
-    worker count and the oracle's work guard are checked before any run."""
+    worker count and the oracle's work guard are checked before any run.
+    Each worker holds its task before this process starts its own share."""
     if workers is not None and workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     check_dp_cells(cfg.horizon, cfg.disc)
@@ -187,8 +199,12 @@ def _play(
     if w == 1:
         return _run_share(cfg, players, shares[0])
     import numpy.random  # numpy loads it lazily; loaded before the fork, no worker imports it
-    with ProcessPoolExecutor(max_workers=w - 1) as pool:
-        futures = [pool.submit(_run_share, cfg, players, share) for share in shares[1:]]
+    started = multiprocessing.Semaphore(0)
+    with ProcessPoolExecutor(w - 1, initializer=_init_worker, initargs=(started,)) as pool:
+        futures = [pool.submit(_worker_share, cfg, players, share) for share in shares[1:]]
+        waiting = len(futures)  # the blocking acquire frees the lock; a dead worker ends the wait
+        while waiting and not any(future.done() for future in futures):
+            waiting -= started.acquire(timeout=0.05)
         records = _run_share(cfg, players, shares[0])
         for future in futures:
             records += future.result()

@@ -40,6 +40,19 @@ def small_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def run_script(script, *args):
+    """Run a Python script in a fresh interpreter that imports this package."""
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestRunExperiment:
     def test_report_structure(self):
         report = run_experiment(small_config())
@@ -112,10 +125,11 @@ class TestRunExperiment:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 if size is None:
                     pytest.fail(f"a pool of {max_workers} was built for one process")
                 sizes.append(max_workers)
+                initializer(*initargs)  # submit runs the worker's task here, in the parent
 
             def __enter__(self):
                 return self
@@ -198,8 +212,8 @@ class TestRunExperiment:
         pools = []
 
         class CountingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                super().__init__(max_workers)
+            def __init__(self, max_workers, initializer, initargs):
+                super().__init__(max_workers, initializer=initializer, initargs=initargs)
                 self.submits = 0
                 pools.append(self)
 
@@ -249,6 +263,96 @@ class TestRunExperiment:
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", f"error: run {failing} cannot be drawn\n")
             assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="the pool does not fork its workers"
+    )
+    def test_worker_holds_its_task_before_the_parent_computes(self, tmp_path):
+        # a test of order: the worker's release leaves a marker, and the
+        # parent's first run finds it there; the worker's run follows its
+        # release too. Without the handoff the parent computes its share
+        # before the pool's threads get the lock to pass the task on
+        done = run_script(
+            """
+            import json, os, sys
+            from pathlib import Path
+            from hourahead import experiment
+            from hourahead.experiment import ExperimentConfig, run_experiment
+
+            out, parent = Path(sys.argv[1]), os.getpid()
+            marker = out / "released"
+            single_run, init_worker = experiment._single_run, experiment._init_worker
+
+            class MarkingSemaphore:
+                def __init__(self, started):
+                    self.started = started
+
+                def release(self):
+                    marker.touch()
+                    self.started.release()
+
+            def ordered_run(cfg, players, run):
+                record = [os.getpid() != parent, marker.exists()]
+                (out / f"run{run}.json").write_text(json.dumps(record))
+                return single_run(cfg, players, run)
+
+            experiment._single_run = ordered_run
+            experiment._init_worker = lambda started: init_worker(MarkingSemaphore(started))
+            cfg = ExperimentConfig(runs=2, horizon=24)
+            report = run_experiment(cfg, parallel=True, workers=2)
+            experiment._single_run = single_run
+            print(json.dumps(report.to_json() == run_experiment(cfg).to_json()))
+            """,
+            tmp_path,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) is True
+        runs = [json.loads((tmp_path / f"run{run}.json").read_text()) for run in range(2)]
+        assert runs == [[False, True], [True, True]]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="the pool does not fork its workers"
+    )
+    @pytest.mark.parametrize("sweep", [False, True], ids=["compare", "sweep"])
+    @pytest.mark.parametrize("dies", ["before_release", "after_release"])
+    def test_a_dead_worker_is_one_error_line(self, dies, sweep):
+        # a worker that exits abruptly with its task, before or after it tells
+        # the parent it holds it, ends the command in seconds with the pool's
+        # error as one line, exit 2, and no child left behind
+        done = run_script(
+            """
+            import json, multiprocessing, os, sys
+            from hourahead import experiment
+            from hourahead.cli import main
+
+            dies, extra, parent = sys.argv[1], sys.argv[2:], os.getpid()
+            os.sched_getaffinity = lambda pid: {0, 1}
+
+            class Dying:
+                def release(self):
+                    os._exit(9)
+
+            run_share = experiment._run_share
+
+            def dying_share(cfg, players, runs):
+                if os.getpid() != parent:
+                    os._exit(9)
+                return run_share(cfg, players, runs)
+
+            if dies == "before_release":
+                experiment._init_worker = lambda started: setattr(experiment, "_started", Dying())
+            else:
+                experiment._run_share = dying_share
+            argv = ["compare", "--runs", "2", "--horizon", "6", "--levels", "20", "--parallel"]
+            code = main(argv + extra)
+            print(json.dumps([code, multiprocessing.active_children() == []]))
+            """,
+            dies,
+            *(["--sweep-offers", "1-2"] if sweep else []),
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [2, True]
+        assert re.fullmatch(r"error: [^\n]*terminated abruptly[^\n]*\n", done.stderr), done.stderr
 
     @pytest.mark.parametrize("workers", [0, -1])
     @pytest.mark.parametrize("parallel", [False, True])
