@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import functools
 import json
 import sys
@@ -41,7 +40,7 @@ from .strategies import (  # the *_strategy factories stay for bench/tracer.py t
     socs_columns,
     socs_strategy,
 )
-from .traces import load_trace, write_trace_csv
+from .traces import load_trace, write_csv, write_trace_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -223,7 +222,7 @@ def _parse_list(flag: str, text: str, cast: type = float) -> list | range:
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Print a report, and write it to `out` as well when that is given."""
+    """Print a report, having written it to `out` when that is given: every --out report."""
     if out:
         Path(out).write_text(text + "\n")
     print(text)
@@ -287,16 +286,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         counts = _parse_list("--sweep-offers", args.sweep_offers, int)
         rows = run_offer_sweep(cfg, counts, parallel=args.parallel)
         if args.csv:
-            with Path(args.csv).open("w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-                writer.writeheader()
-                writer.writerows(rows)
+            write_csv(args.csv, list(rows[0]), (row.values() for row in rows))
         _emit(json.dumps(rows, indent=2), args.out)
         return EXIT_OK
 
     report = run_experiment(cfg, parallel=args.parallel)
-    emit_report(report, json_path=args.out, csv_path=args.csv)
-    print(report.to_json(), end="")
+    emit_report(report, csv_path=args.csv)
+    _emit(report.to_json().rstrip("\n"), args.out)
     return EXIT_OK
 
 

@@ -1,13 +1,13 @@
-"""Experiment orchestration: seeded runs, aggregation, and report emission.
+"""Experiment orchestration: seeded runs, aggregation and the per-run table.
 
 Each run draws a synthetic trace from seed XOR run-index and plays its
 players (every registered strategy, or socs and one ocsmb per offer count of
 a sweep) against the clairvoyant benchmarks.  Runs are independent, so
 serial and parallel execution produce identical reports and sweep rows.
+The CLI prints ``Report.to_json``; ``emit_report`` writes the per-run table.
 """
 from __future__ import annotations
 
-import csv
 import json
 import multiprocessing
 import os
@@ -44,6 +44,7 @@ from .traces import (
     check_wind_capacity,
     realize_outputs,
     synthesize,
+    write_csv,
 )
 
 #: The one registry of online strategies: name -> builder taking the
@@ -244,19 +245,11 @@ def run_offer_sweep(
     ]
 
 
-def emit_report(
-    report: Report,
-    json_path: str | Path | None = None,
-    csv_path: str | Path | None = None,
-) -> None:
-    """Write the structured JSON report and/or the per-run CSV table."""
-    if json_path is not None:
-        Path(json_path).write_text(report.to_json())
+def emit_report(report: Report, csv_path: str | Path | None = None) -> None:
+    """Write the per-run table, one row per record, to `csv_path` when that is given."""
     if csv_path is not None:
-        with Path(csv_path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run", "strategy", "profit", "empirical_cr"])
-            for rec in report.records:
-                writer.writerow(
-                    [rec.run, rec.strategy, repr(rec.profit), ratio_json(rec.empirical_cr)]
-                )
+        rows = (
+            [rec.run, rec.strategy, repr(rec.profit), ratio_json(rec.empirical_cr)]
+            for rec in report.records
+        )
+        write_csv(csv_path, ["run", "strategy", "profit", "empirical_cr"], rows)

@@ -14,7 +14,7 @@ import io
 import math
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -208,6 +208,14 @@ def realize_outputs(
     return tuple(u * f for u, f in zip(predicted, factors.tolist()))
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write a table as a CSV file: the one writer of every table the package writes."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_trace_csv(trace: Trace, price_path: str | Path, wind_path: str | Path) -> None:
     """Write a trace as the pair of hourly CSV files load_trace accepts, the
     first slot stamped 2015-01-01T00:00."""
@@ -215,10 +223,5 @@ def write_trace_csv(trace: Trace, price_path: str | Path, wind_path: str | Path)
     stamps = [
         (start + timedelta(hours=i)).isoformat(timespec="minutes") for i in range(trace.horizon)
     ]
-    for path, column, values in (
-        (price_path, "price", trace.prices), (wind_path, "wind_mw", trace.outputs)
-    ):
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", column])
-            writer.writerows([stamp, repr(value)] for stamp, value in zip(stamps, values))
+    write_csv(price_path, ["timestamp", "price"], zip(stamps, map(repr, trace.prices)))
+    write_csv(wind_path, ["timestamp", "wind_mw"], zip(stamps, map(repr, trace.outputs)))

@@ -485,6 +485,16 @@ class TestCompare:
         assert main(argv + extra) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_nothing_printed_when_a_write_fails(self, tmp_path, capsys):
+        small = ["compare", "--runs", "2", "--horizon", "6", "--levels", "20"]
+        missing = str(tmp_path / "missing" / "file")
+        for extra in (["--out", missing], ["--csv", missing]):
+            for sweep in ([], ["--sweep-offers", "1-2"]):
+                assert main(small + sweep + extra) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_unbounded_ratio_reported(self, tmp_path, capsys):
         # fonline earns nothing on some 2-slot runs with a positive optimum
         csv_path = tmp_path / "runs.csv"
@@ -584,6 +594,65 @@ FLAG_VALUES = {
     "runs": "2", "horizon": "24", "seed": "3", "offers": "2", "emax": "0.2", "levels": "40",
     "wind_capacity": "8",
 }  # fmt: skip
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestWrittenFiles:
+    # every file the CLI writes and every report it prints, at a small setting;
+    # a name ending in .out is a --out report, which holds what was printed
+    COMPARE = ["compare", "--runs", "2", "--horizon", "12", "--seed", "7", "--levels", "40"]
+    SWEEP = [*COMPARE, "--sweep-offers", "1-4"]
+    COMMANDS = {
+        "compare": [*COMPARE, "--out", "compare.out", "--csv", "compare.csv"],
+        "compare-parallel": [
+            *COMPARE, "--parallel", "--out", "compare-parallel.out", "--csv", "compare-parallel.csv"
+        ],
+        "sweep": [*SWEEP, "--out", "sweep.out", "--csv", "sweep.csv"],
+        "sweep-parallel": [
+            *SWEEP, "--parallel", "--out", "sweep-parallel.out", "--csv", "sweep-parallel.csv"
+        ],
+        "gen-trace": ["gen-trace", "--horizon", "12", "--seed", "7", "--out-prefix", "t"],
+        "simulate": ["simulate", "--price-csv", "t-price.csv", "--wind-csv", "t-wind.csv",
+                     "--levels", "40", "--slots", "--out", "simulate.out"],
+        "adversary": ["adversary", "--horizon", "2", "--capacity", "4", "--levels", "4",
+                      "--out", "adversary.out"],
+        "cr-table": ["cr-table", "--theta", "1,4,13.44", "--out", "cr-table.out"],
+    }  # fmt: skip
+    DIGESTS = {
+        "compare.out": "b098ec835e34878a957447caf97308cd6ac08088a482cece5219a187a0be9a0c",
+        "compare.csv": "1758b297240bd32cdce3ba89a46c5ddbb0a7d5e6db984b27b6415dcee551bd6d",
+        "sweep.out": "2bb9f64ca471d081b14cfd5ff24fba1d9a72c633e2b1fb15f1279fedb4301dca",
+        "sweep.csv": "deb8229ea529dc59e6cc226d7819591a947e09eebd4830e52a452cc4b525082e",
+        "t-price.csv": "c39221b0c48f957a8a0fce96f23cc80d80043d148c9f9e03be64af47d3a397de",
+        "t-wind.csv": "f239a2c14ad324f4d8c253e9559165d08332ce5ce90cc7ace228ce4c4635df57",
+        "simulate.out": "ae1aff156e1e463688ae134e1ff6acca38688d47124cc69243c16ed2ff06205c",
+        "adversary.out": "8745c6805781c53f55b7096cb8be02abf071a35b736c5696dca4408d991544e7",
+        "cr-table.out": "c1e540b168fae82b80250a243ed7d6085aecdc189d31d2632324c4d01324e538",
+        "gen-trace stdout": "9c944c78cda72645efe81589a739caee9ecf8f25befef6a05a206442eff3c77b",
+    }
+
+    def test_every_file_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # so gen-trace prints the relative paths it was given
+        printed = {}
+        for name, argv in self.COMMANDS.items():
+            assert main(argv) == 0, name
+            printed[name] = capsys.readouterr().out
+        written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        for name, out in printed.items():  # each --out report is what its command printed
+            assert written.get(f"{name}.out", out.encode()) == out.encode(), name
+        for name in ("compare", "sweep"):  # split runs write the same bytes
+            for suffix in (".out", ".csv"):
+                assert written.pop(f"{name}-parallel{suffix}") == written[name + suffix]
+        digests = {name: sha256(data) for name, data in written.items()}
+        assert digests | {"gen-trace stdout": sha256(printed["gen-trace"].encode())} == self.DIGESTS
+        # the library writes what the CLI writes
+        report = run_experiment(ExperimentConfig(runs=2, horizon=12, seed=7, disc_levels=40))
+        assert written["compare.out"].decode() == report.to_json()
+        experiment.emit_report(report, csv_path="runs.csv")
+        assert (tmp_path / "runs.csv").read_bytes() == written["compare.csv"]
 
 
 def flag(name: str) -> str:

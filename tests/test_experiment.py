@@ -460,12 +460,6 @@ class TestSingleRun:
 
 
 class TestEmitReport:
-    def test_json_round_trip(self, tmp_path):
-        report = run_experiment(small_config())
-        path = tmp_path / "report.json"
-        emit_report(report, json_path=path)
-        assert json.loads(path.read_text()) == json.loads(report.to_json())
-
     def test_csv_row_count(self, tmp_path):
         cfg = small_config()
         report = run_experiment(cfg)

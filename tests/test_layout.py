@@ -40,6 +40,18 @@ def test_every_import_is_used(module):
     assert unused_imports(source) == HELD_FOR_TRACER.get(module, [])
 
 
+def test_one_module_writes_csv():
+    # traces.write_csv writes every table; the module that reads CSVs holds it
+    importers = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "csv"
+    ]
+    assert importers == ["traces"]
+
+
 def test_an_unused_import_is_found():
     assert unused_imports("def f():\n    import numpy.random\n") == []
     source = "from __future__ import annotations\nimport os.path\nfrom a import b, c as d\n"

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import sys
 from types import SimpleNamespace
 
@@ -353,7 +355,9 @@ class TestSimulateRun:
         trace = synthetic_trace(5, 60, bounds)
         result = simulate_run(trace, spec, penalty, sell_all)
         *_, profits, _levels = zip(*result.rows)
-        assert result.total_profit == sum(profits)
+        # added from 0.0 left to right, as simulate_run does; the builtin sum
+        # of floats is compensated from CPython 3.12 on
+        assert result.total_profit == functools.reduce(operator.add, profits, 0.0)
 
     def test_level_and_rate_invariants(self, bounds, penalty):
         spec = StorageSpec(20.0, 4.0, 3.0, 12.0)
@@ -448,7 +452,8 @@ class TestRunColumns:
                 assert curtailed >= -2 * eps * max(u, x, z, spec.capacity)
                 z = level
             *_, profits, _levels = zip(*result.rows)
-            assert sum(profits) == result.total_profit
+            # simulate_run's order, which the compensated sum() of CPython >= 3.12 is not
+            assert functools.reduce(operator.add, profits, 0.0) == result.total_profit
 
 
 class TestValidation:
