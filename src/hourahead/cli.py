@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = ("seed", "capacity", "charge_rate", "discharge_rate", "pmin", "pmax", "levels")
     sim = sub.add_parser("simulate", help="run one strategy over one trace")
     _add_settings(sim, *shared, "horizon", "offers", "emax")
-    sim.add_argument("--out", help="output path (JSON report)")
+    sim.add_argument("--out", type=_path, help="output path (JSON report)")
     sim.add_argument("--strategy", default="socs", choices=list(STRATEGIES))
     sim.add_argument("--price-csv", help="price CSV (with --wind-csv); otherwise synthetic")
     sim.add_argument("--wind-csv", help="wind CSV")
@@ -140,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("compare", help="multi-run strategy comparison")
     _add_settings(cmp_, *shared, "runs", "horizon", "offers", "emax")
-    cmp_.add_argument("--out", help="output path (JSON report)")
-    cmp_.add_argument("--csv", help="per-run CSV table path")
+    cmp_.add_argument("--out", type=_path, help="output path (JSON report)")
+    cmp_.add_argument("--csv", type=_path, help="per-run CSV table path")
     cmp_.add_argument("--parallel", action="store_true", help="split the runs over the usable CPUs")
     cmp_.add_argument(
         "--sweep-offers",
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     adv = sub.add_parser("adversary", help="exhaustive worst-case grid search")
     _add_settings(adv, "capacity", "charge_rate", "discharge_rate", "pmin", "pmax", "offers")
-    adv.add_argument("--out", help="output path (JSON report)")
+    adv.add_argument("--out", type=_path, help="output path (JSON report)")
     adv.add_argument(
         "--strategy",
         default="socs",
@@ -171,11 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="13.44,5.32,3.63,50",
         help="comma-separated fluctuation ratios",
     )
-    crt.add_argument("--out", help="write the table to a CSV file as well")
+    crt.add_argument("--out", type=_path, help="write the table to a CSV file as well")
 
     gen = sub.add_parser("gen-trace", help="write a synthetic trace as CSV files")
     _add_settings(gen, "seed", "pmin", "pmax", "horizon", "wind_capacity")
-    gen.add_argument("--out-prefix", default="trace", help="writes <prefix>-price.csv/-wind.csv")
+    gen.add_argument("--out-prefix", default="trace", type=_path, help="<prefix>-{price,wind}.csv")
 
     return parser
 
@@ -203,6 +203,12 @@ def _experiment_config(values: dict) -> ExperimentConfig:
         offers=values["offers"], e_max=values["emax"], disc_levels=values["levels"],
         wind_capacity=values["wind_capacity"],
     )  # fmt: skip
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
 
 
 def _parse_list(flag: str, text: str, cast: type = float) -> list | range:
@@ -373,8 +379,7 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
     values, _given = _resolve(args)
     # the realized trace that synthetic simulate plays, run 0 of compare
     trace, _predicted = draw_instance(_experiment_config(values), 0)
-    price_path = f"{args.out_prefix}-price.csv"
-    wind_path = f"{args.out_prefix}-wind.csv"
+    price_path, wind_path = f"{args.out_prefix}-price.csv", f"{args.out_prefix}-wind.csv"
     write_trace_csv(trace, price_path, wind_path)
     print(f"wrote {price_path} and {wind_path} ({trace.horizon} slots)")
     return EXIT_OK

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter, le
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -111,11 +111,11 @@ class PenaltyParams:
 
 
 class OfferBook(tuple):
-    """Offers for one slot as two equal-length tuples: positive prices in
-    non-decreasing order and non-negative volumes, none NaN.  An offer
-    commits iff the clearing price reaches its price.  The tuple (prices,
-    volumes); socs and fonline build a one-offer book that passes the checks
-    below with ``tuple.__new__``, skipping this frame; ``len`` counts offers."""
+    """At most one offer for one slot, as the tuple (prices, volumes) of two
+    equal-length tuples: a positive price and a non-negative volume, neither
+    NaN; the offer commits iff the clearing price reaches its price.  socs and
+    fonline run these checks inline and build with ``tuple.__new__``.  Several
+    offers make a ``strategies.Ladder``."""
 
     __slots__ = ()
     prices, volumes = (property(itemgetter(i)) for i in range(2))
@@ -124,13 +124,12 @@ class OfferBook(tuple):
         n = len(prices)
         if n != len(volumes):
             raise ValidationError(f"offer book has {n} prices but {len(volumes)} volumes")
-        if n > 1 and not all(map(le, prices, prices[1:])):
-            raise ValidationError("offer book prices must be non-decreasing")
+        if n > 1:
+            raise ValidationError(f"an offer book holds at most one offer, got {n}")
         if n and not prices[0] > 0.0:
             raise ValidationError(f"offer price must be positive, got {prices[0]}")
-        if n and not all(map((0.0).__le__, volumes)):
-            bad = next(v for v in volumes if not v >= 0.0)
-            raise ValidationError(f"offer volume must be non-negative, got {bad}")
+        if n and not volumes[0] >= 0.0:
+            raise ValidationError(f"offer volume must be non-negative, got {volumes[0]}")
         return tuple.__new__(cls, (prices, volumes))
 
     def __len__(self) -> int:
@@ -141,14 +140,8 @@ class OfferBook(tuple):
         return self.settle(math.inf)
 
     def settle(self, price: float) -> float:
-        """Commitment volume: ``math.fsum``, the correctly rounded sum, of the
-        volumes of the offers priced at or below `price`."""
-        if len(self[0]) == 1:  # one offer: 0.0 + v is fsum([v]), -0.0 giving 0.0 too
-            return 0.0 + self[1][0] if self[0][0] <= price else 0.0
-        try:  # zip(*self) would ask the Python __len__ for a hint
-            return math.fsum([v for p, v in zip(self[0], self[1]) if p <= price])
-        except OverflowError:  # fsum's intermediate overflow: volumes are >= 0, so the sum is inf
-            return math.inf
+        """The offer's volume plus 0.0 (never -0.0) if `price` reaches its price, else 0.0."""
+        return 0.0 + self[1][0] if self[0] and self[0][0] <= price else 0.0
 
 
 EMPTY_BOOK = OfferBook((), ())

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter, mul, sub
+from operator import itemgetter, mul
 from typing import Sequence
 
 import numpy as np
@@ -72,8 +72,7 @@ class Ladder(tuple):
     length k from ``eval_g_inverse``'s formula, inlined, prices the edge rungs
     with ``eval_g`` only where rounding could move k (see the policy's
     ``z_tol``), and returns floor + cum_k: every rung is exact (Sterbenz), so
-    that is the correctly rounded sum of the prefix, bit for bit what settling
-    the materialized book (``prices``, ``volumes``) gives.
+    that is the correctly rounded sum of the prefix.
 
     The tuple of its five fields; ``ocsmb_strategy`` skips the checking ``__new__``
     where floor and span are >= 0, all its config leaves open; ``len`` counts offers."""
@@ -95,17 +94,6 @@ class Ladder(tuple):
         z = top - span * (i / rungs)
         return pol.eval_g(0.0 if z < 0.0 else z)  # max(z, 0.0), as in market.simulate_run
 
-    @property
-    def prices(self) -> tuple[float, ...]:
-        floor = (self.policy.bounds.p_min,) if self.floor_volume > 0.0 else ()
-        return floor + tuple(map(self._rung_price, range(1, self.rungs + 1)))
-
-    @property
-    def volumes(self) -> tuple[float, ...]:
-        _pol, floor, span, _top, rungs = self
-        cums = [span * (i / rungs) for i in range(1, rungs + 1)]
-        return ((floor,) if floor > 0.0 else ()) + tuple(map(sub, cums, [0.0, *cums]))
-
     def __len__(self) -> int:
         return (self.floor_volume > 0.0) + self.rungs
 
@@ -115,7 +103,7 @@ class Ladder(tuple):
 
     def settle(self, price: float) -> float:
         """Commitment volume: the correctly rounded sum of the floor and the
-        rungs priced at or below `price`, as ``OfferBook.settle`` adds them."""
+        rungs priced at or below `price`."""
         pol, floor, span, top, rungs = self
         p_min, p_max, c_th, slope, tol, capacity, _z_lo, _z_hi, _c_l, _p_hi = pol._curve
         if price < p_min:

@@ -2,13 +2,23 @@
 storage step and profit as separate helpers, the slot rule of
 ``market.simulate_run`` as their composition, and the
 ``strategies.socs_strategy`` callback, all written with the builtin ``min``
-and ``max``, and the settlement of an offer book as an exact sum."""
+and ``max``; the settlement of an offer book as an exact sum, and a book of
+any number of offers, with the offers of a ``strategies.Ladder`` one by one."""
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter, sub
 
-from hourahead import EMPTY_BOOK, OfferBook, PenaltyParams, StorageSpec, StrategyConfig
+from hourahead import (
+    EMPTY_BOOK,
+    Ladder,
+    OfferBook,
+    PenaltyParams,
+    StorageSpec,
+    StrategyConfig,
+    ValidationError,
+)
 from hourahead.market import OfferStrategy
 
 
@@ -82,9 +92,9 @@ def socs_offer_reference(cfg: StrategyConfig, price: float, output: float, level
 
 
 def offer_book_error(prices: tuple[float, ...], volumes: tuple[float, ...]) -> str | None:
-    """The message ``OfferBook(prices, volumes)`` raises, or None: its checks
-    in their order, written plainly, with no path of their own for one offer
-    and each written so that a NaN fails it."""
+    """The message ``ReferenceBook(prices, volumes)`` raises, or None: the
+    checks of ``OfferBook`` for any number of offers, prices non-decreasing,
+    written plainly and each so that a NaN fails it."""
     if len(prices) != len(volumes):
         return f"offer book has {len(prices)} prices but {len(volumes)} volumes"
     if any(not a <= b for a, b in zip(prices, prices[1:])):
@@ -104,7 +114,48 @@ def rounded(exact: Fraction) -> float:
 
 
 def settle_reference(book: OfferBook, price: float) -> float:
-    """``OfferBook.settle`` as the exact ``Fraction`` sum of the volumes priced
-    at or below `price`, rounded once; inf where one of them is inf."""
+    """A book's settle as the exact ``Fraction`` sum of the volumes priced at
+    or below `price`, rounded once; inf where one of them is inf."""
     committed = [v for p, v in zip(book.prices, book.volumes) if p <= price]
     return math.inf if math.inf in committed else rounded(sum(map(Fraction, committed), Fraction()))
+
+
+class ReferenceBook(tuple):
+    """An offer book of any number of offers, as the tuple (prices, volumes):
+    ``offer_book_error``'s checks and ``settle_reference``'s exact sum."""
+
+    __slots__ = ()
+    prices, volumes = (property(itemgetter(i)) for i in range(2))
+
+    def __new__(cls, prices: tuple[float, ...], volumes: tuple[float, ...]):
+        error = offer_book_error(prices, volumes)
+        if error is not None:
+            raise ValidationError(error)
+        return tuple.__new__(cls, (prices, volumes))
+
+    def __len__(self) -> int:
+        return len(self[0])
+
+    @property
+    def total_volume(self) -> float:
+        return self.settle(math.inf)
+
+    def settle(self, price: float) -> float:
+        return settle_reference(self, price)
+
+
+def any_book(prices: tuple[float, ...], volumes: tuple[float, ...]):
+    """An ``OfferBook`` of at most one offer, a ``ReferenceBook`` of more."""
+    return (OfferBook if len(prices) < 2 else ReferenceBook)(prices, volumes)
+
+
+def ladder_book(ladder: Ladder) -> ReferenceBook:
+    """The ladder offer by offer: a positive floor at p_min, then rung i of
+    volume cum_i - cum_{i-1} at its price; the constructor checks that the
+    prices never fall."""
+    pol, floor, span, _top, rungs = ladder
+    floored = floor > 0.0
+    cums = [span * (i / rungs) for i in range(1, rungs + 1)]
+    prices = (pol.bounds.p_min,) * floored + tuple(map(ladder._rung_price, range(1, rungs + 1)))
+    volumes = (floor,) * floored + tuple(map(sub, cums, [0.0, *cums]))
+    return ReferenceBook(prices, volumes)

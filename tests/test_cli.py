@@ -789,6 +789,15 @@ class TestAdversary:
         keys = list(json.loads(capsys.readouterr().out)["bucket_ratios"])
         assert keys == ["1.000002", "1.05", "1.050006", "1.050012", "1.099998"]
 
+    @pytest.mark.parametrize("threshold", ["10", "41"])
+    def test_const_threshold_outside_the_bounds(self, threshold, capsys):
+        # the default bounds are [10, 40]: p_min itself is refused, p_max is not
+        assert main(["adversary", "--strategy", "const", "--threshold", threshold]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"const threshold {float(threshold)} must lie in (p_min, p_max]"
+        assert captured.err == f"error: {message}\n"
+
     def test_budget_exceeded(self, capsys):
         code = main(
             ["adversary", "--horizon", "4", "--levels", "4", "--capacity", "4", "--budget", "10"]
@@ -859,6 +868,30 @@ class TestValidationExits:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--horizon", "4", "--out", ""],
+            ["compare", "--runs", "1", "--horizon", "4", "--out", ""],
+            ["compare", "--runs", "1", "--horizon", "4", "--sweep-offers", "1-2", "--out", ""],
+            ["adversary", "--horizon", "2", "--out", ""],
+            ["cr-table", "--out", ""],
+            ["compare", "--runs", "1", "--horizon", "4", "--csv", ""],
+            ["compare", "--runs", "1", "--horizon", "4", "--sweep-offers", "1-2", "--csv", ""],
+            ["gen-trace", "--horizon", "4", "--out-prefix", ""],
+        ],
+        ids=["simulate", "compare", "sweep", "adversary", "cr-table", "csv", "sweep_csv",
+             "out_prefix"],
+    )  # fmt: skip
+    def test_empty_output_path_refused(self, argv, tmp_path, monkeypatch, capsys):
+        # the parser refuses it: no command runs, nothing is printed or written
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "COMMANDS", {})
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        assert captured.err == f"error: argument {argv[-2]}: an empty path names no file\n"
 
     def test_help_still_exits_0(self, capsys):
         assert main(["compare", "--help"]) == 0

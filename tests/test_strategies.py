@@ -40,7 +40,7 @@ from hourahead.strategies import (
 )
 
 from conftest import forecast_and_realized, non_negative, synthetic_trace
-from market_reference import rounded, settle_reference, socs_offer_reference
+from market_reference import ladder_book, rounded, settle_reference, socs_offer_reference
 
 
 E2 = PriceBounds(10.0, 10.0 * math.e**2)
@@ -219,8 +219,9 @@ class TestSocsColumns:
 class TestOcsmbOffers:
     def test_ladder_below_threshold(self, pol_e2, cfg_e2):
         # z=0, u=4, m=5: four unit rungs priced at g(3), g(2), g(1), g(0)
-        book = ocsmb_strategy(cfg_e2)(0, ANY_PRICE, 4.0, 0.0)
-        assert len(book) == 4
+        ladder = ocsmb_strategy(cfg_e2)(0, ANY_PRICE, 4.0, 0.0)
+        assert len(ladder) == 4
+        book = ladder_book(ladder)
         volumes = list(book.volumes)
         prices = list(book.prices)
         assert volumes == pytest.approx([1.0, 1.0, 1.0, 1.0])
@@ -232,7 +233,8 @@ class TestOcsmbOffers:
         # z=18, u=2, m=3: floor offer drains to c_th; the ladder splits the
         # remaining deliverable energy, not more than the storage can emit
         cfg = StrategyConfig(E2, StorageSpec(20.0, 10.0, 10.0), offers=3)
-        book = ocsmb_strategy(cfg)(0, ANY_PRICE, 2.0, 18.0)
+        ladder = ocsmb_strategy(cfg)(0, ANY_PRICE, 2.0, 18.0)
+        book = ladder_book(ladder)
         deliverable = 2.0 + 10.0
         assert book.prices[0] == pol_e2.bounds.p_min
         assert book.volumes[0] == pytest.approx(20.0 - pol_e2.c_th, rel=1e-12)
@@ -240,7 +242,7 @@ class TestOcsmbOffers:
         assert list(book.volumes[1:]) == pytest.approx([span / 2, span / 2])
         expected_prices = [pol_e2.eval_g(pol_e2.c_th - span / 2), pol_e2.eval_g(pol_e2.c_th - span)]
         assert list(book.prices[1:]) == pytest.approx(expected_prices)
-        assert book.total_volume == pytest.approx(deliverable, abs=1e-12)
+        assert ladder.total_volume == pytest.approx(deliverable, abs=1e-12)
 
     def test_nothing_to_offer(self, cfg_e2):
         assert len(ocsmb_strategy(cfg_e2)(0, ANY_PRICE, 0.0, 0.0)) == 0
@@ -249,7 +251,7 @@ class TestOcsmbOffers:
         cfg = StrategyConfig(E2, StorageSpec(20.0, 10.0, 10.0), offers=1)
         book = ocsmb_strategy(cfg)(0, ANY_PRICE, 2.0, 18.0)
         assert len(book) == 1
-        assert book.prices[0] == pol_e2.bounds.p_min
+        assert ladder_book(book).prices[0] == pol_e2.bounds.p_min
 
     def test_book_never_exceeds_deliverable(self):
         rng = np.random.default_rng(4)
@@ -370,7 +372,7 @@ class TestLadderClosedForm:
         bounds, spec, u = market
         cfg = StrategyConfig(bounds, spec, offers=offers)
         ladder = ocsmb_strategy(cfg)(0, ANY_PRICE, u, z_frac * spec.capacity)
-        book = OfferBook(ladder.prices, ladder.volumes)  # checks the price order
+        book = ladder_book(ladder)  # checks the price order
         assert len(ladder) == len(book)
         assert _bits(ladder.total_volume) == _bits(book.total_volume)
         edges = {bounds.p_min, bounds.p_max, *book.prices}
@@ -455,8 +457,7 @@ class TestLadderClosedForm:
         assert isinstance(strategy(0, 20.0, 5.0, 10.0), Ladder)
 
         def materialized(t, price, output, level):
-            ladder = strategy(t, price, output, level)
-            return OfferBook(ladder.prices, ladder.volumes)
+            return ladder_book(strategy(t, price, output, level))
 
         trace = synthetic_trace(7, 360, bounds)
         assert simulate_run(trace, spec, penalty, strategy) == simulate_run(
@@ -595,6 +596,27 @@ class TestBooksWithoutNew:
         callback = STRATEGIES[name](StrategyConfig(bounds, spec), [state[1]])
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             callback(0, *state)
+
+    @pytest.mark.parametrize("name", list(STRATEGIES))
+    def test_every_book_holds_one_offer_or_is_a_ladder(self, name):
+        # every book a callback returns on two seed-7 runs: the ladders'
+        # books are Ladders, and socs and fonline offer one offer or none
+        cfg = ExperimentConfig(runs=2, horizon=360, seed=7)
+        books = []
+        for run in range(cfg.runs):
+            trace, predicted = draw_instance(cfg, run)
+            callback = STRATEGIES[name](cfg.strategy, predicted)
+
+            def recorded(t, price, output, level):
+                books.append(callback(t, price, output, level))
+                return books[-1]
+
+            simulate_run(trace, cfg.spec, cfg.penalty, recorded)
+        assert len(books) == 720
+        if name in ("ocsmb", "mocsmb"):
+            assert {type(book) for book in books} == {Ladder}
+        else:
+            assert {(type(book), len(book)) for book in books} == {(OfferBook, 0), (OfferBook, 1)}
 
     @pytest.mark.parametrize("name", list(STRATEGIES))
     def test_a_slot_opens_no_constructor_frame(self, name):
