@@ -2,9 +2,10 @@
 
 Library layout:
 
-* ``market``     - data model, settlement, storage dynamics, simulation loop
+* ``market``     - data model, storage dynamics, simulation loop
 * ``policy``     - adaptive price threshold over the storage level
-* ``strategies`` - the online strategies and the fixed-threshold baselines
+* ``strategies`` - the offer book, the online strategies and the
+  fixed-threshold baselines
 * ``oracle``     - clairvoyant optimum over a quantized storage grid
 * ``adversary``  - exhaustive worst-case search over small instance grids
 * ``traces``     - CSV ingestion and seeded synthetic generation
@@ -21,8 +22,6 @@ from .errors import (
     ValidationError,
 )
 from .market import (
-    EMPTY_BOOK,
-    OfferBook,
     PenaltyParams,
     PriceBounds,
     RunResult,
@@ -33,14 +32,12 @@ from .market import (
 )
 from .oracle import DiscretizationConfig, OptResult, offline_opt_dp
 from .policy import ThresholdPolicy, c_threshold, theoretical_cr
-from .strategies import Ladder, StrategyConfig, nostorage_profit
+from .strategies import OfferBook, StrategyConfig, nostorage_profit
 
 __all__ = [
     "BudgetExceededError",
     "DiscretizationConfig",
-    "EMPTY_BOOK",
     "InstanceTooLargeError",
-    "Ladder",
     "OfferBook",
     "OptResult",
     "PenaltyParams",

@@ -1,15 +1,15 @@
-"""Hour-ahead market settlement, storage dynamics, and profit accounting.
+"""Hour-ahead market: the slot rule, storage dynamics, and profit accounting.
 
-The producer submits an offer book before each one-hour slot.  Offers whose
-price is at or below the clearing price become a binding commitment; energy
-the producer cannot deliver (beyond renewable output plus what the storage
-can discharge) is the over-commitment and is penalized per MWh.
+The producer submits an offer book (a ``strategies.OfferBook``, which
+settles itself) before each one-hour slot.  Offers whose price is at or
+below the clearing price become a binding commitment; energy the producer
+cannot deliver (beyond renewable output plus what the storage can
+discharge) is the over-commitment and is penalized per MWh.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -110,43 +110,6 @@ class PenaltyParams:
             raise ValidationError("penalty coefficients must be non-negative and finite")
 
 
-class OfferBook(tuple):
-    """At most one offer for one slot, as the tuple (prices, volumes) of two
-    equal-length tuples: a positive price and a non-negative volume, neither
-    NaN; the offer commits iff the clearing price reaches its price.  socs and
-    fonline run these checks inline and build with ``tuple.__new__``.  Several
-    offers make a ``strategies.Ladder``."""
-
-    __slots__ = ()
-    prices, volumes = (property(itemgetter(i)) for i in range(2))
-
-    def __new__(cls, prices: tuple[float, ...], volumes: tuple[float, ...]):
-        n = len(prices)
-        if n != len(volumes):
-            raise ValidationError(f"offer book has {n} prices but {len(volumes)} volumes")
-        if n > 1:
-            raise ValidationError(f"an offer book holds at most one offer, got {n}")
-        if n and not prices[0] > 0.0:
-            raise ValidationError(f"offer price must be positive, got {prices[0]}")
-        if n and not volumes[0] >= 0.0:
-            raise ValidationError(f"offer volume must be non-negative, got {volumes[0]}")
-        return tuple.__new__(cls, (prices, volumes))
-
-    def __len__(self) -> int:
-        return len(self[0])
-
-    @property
-    def total_volume(self) -> float:
-        return self.settle(math.inf)
-
-    def settle(self, price: float) -> float:
-        """The offer's volume plus 0.0 (never -0.0) if `price` reaches its price, else 0.0."""
-        return 0.0 + self[1][0] if self[0] and self[0][0] <= price else 0.0
-
-
-EMPTY_BOOK = OfferBook((), ())
-
-
 @dataclass(frozen=True)
 class RunResult:
     """The per-slot rows of a full simulation plus the accumulated profit.
@@ -161,20 +124,22 @@ class RunResult:
 
 
 # A strategy maps (slot index, clearing price, renewable output, storage level)
-# to an offer book (an ``OfferBook`` or a ``strategies.Ladder``).  Strategies
-# that must act before the price is revealed simply ignore the price argument.
-# A callback must be a pure function of those four arguments: the adversary
-# calls it only through ``scalar_columns``, once per distinct (slot, price,
-# output, level), and reuses the commitment for every instance that reaches
-# that state.
-OfferStrategy = Callable[[int, float, float, float], OfferBook]
+# to an offer book, a ``strategies.OfferBook``: the protocol every book keeps
+# is ``settle(price)``, the volume the clearing price commits, ``len``, its
+# count of offers, and ``total_volume``, its settle at an infinite price.
+# Strategies that must act before the price is revealed simply ignore the
+# price argument.  A callback must be a pure function of those four
+# arguments: the adversary calls it only through ``scalar_columns``, once per
+# distinct (slot, price, output, level), and reuses the commitment for every
+# instance that reaches that state.
+OfferStrategy = Callable[[int, float, float, float], "OfferBook"]
 # A strategy's column form maps (slot index, prices, outputs, levels), numpy
 # columns that broadcast together, to the commitment of each state: what the
 # callback's book settles to at the state's price.
 ColumnStrategy = Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def settle_offer(book: OfferBook, clearing_price: float) -> float:
+def settle_offer(book: "OfferBook", clearing_price: float) -> float:
     """Commitment volume of `book` at `clearing_price`."""
     return book.settle(clearing_price)
 

@@ -55,14 +55,14 @@ class ThresholdPolicy:
 
     def __post_init__(self):
         # the curve's constants in one tuple, read by eval_g, eval_g_inverse
-        # and their inlined copies in Ladder.settle and the socs callback, set
+        # and their inlined copies in OfferBook.settle and the socs callback, set
         # once as the fields are (a write to __dict__ would slow every lookup);
         # at theta == 1 (c_th == 0) the slope is 0.0, so every price in range inverts to c_th
         c, c_th, c_l, bounds = self.capacity, self.c_th, self.capacity * self.l_n, self.bounds
         if not (math.isfinite(c * c) and c_l >= sys.float_info.min):  # NaN fails too
             raise ValidationError(f"capacity {c} is too large or too small for the threshold curve")
         slope = c_l / c_th if c_th else 0.0
-        # z_tol, Ladder.settle's tolerance: 10^6 times the few eps * (C + slope *
+        # z_tol, OfferBook.settle's tolerance: 10^6 times the few eps * (C + slope *
         # (ln theta + 2)) by which rounding can move a threshold level; inf where
         # a subnormal p_min rounds p_min * exp(a) to a coarse absolute grid
         normal = bounds.p_min >= sys.float_info.min
@@ -98,7 +98,7 @@ class ThresholdPolicy:
         """Storage level at which the threshold price equals `price`.
 
         Defined for price in [p_min, p_max]; p_min, where the flat tail
-        starts, inverts to its least level c_th.  ``Ladder.settle`` inlines
+        starts, inverts to its least level c_th.  ``OfferBook.settle`` inlines
         the formula and the socs callback the range check too; their
         reference tests pin the copies to this method.
         """

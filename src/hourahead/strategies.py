@@ -26,15 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .market import (
-    EMPTY_BOOK,
-    ColumnStrategy,
-    OfferBook,
-    OfferStrategy,
-    PriceBounds,
-    StorageSpec,
-    Trace,
-)
+from .market import ColumnStrategy, OfferStrategy, PriceBounds, StorageSpec, Trace
 from .oracle import profit_sum
 from .policy import ThresholdPolicy
 from .traces import check_error_bound
@@ -63,54 +55,59 @@ class StrategyConfig:
         object.__setattr__(self, "policy", ThresholdPolicy.build(self.bounds, self.spec.capacity))
 
 
-class Ladder(tuple):
-    """The ocsmb offer book in closed form: a floor offer of ``floor_volume``
-    at p_min (when positive), then ``rungs`` slices cum_i - cum_{i-1} of
-    ``span``, where cum_i = span * (i / rungs) and rung i is priced at
-    g(max(top - cum_i, 0)).  Rung prices never fall as i grows, so a
-    clearing price commits a prefix of the book: ``settle`` guesses its
+class OfferBook(tuple):
+    """One slot's offer book, the tuple (price, volume, policy, span, top,
+    rungs): a floor offer of ``volume`` at ``price``, then ``rungs`` slices
+    cum_i - cum_{i-1} of ``span``, where cum_i = span * (i / rungs) and rung i
+    is priced at g(max(top - cum_i, 0)) on ``policy``'s curve.  socs, fonline,
+    gmin and const offer one offer, (price, volume, None, 0.0, 0.0, 0), and a
+    zero volume offers nothing; ocsmb and mocsmb offer a ladder floored at
+    p_min, below every rung.  Rung prices never fall as i grows, so a clearing
+    price commits the floor and a prefix of the rungs: ``settle`` guesses its
     length k from ``eval_g_inverse``'s formula, inlined, prices the edge rungs
     with ``eval_g`` only where rounding could move k (see the policy's
     ``z_tol``), and returns floor + cum_k: every rung is exact (Sterbenz), so
-    that is the correctly rounded sum of the prefix.
+    that is the correctly rounded sum of the committed offers.
 
-    The tuple of its five fields; ``ocsmb_strategy`` skips the checking ``__new__``
-    where floor and span are >= 0, all its config leaves open; ``len`` counts offers."""
+    The strategies skip the checking ``__new__`` where their fields pass it;
+    ``len`` counts the offers of positive volume."""
 
     __slots__ = ()
-    policy, floor_volume, span, top, rungs = (property(itemgetter(i)) for i in range(5))
+    price, volume, policy, span, top, rungs = (property(itemgetter(i)) for i in range(6))
 
-    def __new__(cls, policy, floor_volume: float, span: float, top: float, rungs: int):
-        if not (floor_volume >= 0.0 and span >= 0.0 and 0 <= rungs <= MAX_OFFERS
+    def __new__(cls, price: float, volume: float, policy=None, span=0.0, top=0.0, rungs=0):
+        if not (price > 0.0 and volume >= 0.0 and span >= 0.0 and 0 <= rungs <= MAX_OFFERS
                 and (span > 0.0 or not rungs)):  # fmt: skip
             raise ValidationError(
-                f"ladder needs floor volume and span >= 0 and 0 to {MAX_OFFERS} rungs over a "
-                f"positive span, got {floor_volume}, {span}, {rungs}"
+                f"offer book needs a positive price, volume and span >= 0 and 0 to {MAX_OFFERS} "
+                f"rungs over a positive span, got {price}, {volume}, {span}, {rungs}"
             )
-        return tuple.__new__(cls, (policy, floor_volume, span, top, rungs))
+        return tuple.__new__(cls, (price, volume, policy, span, top, rungs))
 
     def _rung_price(self, i: int) -> float:
-        pol, _floor, span, top, rungs = self
+        _price, _floor, pol, span, top, rungs = self
         z = top - span * (i / rungs)
         return pol.eval_g(0.0 if z < 0.0 else z)  # max(z, 0.0), as in market.simulate_run
 
     def __len__(self) -> int:
-        return (self.floor_volume > 0.0) + self.rungs
+        return (self.volume > 0.0) + self.rungs
 
     @property
     def total_volume(self) -> float:
-        return self.settle(math.inf)  # every rung commits
+        return self.settle(math.inf)  # every offer commits
 
     def settle(self, price: float) -> float:
-        """Commitment volume: the correctly rounded sum of the floor and the
-        rungs priced at or below `price`."""
-        pol, floor, span, top, rungs = self
-        p_min, p_max, c_th, slope, tol, capacity, _z_lo, _z_hi, _c_l, _p_hi = pol._curve
-        if price < p_min:
+        """Commitment volume: 0.0 below the floor price, else the correctly
+        rounded sum of the floor and the rungs priced at or below `price`."""
+        floor_price, floor, pol, span, top, rungs = self
+        if not price >= floor_price:  # a NaN clearing price commits nothing too
             return 0.0
+        if not rungs:  # + 0.0 turns a -0.0 volume into 0.0
+            return floor + 0.0
+        p_min, p_max, c_th, slope, tol, capacity, _z_lo, _z_hi, _c_l, _p_hi = pol._curve
         k = rungs
         certified = False
-        if rungs and price <= p_max:  # rung i commits iff top - cum_i >= g^-1(price)
+        if price <= p_max:  # rung i commits iff top - cum_i >= g^-1(price)
             level = c_th - slope * math.log(price / p_min)  # eval_g_inverse(price), in its range
             guess = (top - level) / span * rungs
             k = rungs if guess >= rungs else int(guess) if guess > 0.0 else 0
@@ -124,7 +121,7 @@ class Ladder(tuple):
                 k += 1
             while k and self._rung_price(k) > price:
                 k -= 1
-        # the rungs cum_i - cum_{i-1} add up to cum_k exactly; + 0.0 turns a -0.0 floor into 0.0
+        # the rungs cum_i - cum_{i-1} add up to cum_k exactly
         return floor + (span * (k / rungs) if k else 0.0)
 
 
@@ -165,11 +162,9 @@ def socs_strategy(cfg: StrategyConfig) -> OfferStrategy:
         deliverable = output + (rate_d if rate_d < level else level)
         volume = deliverable if deliverable < volume else volume
         volume = 0.0 if volume < 0.0 else volume
-        if volume == 0.0:
-            return EMPTY_BOOK
         if price > 0.0 and volume >= 0.0:  # passes OfferBook's checks, without its frame
-            return new(OfferBook, ((price,), (volume,)))
-        return OfferBook((price,), (volume,))  # raises
+            return new(OfferBook, (price, volume, None, 0.0, 0.0, 0))
+        return OfferBook(price, volume)  # raises
 
     return socs
 
@@ -222,10 +217,10 @@ def ocsmb_strategy(cfg: StrategyConfig) -> OfferStrategy:
     settlement.
     """
     pol, spec, rungs = cfg.policy, cfg.spec, cfg.offers - 1
-    c_th, rate_c, rate_d = pol.c_th, spec.charge_rate, spec.discharge_rate
+    p_min, c_th, rate_c, rate_d = cfg.bounds.p_min, pol.c_th, spec.charge_rate, spec.discharge_rate
     new = tuple.__new__
 
-    def ocsmb(t: int, price: float, output: float, level: float) -> Ladder:
+    def ocsmb(t: int, price: float, output: float, level: float) -> OfferBook:
         # each min and max written out as in market.simulate_run
         deliverable = output + (rate_d if rate_d < level else level)
         if (rate_c if rate_c < output else output) + level > c_th:
@@ -240,9 +235,9 @@ def ocsmb_strategy(cfg: StrategyConfig) -> OfferStrategy:
             top = level + output - floor_volume
         if floor_volume + span > deliverable:  # span = fl(d - f) > d - f: one float down is not
             span = math.nextafter(span, 0.0)
-        if floor_volume >= 0.0 and span >= 0.0:  # Ladder's checks that cfg does not settle
-            return new(Ladder, (pol, floor_volume, span, top, rungs if span > 0.0 else 0))
-        return Ladder(pol, floor_volume, span, top, rungs if span > 0.0 else 0)  # raises
+        if floor_volume >= 0.0 and span >= 0.0:  # OfferBook's checks that cfg does not settle
+            return new(OfferBook, (p_min, floor_volume, pol, span, top, rungs if span > 0.0 else 0))
+        return OfferBook(p_min, floor_volume, pol, span, top, rungs if span > 0.0 else 0)  # raises
 
     return ocsmb
 
@@ -267,11 +262,9 @@ def fixed_threshold_strategy(threshold: float, spec: StorageSpec) -> OfferStrate
 
     def fixed_threshold(t: int, price: float, output: float, level: float) -> OfferBook:
         available = output + (rate_d if rate_d < level else level)
-        if available <= 0.0:
-            return EMPTY_BOOK
         if threshold > 0.0 and available >= 0.0:  # passes OfferBook's checks, without its frame
-            return new(OfferBook, ((threshold,), (available,)))
-        return OfferBook((threshold,), (available,))  # raises
+            return new(OfferBook, (threshold, available, None, 0.0, 0.0, 0))
+        return OfferBook(threshold, available)  # raises
 
     return fixed_threshold
 

@@ -210,6 +210,8 @@ def realize_outputs(
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
     """Write a table as a CSV file: the one writer of every table the package writes."""
+    if path == "":  # Path("") is the working directory
+        raise ValidationError("an empty path names no file")
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

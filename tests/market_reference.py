@@ -3,7 +3,7 @@ storage step and profit as separate helpers, the slot rule of
 ``market.simulate_run`` as their composition, and the
 ``strategies.socs_strategy`` callback, all written with the builtin ``min``
 and ``max``; the settlement of an offer book as an exact sum, and a book of
-any number of offers, with the offers of a ``strategies.Ladder`` one by one."""
+any number of offers, with the offers of a ``strategies.OfferBook`` one by one."""
 from __future__ import annotations
 
 import math
@@ -11,8 +11,6 @@ from fractions import Fraction
 from operator import itemgetter, sub
 
 from hourahead import (
-    EMPTY_BOOK,
-    Ladder,
     OfferBook,
     PenaltyParams,
     StorageSpec,
@@ -85,16 +83,13 @@ def socs_offer_reference(cfg: StrategyConfig, price: float, output: float, level
     else:
         volume = level + output - min(pol.eval_g_inverse(price), level + spec.charge_rate)
     volume = min(volume, output + min(level, spec.discharge_rate))
-    volume = max(volume, 0.0)
-    if volume == 0.0:
-        return EMPTY_BOOK
-    return OfferBook((price,), (volume,))
+    return OfferBook(price, max(volume, 0.0))
 
 
 def offer_book_error(prices: tuple[float, ...], volumes: tuple[float, ...]) -> str | None:
-    """The message ``ReferenceBook(prices, volumes)`` raises, or None: the
-    checks of ``OfferBook`` for any number of offers, prices non-decreasing,
-    written plainly and each so that a NaN fails it."""
+    """The message ``ReferenceBook(prices, volumes)`` raises, or None: equal
+    lengths, prices non-decreasing, a positive price and non-negative
+    volumes, written plainly and each so that a NaN fails it."""
     if len(prices) != len(volumes):
         return f"offer book has {len(prices)} prices but {len(volumes)} volumes"
     if any(not a <= b for a, b in zip(prices, prices[1:])):
@@ -113,10 +108,12 @@ def rounded(exact: Fraction) -> float:
         return math.inf if exact > 0 else -math.inf
 
 
-def settle_reference(book: OfferBook, price: float) -> float:
+def settle_reference(book, price: float) -> float:
     """A book's settle as the exact ``Fraction`` sum of the volumes priced at
-    or below `price`, rounded once; inf where one of them is inf."""
-    committed = [v for p, v in zip(book.prices, book.volumes) if p <= price]
+    or below `price`, rounded once; inf where one of them is inf.  An
+    ``OfferBook`` is laid out offer by offer first."""
+    prices, volumes = ladder_book(book) if isinstance(book, OfferBook) else book
+    committed = [v for p, v in zip(prices, volumes) if p <= price]
     return math.inf if math.inf in committed else rounded(sum(map(Fraction, committed), Fraction()))
 
 
@@ -145,17 +142,20 @@ class ReferenceBook(tuple):
 
 
 def any_book(prices: tuple[float, ...], volumes: tuple[float, ...]):
-    """An ``OfferBook`` of at most one offer, a ``ReferenceBook`` of more."""
-    return (OfferBook if len(prices) < 2 else ReferenceBook)(prices, volumes)
+    """An ``OfferBook`` of at most one offer, no offer being a zero volume
+    (at a price that then does not matter), a ``ReferenceBook`` of more."""
+    if len(prices) > 1 or len(prices) != len(volumes):
+        return ReferenceBook(prices, volumes)
+    return OfferBook(*prices, *volumes) if prices else OfferBook(1.0, 0.0)
 
 
-def ladder_book(ladder: Ladder) -> ReferenceBook:
-    """The ladder offer by offer: a positive floor at p_min, then rung i of
-    volume cum_i - cum_{i-1} at its price; the constructor checks that the
-    prices never fall."""
-    pol, floor, span, _top, rungs = ladder
+def ladder_book(book: OfferBook) -> ReferenceBook:
+    """The book offer by offer: a positive floor volume at its price, then
+    rung i of volume cum_i - cum_{i-1} at its price; the constructor checks
+    that the prices never fall."""
+    floor_price, floor, _pol, span, _top, rungs = book
     floored = floor > 0.0
     cums = [span * (i / rungs) for i in range(1, rungs + 1)]
-    prices = (pol.bounds.p_min,) * floored + tuple(map(ladder._rung_price, range(1, rungs + 1)))
+    prices = (floor_price,) * floored + tuple(map(book._rung_price, range(1, rungs + 1)))
     volumes = (floor,) * floored + tuple(map(sub, cums, [0.0, *cums]))
     return ReferenceBook(prices, volumes)

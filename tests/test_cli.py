@@ -555,7 +555,7 @@ class TestCompare:
     def test_infinite_penalty_on_an_over_commitment(self, tmp_path, monkeypatch, capsys):
         # a strategy that commits beyond what it can deliver loses an infinite profit
         def over_committing(bounds, spec):
-            return lambda t, price, output, level: OfferBook((price,), (output + 2.0 * spec.capacity,))
+            return lambda t, price, output, level: OfferBook(price, output + 2.0 * spec.capacity)
 
         monkeypatch.setattr(experiment, "fonline_strategy", over_committing)
         cfg = tmp_path / "pen.ini"

@@ -469,6 +469,15 @@ class TestEmitReport:
         strategies_per_run = len(STRATEGIES) + 2  # plus offline & nostorage
         assert len(lines) == 1 + cfg.runs * strategies_per_run
 
+    def test_an_empty_path_is_refused(self, tmp_path, monkeypatch):
+        # Path("") names the working directory: one ValidationError line, not
+        # an IsADirectoryError, and no file written
+        monkeypatch.chdir(tmp_path)
+        report = run_experiment(small_config(runs=1, horizon=4))
+        with pytest.raises(ValidationError, match="^an empty path names no file$"):
+            emit_report(report, csv_path="")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOfferSweep:
     def test_one_row_per_count(self):

@@ -40,6 +40,11 @@ def test_every_import_is_used(module):
     assert unused_imports(source) == HELD_FOR_TRACER.get(module, [])
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in hourahead.__all__ if not hasattr(hourahead, name)]
+    assert hourahead.__all__ and missing == []
+
+
 def test_one_module_writes_csv():
     # traces.write_csv writes every table; the module that reads CSVs holds it
     importers = [

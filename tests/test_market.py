@@ -10,8 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hourahead import (
-    EMPTY_BOOK,
-    Ladder,
     OfferBook,
     PenaltyParams,
     PriceBounds,
@@ -62,7 +60,17 @@ class TestSettleOffer:
         assert settle_offer(b, 35.0) == 7.0
 
     def test_empty_book(self):
-        assert settle_offer(EMPTY_BOOK, 25.0) == 0.0
+        # a zero volume offers nothing, at any price
+        for volume in (0.0, -0.0):
+            b = OfferBook(10.0, volume)
+            assert (len(b), settle_offer(b, 25.0), b.total_volume) == (0, 0.0, 0.0)
+            assert math.copysign(1.0, b.total_volume) == 1.0
+
+    def test_a_nan_price_commits_nothing(self):
+        # one rule for a single offer and a ladder: no NaN reaches a floor price
+        pol = ThresholdPolicy.build(PriceBounds(10.0, 40.0), 4.0)
+        for b in (OfferBook(10.0, 5.0), OfferBook(10.0, 1.0, pol, 3.0, 4.0, 3)):
+            assert b.settle(NAN) == 0.0 == settle_reference(b, NAN)
 
     @settings(max_examples=300)
     @given(
@@ -84,11 +92,11 @@ class TestSettleOffer:
         # the general rule bit for bit only while no settle returns -0.0
         pol = ThresholdPolicy.build(PriceBounds(10.0, 40.0), 4.0)
         books = [
-            EMPTY_BOOK,
+            OfferBook(30.0, 0.0),
             book((30.0, -0.0)),
-            Ladder(pol, -0.0, 0.0, 4.0, 0),
-            Ladder(pol, -0.0, 5e-324, 4.0, 3),
-            Ladder(pol, 0.0, 5e-324, 0.0, 3),
+            OfferBook(10.0, -0.0, pol, 0.0, 4.0, 0),
+            OfferBook(10.0, -0.0, pol, 5e-324, 4.0, 3),
+            OfferBook(10.0, 0.0, pol, 5e-324, 0.0, 3),
         ]
         assert [math.copysign(1.0, b.settle(price)) for b in books] == [1.0] * len(books)
 
@@ -155,19 +163,25 @@ def _bits(row):
 
 
 @st.composite
-def offer_books(draw):
-    """A valid book of 0 to 4 offers, one offer most often: an ``OfferBook``
-    of at most one, the reference book of more."""
+def offer_lists(draw):
+    """The prices and volumes of a valid book of 0 to 4 offers, one offer
+    most often."""
     n = draw(st.sampled_from([0, 1, 1, 1, 2, 4]))
     prices = sorted(draw(st.lists(st.floats(1.0, 50.0), min_size=n, max_size=n)))
     volumes = draw(st.lists(non_negative(30.0), min_size=n, max_size=n))
-    return any_book(tuple(prices), tuple(volumes))
+    return tuple(prices), tuple(volumes)
 
 
-def _example(volume=None, u=3.0, level_frac=0.5, rc=2.0, rd=2.0, alpha1=1.2):
+def offer_books():
+    """A valid book of 0 to 4 offers: an ``OfferBook`` of at most one, the
+    reference book of more."""
+    return offer_lists().map(lambda offers: any_book(*offers))
+
+
+def _example(volume=0.0, u=3.0, level_frac=0.5, rc=2.0, rd=2.0, alpha1=1.2):
     """An ``@example`` of test_matches_reference_composition: a one-offer book
-    of `volume` (none when None) at 10.0, settled at 20.0, capacity 10.0."""
-    book = EMPTY_BOOK if volume is None else OfferBook((10.0,), (volume,))
+    of `volume` (none when 0.0) at 10.0, settled at 20.0, capacity 10.0."""
+    book = OfferBook(10.0, volume)
     return example(book=book, price=20.0, u=u, capacity=10.0, level_frac=level_frac,
                    rc=rc, rd=rd, alpha1=alpha1, alpha2=0.0)  # fmt: skip
 
@@ -181,8 +195,8 @@ class TestPlaySlot:
     @_example(1.0, level_frac=-0.0, rc=0.0, rd=-0.0)
     @_example(4.0, level_frac=-0.0, rc=-0.0, rd=0.0)  # a deficit from level -0.0
     @_example(4.0, level_frac=-0.0, rc=-0.0, rd=-0.0)
-    @_example(None, u=-0.0, level_frac=-0.0, rc=-0.0, rd=-0.0)  # x 0.0 against u -0.0
-    @_example(None, u=-0.0, rc=-0.0, rd=0.0)
+    @_example(u=-0.0, level_frac=-0.0, rc=-0.0, rd=-0.0)  # x 0.0 against u -0.0
+    @_example(u=-0.0, rc=-0.0, rd=0.0)
     @_example(9.0)  # over-committed in a deficit
     @_example(9.0, rd=-0.0)  # over-committed, delivered == u
     @_example(9.0, level_frac=-0.0, rc=-0.0, alpha1=0.0)
@@ -219,7 +233,7 @@ class TestPlaySlot:
     @settings(max_examples=200)
     @given(
         slots=st.lists(
-            st.tuples(offer_books(), st.floats(1.0, 50.0), non_negative(15.0), non_negative(2.0)),
+            st.tuples(offer_lists(), st.floats(1.0, 50.0), non_negative(15.0), non_negative(2.0)),
             min_size=2,
             max_size=8,
         ),
@@ -234,12 +248,13 @@ class TestPlaySlot:
     ):
         # each slot's book adds a multiple of the level to its volumes, so a
         # level carried wrongly from the slot before moves the commitment
-        books, prices, outputs, fracs = zip(*slots)
+        offers, prices, outputs, fracs = zip(*slots)
         spec = StorageSpec(capacity, *rates, level_frac * capacity)
         penalty = PenaltyParams(alpha1, alpha2)
 
         def strategy(t, price, output, level):
-            return any_book(books[t].prices, tuple(v + fracs[t] * level for v in books[t].volumes))
+            book_prices, volumes = offers[t]
+            return any_book(book_prices, tuple(v + fracs[t] * level for v in volumes))
 
         result = simulate_run(Trace(prices, outputs), spec, penalty, strategy)
         level, total = spec.initial_level, 0.0
@@ -293,12 +308,11 @@ class TestPlayColumns:
 
 
 def sell_all(t, price, output, level):
-    available = output + level
-    return OfferBook((price,), (available,)) if available > 0 else EMPTY_BOOK
+    return OfferBook(price, output + level)
 
 
 def offer_nothing(t, price, output, level):
-    return EMPTY_BOOK
+    return OfferBook(price, 0.0)
 
 
 class TestSimulateRun:
@@ -337,8 +351,7 @@ class TestSimulateRun:
         assert best == 20.0
 
         def plan(t, price, output, level):
-            x = (0.0, 1.0)[t]
-            return OfferBook((price,), (x,)) if x > 0 else EMPTY_BOOK
+            return OfferBook(price, (0.0, 1.0)[t])
 
         assert simulate_run(trace, spec, penalty, plan).total_profit == 20.0
 
@@ -371,7 +384,7 @@ class TestSimulateRun:
         spec = StorageSpec(20.0, 10.0, 10.0, 0.0)
 
         def greedy(t, price, output, level):
-            return OfferBook((price,), (5.0,))
+            return OfferBook(price, 5.0)
 
         result = simulate_run(trace, spec, penalty, greedy)
         commitments, over_commitments, *_, levels = zip(*result.rows)
@@ -427,7 +440,7 @@ class TestRunColumns:
         eps = sys.float_info.epsilon
 
         def fixed_book(t, price, output, level):
-            return OfferBook((threshold,), (volumes[t],))
+            return OfferBook(threshold, volumes[t])
 
         for strategy in [fixed_book, *(make(cfg, trace.outputs) for make in STRATEGIES.values())]:
             result = simulate_run(trace, spec, penalty, strategy)
@@ -504,13 +517,11 @@ class TestValidation:
             book((10.0, -1.0))
 
     @pytest.mark.parametrize(
-        "prices, volumes",
-        [((0.0,), (1.0,)), ((-5.0,), (1.0,)), ((10.0,), (-1.0,)), ((10.0,), (1.0, 2.0)),
-         ((10.0, 20.0), (1.0,)), ((10.0,), ())],
+        "prices, volumes", [((0.0,), (1.0,)), ((-5.0,), (1.0,)), ((10.0,), (-1.0,))]
     )
     def test_one_offer_book_checks(self, prices, volumes):
         with pytest.raises(ValidationError):
-            OfferBook(prices, volumes)
+            OfferBook(*prices, *volumes)
 
     @pytest.mark.parametrize(
         "prices, volumes",
@@ -522,27 +533,24 @@ class TestValidation:
     )  # fmt: skip
     def test_nan_is_rejected(self, prices, volumes):
         # books of several offers go to the reference book, whose checks the
-        # one-offer book shares
+        # one-offer book shares, and a NaN field of a ladder is refused too
         with pytest.raises(ValidationError):
             any_book(prices, volumes)
+        pol = ThresholdPolicy.build(PriceBounds(1.0, 4.0), 4.0)
+        with pytest.raises(ValidationError):
+            OfferBook(1.0, 1.0, pol, NAN, 4.0, 3)
 
     def test_nan_volume_error_names_it(self):
-        with pytest.raises(ValidationError, match="non-negative, got nan"):
-            OfferBook((1.0,), (NAN,))
+        with pytest.raises(ValidationError, match="got 1.0, nan, 0.0, 0$"):
+            OfferBook(1.0, NAN)
 
     def test_offer_book_is_an_immutable_value(self):
         b = book((10.0, 1.0))
-        assert len(b) == 1 and b.prices == (10.0,) and b.volumes == (1.0,)
+        assert len(b) == 1 and (b.price, b.volume) == (10.0, 1.0)
+        assert (b.policy, b.span, b.top, b.rungs) == (None, 0.0, 0.0, 0)
         assert b == book((10.0, 1.0)) != book((10.0, 2.0))
         with pytest.raises(AttributeError):
-            b.prices = (5.0,)
-
-    def test_offer_book_refuses_a_second_offer(self):
-        # before the price and volume checks, so any second offer is refused the same way
-        for prices, volumes in [((10.0, 20.0), (1.0, 2.0)), ((20.0, -1.0, NAN), (NAN,) * 3)]:
-            with pytest.raises(ValidationError) as raised:
-                OfferBook(prices, volumes)
-            assert str(raised.value) == f"an offer book holds at most one offer, got {len(prices)}"
+            b.price = 5.0
 
 
 # offer prices and volumes with the cases a check can get wrong: signed
@@ -553,30 +561,23 @@ edge_floats = st.one_of(
 
 
 class TestOneOfferPath:
-    """A book of at most one offer: its build and settle equal the reference
-    book's checks and exact sum, bit for bit, and it refuses a second offer."""
+    """A book of one offer: its build and settle equal the reference book's
+    checks and exact sum, bit for bit."""
 
     @settings(max_examples=300)
-    @given(
-        prices=st.lists(edge_floats, min_size=0, max_size=3).map(tuple),
-        volumes=st.lists(edge_floats, min_size=0, max_size=3).map(tuple),
-    )
-    @example(prices=(10.0,), volumes=(-0.0,))
-    @example(prices=(-0.0,), volumes=(1.0,))
-    @example(prices=(NAN,), volumes=(1.0,))
-    @example(prices=(10.0,), volumes=(NAN,))
-    @example(prices=(10.0,), volumes=(1.0, 2.0))
-    def test_build_equals_generic_checks(self, prices, volumes):
-        expected = offer_book_error(prices, volumes)
-        if len(prices) == len(volumes) > 1:
-            expected = f"an offer book holds at most one offer, got {len(prices)}"
-        if expected is None:
-            b = OfferBook(prices, volumes)
-            assert b.prices is prices and b.volumes is volumes
+    @given(price=edge_floats, volume=edge_floats)
+    @example(price=10.0, volume=-0.0)
+    @example(price=-0.0, volume=1.0)
+    @example(price=NAN, volume=1.0)
+    @example(price=10.0, volume=NAN)
+    def test_build_equals_generic_checks(self, price, volume):
+        if offer_book_error((price,), (volume,)) is None:
+            b = OfferBook(price, volume)
+            assert b.price is price and b.volume is volume
         else:
             with pytest.raises(ValidationError) as raised:
-                OfferBook(prices, volumes)
-            assert str(raised.value) == expected
+                OfferBook(price, volume)
+            assert str(raised.value).endswith(f", got {price}, {volume}, 0.0, 0")
 
     @settings(max_examples=300)
     @given(
@@ -588,7 +589,7 @@ class TestOneOfferPath:
     @example(offer_price=10.0, volume=-0.0, price=9.0)
     @example(offer_price=10.0, volume=0.0, price=NAN)
     def test_settle_equals_generic_loop(self, offer_price, volume, price):
-        b = OfferBook((offer_price,), (volume,))
+        b = OfferBook(offer_price, volume)
         assert settle_reference(b, price).hex() == b.settle(price).hex()
         # the reference book, with a zero-volume second offer above every price, agrees
         two = ReferenceBook((offer_price, math.inf), (volume, 0.0))

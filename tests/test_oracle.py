@@ -16,9 +16,8 @@ from hourahead import (
 )
 from hourahead import oracle
 from hourahead.experiment import ExperimentConfig, draw_instance
-from hourahead.market import EMPTY_BOOK, OfferBook
 from hourahead.oracle import _quantize, profit_ratios, ratio_json
-from hourahead.strategies import StrategyConfig, socs_strategy
+from hourahead.strategies import OfferBook, StrategyConfig, socs_strategy
 
 from conftest import non_negative, synthetic_trace
 from oracle_reference import (
@@ -161,8 +160,7 @@ class TestOfflineOptimum:
             result = offline_opt_dp(trace, spec, disc)
 
             def replay(t, price, output, level):
-                x = result.commitment_path[t]
-                return OfferBook((price,), (x,)) if x > 0 else EMPTY_BOOK
+                return OfferBook(price, result.commitment_path[t])
 
             run = simulate_run(trace, spec, penalty, replay)
             assert all(over == 0.0 for _x, over, *_ in run.rows)
@@ -413,8 +411,7 @@ class TestEmpiricalRatio:
         opt = offline_opt_dp(trace, spec, disc)
 
         def replay(t, price, output, level):
-            x = opt.commitment_path[t]
-            return OfferBook((price,), (x,)) if x > 0 else EMPTY_BOOK
+            return OfferBook(price, opt.commitment_path[t])
 
         ratio = empirical_cr(trace, spec, penalty, replay, disc)
         assert ratio == pytest.approx(1.0, abs=1e-9)
@@ -439,7 +436,7 @@ class TestEmpiricalRatio:
         disc = DiscretizationConfig(8)
 
         def silent(t, price, output, level):
-            return EMPTY_BOOK
+            return OfferBook(price, 0.0)
 
         assert empirical_cr(trace, spec, penalty, silent, disc) == math.inf
 

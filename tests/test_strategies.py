@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hourahead import (
-    Ladder,
     OfferBook,
     PriceBounds,
     StorageSpec,
@@ -90,9 +89,7 @@ class TestSocsOffer:
         level = level_frac * capacity
         book = socs_strategy(cfg)(0, price, output, level)
         ref = socs_offer_reference(cfg, price, output, level)
-        assert [x.hex() for x in book.prices + book.volumes] == [
-            x.hex() for x in ref.prices + ref.volumes
-        ]
+        assert _book_bits(book) == _book_bits(ref)
 
     @pytest.mark.parametrize(
         "state, refused",
@@ -115,15 +112,15 @@ class TestSocsOffer:
         # z=10, u=2, p=20: sell down to the level whose threshold equals 20
         book = socs_strategy(cfg_e2)(0, 20.0, 2.0, 10.0)
         assert len(book) == 1
-        assert book.prices == (20.0,)
+        assert book.price == 20.0
         expected = 12.0 - bisect_inverse(pol_e2, 20.0)
-        assert book.volumes[0] == pytest.approx(expected, abs=1e-9)
-        assert book.volumes[0] == pytest.approx(2.433, abs=5e-4)
+        assert book.volume == pytest.approx(expected, abs=1e-9)
+        assert book.volume == pytest.approx(2.433, abs=5e-4)
 
     def test_floor_price_drains_to_threshold(self, cfg_e2):
         # z=15, u=1, p=p_min: sell 16 - min(c_th, 25)
         book = socs_strategy(cfg_e2)(0, 10.0, 1.0, 15.0)
-        assert book.volumes[0] == pytest.approx(1.359, abs=5e-4)
+        assert book.volume == pytest.approx(1.359, abs=5e-4)
 
     def test_candidate_above_market_offers_surplus_only(self, cfg_e2):
         # u=3 fits within the charge rate: nothing to offer
@@ -131,12 +128,12 @@ class TestSocsOffer:
         # u beyond the charge rate must be sold even at a bad price
         big_u = StrategyConfig(E2, StorageSpec(20.0, 2.0, 10.0))
         book = socs_strategy(big_u)(0, 10.0, 5.0, 0.0)
-        assert book.volumes[0] == pytest.approx(3.0)
+        assert book.volume == pytest.approx(3.0)
 
     def test_volume_capped_at_deliverable(self):
         tight = StrategyConfig(E2, StorageSpec(20.0, 10.0, 2.0))
         book = socs_strategy(tight)(0, E2.p_max, 1.0, 18.0)
-        assert book.volumes[0] <= 1.0 + 2.0
+        assert book.volume <= 1.0 + 2.0
 
     def test_never_overcommits(self, bounds, spec, penalty):
         for seed in range(8):
@@ -411,17 +408,18 @@ class TestLadderClosedForm:
     def test_most_settles_price_no_edge_rung(self, monkeypatch):
         # the certified guess skips the edge loops on the seed-7 offer sweep's
         # settles (ocsmb with 1 to 15 offers over 360 slots) but near a rung
-        eval_g, settle = ThresholdPolicy.eval_g, Ladder.settle
+        eval_g, settle = ThresholdPolicy.eval_g, OfferBook.settle
         calls, counts = [], []
         monkeypatch.setattr(ThresholdPolicy, "eval_g", lambda pol, z: calls.append(z) or eval_g(pol, z))
 
-        def counted(ladder, price):
+        def counted(book, price):
             before = len(calls)
-            result = settle(ladder, price)
-            counts.append(len(calls) - before)
+            result = settle(book, price)
+            if book.policy is not None:  # a ladder, not socs's one offer
+                counts.append(len(calls) - before)
             return result
 
-        monkeypatch.setattr(Ladder, "settle", counted)
+        monkeypatch.setattr(OfferBook, "settle", counted)
         run_offer_sweep(ExperimentConfig(runs=1, horizon=360, seed=7), range(1, 16))
         assert len(counts) == 15 * 360
         assert counts.count(0) >= 0.85 * len(counts)
@@ -448,13 +446,13 @@ class TestLadderClosedForm:
         spec = StorageSpec(capacity, charge, discharge)
         cfg = StrategyConfig(bounds, spec)
         ladder = ocsmb_strategy(cfg)(0, ANY_PRICE, u, z_frac * capacity)
-        fields = (ladder.floor_volume, ladder.span, ladder.top)
+        fields = (ladder.volume, ladder.span, ladder.top)
         reference = ocsmb_fields_reference(cfg, u, z_frac * capacity)
         assert list(map(_bits, fields)) == list(map(_bits, reference))
 
     def test_run_matches_materialized_books(self, bounds, spec, penalty):
         strategy = ocsmb_strategy(StrategyConfig(bounds, spec))
-        assert isinstance(strategy(0, 20.0, 5.0, 10.0), Ladder)
+        assert strategy(0, 20.0, 5.0, 10.0).rungs == 9
 
         def materialized(t, price, output, level):
             return ladder_book(strategy(t, price, output, level))
@@ -489,9 +487,9 @@ class TestLadderClosedForm:
         counts = []
         for rungs in (10, 9_999):
             c_th, k = pol_e2.c_th, rungs // 2
-            ladder = Ladder(pol_e2, 1.0, c_th, c_th, rungs)
+            ladder = OfferBook(pol_e2.bounds.p_min, 1.0, pol_e2, c_th, c_th, rungs)
             price = pol_e2.eval_g(c_th - c_th * ((k + 0.5) / rungs))  # halfway to rung k + 1
-            lines = _line_events(lambda: ladder.settle(price), Ladder.settle.__code__)
+            lines = _line_events(lambda: ladder.settle(price), OfferBook.settle.__code__)
             assert ladder.settle(price) == 1.0 + c_th * (k / rungs)
             counts.append(lines)
         assert counts[0] == counts[1]
@@ -499,27 +497,28 @@ class TestLadderClosedForm:
     def test_checks(self, pol_e2):
         for floor, span, rungs in ((-1.0, 1.0, 2), (1.0, -1.0, 0), (1.0, 0.0, 2), (0.0, 1.0, -1)):
             with pytest.raises(ValidationError):
-                Ladder(pol_e2, floor, span, 5.0, rungs)
+                OfferBook(10.0, floor, pol_e2, span, 5.0, rungs)
 
     def test_is_an_immutable_value(self, pol_e2):
-        ladder = Ladder(pol_e2, 1.0, 2.0, 5.0, 3)
-        assert (ladder.policy, ladder.floor_volume, ladder.span, ladder.top, ladder.rungs) == (
-            pol_e2, 1.0, 2.0, 5.0, 3
-        )
-        assert len(ladder) == 4 and len(Ladder(pol_e2, 0.0, 2.0, 5.0, 3)) == 3
-        assert ladder == Ladder(pol_e2, 1.0, 2.0, 5.0, 3)
-        assert ladder != Ladder(pol_e2, 1.0, 2.0, 5.0, 4)
+        ladder = OfferBook(10.0, 1.0, pol_e2, 2.0, 5.0, 3)
+        fields = (ladder.price, ladder.volume, ladder.policy, ladder.span, ladder.top, ladder.rungs)
+        assert fields == tuple(ladder) == (10.0, 1.0, pol_e2, 2.0, 5.0, 3)
+        assert len(ladder) == 4 and len(OfferBook(10.0, 0.0, pol_e2, 2.0, 5.0, 3)) == 3
+        assert ladder == OfferBook(10.0, 1.0, pol_e2, 2.0, 5.0, 3)
+        assert ladder != OfferBook(10.0, 1.0, pol_e2, 2.0, 5.0, 4)
         with pytest.raises(AttributeError):
             ladder.span = 3.0
 
 
-LADDER_ERROR = "ladder needs floor volume and span >= 0 and 0 to 10000 rungs over a positive span"
+BOOK_ERROR = (
+    "offer book needs a positive price, volume and span >= 0 and 0 to 10000 rungs over a "
+    "positive span"
+)
 
 
 def _book_bits(book):
     """A book's type and its fields, each float by its bits."""
-    leaves = list(book) if isinstance(book, Ladder) else [len(book), *book.prices, *book.volumes]
-    return type(book), [_bits(x) if isinstance(x, float) else (type(x), x) for x in leaves]
+    return type(book), [_bits(x) if isinstance(x, float) else (type(x), x) for x in book]
 
 
 def _frame_counts(run):
@@ -578,17 +577,16 @@ class TestBooksWithoutNew:
                      fonline_strategy(bounds, spec))  # fmt: skip
         for callback in callbacks:
             book = callback(0, price, u, level * spec.capacity)
-            checked = Ladder(*book) if isinstance(book, Ladder) else OfferBook(*book)
-            assert _book_bits(book) == _book_bits(checked), callback
+            assert _book_bits(book) == _book_bits(OfferBook(*book)), callback
 
     @pytest.mark.parametrize(
         "name, state, message",
         [
-            ("ocsmb", (25.0, math.nan, 5.0), f"{LADDER_ERROR}, got nan, nan, 0"),
-            ("ocsmb", (25.0, -30.0, 5.0), f"{LADDER_ERROR}, got 0.0, -25.0, 0"),
-            ("mocsmb", (25.0, math.nan, 5.0), f"{LADDER_ERROR}, got nan, nan, 0"),
-            ("socs", (-1.0, 15.0, 5.0), "offer price must be positive, got -1.0"),
-            ("fonline", (25.0, math.nan, 5.0), "offer volume must be non-negative, got nan"),
+            ("ocsmb", (25.0, math.nan, 5.0), f"{BOOK_ERROR}, got 10.0, nan, nan, 0"),
+            ("ocsmb", (25.0, -30.0, 5.0), f"{BOOK_ERROR}, got 10.0, 0.0, -25.0, 0"),
+            ("mocsmb", (25.0, math.nan, 5.0), f"{BOOK_ERROR}, got 10.0, nan, nan, 0"),
+            ("socs", (-1.0, 15.0, 5.0), f"{BOOK_ERROR}, got -1.0, 5.0, 0.0, 0"),
+            ("fonline", (25.0, math.nan, 5.0), f"{BOOK_ERROR}, got 20.0, nan, 0.0, 0"),
         ],
     )
     def test_refusals_are_the_constructors(self, bounds, spec, name, state, message):
@@ -599,8 +597,8 @@ class TestBooksWithoutNew:
 
     @pytest.mark.parametrize("name", list(STRATEGIES))
     def test_every_book_holds_one_offer_or_is_a_ladder(self, name):
-        # every book a callback returns on two seed-7 runs: the ladders'
-        # books are Ladders, and socs and fonline offer one offer or none
+        # every book a callback returns on two seed-7 runs is an OfferBook, and
+        # socs and fonline offer one offer or none, with no rungs
         cfg = ExperimentConfig(runs=2, horizon=360, seed=7)
         books = []
         for run in range(cfg.runs):
@@ -613,16 +611,15 @@ class TestBooksWithoutNew:
 
             simulate_run(trace, cfg.spec, cfg.penalty, recorded)
         assert len(books) == 720
-        if name in ("ocsmb", "mocsmb"):
-            assert {type(book) for book in books} == {Ladder}
-        else:
-            assert {(type(book), len(book)) for book in books} == {(OfferBook, 0), (OfferBook, 1)}
+        assert {type(book) for book in books} == {OfferBook}
+        if name in ("socs", "fonline"):
+            assert {(len(book), book.rungs) for book in books} == {(0, 0), (1, 0)}
 
     @pytest.mark.parametrize("name", list(STRATEGIES))
     def test_a_slot_opens_no_constructor_frame(self, name):
         # a count of Python frames, so it repeats exactly: each ladder slot
-        # opens its callback and Ladder.settle, no socs or fonline slot
-        # opens OfferBook.__new__, and no socs slot a method of the policy
+        # opens its callback and OfferBook.settle, no slot opens
+        # OfferBook.__new__, and no socs slot a method of the policy
         cfg = ExperimentConfig(runs=1, horizon=360, seed=7)
         trace, predicted = draw_instance(cfg, 0)
         callback = STRATEGIES[name](cfg.strategy, predicted)
@@ -712,12 +709,12 @@ class TestMocsmbOffers:
 class TestBaselines:
     def test_fonline_threshold(self, spec):
         book = fonline_strategy(PriceBounds(10.0, 40.0), spec)(0, 25.0, 1.0, 5.0)
-        assert book.prices == (20.0,)
+        assert book.price == 20.0
 
     def test_fonline_volume(self):
         spec = StorageSpec(20.0, 10.0, 2.0, 8.0)
         book = fonline_strategy(PriceBounds(10.0, 40.0), spec)(0, 25.0, 3.0, 8.0)
-        assert book.volumes == (5.0,)
+        assert book.volume == 5.0
 
     def test_fonline_empty(self, spec):
         assert len(fonline_strategy(PriceBounds(10.0, 40.0), spec)(0, 25.0, 0.0, 0.0)) == 0
@@ -726,8 +723,8 @@ class TestBaselines:
     def test_fonline_threshold_at_extreme_bounds(self, spec, p_min, p_max):
         # sqrt(p_min * p_max) would underflow to 0.0 or overflow to inf here
         book = fonline_strategy(PriceBounds(p_min, p_max), spec)(0, p_max, 1.0, 5.0)
-        assert p_min < book.prices[0] < p_max
-        assert book.prices[0] == pytest.approx(p_min * math.sqrt(10.0), rel=1e-15)
+        assert p_min < book.price < p_max
+        assert book.price == pytest.approx(p_min * math.sqrt(10.0), rel=1e-15)
 
     @settings(max_examples=400)
     @given(
@@ -740,13 +737,11 @@ class TestBaselines:
         strategy = fixed_threshold_strategy(25.0, StorageSpec(20.0, 10.0, rate_d))
         book = strategy(0, 10.0, output, level)
         available = output + min(level, rate_d)
-        expected = (available,) if available > 0.0 else ()
-        assert [v.hex() for v in book.volumes] == [v.hex() for v in expected]
+        assert (book.volume.hex(), len(book)) == (available.hex(), available > 0.0)
 
     def test_fixed_threshold_offer(self, spec):
         book = fixed_threshold_strategy(25.0, spec)(0, 10.0, 2.0, 4.0)
-        assert book.prices == (25.0,)
-        assert book.volumes == (6.0,)
+        assert (book.price, book.volume, book.rungs) == (25.0, 6.0, 0)
 
     def test_nostorage_profit(self):
         assert nostorage_profit(Trace([10.0, 20.0], [1.0, 2.0])) == 50.0

@@ -64,6 +64,12 @@ def test_traced_compare_counts(tracer, tmp_path):
     m = traced_metrics(tracer, tmp_path, COMPARE)
     assert (m["oracle.calls"], m["oracle.cells"], m["market.calls"]) == (1, 24 * 401, 4)
     assert [m[f"strategies.{name}.books"] for name in tracer.STRATEGIES] == [24] * 4
+    # offers per book and the committed share of what was offered, as the
+    # tracer reads them from each book (len, total_volume, settle_offer): 6 of
+    # socs's 24 books and 2 of fonline's offer a zero volume, which counts 0 offers
+    assert (m["strategies.socs.offers_per_book"], m["strategies.socs.fill_ratio"]) == (0.75, 1.0)
+    fonline = m["strategies.fonline.offers_per_book"], m["strategies.fonline.fill_ratio"]
+    assert fonline == (22 / 24, 0.18691859126298715)
 
 
 def test_traced_sweep_counts(tracer, tmp_path):

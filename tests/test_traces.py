@@ -209,6 +209,16 @@ class TestLoadTrace:
         assert back.prices == trace.prices
         assert back.outputs == trace.outputs
 
+    def test_an_empty_path_is_refused(self, tmp_path, monkeypatch, bounds):
+        # Path("") names the working directory: one ValidationError line, not
+        # an IsADirectoryError; an empty price path writes neither file
+        monkeypatch.chdir(tmp_path)
+        trace = synthesize(np.random.default_rng(5), 4, bounds)
+        for paths in [("", "w.csv"), ("p.csv", "")]:
+            with pytest.raises(ValidationError, match="^an empty path names no file$"):
+                write_trace_csv(trace, *paths)
+            assert not (tmp_path / "w.csv").exists()
+
 
 class TestSynthetic:
     def test_same_seed_identical(self, bounds):
